@@ -7,7 +7,7 @@ analysis leaves unspecified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
@@ -31,8 +31,6 @@ class SolverConfig:
     # scan every residual arc after each relabel/augment and assert the
     # push-relabel level invariants (slow; meant for m <= 500)
     debug_invariants: bool = False
-    # record (arcs, amount, w-length) for every augmenting path
-    log_paths: bool = True
     # also snapshot the full label vector at each augmentation (replay tests)
     snapshot_labels: bool = False
     # certify a cut-matching component as soon as brute force confirms
@@ -47,8 +45,6 @@ class SolverConfig:
     validator_falsifier_cuts: int = 10_000
     # fresh-seed retries before build_hierarchy gives up
     build_retries: int = 5
-    # reuse the previous hierarchy across driver iterations (experimental)
-    reuse_hierarchy: bool = False
 
     def with_(self, **kw) -> "SolverConfig":
         return replace(self, **kw)

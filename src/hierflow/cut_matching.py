@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import CutCheckFailedError, NotStronglyConnectedError
 from .graph import DiGraph, Flow, FlowInstance, decompose_paths, flow_stats, scc
-from .hierarchy import Hierarchy, exhaustive_worst_cut, sampled_sparse_cut
+from .hierarchy import (CutEvaluator, Hierarchy, exhaustive_worst_cut, sampled_sparse_cut,
+                        terminal_volume)
 from .sparse_cut import sparse_cut, terminal_weights
 
 
@@ -158,25 +159,15 @@ class CutOrEmbedOutcome:
     state: Optional[CMGState] = None
 
 
-def _terminal_degrees(g: DiGraph, cap, f_edges) -> List[int]:
-    deg = [0] * g.n
-    for e in f_edges:
-        deg[g.tails[e]] += cap[e]
-        deg[g.heads[e]] += cap[e]
-    return deg
-
-
-def _brute_force_check(g, cap, f_edges, phi, deg_f, rng, config):
+def _brute_force_check(n, edges, volw, phi, rng, config):
     """(certified, witness_side): exact on small graphs, falsification
     above; (False, None) means unknown."""
-    edges = [(g.tails[e], g.heads[e], cap[e]) for e in range(g.m)]
-    volw = {v: deg_f[v] for v in range(g.n)}
-    if g.n <= config.exact_cut_threshold:
-        ratio, side = exhaustive_worst_cut(range(g.n), edges, volw)
+    if n <= config.exact_cut_threshold:
+        ratio, side = exhaustive_worst_cut(range(n), edges, volw)
         if ratio is None or ratio >= phi:
             return True, None
         return False, side
-    side = sampled_sparse_cut(range(g.n), edges, volw, phi, rng,
+    side = sampled_sparse_cut(range(n), edges, volw, phi, rng,
                               config.builder_falsifier_cuts)
     if side is not None:
         return False, side
@@ -202,7 +193,7 @@ def cut_or_embed(
     n = g.n
     if n > 1 and len(scc(g)) != 1:
         raise NotStronglyConnectedError("cut_or_embed needs a strongly connected graph")
-    deg_f = _terminal_degrees(g, cap, f_edges)
+    deg_f = terminal_volume(g, cap, f_edges)
     vol_total = sum(deg_f)
     if vol_total * phi.numerator < phi.denominator or n <= 1:
         # tiny total volume expands unconditionally
@@ -215,6 +206,8 @@ def cut_or_embed(
     kappa = max(1, math.ceil(2 * config.c_kappa / float(phi)))
     z = retry_budget(n)
     t_cmg = state.t_cmg
+    edges = [(g.tails[e], g.heads[e], cap[e]) for e in range(g.m)]
+    volw = dict(enumerate(deg_f))
 
     def finish(early: bool) -> CutOrEmbedOutcome:
         psi = union_psi(n, state.matchings, r_vec, config.exact_cut_threshold)
@@ -224,28 +217,19 @@ def cut_or_embed(
             state=state)
 
     def try_cut(side: List[int]) -> Optional[CutOrEmbedOutcome]:
+        ev = CutEvaluator(n, edges, deg_f)
         sset = set(side)
-        vol_s = sum(deg_f[v] for v in side)
-        if 2 * vol_s > vol_total:
-            side = [v for v in range(n) if v not in sset]
-            sset = set(side)
-            vol_s = vol_total - vol_s
-        b_out = b_in = 0
-        for e in range(g.m):
-            tu, tv = g.tails[e] in sset, g.heads[e] in sset
-            if tu and not tv:
-                b_out += cap[e]
-            elif tv and not tu:
-                b_in += cap[e]
-        ok = (min(b_out, b_in) * phi.denominator < phi.numerator * vol_s
-              and 4 * t_cmg * vol_s >= r_budget
-              and vol_s >= 1)
-        if not ok:
+        ev.assign([v in sset for v in range(n)])
+        if 2 * ev.vol_s > vol_total:
+            ev.assign([v not in sset for v in range(n)])
+        vol_s = ev.vol_s
+        if not (ev.sparse(phi) and 4 * t_cmg * vol_s >= r_budget and vol_s >= 1):
             return None
-        return CutOrEmbedOutcome(sorted(side), vol_s, vol_total, b_out, b_in, state=state)
+        return CutOrEmbedOutcome(ev.side(), vol_s, vol_total, ev.out_cap, ev.in_cap,
+                                 state=state)
 
     if config.cmg_early_exit:
-        verdict, witness = _brute_force_check(g, cap, f_edges, phi, deg_f, rng, config)
+        verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
         if verdict is True:
             return finish(early=True)
         if witness is not None:
@@ -300,7 +284,7 @@ def cut_or_embed(
                 matching[key] = matching.get(key, 0) + amt
         absorb_matching(state, sorted((a, b, c) for (a, b), c in matching.items()))
         if config.cmg_early_exit:
-            verdict, witness = _brute_force_check(g, cap, f_edges, phi, deg_f, rng, config)
+            verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
             if verdict is True or verdict is None:
                 return finish(early=True)
             if witness is not None:

@@ -46,13 +46,6 @@ class DiGraph:
         for e in range(self.m):
             yield e, self.tails[e], self.heads[e]
 
-    def subgraph_edges(self, edge_ids: Iterable[int], vertices=None):
-        """Edge ids with both endpoints inside `vertices` (all if None)."""
-        if vertices is None:
-            return list(edge_ids)
-        vs = vertices if isinstance(vertices, set) else set(vertices)
-        return [e for e in edge_ids if self.tails[e] in vs and self.heads[e] in vs]
-
 
 def build_graph(n: int, arcs: Sequence[Tuple[int, int, int]]) -> Tuple[DiGraph, List[int]]:
     """Build a graph plus capacity vector from (tail, head, capacity) triples."""
@@ -134,60 +127,13 @@ def scc_subgraph(vertices: Iterable[int], arcs: Iterable[Tuple[int, int]]) -> Li
     """SCCs of an ad-hoc subgraph, in reverse topological order.
 
     `arcs` are (tail, head) pairs; endpoints outside `vertices` are ignored.
+    Roots are tried in the given vertex order and neighbours in arc order.
     """
     verts = list(vertices)
-    vset = set(verts)
-    adj = {v: [] for v in verts}
-    for u, v in arcs:
-        if u in vset and v in vset:
-            adj[u].append(v)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: List[int] = []
-    comps: List[List[int]] = []
-    counter = 0
-    for root in verts:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            nbrs = adj[v]
-            while ei < len(nbrs):
-                w = nbrs[ei]
-                ei += 1
-                if w not in index:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comps
+    index = {v: i for i, v in enumerate(verts)}
+    local = DiGraph(len(verts), [(index[u], index[v]) for u, v in arcs
+                                 if u != v and u in index and v in index])
+    return [[verts[i] for i in comp] for comp in scc(local)]
 
 
 @dataclass
@@ -289,30 +235,19 @@ class ResidualView:
     the unabsorbed sink capacity.
     """
 
-    __slots__ = ("g", "arc_cap", "delta_f", "nabla_f", "weights")
+    __slots__ = ("g", "arc_cap", "delta_f", "nabla_f")
 
     def __init__(self, g: DiGraph, arc_cap: List[int], delta_f: List[int], nabla_f: List[int]):
         self.g = g
         self.arc_cap = arc_cap
         self.delta_f = delta_f
         self.nabla_f = nabla_f
-        self.weights: List[int] = None
 
     def arc_ends(self, a: int) -> Tuple[int, int]:
         e = a >> 1
         if a & 1:
             return self.g.heads[e], self.g.tails[e]
         return self.g.tails[e], self.g.heads[e]
-
-    def base_edge(self, a: int) -> int:
-        return a >> 1
-
-    def attach_weights(self, w: Sequence[int]) -> None:
-        """Both residual arcs of edge e inherit weight w[e]."""
-        self.weights = list(w)
-
-    def arc_weight(self, a: int) -> int:
-        return self.weights[a >> 1]
 
     def out_arcs(self, v: int):
         """Arc ids leaving v (including saturated ones)."""

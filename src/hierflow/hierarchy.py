@@ -114,75 +114,100 @@ def induced_weights(g: DiGraph, tau: Sequence[int]) -> List[int]:
     return [abs(tau[g.heads[e]] - tau[g.tails[e]]) for e in range(g.m)]
 
 
-# --- sparsity predicates -----------------------------------------------------
+# --- cut evaluation ----------------------------------------------------------
 
 
-def degrees_for(n: int, edges: Sequence[Tuple[int, int, int]]) -> List[int]:
-    """Capacitated degree of each vertex over the given (u, v, c) edges."""
-    deg = [0] * n
-    for u, v, c in edges:
-        deg[u] += c
-        deg[v] += c
-    return deg
+def terminal_volume(g: DiGraph, cap: Sequence[int], f_edges: Iterable[int]) -> List[int]:
+    """vol_F per vertex: the capacity of the terminal edges F at each endpoint."""
+    vol = [0] * g.n
+    for e in f_edges:
+        vol[g.tails[e]] += cap[e]
+        vol[g.heads[e]] += cap[e]
+    return vol
 
 
-class CutScanner:
-    """Incremental boundary/volume bookkeeping over a fixed component.
+class CutEvaluator:
+    """Boundary capacity in both directions and volume of a cut S.
 
-    Vertices are the component's, edges the surviving subgraph's, volume
-    weights an arbitrary nonnegative vertex vector (capacitated terminal
-    degrees in hierarchy checks, witness degrees when measuring a
-    matching union).
+    Vertices are local indices 0..k-1, arcs a fixed (u, v, c) list
+    (parallel and antiparallel arcs allowed, self-loops never cross),
+    volume weights an arbitrary nonnegative vertex vector (terminal
+    volumes in hierarchy checks, witness degrees when measuring a
+    matching union).  S starts empty; `flip` moves one vertex across in
+    one pass over its arcs, `assign` recomputes from scratch.
     """
 
-    def __init__(self, vertices: Sequence[int], edges: Sequence[Tuple[int, int, int]],
-                 vol_weight: Dict[int, int]):
-        self.vertices = list(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.k = len(self.vertices)
-        self.edges = list(edges)
-        self.volw = [vol_weight.get(v, 0) for v in self.vertices]
-        self.total_vol = sum(self.volw)
-        self.inc: List[List[Tuple[int, int, int]]] = [[] for _ in range(self.k)]
-        for u, v, c in self.edges:
-            iu, iv = self.index[u], self.index[v]
-            self.inc[iu].append((iu, iv, c))
-            self.inc[iv].append((iu, iv, c))
-        self.in_s = [False] * self.k
+    __slots__ = ("k", "arcs", "vol", "total_vol", "out_adj", "in_adj",
+                 "in_s", "out_cap", "in_cap", "vol_s")
+
+    def __init__(self, k: int, arcs: Sequence[Tuple[int, int, int]], vol: Sequence[int]):
+        self.k = k
+        self.arcs = [(u, v, c) for u, v, c in arcs if u != v]
+        self.vol = list(vol)
+        self.total_vol = sum(self.vol)
+        self.out_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
+        self.in_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
+        for u, v, c in self.arcs:
+            self.out_adj[u].append((v, c))
+            self.in_adj[v].append((u, c))
+        self.in_s = [False] * k
         self.out_cap = 0  # c(E(S, S-bar))
         self.in_cap = 0   # c(E(S-bar, S))
         self.vol_s = 0
 
     def flip(self, i: int) -> None:
-        entering = not self.in_s[i]
-        for iu, iv, c in self.inc[i]:
-            if iu == iv:
-                continue
-            su, sv = self.in_s[iu], self.in_s[iv]
-            if su and not sv:
-                self.out_cap -= c
-            elif sv and not su:
-                self.in_cap -= c
-        self.in_s[i] = entering
-        self.vol_s += self.volw[i] if entering else -self.volw[i]
-        for iu, iv, c in self.inc[i]:
-            if iu == iv:
-                continue
-            su, sv = self.in_s[iu], self.in_s[iv]
-            if su and not sv:
-                self.out_cap += c
-            elif sv and not su:
-                self.in_cap += c
+        in_s = self.in_s
+        to_s = to_out = 0
+        for j, c in self.out_adj[i]:
+            if in_s[j]:
+                to_s += c
+            else:
+                to_out += c
+        from_s = from_out = 0
+        for j, c in self.in_adj[i]:
+            if in_s[j]:
+                from_s += c
+            else:
+                from_out += c
+        if in_s[i]:
+            in_s[i] = False
+            self.out_cap += from_s - to_out
+            self.in_cap += to_s - from_out
+            self.vol_s -= self.vol[i]
+        else:
+            in_s[i] = True
+            self.out_cap += to_out - from_s
+            self.in_cap += from_out - to_s
+            self.vol_s += self.vol[i]
 
-    def ratio(self) -> Optional[Fraction]:
-        """Sparsity ratio of the current cut, None when volume-degenerate."""
+    def assign(self, flags: Sequence[bool]) -> None:
+        in_s = self.in_s = list(flags)
+        out_c = in_c = 0
+        for u, v, c in self.arcs:
+            if in_s[u] != in_s[v]:
+                if in_s[u]:
+                    out_c += c
+                else:
+                    in_c += c
+        self.out_cap, self.in_cap = out_c, in_c
+        self.vol_s = sum(x for x, s in zip(self.vol, in_s) if s)
+
+    def side(self) -> List[int]:
+        return [i for i in range(self.k) if self.in_s[i]]
+
+    def sparse(self, phi: Fraction) -> bool:
+        """min(out, in) < phi * min(vol(S), vol(S-bar)); False when either
+        side has no volume."""
         mv = min(self.vol_s, self.total_vol - self.vol_s)
-        if mv <= 0:
-            return None
-        return Fraction(min(self.out_cap, self.in_cap), mv)
+        return min(self.out_cap, self.in_cap) * phi.denominator < phi.numerator * mv
 
-    def current_side(self) -> List[int]:
-        return [self.vertices[i] for i in range(self.k) if self.in_s[i]]
+
+def _evaluator(vertices, edges, vol_weight) -> Tuple[List[int], CutEvaluator]:
+    """Reindex a component's (u, v, c) edges and volume map to local indices."""
+    verts = list(vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    arcs = [(idx[u], idx[v], c) for u, v, c in edges]
+    return verts, CutEvaluator(len(verts), arcs, [vol_weight.get(v, 0) for v in verts])
 
 
 def exhaustive_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Optional[List[int]]]:
@@ -192,21 +217,26 @@ def exhaustive_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction
     cut has positive volume on both sides.  Deterministic: gray-code
     order, strict improvement only.
     """
-    sc = CutScanner(vertices, edges, vol_weight)
-    k = sc.k
+    verts, ev = _evaluator(vertices, edges, vol_weight)
+    k = ev.k
     if k <= 1:
         return None, None
-    best: Optional[Fraction] = None
-    best_side: Optional[List[int]] = None
-    # last vertex stays outside S; gray code over the first k-1
+    total = ev.total_vol
+    best_num, best_den, best_code = 0, 0, 0
+    # last vertex stays outside S; gray code over the first k-1, ratios
+    # compared by cross-multiplication
     for i in range(1, 1 << (k - 1)):
-        flip = (i & -i).bit_length() - 1
-        sc.flip(flip)
-        r = sc.ratio()
-        if r is not None and (best is None or r < best):
-            best = r
-            best_side = sc.current_side()
-    return best, best_side
+        ev.flip((i & -i).bit_length() - 1)
+        mv = min(ev.vol_s, total - ev.vol_s)
+        if mv <= 0:
+            continue
+        b = min(ev.out_cap, ev.in_cap)
+        if best_den == 0 or b * best_den < best_num * mv:
+            best_num, best_den, best_code = b, mv, i
+    if best_den == 0:
+        return None, None
+    gray = best_code ^ (best_code >> 1)  # S after the winning flip
+    return Fraction(best_num, best_den), [verts[i] for i in range(k) if gray >> i & 1]
 
 
 def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.Random,
@@ -217,65 +247,39 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
     labelings from random sources (forward and reverse).  Returns a
     witness side or None; None proves nothing.
     """
-    verts = list(vertices)
-    k = len(verts)
+    verts, ev = _evaluator(vertices, edges, vol_weight)
+    k = ev.k
     if k <= 1:
         return None
-    idx = {v: i for i, v in enumerate(verts)}
-    deg = [vol_weight.get(v, 0) for v in verts]
-    total = sum(deg)
-    out_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-    in_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-    for u, v, c in edges:
-        out_adj[idx[u]].append((idx[v], c))
-        in_adj[idx[v]].append((idx[u], c))
-
-    def check(side_flags) -> bool:
-        volS = sum(deg[i] for i in range(k) if side_flags[i])
-        mv = min(volS, total - volS)
-        if mv <= 0:
-            return False
-        out_c = in_c = 0
-        for u, v, c in edges:
-            su, sv = side_flags[idx[u]], side_flags[idx[v]]
-            if su and not sv:
-                out_c += c
-            elif sv and not su:
-                in_c += c
-        return min(out_c, in_c) * phi.denominator < phi.numerator * mv
-
     # random subsets
     for _ in range(budget):
-        flags = [rng.random() < 0.5 for _ in range(k)]
-        if any(flags) and not all(flags) and check(flags):
-            return [verts[i] for i in range(k) if flags[i]]
-    # level cuts of BFS labelings from random sources, both directions
+        ev.assign([rng.random() < 0.5 for _ in range(k)])
+        if ev.sparse(phi):  # never for S empty or S = V: one side has no volume
+            return [verts[i] for i in ev.side()]
+    # level cuts of BFS labelings from random sources, both directions;
+    # each layer joins S by flips
     tries = max(2, min(k, 8))
     for _ in range(tries):
         src = rng.randrange(k)
-        for adj in (out_adj, in_adj):
-            dist = [-1] * k
-            dist[src] = 0
-            frontier = [src]
-            layers = [[src]]
-            while frontier:
+        for adj in (ev.out_adj, ev.in_adj):
+            ev.assign([False] * k)
+            seen = [False] * k
+            seen[src] = True
+            layer = [src]
+            while True:
                 nxt = []
-                for u in frontier:
-                    for v, _c in adj[u]:
-                        if dist[v] == -1:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                if nxt:
-                    layers.append(nxt)
-                frontier = nxt
-            flags = [False] * k
-            for layer in layers[:-1]:
                 for u in layer:
-                    flags[u] = True
-                if all(flags):
-                    break
-                if check(flags):
-                    return [verts[i] for i in range(k) if flags[i]]
+                    for v, _c in adj[u]:
+                        if not seen[v]:
+                            seen[v] = True
+                            nxt.append(v)
+                if not nxt:
+                    break  # the last layer never joins S, so S != V
+                for u in layer:
+                    ev.flip(u)
+                if ev.sparse(phi):
+                    return [verts[i] for i in ev.side()]
+                layer = nxt
     return None
 
 
@@ -354,15 +358,13 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
                 rep.errors.append(f"level-{i} edge {e} not inside one component")
                 continue
             members.setdefault(cu, []).append(e)
-        for ci, f_edges in sorted(members.items()):
+        vol = terminal_volume(g, cap, (e for f_edges in members.values() for e in f_edges))
+        for ci in sorted(members):
             comp = comps[ci]
             comp_set = set(comp)
             sub_edges = [(g.tails[e], g.heads[e], cap[e]) for e in active
                          if g.tails[e] in comp_set and g.heads[e] in comp_set]
-            volw: Dict[int, int] = {v: 0 for v in comp}
-            for e in f_edges:
-                volw[g.tails[e]] += cap[e]
-                volw[g.heads[e]] += cap[e]
+            volw = {v: vol[v] for v in comp}
             if len(comp) <= config.exact_cut_threshold:
                 ratio, side = exhaustive_worst_cut(comp, sub_edges, volw)
                 sparse = ratio is not None and ratio < phi

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, SolverConfig, default_phi
 from .errors import BuildFailedError, NotADAGError
-from .graph import (DiGraph, Flow, FlowInstance, flow_stats, residual, scc)
+from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
 from .hierarchy import induced_weights
 from .push_relabel import push_relabel
 
@@ -56,43 +56,10 @@ def edmonds_karp(inst: FlowInstance) -> SolveResult:
     nabla_rem = [max(inst.nabla[v] - inst.delta[v], 0) for v in range(n)]
     augs = 0
     while True:
-        parent_arc = [-1] * n
-        seen = [False] * n
-        q = deque()
-        for v in range(n):
-            if delta_rem[v] > 0:
-                seen[v] = True
-                q.append(v)
-        t = -1
-        while q:
-            v = q.popleft()
-            if nabla_rem[v] > 0:
-                t = v
-                break
-            for e in g.out_edges[v]:
-                w = g.heads[e]
-                if not seen[w] and cf[2 * e] > 0:
-                    seen[w] = True
-                    parent_arc[w] = 2 * e
-                    q.append(w)
-            for e in g.in_edges[v]:
-                w = g.tails[e]
-                if not seen[w] and cf[2 * e + 1] > 0:
-                    seen[w] = True
-                    parent_arc[w] = 2 * e + 1
-                    q.append(w)
-        if t == -1:
+        arcs, s, t = _bfs_path(g, cf, delta_rem, nabla_rem)
+        if arcs is None:
             break
-        arcs = []
-        v = t
-        while parent_arc[v] != -1:
-            a = parent_arc[v]
-            arcs.append(a)
-            v = (g.tails if a & 1 == 0 else g.heads)[a >> 1]
-        s = v
-        amt = min(delta_rem[s], nabla_rem[t])
-        for a in arcs:
-            amt = min(amt, cf[a])
+        amt = min([delta_rem[s], nabla_rem[t]] + [cf[a] for a in arcs])
         for a in arcs:
             cf[a] -= amt
             cf[a ^ 1] += amt
@@ -149,6 +116,11 @@ def dag_approx_flow(inst: FlowInstance, config: SolverConfig = DEFAULT_CONFIG):
 
 
 def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
+    """Shortest path of usable residual arcs (2e forward, 2e+1 backward)
+    from a vertex with supply left to one with sink capacity left.
+
+    Returns (arcs in path order, source, sink), or (None, -1, -1).
+    """
     n = g.n
     parent = [-1] * n
     seen = [False] * n
@@ -166,7 +138,7 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
                 a = parent[v]
                 arcs.append(a)
                 v = (g.tails if a & 1 == 0 else g.heads)[a >> 1]
-            return list(reversed(arcs)), t
+            return list(reversed(arcs)), v, t
         for e in g.out_edges[v]:
             w = g.heads[e]
             if not seen[w] and cf[2 * e] > 0:
@@ -179,7 +151,24 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
                 seen[w] = True
                 parent[w] = 2 * e + 1
                 q.append(w)
-    return None, -1
+    return None, -1, -1
+
+
+def _residual_instance(res: ResidualView) -> Tuple[List[int], FlowInstance]:
+    """The residual graph materialized: one edge per usable arc, in
+    ascending arc-id order.  Returns (arc ids, instance)."""
+    arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
+    rg = DiGraph(res.g.n, [res.arc_ends(a) for a in arc_ids])
+    rcaps = [res.arc_cap[a] for a in arc_ids]
+    return arc_ids, FlowInstance(rg, rcaps, res.delta_f, res.nabla_f)
+
+
+def _lift(f: Flow, arc_ids: Sequence[int], corr: Flow) -> None:
+    """Add a flow on the materialized residual graph back onto f."""
+    for ridx, a in enumerate(arc_ids):
+        x = corr.values[ridx]
+        if x:
+            f.values[a >> 1] += -x if a & 1 else x
 
 
 def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
@@ -191,57 +180,31 @@ def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
 
 def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
                    seed: int = 0, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Exact maximum flow via hierarchy-guided augmentation.
-
-    With config.reuse_hierarchy the previous iteration's edge levels are
-    carried over to surviving residual arcs (fresh arcs join the acyclic
-    part) and rebuilt only when that projection no longer validates.
-    """
+    """Exact maximum flow via hierarchy-guided augmentation."""
     g = inst.g
     n, m = g.n, g.m
     phi = phi if phi is not None else default_phi(n)
     base = random.Random(seed)
     f = Flow.zero(m)
     stats = SolveStats(value=0)
-    prev_levels: Optional[dict] = None  # arc id -> level of last hierarchy
+    # validation inside the driver runs with the builder's (lighter)
+    # falsification budget: exactness never depends on it thanks to the
+    # safety net, and a failed build just costs one plain augmentation
+    drv_cfg = config.with_(
+        validator_falsifier_cuts=min(config.validator_falsifier_cuts,
+                                     config.builder_falsifier_cuts))
     while True:
         res = residual(inst, f)
-        arcs_path, _sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
+        arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
         if arcs_path is None:
             break
         stats.iterations += 1
-        # materialize the residual graph: one edge per usable arc
-        arc_ids = [a for a in range(2 * m) if res.arc_cap[a] > 0]
-        pairs = []
-        for a in arc_ids:
-            e = a >> 1
-            if a & 1:
-                pairs.append((g.heads[e], g.tails[e]))
-            else:
-                pairs.append((g.tails[e], g.heads[e]))
-        rg = DiGraph(n, pairs)
-        rcaps = [res.arc_cap[a] for a in arc_ids]
-        rinst = FlowInstance(rg, rcaps, res.delta_f, res.nabla_f)
-        # validation inside the driver runs with the builder's (lighter)
-        # falsification budget: exactness never depends on it thanks to the
-        # safety net, and a failed build just costs one plain augmentation
-        drv_cfg = config.with_(
-            validator_falsifier_cuts=min(config.validator_falsifier_cuts,
-                                         config.builder_falsifier_cuts))
+        arc_ids, rinst = _residual_instance(res)
         r = None
         try:
-            hier = None
-            if config.reuse_hierarchy and prev_levels is not None:
-                hier = _project_hierarchy(rg, rcaps, arc_ids, prev_levels,
-                                          phi, drv_cfg)
-            if hier is None:
-                build = build_hierarchy(rg, rcaps, phi, base.getrandbits(64),
-                                        drv_cfg)
-                hier = build.hierarchy
-            if config.reuse_hierarchy:
-                lv = hier.level_of(rg.m)
-                prev_levels = {arc_ids[i]: lv[i] for i in range(rg.m)}
-            w = induced_weights(rg, hier.tau)
+            hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
+                                   drv_cfg).hierarchy
+            w = induced_weights(rinst.g, hier.tau)
             h = driver_height(n, max(hier.eta, 1), phi, config)
             r = push_relabel(rinst, w, h, mode="capacitated", config=config)
             stats.augmentations += r.augment_count
@@ -251,20 +214,12 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
         if r is None or r.value == 0:
             # safety net: one shortest augmentation keeps progress unconditional
             stats.safety_net_hits += 1
-            amt = min(res.delta_f[(g.tails if arcs_path[0] & 1 == 0 else g.heads)[arcs_path[0] >> 1]],
-                      res.nabla_f[_sink])
+            amt = min([res.delta_f[src], res.nabla_f[sink]] + [res.arc_cap[a] for a in arcs_path])
             for a in arcs_path:
-                amt = min(amt, res.arc_cap[a])
-            for a in arcs_path:
-                e = a >> 1
-                f.values[e] += -amt if a & 1 else amt
+                f.values[a >> 1] += -amt if a & 1 else amt
             stats.augmentations += 1
         else:
-            for ridx, a in enumerate(arc_ids):
-                x = r.flow.values[ridx]
-                if x:
-                    e = a >> 1
-                    f.values[e] += -x if a & 1 else x
+            _lift(f, arc_ids, r.flow)
     stats.value = flow_stats(inst, f).value
     return SolveResult(f, stats)
 
@@ -289,42 +244,21 @@ def capacity_scaled_max_flow(inst: FlowInstance,
     stats = SolveStats(value=0, phases=k)
     for b in range(1, k + 1):
         shift = k - b
-        cap_b = [c >> shift for c in inst.cap]
-        delta_b = [d >> shift for d in inst.delta]
-        nabla_b = [s >> shift for s in inst.nabla]
         if b > 1:
             for e in range(m):
                 f.values[e] *= 2
-        inst_b = FlowInstance(g, cap_b, delta_b, nabla_b)
-        st = flow_stats(inst_b, f)
-        # residual instance, materialized with capacities capped at n^2
-        arc_ids = []
-        pairs = []
-        rcaps = []
-        for e in range(m):
-            fwd = cap_b[e] - f.values[e]
-            if fwd > 0:
-                arc_ids.append(2 * e)
-                pairs.append((g.tails[e], g.heads[e]))
-                rcaps.append(min(fwd, n2))
-            if f.values[e] > 0:
-                arc_ids.append(2 * e + 1)
-                pairs.append((g.heads[e], g.tails[e]))
-                rcaps.append(min(f.values[e], n2))
-        rg = DiGraph(n, pairs)
-        nabla_f = [inst_b.nabla[v] - st.absorption[v] for v in range(n)]
-        rinst = FlowInstance(rg, rcaps, st.excess, nabla_f)
+        inst_b = FlowInstance(g, [c >> shift for c in inst.cap],
+                              [d >> shift for d in inst.delta],
+                              [s >> shift for s in inst.nabla])
+        arc_ids, rinst = _residual_instance(residual(inst_b, f))
+        rinst.cap = [min(c, n2) for c in rinst.cap]
         corr = inner(rinst)
         val = flow_stats(rinst, corr).value
         if val > n2:
             raise AssertionError(
                 f"phase {b} residual flow value {val} exceeds n^2 = {n2}")
         stats.phase_values.append(val)
-        for ridx, a in enumerate(arc_ids):
-            x = corr.values[ridx]
-            if x:
-                e = a >> 1
-                f.values[e] += -x if a & 1 else x
+        _lift(f, arc_ids, corr)
     stats.value = flow_stats(inst, f).value
     return SolveResult(f, stats)
 

@@ -158,10 +158,6 @@ class _Engine:
 
     # residual capacity that respects in-tree values ----------------------
 
-    def _in_tree(self, a: int) -> bool:
-        return self.forest is not None and self.current_arc[self.arc_tail[a]] == a \
-            and self.forest.rep_par[self.arc_tail[a]] != -1
-
     def cf_of(self, a: int) -> int:
         if self.forest is not None:
             t = self.arc_tail[a]
@@ -378,10 +374,8 @@ class _Engine:
     def _augment_capacitated(self, s: int) -> None:
         forest = self.forest
         t = forest.find_root(s)
-        arcs = None
-        if self.cfg.log_paths:
-            arcs, t2 = self._walk_path(s)
-            assert t2 == t
+        arcs, t2 = self._walk_path(s)
+        assert t2 == t
         amt = min(self.delta_rem[s], self.nabla_rem[t])
         _, bottleneck = forest.find_min(s)
         amt = min(amt, int(bottleneck))
@@ -398,18 +392,16 @@ class _Engine:
             cur = par
         self._finish_augment(s, t, amt, arcs)
 
-    def _finish_augment(self, s: int, t: int, amt: int, arcs) -> None:
+    def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int]) -> None:
         assert amt > 0
         self.delta_rem[s] -= amt
         self.nabla_rem[t] -= amt
         if self.nabla_rem[t] == 0:
             self._enqueue(t)
-        if self.cfg.log_paths and arcs is not None:
-            rec = AugmentRecord(
-                tuple(arcs), amt, sum(self.w[a >> 1] for a in arcs),
-                tuple(self.level) if self.cfg.snapshot_labels else None,
-            )
-            self.augments.append(rec)
+        self.augments.append(AugmentRecord(
+            tuple(arcs), amt, sum(self.w[a >> 1] for a in arcs),
+            tuple(self.level) if self.cfg.snapshot_labels else None,
+        ))
         self.augment_count += 1
         if self.cfg.debug_invariants:
             self._assert_invariants()

@@ -13,12 +13,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidHierarchyError, NotStronglyConnectedError
 from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
-from .hierarchy import Hierarchy, induced_weights
+from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
 from .push_relabel import PushRelabelResult, push_relabel
 
 INF = math.inf
@@ -121,50 +121,35 @@ def reduced_arc_weights(g: DiGraph, w_g: Sequence[int], dag_edges: Set[int]) -> 
 
 
 def min_level_cut(res: ResidualView, labels: Sequence[float], h: int,
-                  vol_f: Sequence[int], kappa_caps: Sequence[int],
-                  flow_vals: Sequence[int]) -> Tuple[List[int], int, int]:
+                  vol_f: Sequence[int]) -> Tuple[List[int], int, int]:
     """Level cut minimizing residual boundary minus terminal volume.
 
     Scans prefix cuts S = {v: label(v) <= i} over distinct finite labels
-    i <= h with S != V; ties break toward the smallest level.  Returns
-    (side, objective, level).
+    i <= h with S != V; ties break toward the smallest level.  Every
+    vertex joins S once, in label order, so the scan is O(m + n log n).
+    Returns (side, objective, level).
     """
-    n = res.g.n
-    order = sorted(range(n), key=lambda v: (labels[v], v))
-    total_vol = sum(vol_f)
     g = res.g
+    n = g.n
+    arc_cap = res.arc_cap
+    arcs = [res.arc_ends(a) + (arc_cap[a],) for a in range(2 * g.m) if arc_cap[a] > 0]
+    ev = CutEvaluator(n, arcs, vol_f)
+    order = sorted(range(n), key=lambda v: (labels[v], v))
     best = None
-    in_s = [False] * n
     idx = 0
-    vol_s = 0
-    distinct = sorted({labels[v] for v in range(n) if labels[v] != INF and labels[v] <= h})
-    for lab in distinct:
-        while idx < n and labels[order[idx]] <= lab:
-            v = order[idx]
+    while idx < n and labels[order[idx]] <= h:
+        lab = labels[order[idx]]
+        while idx < n and labels[order[idx]] == lab:
+            ev.flip(order[idx])
             idx += 1
-            in_s[v] = True
-            vol_s += vol_f[v]
         if idx >= n:
             break  # S == V, not a proper cut
-        boundary = 0  # residual kappa-capacity leaving S
-        for e in range(g.m):
-            tu, tv = in_s[g.tails[e]], in_s[g.heads[e]]
-            if tu == tv:
-                continue
-            cf_fwd = kappa_caps[e] - flow_vals[e]
-            cf_bwd = flow_vals[e]
-            if tu:
-                if cf_fwd > 0:
-                    boundary += cf_fwd
-            else:
-                if cf_bwd > 0:
-                    boundary += cf_bwd
-        obj = boundary - min(vol_s, total_vol - vol_s)
+        obj = ev.out_cap - min(ev.vol_s, ev.total_vol - ev.vol_s)
         if best is None or obj < best[0]:
-            best = (obj, lab, [v for v in range(n) if in_s[v]])
+            best = (obj, lab, idx)
     if best is None:
         raise AssertionError("no proper level cut found")
-    return best[2], best[0], best[1]
+    return sorted(order[:best[2]]), best[0], best[1]
 
 
 def sparse_cut(
@@ -205,23 +190,17 @@ def sparse_cut(
     w_arc = reduced_arc_weights(g, w_g, hier.d)
     s0 = [v for v in range(n) if res.delta_f[v] > 0]
     labels = level_labels(res, w_arc, s0)
-    vol_f = [0] * n
-    for e in f_edges:
-        vol_f[g.tails[e]] += inst.cap[e]
-        vol_f[g.heads[e]] += inst.cap[e]
-    side, obj, lab = min_level_cut(res, labels, h, vol_f, scaled.cap, f.values)
+    vol_f = terminal_volume(g, inst.cap, f_edges)
+    side, obj, lab = min_level_cut(res, labels, h, vol_f)
+    ev = CutEvaluator(n, [(g.tails[e], g.heads[e], inst.cap[e]) for e in range(g.m)], vol_f)
     sset = set(side)
-    b_out = sum(inst.cap[e] for e in range(g.m)
-                if g.tails[e] in sset and g.heads[e] not in sset)
-    b_in = sum(inst.cap[e] for e in range(g.m)
-               if g.heads[e] in sset and g.tails[e] not in sset)
-    vol_side = sum(vol_f[v] for v in side)
+    ev.assign([v in sset for v in range(n)])
     st = flow_stats(scaled, f)
     metrics = CutMetrics(
-        boundary_out=b_out,
-        boundary_in=b_in,
-        vol_f_side=vol_side,
-        vol_f_other=sum(vol_f) - vol_side,
+        boundary_out=ev.out_cap,
+        boundary_in=ev.in_cap,
+        vol_f_side=ev.vol_s,
+        vol_f_other=ev.total_vol - ev.vol_s,
         absorbed=sum(st.absorption[v] for v in side),
         excess=sum(st.excess[v] for v in side),
         objective=obj,

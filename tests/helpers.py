@@ -178,3 +178,16 @@ def exhaustive_sparsest_cut(vertices: Sequence[int],
             best = r
             best_side = side
     return best, best_side
+
+
+def cut_sparsity(side: Set[int], edges: Sequence[Tuple[int, int, int]],
+                 volw: Dict[int, int]) -> Optional[Fraction]:
+    """min(c(S, S-bar), c(S-bar, S)) / min(vol(S), vol(S-bar)) of one cut,
+    recounted from the edge list; None when either side has no volume."""
+    vol_s = sum(x for v, x in volw.items() if v in side)
+    vol_t = sum(volw.values()) - vol_s
+    if min(vol_s, vol_t) <= 0:
+        return None
+    out_c = sum(c for u, v, c in edges if u in side and v not in side)
+    in_c = sum(c for u, v, c in edges if v in side and u not in side)
+    return Fraction(min(out_c, in_c), min(vol_s, vol_t))
