@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .config import DEFAULT_CONFIG, SolverConfig, default_phi
+from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .cut_matching import CutOrEmbedOutcome, cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
 from .graph import DiGraph, scc_subgraph
@@ -249,6 +249,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     BuildFailedError when the retry budget runs out.
     """
     phi = phi if phi is not None else default_phi(g.n)
+    check_phi(phi)
     base = random.Random(seed)
     log: List[str] = []
     last_report = None

@@ -27,7 +27,11 @@ PARSE_ERRORS = (ParseError, MissingSourceOrSinkError, ArcCountMismatchError,
 
 def _phi_arg(text: str) -> Fraction:
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected p or p/q with q != 0, got {text!r}") from None
 
 
 def _load(path: str) -> InstanceFile:

@@ -10,10 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .errors import BadParamsError
+
 
 def default_phi(n: int) -> Fraction:
     """Expansion target used when the caller does not pick one."""
     return Fraction(1, 16) if n <= 64 else Fraction(1, 32)
+
+
+def check_phi(phi: Fraction) -> None:
+    """Reject an expansion parameter outside (0, 1)."""
+    if not 0 < phi < 1:
+        raise BadParamsError(f"phi must lie in (0, 1), got {phi}")
 
 
 @dataclass

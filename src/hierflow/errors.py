@@ -42,6 +42,10 @@ class BadInstanceError(HierflowError):
     pass
 
 
+class SolverInvariantError(HierflowError):
+    """A solver broke a guarantee of its own, or of a solver passed to it."""
+
+
 # hierarchy
 class NotAcyclicError(HierflowError):
     pass

@@ -4,6 +4,12 @@ Edge identity is the dense integer id assigned at construction; vertices
 are 0..n-1.  Parallel edges and antiparallel pairs are first-class, so
 every structure downstream (hierarchies, weight functions, flows) is
 keyed by edge id, never by endpoint pair.
+
+Residual arcs: arc 2e runs along edge e (tail to head) and arc 2e+1
+runs against it (head to tail).  Every residual structure in the library
+(residual capacities, admissible marks, per-arc weights) is indexed by
+this arc id, and `DiGraph` holds the layout once: `arc_tail`, `arc_head`
+and the per-vertex `out_arcs` lists, which callers only read.
 """
 from __future__ import annotations
 
@@ -16,24 +22,35 @@ from .errors import InfeasibleFlowError, SelfLoopError, VertexOutOfRangeError
 class DiGraph:
     """Directed multigraph with stable dense edge ids."""
 
-    __slots__ = ("n", "tails", "heads", "out_edges", "in_edges")
+    __slots__ = ("n", "tails", "heads", "out_edges", "in_edges",
+                 "arc_tail", "arc_head", "out_arcs")
 
     def __init__(self, n: int, arcs: Iterable[Tuple[int, int]]):
         self.n = n
-        self.tails: List[int] = []
-        self.heads: List[int] = []
-        self.out_edges: List[List[int]] = [[] for _ in range(n)]
-        self.in_edges: List[List[int]] = [[] for _ in range(n)]
+        tails: List[int] = []
+        heads: List[int] = []
+        out_edges: List[List[int]] = [[] for _ in range(n)]
+        in_edges: List[List[int]] = [[] for _ in range(n)]
+        # residual arcs leaving each vertex, ascending since edges come in id order
+        out_arcs: List[List[int]] = [[] for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRangeError(f"arc ({u},{v}) outside [0,{n})")
             if u == v:
                 raise SelfLoopError(u)
-            eid = len(self.tails)
-            self.tails.append(u)
-            self.heads.append(v)
-            self.out_edges[u].append(eid)
-            self.in_edges[v].append(eid)
+            eid = len(tails)
+            tails.append(u)
+            heads.append(v)
+            out_edges[u].append(eid)
+            in_edges[v].append(eid)
+            out_arcs[u].append(2 * eid)
+            out_arcs[v].append(2 * eid + 1)
+        self.tails, self.heads = tails, heads
+        self.out_edges, self.in_edges, self.out_arcs = out_edges, in_edges, out_arcs
+        self.arc_tail = [0] * (2 * len(tails))
+        self.arc_tail[0::2], self.arc_tail[1::2] = tails, heads
+        self.arc_head = [0] * (2 * len(tails))
+        self.arc_head[0::2], self.arc_head[1::2] = heads, tails
 
     @property
     def m(self) -> int:
@@ -57,11 +74,10 @@ def build_graph(n: int, arcs: Sequence[Tuple[int, int, int]]) -> Tuple[DiGraph, 
     return g, caps
 
 
-def scc(g: DiGraph, edge_filter: Sequence[bool] = None) -> List[List[int]]:
+def scc(g: DiGraph) -> List[List[int]]:
     """Strongly connected components, in reverse topological discovery order.
 
-    `edge_filter[e] == False` hides edge e.  Iterative Tarjan; component
-    k never has an edge into component j < k.
+    Iterative Tarjan; component k never has an edge into component j < k.
     """
     n = g.n
     index = [-1] * n
@@ -88,8 +104,6 @@ def scc(g: DiGraph, edge_filter: Sequence[bool] = None) -> List[List[int]]:
             while ei < len(edges_v):
                 e = edges_v[ei]
                 ei += 1
-                if edge_filter is not None and not edge_filter[e]:
-                    continue
                 w = heads[e]
                 if index[w] == -1:
                     work[-1] = (v, ei)
@@ -118,9 +132,9 @@ def scc(g: DiGraph, edge_filter: Sequence[bool] = None) -> List[List[int]]:
     return comps
 
 
-def condensation_topo_order(g: DiGraph, edge_filter: Sequence[bool] = None) -> List[List[int]]:
+def condensation_topo_order(g: DiGraph) -> List[List[int]]:
     """SCCs ordered so that every inter-component edge points forward."""
-    return list(reversed(scc(g, edge_filter)))
+    return list(reversed(scc(g)))
 
 
 def scc_subgraph(vertices: Iterable[int], arcs: Iterable[Tuple[int, int]]) -> List[List[int]]:
@@ -171,9 +185,6 @@ class Flow:
     @classmethod
     def zero(cls, m: int) -> "Flow":
         return cls([0] * m)
-
-    def copy(self) -> "Flow":
-        return Flow(list(self.values))
 
     def __getitem__(self, e: int) -> int:
         return self.values[e]
@@ -228,7 +239,7 @@ def is_feasible(inst: FlowInstance, f: Flow) -> bool:
 
 
 class ResidualView:
-    """Residual graph of (inst, f): arc 2e is forward, 2e+1 backward.
+    """Residual graph of (inst, f), indexed by arc id.
 
     All arcs exist; saturated ones carry capacity 0 and are skipped by
     path search.  Residual sources are the excess vector, residual sinks
@@ -244,22 +255,10 @@ class ResidualView:
         self.nabla_f = nabla_f
 
     def arc_ends(self, a: int) -> Tuple[int, int]:
-        e = a >> 1
-        if a & 1:
-            return self.g.heads[e], self.g.tails[e]
-        return self.g.tails[e], self.g.heads[e]
+        return self.g.arc_tail[a], self.g.arc_head[a]
 
-    def out_arcs(self, v: int):
-        """Arc ids leaving v (including saturated ones)."""
-        for e in self.g.out_edges[v]:
-            yield 2 * e
-        for e in self.g.in_edges[v]:
-            yield 2 * e + 1
-
-    def usable_out_arcs(self, v: int):
-        for a in self.out_arcs(v):
-            if self.arc_cap[a] > 0:
-                yield a
+    def usable_out_arcs(self, v: int) -> List[int]:
+        return [a for a in self.g.out_arcs[v] if self.arc_cap[a] > 0]
 
 
 def residual(inst: FlowInstance, f: Flow) -> ResidualView:
@@ -306,7 +305,7 @@ def decompose_paths(inst: FlowInstance, f: Flow):
         while not stop(v):
             e = next_out(v)
             if e == -1:
-                raise AssertionError("flow decomposition stalled: flow does not conserve")
+                raise InfeasibleFlowError("flow decomposition stalled: flow does not conserve")
             path.append(e)
             v = g.heads[e]
             if v in pos:
@@ -346,7 +345,7 @@ def decompose_paths(inst: FlowInstance, f: Flow):
             while v != u0:
                 e = next_out(v)
                 if e == -1:
-                    raise AssertionError("circulation peel stalled")
+                    raise InfeasibleFlowError("circulation peel stalled: flow does not conserve")
                 path.append(e)
                 v = g.heads[e]
                 if v in pos and v != u0:

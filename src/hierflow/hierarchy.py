@@ -312,8 +312,7 @@ class ValidationReport:
 
 def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fraction,
                        config: SolverConfig = DEFAULT_CONFIG,
-                       rng: Optional[random.Random] = None,
-                       check_tau: bool = True) -> ValidationReport:
+                       rng: Optional[random.Random] = None) -> ValidationReport:
     """Brute-force checks of the four structural conditions plus tau.
 
     Expansion is exact on components of at most config.exact_cut_threshold
@@ -343,9 +342,11 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
     level_sets = [set(h.d)] + [set(x) for x in h.levels]
     eta = len(h.levels)
     active: Set[int] = set(h.d)
+    level_comps: List[List[List[int]]] = []
     for i in range(1, eta + 1):
         active |= level_sets[i]
         comps = scc_subgraph(range(g.n), [(g.tails[e], g.heads[e]) for e in active])
+        level_comps.append(comps)
         comp_id = {}
         for ci, comp in enumerate(comps):
             for v in comp:
@@ -387,15 +388,16 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
                     rep.errors.append(
                         f"level-{i} component of size {len(comp)} refuted "
                         f"by sampled cut of size {len(side)}")
-    if check_tau:
-        _check_tau(g, h, rep)
+    _check_tau(g, h, level_comps, rep)
     return rep
 
 
-def _check_tau(g: DiGraph, h: Hierarchy, rep: ValidationReport) -> None:
-    n = g.n
+def _check_tau(g: DiGraph, h: Hierarchy, level_comps: Sequence[List[List[int]]],
+               rep: ValidationReport) -> None:
+    """tau is a permutation, forward on D and contiguous on the components
+    of every level graph (`level_comps[i - 1]` for level i)."""
     tau = h.tau
-    if sorted(tau) != list(range(1, n + 1)):
+    if sorted(tau) != list(range(1, g.n + 1)):
         rep.ok = False
         rep.errors.append("tau is not a permutation of 1..n")
         return
@@ -403,11 +405,7 @@ def _check_tau(g: DiGraph, h: Hierarchy, rep: ValidationReport) -> None:
         if tau[g.tails[e]] >= tau[g.heads[e]]:
             rep.ok = False
             rep.errors.append(f"tau not forward on D edge {e}")
-    level_sets = [set(h.d)] + [set(x) for x in h.levels]
-    active: Set[int] = set(h.d)
-    for i in range(1, len(level_sets)):
-        active |= level_sets[i]
-        comps = scc_subgraph(range(n), [(g.tails[e], g.heads[e]) for e in active])
+    for i, comps in enumerate(level_comps, start=1):
         for comp in comps:
             vals = sorted(tau[v] for v in comp)
             if vals[-1] - vals[0] + 1 != len(vals):

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .builder import build_hierarchy
-from .config import DEFAULT_CONFIG, SolverConfig, default_phi
-from .errors import BuildFailedError, NotADAGError
+from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
+from .errors import BuildFailedError, NotADAGError, SolverInvariantError
 from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
 from .hierarchy import induced_weights
 from .push_relabel import push_relabel
@@ -47,16 +47,11 @@ class SolveResult:
 
 def edmonds_karp(inst: FlowInstance) -> SolveResult:
     """Exact maximum flow by breadth-first shortest augmenting paths."""
-    g = inst.g
-    n, m = g.n, g.m
-    cf = [0] * (2 * m)
-    for e in range(m):
-        cf[2 * e] = inst.cap[e]
-    delta_rem = [max(inst.delta[v] - inst.nabla[v], 0) for v in range(n)]
-    nabla_rem = [max(inst.nabla[v] - inst.delta[v], 0) for v in range(n)]
+    start = residual(inst, Flow.zero(inst.m))
+    cf, delta_rem, nabla_rem = start.arc_cap, start.delta_f, start.nabla_f
     augs = 0
     while True:
-        arcs, s, t = _bfs_path(g, cf, delta_rem, nabla_rem)
+        arcs, s, t = _bfs_path(inst.g, cf, delta_rem, nabla_rem)
         if arcs is None:
             break
         amt = min([delta_rem[s], nabla_rem[t]] + [cf[a] for a in arcs])
@@ -66,7 +61,7 @@ def edmonds_karp(inst: FlowInstance) -> SolveResult:
         delta_rem[s] -= amt
         nabla_rem[t] -= amt
         augs += 1
-    f = Flow([inst.cap[e] - cf[2 * e] for e in range(m)])
+    f = Flow(cf[1::2])
     value = sum(inst.delta) - sum(delta_rem)
     stats = SolveStats(value=value, iterations=augs, augmentations=augs)
     return SolveResult(f, stats)
@@ -116,12 +111,13 @@ def dag_approx_flow(inst: FlowInstance, config: SolverConfig = DEFAULT_CONFIG):
 
 
 def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
-    """Shortest path of usable residual arcs (2e forward, 2e+1 backward)
-    from a vertex with supply left to one with sink capacity left.
+    """Shortest path of usable residual arcs from a vertex with supply
+    left to one with sink capacity left.
 
     Returns (arcs in path order, source, sink), or (None, -1, -1).
     """
     n = g.n
+    arc_tail, arc_head = g.arc_tail, g.arc_head
     parent = [-1] * n
     seen = [False] * n
     q = deque()
@@ -137,19 +133,13 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
             while parent[v] != -1:
                 a = parent[v]
                 arcs.append(a)
-                v = (g.tails if a & 1 == 0 else g.heads)[a >> 1]
+                v = arc_tail[a]
             return list(reversed(arcs)), v, t
-        for e in g.out_edges[v]:
-            w = g.heads[e]
-            if not seen[w] and cf[2 * e] > 0:
+        for a in g.out_arcs[v]:
+            w = arc_head[a]
+            if not seen[w] and cf[a] > 0:
                 seen[w] = True
-                parent[w] = 2 * e
-                q.append(w)
-        for e in g.in_edges[v]:
-            w = g.tails[e]
-            if not seen[w] and cf[2 * e + 1] > 0:
-                seen[w] = True
-                parent[w] = 2 * e + 1
+                parent[w] = a
                 q.append(w)
     return None, -1, -1
 
@@ -184,6 +174,7 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
     g = inst.g
     n, m = g.n, g.m
     phi = phi if phi is not None else default_phi(n)
+    check_phi(phi)
     base = random.Random(seed)
     f = Flow.zero(m)
     stats = SolveStats(value=0)
@@ -255,7 +246,7 @@ def capacity_scaled_max_flow(inst: FlowInstance,
         corr = inner(rinst)
         val = flow_stats(rinst, corr).value
         if val > n2:
-            raise AssertionError(
+            raise SolverInvariantError(
                 f"phase {b} residual flow value {val} exceeds n^2 = {n2}")
         stats.phase_values.append(val)
         _lift(f, arc_ids, corr)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import BadInstanceError, WeightZeroError
+from .errors import BadInstanceError, SolverInvariantError, WeightZeroError
 from .forest import DynForest
-from .graph import Flow, FlowInstance, flow_stats
+from .graph import Flow, FlowInstance, residual
 
 INF = math.inf
 
@@ -40,7 +40,7 @@ class LevelLabeling:
 
     levels: List[int]
     alive: List[bool]
-    admissible: List[bool]  # per arc id (2e forward, 2e+1 backward)
+    admissible: List[bool]  # per arc id
     h: int
 
 
@@ -110,36 +110,20 @@ class _Engine:
         g = inst.g
         n, m = g.n, g.m
         self.n, self.m = n, m
-        self.arc_tail = [0] * (2 * m)
-        self.arc_head = [0] * (2 * m)
-        self.cf = [0] * (2 * m)
-        for e in range(m):
-            t, hd = g.tails[e], g.heads[e]
-            self.arc_tail[2 * e] = t
-            self.arc_head[2 * e] = hd
-            self.arc_tail[2 * e + 1] = hd
-            self.arc_head[2 * e + 1] = t
-            self.cf[2 * e] = inst.cap[e]
+        self.arc_tail, self.arc_head = g.arc_tail, g.arc_head
+        start = residual(inst, Flow.zero(m))
+        self.cf = start.arc_cap
+        self.delta_rem = start.delta_f
+        self.nabla_rem = start.nabla_f
         self.level = [0] * n
         self.alive = [True] * n
         self.adm = [False] * (2 * m)
         self.adm_count = [0] * n
         self.current_arc = [-1] * n  # chosen admissible out-arc (tree parent)
         self.adm_heap: List[List[int]] = [[] for _ in range(n)]
-        self.delta_rem = [max(inst.delta[v] - inst.nabla[v], 0) for v in range(n)]
-        self.nabla_rem = [max(inst.nabla[v] - inst.delta[v], 0) for v in range(n)]
-        # arcs with tail v, sorted; and all arcs touching v, sorted
-        self.out_arc_list: List[List[int]] = [[] for _ in range(n)]
-        self.inc_arc_list: List[List[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            outs = [2 * e for e in g.out_edges[v]] + [2 * e + 1 for e in g.in_edges[v]]
-            outs.sort()
-            self.out_arc_list[v] = outs
-            inc = sorted(
-                [2 * e for e in g.out_edges[v]] + [2 * e + 1 for e in g.out_edges[v]]
-                + [2 * e for e in g.in_edges[v]] + [2 * e + 1 for e in g.in_edges[v]]
-            )
-            self.inc_arc_list[v] = inc
+        self.out_arc_list = g.out_arcs
+        # both arcs of every edge touching v, ascending
+        self.inc_arc_list = [[b for a in outs for b in (a & ~1, a | 1)] for outs in g.out_arcs]
         self.distinct_weights: List[List[int]] = [
             sorted({self.w[a >> 1] for a in self.inc_arc_list[v]}) for v in range(n)
         ]
@@ -354,7 +338,9 @@ class _Engine:
         v = s
         while self.nabla_rem[v] == 0:
             a = self.current_arc[v]
-            assert a != -1, "trace lost its way; admissible structure broken"
+            if a == -1:
+                raise SolverInvariantError(
+                    f"trace from {s} stops at {v}: admissible structure broken")
             arcs.append(a)
             v = self.arc_head[a]
         return arcs, v
@@ -375,7 +361,8 @@ class _Engine:
         forest = self.forest
         t = forest.find_root(s)
         arcs, t2 = self._walk_path(s)
-        assert t2 == t
+        if t2 != t:
+            raise SolverInvariantError(f"trace from {s} ends at {t2}, forest root is {t}")
         amt = min(self.delta_rem[s], self.nabla_rem[t])
         _, bottleneck = forest.find_min(s)
         amt = min(amt, int(bottleneck))
@@ -393,7 +380,8 @@ class _Engine:
         self._finish_augment(s, t, amt, arcs)
 
     def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int]) -> None:
-        assert amt > 0
+        if amt <= 0:
+            raise SolverInvariantError(f"augmentation from {s} to {t} routes {amt}")
         self.delta_rem[s] -= amt
         self.nabla_rem[t] -= amt
         if self.nabla_rem[t] == 0:
@@ -436,7 +424,7 @@ class _Engine:
                     val = int(self.forest.edge_value(v))
                     self.cf[a] = val
                     self.cf[a ^ 1] = self.inst.cap[a >> 1] - val
-        f = Flow([self.inst.cap[e] - self.cf[2 * e] for e in range(self.m)])
+        f = Flow(self.cf[1::2])
         value = self.total_supply - sum(self.delta_rem)
         labels = LevelLabeling(list(self.level), list(self.alive), list(self.adm), self.h)
         return PushRelabelResult(

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InvalidHierarchyError, NotStronglyConnectedError
+from .config import DEFAULT_CONFIG, SolverConfig, check_phi
+from .errors import (BadParamsError, CutCheckFailedError, InvalidHierarchyError,
+                     NotStronglyConnectedError)
 from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
 from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
 from .push_relabel import PushRelabelResult, push_relabel
@@ -76,9 +77,8 @@ def terminal_weights(g: DiGraph, f_edges: Set[int], hier: Hierarchy) -> List[int
 def level_labels(res: ResidualView, w_f: Sequence[int], s0: Sequence[int]) -> List[float]:
     """Shortest w_f-distances from the source set in the residual graph.
 
-    w_f is per arc (2e forward, 2e+1 backward); zero weights are allowed
-    (used on forward DAG arcs).  Saturated arcs are skipped; unreachable
-    vertices get inf.
+    w_f is per arc; zero weights are allowed (used on forward DAG arcs).
+    Saturated arcs are skipped; unreachable vertices get inf.
     """
     n = res.g.n
     dist: List[float] = [INF] * n
@@ -88,25 +88,18 @@ def level_labels(res: ResidualView, w_f: Sequence[int], s0: Sequence[int]) -> Li
             dist[s] = 0
             heapq.heappush(pq, (0, s))
     arc_cap = res.arc_cap
-    g = res.g
+    out_arcs, arc_head = res.g.out_arcs, res.g.arc_head
     while pq:
         d, v = heapq.heappop(pq)
         if d > dist[v]:
             continue
-        for e in g.out_edges[v]:
-            a = 2 * e
+        for a in out_arcs[v]:
             if arc_cap[a] > 0:
                 nd = d + w_f[a]
-                if nd < dist[g.heads[e]]:
-                    dist[g.heads[e]] = nd
-                    heapq.heappush(pq, (nd, g.heads[e]))
-        for e in g.in_edges[v]:
-            a = 2 * e + 1
-            if arc_cap[a] > 0:
-                nd = d + w_f[a]
-                if nd < dist[g.tails[e]]:
-                    dist[g.tails[e]] = nd
-                    heapq.heappush(pq, (nd, g.tails[e]))
+                u = arc_head[a]
+                if nd < dist[u]:
+                    dist[u] = nd
+                    heapq.heappush(pq, (nd, u))
     return dist
 
 
@@ -148,7 +141,7 @@ def min_level_cut(res: ResidualView, labels: Sequence[float], h: int,
         if best is None or obj < best[0]:
             best = (obj, lab, idx)
     if best is None:
-        raise AssertionError("no proper level cut found")
+        raise CutCheckFailedError(f"no proper level cut at or below level {h}")
     return sorted(order[:best[2]]), best[0], best[1]
 
 
@@ -168,6 +161,10 @@ def sparse_cut(
     `weights` may carry precomputed terminal weights (one entry per edge)
     to amortize repeated calls on a fixed graph.
     """
+    phi = phi if phi is not None else Fraction(1, 2)
+    check_phi(phi)
+    if kappa < 1:
+        raise BadParamsError(f"kappa must be at least 1, got {kappa}")
     g = inst.g
     n = g.n
     if check_connected and n > 1:
@@ -178,7 +175,6 @@ def sparse_cut(
         raise InvalidHierarchyError(
             f"hierarchy covers {hier.edge_count()} edges, expected {g.m - len(f_edges)}")
     w_g = list(weights) if weights is not None else terminal_weights(g, f_edges, hier)
-    phi = phi if phi is not None else Fraction(1, 2)
     h = sparse_cut_height(n, hier.eta, kappa, phi, config)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)
     result = push_relabel(scaled, w_g, h, mode="capacitated", config=config)

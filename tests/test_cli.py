@@ -183,3 +183,29 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "value 5\n"
+
+
+BRIDGE = ("p diff 6 8\n"
+          "a 1 2 1\na 2 3 1\na 3 1 1\n"
+          "a 4 5 1\na 5 6 1\na 6 4 1\n"
+          "a 3 4 1\na 6 1 1\n"
+          "src 1 3\nsnk 5 3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--phi", "0/1"],
+    ["solve", "--phi", "1/0"],
+    ["solve", "--phi", "3/2"],
+    ["solve", "--phi", "half"],
+    ["sparse-cut", "--kappa", "0"],
+    ["sparse-cut", "--kappa", "-3"],
+])
+def test_bad_params_exit_2_with_error_line(tmp_path, capsys, argv):
+    path = _write(tmp_path, "bridge.diff", BRIDGE)
+    try:
+        code = main(argv + [path])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any("error:" in line for line in err.splitlines())

@@ -1,0 +1,51 @@
+"""No contract in the library rests on `assert`, which `python -O` strips.
+
+The one exception is `_assert_invariants`, the push-relabel debug oracle
+that runs only with `debug_invariants` on.
+"""
+import ast
+from pathlib import Path
+
+import hierflow
+
+ALLOWED = {"_assert_invariants"}
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def _offences(tree):
+    """Line numbers of `assert` and `raise AssertionError` outside ALLOWED."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and child.name in ALLOWED:
+                continue
+            if isinstance(child, ast.Assert) or (
+                    isinstance(child, ast.Raise) and _raises_assertion_error(child)):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_checker_finds_both_forms_and_spares_the_oracle():
+    src = ("def f(x):\n"
+           "    assert x\n"
+           "    raise AssertionError('no')\n"
+           "def _assert_invariants(x):\n"
+           "    assert x\n")
+    assert _offences(ast.parse(src)) == [2, 3]
+
+
+def test_library_has_no_assert_based_contracts():
+    modules = sorted(Path(hierflow.__file__).parent.glob("*.py"))
+    assert modules
+    bad = [f"{path.name}:{line}" for path in modules
+           for line in _offences(ast.parse(path.read_text(), str(path)))]
+    assert bad == []

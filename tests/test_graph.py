@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import InfeasibleFlowError, SelfLoopError, VertexOutOfRangeError
 from hierflow.graph import (Flow, FlowInstance, build_graph, condensation_topo_order,
                             decompose_paths, flow_stats, is_feasible, net_outflow,
                             residual, scc)
+from hierflow.hierarchy import Hierarchy
+from hierflow.maxflow import max_flow_exact
+from hierflow.push_relabel import push_relabel
+from hierflow.sparse_cut import sparse_cut
 
 from helpers import random_feasible_flow, random_instance, scc_from_closure
 
@@ -243,3 +248,81 @@ def test_decompose_paths_hypothesis(seed):
         for e in arcs:
             recomposed[e] += amt
     assert recomposed == f.values
+
+
+def test_decompose_rejects_non_conserving_flow():
+    # one unit enters vertex 1, which is no sink and sends nothing on
+    g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    inst = FlowInstance(g, caps, [1, 0, 0], [0, 0, 1])
+    with pytest.raises(InfeasibleFlowError):
+        decompose_paths(inst, Flow([1, 0]))
+
+
+def _multigraph_instance(rng, n, m):
+    """Random multigraph with parallel and antiparallel edges, plus demand."""
+    arcs = []
+    while len(arcs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        arcs.append((u, v, rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            arcs.append((u, v, rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            arcs.append((v, u, rng.randint(1, 5)))
+    g, caps = build_graph(n, arcs)
+    delta, nabla = [0] * n, [0] * n
+    delta[0] = rng.randint(1, 8)
+    nabla[n - 1] = delta[0] + rng.randint(0, 3)
+    return FlowInstance(g, caps, delta, nabla)
+
+
+def test_arc_layout_on_multigraphs():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        inst = _multigraph_instance(rng, n, rng.randint(1, 3 * n))
+        g = inst.g
+        assert len(g.arc_tail) == len(g.arc_head) == 2 * g.m
+        for e, u, v in g.edges():
+            assert (g.arc_tail[2 * e], g.arc_head[2 * e]) == (u, v)
+            assert (g.arc_tail[2 * e + 1], g.arc_head[2 * e + 1]) == (v, u)
+        for v in range(n):
+            assert g.out_arcs[v] == sorted(g.out_arcs[v])
+            assert set(g.out_arcs[v]) == {a for a in range(2 * g.m) if g.arc_tail[a] == v}
+        f = Flow([rng.randint(0, c) for c in inst.cap])
+        res = residual(inst, f)
+        for a in range(2 * g.m):
+            u, v = g.edge(a >> 1)
+            assert res.arc_ends(a) == ((v, u) if a & 1 else (u, v))
+        for v in range(n):
+            usable = sorted([2 * e for e in g.out_edges[v] if inst.cap[e] > f[e]]
+                            + [2 * e + 1 for e in g.in_edges[v] if f[e] > 0])
+            assert list(res.usable_out_arcs(v)) == usable
+
+
+def _pr_view(r):
+    return (r.flow.values, r.value, r.labels, r.augmentations, r.edge_saturations,
+            r.edge_flips, r.relabel_climbs, r.relabel_landings, r.levels_visited,
+            r.delta_residual, r.nabla_residual)
+
+
+def test_repeated_solves_share_and_keep_the_arc_layout():
+    rng = random.Random(32)
+    for _ in range(6):
+        n = rng.randint(3, 7)
+        inst = _multigraph_instance(rng, n, rng.randint(n, 2 * n))
+        g = inst.g
+        layout = (list(g.arc_tail), list(g.arc_head), [list(x) for x in g.out_arcs])
+        w = [rng.randint(1, n) for _ in range(g.m)]
+        hier = Hierarchy(set(), [], list(range(1, n + 1)))
+        runs = []
+        for _ in range(2):
+            pr = push_relabel(inst, w, 2 * n, "capacitated", DEFAULT_CONFIG)
+            cut = sparse_cut(inst, 1, set(range(g.m)), hier, DEFAULT_CONFIG,
+                             check_connected=False)
+            exact = max_flow_exact(inst, seed=5)
+            runs.append((_pr_view(pr), cut.flow.values, cut.cut, cut.metrics, cut.labels,
+                         exact.flow.values, exact.stats))
+            assert (g.arc_tail, g.arc_head, g.out_arcs) == layout
+        assert runs[0] == runs[1]
