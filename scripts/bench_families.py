@@ -2,7 +2,7 @@
 """Benchmark the exact solver against the shortest-augmenting-path oracle
 across the generator families and print a TSV table.
 
-Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24]
+Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
 """
 import argparse
 import sys
@@ -15,7 +15,7 @@ from hierflow.maxflow import edmonds_karp, max_flow_exact
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sizes", default="8,12,16,24,30")
+    ap.add_argument("--sizes", default="8,12,16,24,30,50,80")
     args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
 

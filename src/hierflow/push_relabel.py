@@ -17,7 +17,23 @@ admissible out-arc or dies.  The fast scheduler collapses such a climb
 into one batch whose final labels and marks coincide with jumping level
 by level; the debug scheduler really does jump level by level (to the
 next multiple of an incident weight) and asserts the level invariants
-after every step.
+after every step.  Both count one landing per multiple of each distinct
+incident weight crossed, plus one for the landing that kills a vertex:
+the quantity the 9h/w bound counts.
+
+Dead-vertex pruning (Cherkassky and Goldberg's gap heuristic): before
+the first relabel, and after every augmentation that saturates an arc or
+a sink, a reverse search from the unsaturated sinks over residual arcs
+between alive vertices marks who can still reach a sink, and every alive
+vertex it misses dies at once instead of climbing to 9h + 1 in steps of
+about 2w.  This is exact.  The missed set only grows: an augmentation
+adds residual arcs only against its path, whose vertices all reached its
+sink, so whoever reaches a sink afterwards reached one before; and one
+that saturates neither an arc nor a sink removes no arc and closes no
+sink.  A missed vertex would die anyway, because at the end of a run
+every alive vertex has an admissible path to an unsaturated sink.  So
+the final alive set is the one plain climbing reaches; only levels and
+marks of alive vertices can differ where a doomed neighbor held them up.
 """
 from __future__ import annotations
 
@@ -215,7 +231,15 @@ class _Engine:
 
     # relabel ---------------------------------------------------------------
 
+    def _land(self, v: int, k: int) -> None:
+        self.relabel_landings += k
+        self.levels_visited[v] += k
+
     def _die(self, v: int) -> None:
+        """The landing at 9h + 1 that kills v."""
+        self._land(v, 1)
+        if self.cfg.debug_invariants:
+            self.relabel_events.append((v, self.level[v], self.nine_h + 1))
         self.level[v] = self.nine_h + 1
         self.alive[v] = False
         # marks on arcs touching a dead vertex are purged: traces can never
@@ -250,21 +274,13 @@ class _Engine:
         start = self.level[v]
         stop = self._stop_level(v)
         self.relabel_climbs += 1
-        if stop > self.nine_h:
-            for wgt in self.distinct_weights[v]:
-                cross = self.nine_h // wgt - start // wgt
-                self.relabel_landings += cross
-                self.levels_visited[v] += cross
-            self.relabel_landings += 1  # the landing that kills v
-            self.levels_visited[v] += 1
+        dies = stop > self.nine_h
+        stop = self.nine_h if dies else int(stop)
+        self._land(v, sum(stop // wgt - start // wgt for wgt in self.distinct_weights[v]))
+        if dies:
             self._die(v)
             return
-        stop = int(stop)
         self.level[v] = stop
-        for wgt in self.distinct_weights[v]:
-            cross = stop // wgt - start // wgt
-            self.relabel_landings += cross
-            self.levels_visited[v] += cross
         lvl = self.level
         to_mark = []
         for a in self.inc_arc_list[v]:
@@ -294,14 +310,12 @@ class _Engine:
             if cand < nxt:
                 nxt = cand
         if nxt > self.nine_h:
-            self.relabel_events.append((v, cur, self.nine_h + 1))
             self._die(v)
             return
         nxt = int(nxt)
         self.relabel_events.append((v, cur, nxt))
         self.level[v] = nxt
-        self.levels_visited[v] += 1
-        self.relabel_landings += 1
+        self._land(v, sum(1 for wgt in self.distinct_weights[v] if nxt % wgt == 0))
         lvl = self.level
         to_mark = []
         for a in self.inc_arc_list[v]:
@@ -315,6 +329,44 @@ class _Engine:
                 self.set_mark(a, False)
         for a in to_mark:
             self.set_mark(a, True)
+
+    def _prune(self) -> None:
+        """Kill every alive vertex with no residual path to an unsaturated sink."""
+        alive, head, cur, cf = self.alive, self.arc_head, self.current_arc, self.cf
+        reached = [False] * self.n
+        stack = [v for v in range(self.n) if self.nabla_rem[v] > 0]
+        for v in stack:
+            reached[v] = True
+        # A tree arc is admissible, so its residual is positive.  Any other
+        # raw cf entry is exact, or understates the live residual when the
+        # partner arc sits in a tree (tree values only fall); such a zero is
+        # read from the forest only if nothing else reaches the arc's tail.
+        deferred = []
+        while stack or deferred:
+            if stack:
+                x = stack.pop()
+                for a in self.out_arc_list[x]:
+                    y = head[a]
+                    if reached[y] or not alive[y]:
+                        continue
+                    if cur[y] == a ^ 1 or cf[a ^ 1] > 0:  # a ^ 1 runs y -> x
+                        reached[y] = True
+                        stack.append(y)
+                    elif cur[x] == a:
+                        deferred.append(a)
+            else:
+                a = deferred.pop()
+                y = head[a]
+                if not reached[y] and self.cf_of(a ^ 1) > 0:
+                    reached[y] = True
+                    stack.append(y)
+        doomed = [v for v in range(self.n) if alive[v] and not reached[v]]
+        for v in doomed:
+            self._die(v)
+        # checked once the pass is over: until then a doomed vertex can keep
+        # a residual arc into a doomed vertex that is still alive
+        if doomed and self.cfg.debug_invariants:
+            self._assert_invariants()
 
     def _drain(self) -> None:
         debug = self.cfg.debug_invariants
@@ -349,13 +401,15 @@ class _Engine:
         arcs, t = self._walk_path(s)
         amt = min(self.delta_rem[s], self.nabla_rem[t])
         amt = min(amt, min(self.cf[a] for a in arcs))
+        saturated = False
         for a in arcs:
             self.cf[a] -= amt
             self.cf[a ^ 1] += amt
             if self.cf[a] == 0:
+                saturated = True
                 self.edge_sat[a >> 1] += 1
                 self.set_mark(a, False)
-        self._finish_augment(s, t, amt, arcs)
+        self._finish_augment(s, t, amt, arcs, saturated)
 
     def _augment_capacitated(self, s: int) -> None:
         forest = self.forest
@@ -369,17 +423,20 @@ class _Engine:
         forest.add_path(s, -amt)
         # mark newly saturated arcs, climbing from s toward the root
         cur = s
+        saturated = False
         while forest.rep_par[cur] != -1:
             (child, par), val = forest.find_min(cur)
             if val > 0:
                 break
+            saturated = True
             a = self.current_arc[child]
             self.edge_sat[a >> 1] += 1
             self.set_mark(a, False)  # drops the tree edge and syncs cf
             cur = par
-        self._finish_augment(s, t, amt, arcs)
+        self._finish_augment(s, t, amt, arcs, saturated)
 
-    def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int]) -> None:
+    def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int],
+                        saturated: bool) -> None:
         if amt <= 0:
             raise SolverInvariantError(f"augmentation from {s} to {t} routes {amt}")
         self.delta_rem[s] -= amt
@@ -391,6 +448,8 @@ class _Engine:
             tuple(self.level) if self.cfg.snapshot_labels else None,
         ))
         self.augment_count += 1
+        if saturated or self.nabla_rem[t] == 0:
+            self._prune()
         if self.cfg.debug_invariants:
             self._assert_invariants()
 
@@ -398,6 +457,7 @@ class _Engine:
 
     def run(self) -> PushRelabelResult:
         self.augment_count = 0
+        self._prune()
         for v in range(self.n):
             self._enqueue(v)
         self._drain()

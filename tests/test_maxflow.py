@@ -5,6 +5,7 @@ import pytest
 
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import NotADAGError
+from hierflow.generators import generate
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, ek_solver, exact_solver,
@@ -141,6 +142,15 @@ def test_exact_matches_oracle_on_diffusion_instances():
         res = max_flow_exact(inst, Fraction(1, 16), seed=trial)
         want = edmonds_karp(inst).stats.value
         assert res.stats.value == want
+
+
+@pytest.mark.parametrize("model,n,m", [("random", 50, 200), ("random", 80, 320),
+                                     ("dag", 50, 150)])
+def test_exact_matches_oracle_at_bench_sizes(model, n, m):
+    inst = generate(model, seed=0, n=n, m=m, cap=12).instance()
+    res = max_flow_exact(inst)
+    assert res.stats.value == edmonds_karp(inst).stats.value
+    assert is_feasible(inst, res.flow)
 
 
 def test_scaling_single_edge_large_cap():

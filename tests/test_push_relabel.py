@@ -9,7 +9,7 @@ from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasi
 from hierflow.maxflow import edmonds_karp
 from hierflow.push_relabel import label_gap_certificate, push_relabel
 
-from helpers import dijkstra_residual, random_instance
+from helpers import dijkstra_residual, random_instance, reachability_closure
 
 DBG = DEFAULT_CONFIG.with_(debug_invariants=True, snapshot_labels=True)
 
@@ -107,6 +107,23 @@ def _check_theorem_guarantees(inst, w, h, r):
         dist = dijkstra_residual(inst, r.flow, w, sources)
         for t in sinks:
             assert dist[t] > 3 * h, f"sink {t} at distance {dist[t]} <= {3 * h}"
+    # liveness: an alive vertex reaches an unsaturated sink in the final
+    # residual graph.  A dead one may still reach such a sink, but only
+    # beyond w-distance 3h: every residual arc keeps l(u) - l(v) < 3w (I-1),
+    # open sinks sit at level 0 and dead vertices at 9h + 1.
+    g = inst.g
+    arcs = [(g.tails[e], g.heads[e], w[e]) for e in range(inst.m) if inst.cap[e] > r.flow.values[e]]
+    arcs += [(g.heads[e], g.tails[e], w[e]) for e in range(inst.m) if r.flow.values[e] > 0]
+    reach = reachability_closure(inst.n, [(u, v) for u, v, _ in arcs])
+    lvl = r.labels.levels
+    for v in range(inst.n):
+        assert r.labels.alive[v] == (lvl[v] <= 9 * h)
+        if r.labels.alive[v]:
+            assert any(reach[v][t] for t in sinks), f"alive {v} reaches no open sink"
+    for t in sinks:
+        assert lvl[t] == 0
+    for u, v, we in arcs:
+        assert lvl[u] - lvl[v] < 3 * we, f"residual arc {u}->{v} spans {lvl[u] - lvl[v]}"
 
 
 def test_guarantees_random_unit_instances():
@@ -243,6 +260,36 @@ def test_fast_and_debug_schedulers_agree():
         assert fast.labels.levels == slow.labels.levels
         assert fast.labels.alive == slow.labels.alive
         assert fast.labels.admissible == slow.labels.admissible
+        assert fast.relabel_landings == slow.relabel_landings
+        assert fast.relabel_climbs == slow.relabel_climbs
+        assert fast.levels_visited == slow.levels_visited
+
+
+@pytest.mark.parametrize("edges,delta,nabla", [
+    # 0 <-> 1, and the unit arc 1 -> 2 into the sink saturates
+    ([(0, 1, 5), (1, 0, 5), (1, 2, 1)], [5, 0, 0], [0, 0, 5]),
+    # the path 0 -> 1 -> 2 keeps capacity but sink 2 saturates; sink 3
+    # stays open and unreachable
+    ([(0, 1, 5), (1, 2, 5)], [5, 0, 0, 0], [0, 0, 1, 4]),
+])
+def test_doomed_vertices_die_without_climbing(edges, delta, nabla):
+    # After the first unit is routed no vertex but the open sink reaches an
+    # open sink, so the rest die at once instead of climbing to 9h + 1:
+    # the work does not grow with h.  Three climbs of two landings each
+    # (0 to 2, 1 to 2, 0 to 4), then one landing per pruned death.
+    g, caps = build_graph(len(delta), edges)
+    inst = FlowInstance(g, caps, delta, nabla)
+    doomed = len(delta) - 1
+    for mode in ("unit", "capacitated"):
+        for config in (DEFAULT_CONFIG, DBG):
+            for h in (10, 1000):
+                r = push_relabel(inst, [1] * len(edges), h, mode=mode, config=config)
+                assert r.value == 1
+                assert r.labels.alive == [False] * doomed + [True]
+                assert (r.relabel_climbs, r.relabel_landings) == (3, 6 + doomed)
+                if config.debug_invariants:
+                    assert r.relabel_events[-doomed:] == [
+                        (v, [4, 2, 0][v], 9 * h + 1) for v in range(doomed)]
 
 
 def test_unit_and_capacitated_modes_agree_on_unit_caps():
