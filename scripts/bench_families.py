@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the exact solver against the shortest-augmenting-path oracle
-across the generator families and print a TSV table.
+across the generator families and print a TSV table.  Exits 1 on the
+first value that differs from the oracle's or flow that is not feasible.
 
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
 """
@@ -9,6 +10,7 @@ import sys
 import time
 
 from hierflow.generators import gen_cycle, gen_dumbbell, gen_grid, generate
+from hierflow.graph import is_feasible
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 
 
@@ -40,6 +42,9 @@ def main(argv=None):
         if res.stats.value != oracle.stats.value:
             print(f"MISMATCH on {gen.name}: {res.stats.value} vs "
                   f"{oracle.stats.value}", file=sys.stderr)
+            return 1
+        if not is_feasible(inst, res.flow):
+            print(f"INFEASIBLE flow on {gen.name}", file=sys.stderr)
             return 1
         print(f"{gen.name}\t{gen.n}\t{len(gen.arcs)}\t{res.stats.value}\t"
               f"{exact_ms:.1f}\t{ek_ms:.1f}\t{res.stats.iterations}\t"

@@ -6,9 +6,10 @@ with the previous separator as its terminal set.  Components are handled
 by the cut-matching game; every returned cut removes the sparser
 direction of its boundary, and when that direction contains non-terminal
 edges (a non-nested cut) the lower hierarchy of both sides is rebuilt
-from scratch.  The final output is re-validated by brute force, with
-fresh-seed retries, so correctness rests on the validator rather than on
-any maintenance argument.
+from scratch.  Unless the caller opts out (`validate=False`: the exact
+driver, whose safety net needs no valid hierarchy), the output is
+re-validated by brute force with fresh-seed retries, so its correctness
+rests on the validator rather than on any maintenance argument.
 """
 from __future__ import annotations
 
@@ -245,8 +246,10 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
                     validate: bool = True) -> BuildResult:
     """Construct a hierarchy of (g, cap) and brute-force validate it.
 
-    Retries with fresh seeds when validation refutes a component; raises
-    BuildFailedError when the retry budget runs out.
+    Retries with fresh seeds when an attempt aborts or validation refutes
+    a component; raises BuildFailedError when the retry budget runs out.
+    With `validate=False` only aborts are retried, and the first complete
+    build is returned as the cut-matching game certified it.
     """
     phi = phi if phi is not None else default_phi(g.n)
     check_phi(phi)

@@ -49,7 +49,8 @@ class SolverConfig:
     exact_cut_threshold: int = 16
     # random cuts tried by the in-builder falsifier on large components
     builder_falsifier_cuts: int = 300
-    # random cuts tried by the standalone validator on large components
+    # random cuts tried by validate_hierarchy on large components (the
+    # builder's default check and `hierflow validate`; not the exact driver)
     validator_falsifier_cuts: int = 10_000
     # fresh-seed retries before build_hierarchy gives up
     build_retries: int = 5

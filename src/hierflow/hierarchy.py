@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import LevelViolationError, NotAcyclicError, ParseError
 from .graph import DiGraph, scc_subgraph
+from .io import _int
 
 
 @dataclass
@@ -428,7 +429,7 @@ def hierarchy_to_text(h: Hierarchy, m: int) -> str:
 def hierarchy_from_text(text: str, g: DiGraph) -> Hierarchy:
     level_of: Dict[int, int] = {}
     tau = [0] * g.n
-    seen_tau = 0
+    seen_tau: Set[int] = set()
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -437,30 +438,26 @@ def hierarchy_from_text(text: str, g: DiGraph) -> Hierarchy:
         if parts[0] == "t":
             if len(parts) != 3:
                 raise ParseError(no, "expected `t <vertex> <tau>`")
-            v, t = int(parts[1]) - 1, int(parts[2])
+            v, t = _int(parts[1], no) - 1, _int(parts[2], no)
             if not (0 <= v < g.n):
                 raise ParseError(no, f"vertex {v + 1} out of range")
             tau[v] = t
-            seen_tau += 1
+            seen_tau.add(v)
         else:
             if len(parts) != 2:
                 raise ParseError(no, "expected `<edge-id> <level>`")
-            e, lv = int(parts[0]), int(parts[1])
+            e, lv = _int(parts[0], no), _int(parts[1], no)
             if not (0 <= e < g.m):
                 raise ParseError(no, f"edge id {e} out of range")
+            if not (0 <= lv <= g.m):
+                raise ParseError(no, f"level {lv} outside 0..{g.m}")
             level_of[e] = lv
     if len(level_of) != g.m:
         raise ParseError(0, f"expected {g.m} edge lines, saw {len(level_of)}")
-    if seen_tau != g.n:
-        raise ParseError(0, f"expected {g.n} tau lines, saw {seen_tau}")
+    if len(seen_tau) != g.n:
+        raise ParseError(0, f"expected {g.n} tau lines, saw {len(seen_tau)}")
     eta = max(level_of.values(), default=0)
-    levels = [set() for _ in range(eta)]
-    d: Set[int] = set()
+    by_level: List[Set[int]] = [set() for _ in range(eta + 1)]
     for e, lv in level_of.items():
-        if lv == 0:
-            d.add(e)
-        elif lv >= 1:
-            levels[lv - 1].add(e)
-        else:
-            raise ParseError(0, f"negative level on edge {e}")
-    return Hierarchy(d, levels, tau)
+        by_level[lv].add(e)
+    return Hierarchy(by_level[0], by_level[1:], tau)

@@ -1,11 +1,12 @@
 """End-to-end exact maximum flow, the DAG approximation, capacity
 scaling, and the shortest-augmenting-path oracle every test leans on.
 
-The exact driver loops: build a hierarchy of the current residual graph,
-run weighted push-relabel with the induced weights, apply the flow, and
-repeat until no augmenting path remains.  A single breadth-first
-augmentation acts as a safety net whenever an iteration routes nothing,
-so exactness never depends on hierarchy quality.
+The exact driver loops: build a hierarchy of the current residual graph
+(unvalidated: it only supplies weights), run weighted push-relabel with
+the induced weights, apply the flow, and repeat until no augmenting path
+remains.  A single breadth-first augmentation acts as a safety net
+whenever an iteration routes nothing, so exactness never depends on
+hierarchy quality.
 """
 from __future__ import annotations
 
@@ -178,12 +179,6 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
     base = random.Random(seed)
     f = Flow.zero(m)
     stats = SolveStats(value=0)
-    # validation inside the driver runs with the builder's (lighter)
-    # falsification budget: exactness never depends on it thanks to the
-    # safety net, and a failed build just costs one plain augmentation
-    drv_cfg = config.with_(
-        validator_falsifier_cuts=min(config.validator_falsifier_cuts,
-                                     config.builder_falsifier_cuts))
     while True:
         res = residual(inst, f)
         arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
@@ -194,7 +189,7 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
         r = None
         try:
             hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
-                                   drv_cfg).hierarchy
+                                   config, validate=False).hierarchy
             w = induced_weights(rinst.g, hier.tau)
             h = driver_height(n, max(hier.eta, 1), phi, config)
             r = push_relabel(rinst, w, h, mode="capacitated", config=config)

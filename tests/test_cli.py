@@ -118,6 +118,14 @@ def test_hierarchy_and_validate_round_trip(tmp_path, capsys):
     assert out.splitlines()[0] == "INVALID"
 
 
+def test_validate_malformed_hierarchy_exit_2(tmp_path, capsys):
+    graph = _write(tmp_path, "single.dimacs", SINGLE)
+    hier = _write(tmp_path, "h.txt", "1 x\n")
+    code, _, err = _run(["validate", "--phi", "1/8", hier, graph], capsys)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
 def test_sparse_cut_command_routable(tmp_path, capsys):
     path = _write(tmp_path, "single.dimacs", "p max 2 1\nn 1 s\nn 2 t\na 1 2 1\n")
     # diffusion variant keeps the demand finite

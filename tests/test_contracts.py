@@ -1,12 +1,15 @@
-"""No contract in the library rests on `assert`, which `python -O` strips.
+"""No contract in the library rests on `assert`, which `python -O` strips,
+and no `SolverConfig` field goes unread.
 
-The one exception is `_assert_invariants`, the push-relabel debug oracle
-that runs only with `debug_invariants` on.
+The one `assert` exception is `_assert_invariants`, the push-relabel
+debug oracle that runs only with `debug_invariants` on.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
 import hierflow
+from hierflow.config import SolverConfig
 
 ALLOWED = {"_assert_invariants"}
 
@@ -49,3 +52,26 @@ def test_library_has_no_assert_based_contracts():
     bad = [f"{path.name}:{line}" for path in modules
            for line in _offences(ast.parse(path.read_text(), str(path)))]
     assert bad == []
+
+
+def _config_fields():
+    """Names of the SolverConfig fields, read from config.py's source."""
+    tree = ast.parse((Path(hierflow.__file__).parent / "config.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SolverConfig")
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def test_config_field_list_matches_the_dataclass():
+    assert _config_fields() == [f.name for f in dataclasses.fields(SolverConfig)]
+
+
+def test_every_config_field_is_read_outside_config():
+    """No config knob that no code path reaches."""
+    read = set()
+    for path in Path(hierflow.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in _config_fields() if name not in read] == []

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierflow.errors import LevelViolationError, NotAcyclicError, ParseError
 from hierflow.graph import build_graph
@@ -174,3 +176,48 @@ def test_hierarchy_text_round_trip():
     assert h2.tau == h.tau
     with pytest.raises(ParseError):
         hierarchy_from_text("0 0\n", g)
+
+
+# hierarchy text of a fixed 4-vertex graph with planted faults: tokens
+# swapped for junk or out-of-range edge ids, vertices and levels, fields
+# dropped or added, lines dropped or repeated
+_TOKENS = ["x", "t", "#", "1.5", "-1", "0", "1", "2", "3", "4", "5", "99", "1000000000"]
+
+
+def _hierarchy_text(rng: random.Random, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(lines))
+        parts = lines[i].split()
+        fault = rng.randrange(5)
+        if fault == 0:
+            parts[rng.randrange(len(parts))] = rng.choice(_TOKENS)
+        elif fault == 1:
+            del parts[rng.randrange(len(parts))]
+        elif fault == 2:
+            parts.insert(rng.randint(0, len(parts)), rng.choice(_TOKENS))
+        elif fault == 3:
+            lines.insert(rng.randint(0, len(lines)), lines[i])
+        else:
+            del lines[i]
+            if not lines:
+                break
+            continue
+        lines[i] = " ".join(parts)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_hierarchy_from_text_fuzz_typed_error_or_hierarchy(rng):
+    g, caps = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 0, 1), (2, 3, 3), (3, 1, 1)])
+    h = Hierarchy(set(), [{0, 1, 2}, {3, 4}],
+                  respecting_topo_order(g, set(), [{0, 1, 2}, {3, 4}]))
+    try:
+        h2 = hierarchy_from_text(_hierarchy_text(rng, hierarchy_to_text(h, g.m)), g)
+    except ParseError:
+        return
+    assert isinstance(h2, Hierarchy)
+    assert h2.edge_count() == g.m and len(h2.tau) == g.n
+    # whatever parses, the validator judges without raising
+    validate_hierarchy(g, caps, h2, Fraction(1, 8))

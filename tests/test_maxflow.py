@@ -196,3 +196,29 @@ def test_exact_progress_guarantee():
     inst = random_instance(rng, 10, 25, 5, st=True)
     res = max_flow_exact(inst, Fraction(1, 16), seed=1)
     assert res.stats.iterations <= edmonds_karp(inst).stats.value + 1
+
+
+def _no_validation(*args, **kwargs):
+    raise AssertionError("the exact driver must not call validate_hierarchy")
+
+
+@pytest.mark.parametrize("seed,n", [(1, 50), (3, 30), (5, 50)])
+def test_exact_without_validation_on_refuted_builds(monkeypatch, seed, n):
+    # here a 300-cut sampled validation refutes the driver's first build;
+    # the answer must not depend on validation
+    monkeypatch.setattr("hierflow.builder.validate_hierarchy", _no_validation)
+    inst = generate("random", seed=seed, n=n, m=4 * n, cap=12).instance()
+    res = max_flow_exact(inst, seed=1)
+    assert res.stats.value == edmonds_karp(inst).stats.value
+    assert is_feasible(inst, res.flow)
+
+
+def test_exact_without_validation_on_random_instances(monkeypatch):
+    monkeypatch.setattr("hierflow.builder.validate_hierarchy", _no_validation)
+    rng = random.Random(68)
+    for trial in range(20):
+        inst = random_instance(rng, rng.randint(3, 14), rng.randint(2, 40),
+                               rng.randint(1, 10), st=trial % 2 == 0)
+        res = max_flow_exact(inst, seed=1)
+        assert res.stats.value == edmonds_karp(inst).stats.value, f"trial {trial}"
+        assert is_feasible(inst, res.flow)
