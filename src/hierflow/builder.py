@@ -24,7 +24,8 @@ from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .cut_matching import CutOrEmbedOutcome, cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
 from .graph import DiGraph, scc_subgraph
-from .hierarchy import Hierarchy, respecting_topo_order, validate_hierarchy
+from .hierarchy import (Hierarchy, ValidationReport, respecting_topo_order,
+                        validate_hierarchy)
 
 
 @dataclass
@@ -66,6 +67,8 @@ class BuildResult:
     log: List[str]
     attempts: int
     effective_phi: Fraction
+    # the accepted attempt's validation; None under validate=False
+    report: Optional[ValidationReport] = None
 
 
 class _SubView:
@@ -283,7 +286,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
             for i, x in enumerate(hier.levels):
                 log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")
             if report.ok:
-                return BuildResult(hier, log, attempt, phi)
+                return BuildResult(hier, log, attempt, phi, report)
             last_report = report
             log.append(f"attempt={attempt} event=invalid errors={len(report.errors)}")
     finally:

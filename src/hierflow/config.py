@@ -45,7 +45,9 @@ class SolverConfig:
     # expansion (exact for <= exact_cut_threshold vertices, falsification
     # only above); turning this off runs the full round budget
     cmg_early_exit: bool = True
-    # component size up to which cut enumeration is exact
+    # component size up to which expansion is checked exactly, by
+    # exhaustive_worst_cut's branch and bound over all 2^(k-1) cuts;
+    # larger components only get falsification by sampled cuts
     exact_cut_threshold: int = 16
     # random cuts tried by the in-builder falsifier on large components
     builder_falsifier_cuts: int = 300

@@ -13,7 +13,9 @@ as edges.
 
 A component certifies early when brute force already confirms expansion
 (exactly on small components, by failing falsification on large ones);
-the full round budget runs when that shortcut is disabled.
+the full round budget runs when that shortcut is disabled.  The exact
+check asks `exhaustive_worst_cut` only for a cut sparser than phi, so its
+branch and bound can prune against phi; `union_psi` asks for the value.
 """
 from __future__ import annotations
 
@@ -161,12 +163,10 @@ class CutOrEmbedOutcome:
 
 def _brute_force_check(n, edges, volw, phi, rng, config):
     """(certified, witness_side): exact on small graphs, falsification
-    above; (False, None) means unknown."""
+    above; (None, None) means unknown."""
     if n <= config.exact_cut_threshold:
-        ratio, side = exhaustive_worst_cut(range(n), edges, volw)
-        if ratio is None or ratio >= phi:
-            return True, None
-        return False, side
+        _ratio, side = exhaustive_worst_cut(range(n), edges, volw, phi)
+        return side is None, side
     side = sampled_sparse_cut(range(n), edges, volw, phi, rng,
                               config.builder_falsifier_cuts)
     if side is not None:

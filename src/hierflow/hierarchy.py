@@ -7,6 +7,13 @@ component of the graph with all higher levels removed, and the level-i
 edges expand inside those components.  The respecting order tau makes
 every D edge point forward and keeps each component's tau values
 contiguous at every level; the weight of an edge is |tau_v - tau_u|.
+
+Expansion is checked cut by cut through `CutEvaluator`.  Small
+components get an exact answer from `exhaustive_worst_cut`, a branch and
+bound over all 2^(k-1) proper cuts that drops every subtree whose
+boundary and volume bounds already rule out a cut sparser than phi (or
+than the best cut found so far); large ones only get falsification by
+`sampled_sparse_cut`.
 """
 from __future__ import annotations
 
@@ -211,33 +218,108 @@ def _evaluator(vertices, edges, vol_weight) -> Tuple[List[int], CutEvaluator]:
     return verts, CutEvaluator(len(verts), arcs, [vol_weight.get(v, 0) for v in verts])
 
 
-def exhaustive_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Optional[List[int]]]:
-    """Exact sparsest cut by enumerating all 2^(k-1) proper cuts.
+def _gray_rank(code: int) -> int:
+    """Position of `code` in the binary-reflected gray sequence i ^ (i >> 1)."""
+    i = code
+    code >>= 1
+    while code:
+        i ^= code
+        code >>= 1
+    return i
 
-    Returns (ratio, side) for the minimizing cut; (None, None) when no
-    cut has positive volume on both sides.  Deterministic: gray-code
-    order, strict improvement only.
+
+def exhaustive_worst_cut(vertices, edges, vol_weight, below: Optional[Fraction] = None
+                         ) -> Tuple[Optional[Fraction], Optional[List[int]]]:
+    """Exact sparsest cut min(c(S, S-bar), c(S-bar, S)) / min(vol(S), vol(S-bar))
+    over every proper cut, by depth-first branch and bound.
+
+    The last vertex stays outside S; the others are assigned, S-bar
+    first, in order of decreasing weighted degree (capacity in plus out,
+    self-loops excluded).  Under a partial assignment the capacity
+    between decided vertices bounds c(S, S-bar) and c(S-bar, S) from
+    below, and min(vol(S_dec) + vol(undecided), vol(V) - vol(S_dec),
+    vol(V) // 2) bounds min(vol(S), vol(S-bar)) from above.  A subtree
+    whose bound ratio is not below `below`, or is above the best cut
+    found so far, is dropped; one that ties the best is searched, for
+    the tie-break.  Ratios are compared by integer cross-multiplication
+    and one Fraction is built at the end.
+
+    Returns (ratio, side) of the minimizing cut; among equal ratios, the
+    cut a gray-code scan of S over the first k-1 vertices meets first
+    (the smallest i with i ^ (i >> 1) equal to S's bitmask).  Returns
+    (None, None) when no cut has positive volume on both sides.  With
+    `below`, a cut is returned only if its ratio is strictly below it,
+    and (None, None) otherwise.
     """
     verts, ev = _evaluator(vertices, edges, vol_weight)
     k = ev.k
     if k <= 1:
         return None, None
+    vol = ev.vol
     total = ev.total_vol
-    best_num, best_den, best_code = 0, 0, 0
-    # last vertex stays outside S; gray code over the first k-1, ratios
-    # compared by cross-multiplication
-    for i in range(1, 1 << (k - 1)):
-        ev.flip((i & -i).bit_length() - 1)
-        mv = min(ev.vol_s, total - ev.vol_s)
+    half = total >> 1
+    free = k - 1
+    deg = [0] * k
+    for u, v, c in ev.arcs:
+        deg[u] += c
+        deg[v] += c
+    order = sorted(range(free), key=lambda v: (-deg[v], v))
+    pos = [0] * k
+    for p, v in enumerate(order):
+        pos[v] = p
+    pos[free] = -1  # decided before the search starts, outside S
+    # per search position p, the arcs between order[p] = v and the vertices
+    # decided before it, as (u, c(v, u), c(u, v)) with one side 0
+    back_arcs: List[List[Tuple[int, int, int]]] = [[] for _ in range(free)]
+    for u, v, c in ev.arcs:
+        if pos[u] > pos[v]:
+            back_arcs[pos[u]].append((v, c, 0))
+        else:
+            back_arcs[pos[v]].append((u, 0, c))
+    rest = [0] * (free + 1)  # volume of order[p:]
+    for p in range(free - 1, -1, -1):
+        rest[p] = rest[p + 1] + vol[order[p]]
+    in_s = [False] * k
+    # the ratio to beat: `below` until a cut is found; best_mask -1 while none
+    best_num, best_den = (below.numerator, below.denominator) if below is not None else (0, 0)
+    best_mask = -1
+
+    def search(p: int, out_c: int, in_c: int, vol_s: int, mask: int) -> None:
+        nonlocal best_num, best_den, best_mask
+        mv = vol_s + rest[p]
+        if total - vol_s < mv:
+            mv = total - vol_s
+        if half < mv:
+            mv = half
         if mv <= 0:
-            continue
-        b = min(ev.out_cap, ev.in_cap)
-        if best_den == 0 or b * best_den < best_num * mv:
-            best_num, best_den, best_code = b, mv, i
-    if best_den == 0:
+            return
+        lb = out_c if out_c < in_c else in_c  # every cut below has ratio >= lb / mv
+        if best_den:
+            diff = lb * best_den - best_num * mv
+            if diff > 0 or (diff == 0 and best_mask < 0):
+                return
+        if p == free:  # lb / mv is this cut's own ratio
+            if best_mask < 0 or diff < 0 or _gray_rank(mask) < _gray_rank(best_mask):
+                best_num, best_den, best_mask = lb, mv, mask
+            return
+        v = order[p]
+        s_out = s_in = t_out = t_in = 0  # arcs v->S, S->v, v->S-bar, S-bar->v
+        for u, c_vu, c_uv in back_arcs[p]:
+            if in_s[u]:
+                s_out += c_vu
+                s_in += c_uv
+            else:
+                t_out += c_vu
+                t_in += c_uv
+        search(p + 1, out_c + s_in, in_c + s_out, vol_s, mask)
+        in_s[v] = True
+        search(p + 1, out_c + t_out, in_c + t_in, vol_s + vol[v], mask | 1 << v)
+        in_s[v] = False
+
+    search(0, 0, 0, 0, 0)
+    if best_mask < 0:
         return None, None
-    gray = best_code ^ (best_code >> 1)  # S after the winning flip
-    return Fraction(best_num, best_den), [verts[i] for i in range(k) if gray >> i & 1]
+    return Fraction(best_num, best_den), [verts[i] for i in range(k) if best_mask >> i & 1]
 
 
 def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.Random,
@@ -289,6 +371,9 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
 
 @dataclass
 class ComponentCheck:
+    """One component's expansion check.  `witness` (and, for exact
+    checks, the cut's `ratio`) are set only on refuted components."""
+
     level: int
     size: int
     exact: bool
@@ -317,7 +402,7 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
     """Brute-force checks of the four structural conditions plus tau.
 
     Expansion is exact on components of at most config.exact_cut_threshold
-    vertices (all cuts enumerated), falsification-only above.
+    vertices (`exhaustive_worst_cut` against phi), falsification-only above.
     """
     rng = rng or random.Random(0)
     rep = ValidationReport(ok=True)
@@ -368,12 +453,11 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
                          if g.tails[e] in comp_set and g.heads[e] in comp_set]
             volw = {v: vol[v] for v in comp}
             if len(comp) <= config.exact_cut_threshold:
-                ratio, side = exhaustive_worst_cut(comp, sub_edges, volw)
-                sparse = ratio is not None and ratio < phi
+                ratio, side = exhaustive_worst_cut(comp, sub_edges, volw, phi)
                 rep.components.append(ComponentCheck(
-                    i, len(comp), True, not sparse,
-                    sorted(side) if sparse else None, ratio))
-                if sparse:
+                    i, len(comp), True, side is None,
+                    sorted(side) if side is not None else None, ratio))
+                if side is not None:
                     rep.ok = False
                     rep.errors.append(
                         f"level-{i} component of size {len(comp)} has a "

@@ -119,6 +119,8 @@ def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
             u, v, c = _int(parts[1], no) - 1, _int(parts[2], no) - 1, _int(parts[3], no)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(no, "arc endpoint out of range")
+            if c < 0:
+                raise ParseError(no, "negative capacity")
             arcs.append((u, v, c))
         elif kind in ("src", "snk"):
             if len(parts) != 3:

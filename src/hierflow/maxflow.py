@@ -218,14 +218,17 @@ def capacity_scaled_max_flow(inst: FlowInstance,
     """Bit-by-bit scaling from the most significant capacity bit.
 
     Each phase doubles the current flow, solves the residual instance
-    (whose value is at most n^2, asserted) with capacities capped at n^2,
-    and adds the correction.  Phase count is ceil(log2 U) + 1.
+    with capacities capped at max(n^2, m + n), and adds the correction.
+    The residual value is at most m + n (asserted): doubling adds at most
+    one unit to each arc and vertex term of the last phase's minimum cut.
+    That is below n^2 on simple graphs, not always on multigraphs.  Phase
+    count is ceil(log2 U) + 1.
     """
     g = inst.g
     n, m = g.n, g.m
     u = max([1] + list(inst.cap) + list(inst.delta) + list(inst.nabla))
     k = (u - 1).bit_length() + 1 if u >= 1 else 1
-    n2 = max(n * n, 1)
+    clamp = max(n * n, m + n, 1)
     f = Flow.zero(m)
     stats = SolveStats(value=0, phases=k)
     for b in range(1, k + 1):
@@ -237,12 +240,12 @@ def capacity_scaled_max_flow(inst: FlowInstance,
                               [d >> shift for d in inst.delta],
                               [s >> shift for s in inst.nabla])
         arc_ids, rinst = _residual_instance(residual(inst_b, f))
-        rinst.cap = [min(c, n2) for c in rinst.cap]
+        rinst.cap = [min(c, clamp) for c in rinst.cap]
         corr = inner(rinst)
         val = flow_stats(rinst, corr).value
-        if val > n2:
+        if val > m + n:
             raise SolverInvariantError(
-                f"phase {b} residual flow value {val} exceeds n^2 = {n2}")
+                f"phase {b} residual flow value {val} exceeds m + n = {m + n}")
         stats.phase_values.append(val)
         _lift(f, arc_ids, corr)
     stats.value = flow_stats(inst, f).value

@@ -191,3 +191,71 @@ def cut_sparsity(side: Set[int], edges: Sequence[Tuple[int, int, int]],
     out_c = sum(c for u, v, c in edges if u in side and v not in side)
     in_c = sum(c for u, v, c in edges if v in side and u not in side)
     return Fraction(min(out_c, in_c), min(vol_s, vol_t))
+
+
+def gray_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Optional[List[int]]]:
+    """Exact sparsest cut by enumerating all 2^(k-1) proper cuts: the
+    tie-break reference for `hierarchy.exhaustive_worst_cut`.
+
+    Returns (ratio, side) for the minimizing cut; (None, None) when no
+    cut has positive volume on both sides.  Deterministic: gray-code
+    order, strict improvement only.
+    """
+    from hierflow.hierarchy import _evaluator
+
+    verts, ev = _evaluator(vertices, edges, vol_weight)
+    k = ev.k
+    if k <= 1:
+        return None, None
+    total = ev.total_vol
+    best_num, best_den, best_code = 0, 0, 0
+    # last vertex stays outside S; gray code over the first k-1, ratios
+    # compared by cross-multiplication
+    for i in range(1, 1 << (k - 1)):
+        ev.flip((i & -i).bit_length() - 1)
+        mv = min(ev.vol_s, total - ev.vol_s)
+        if mv <= 0:
+            continue
+        b = min(ev.out_cap, ev.in_cap)
+        if best_den == 0 or b * best_den < best_num * mv:
+            best_num, best_den, best_code = b, mv, i
+    if best_den == 0:
+        return None, None
+    gray = best_code ^ (best_code >> 1)  # S after the winning flip
+    return Fraction(best_num, best_den), [verts[i] for i in range(k) if gray >> i & 1]
+
+
+# instance text: mostly well-formed `p max` and `p diff` files over at most
+# 8 vertices, with out-of-range vertices, negative numbers, self-loops, a
+# wrong arc count, a missing or unknown node line and junk or comment lines
+_JUNK = ["c note", "", "p max", "n 1", "a 1 2", "a 1 x 2", "q 1", "p diff 2 x", "src 1"]
+
+
+def random_instance_text(rng: random.Random) -> str:
+    n = rng.choice([-1, 0] + list(range(1, 9)) * 4)
+    rate = rng.choice([0, 0, 0.02, 0.1])  # half the texts have no planted fault
+
+    def odd():
+        return rng.random() < rate
+
+    def vtx():
+        return rng.choice([0, n + 1]) if n < 1 or odd() else rng.randint(1, n)
+
+    arcs = [(vtx(), vtx(), -1 if odd() else rng.randint(0, 12))
+            for _ in range(rng.randint(0, 16))]
+    if not odd():
+        arcs = [(u, v, c) for u, v, c in arcs if u != v]
+    m = len(arcs) + (rng.choice([-1, 1]) if odd() else 0)
+    kind = rng.choice(["max", "diff"])
+    lines = [f"p {kind} {n} {m}"]
+    if kind == "max":
+        ends = rng.choice(["ss", "tx", "t"]) if odd() else "st"
+        lines += [f"n {vtx()} {end}" for end in ends]
+    else:
+        for word, most in (("src", 12), ("snk", 30)):
+            lines += [f"{word} {vtx()} {-1 if odd() else rng.randint(0, most)}"
+                      for _ in range(rng.randint(0, 2))]
+    lines += [f"a {u} {v} {c}" for u, v, c in arcs]
+    for _ in range(rng.randint(0, 2) if rate else 0):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_JUNK))
+    return "\n".join(lines)

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierflow.cli import main
+from hierflow.errors import HierflowError
+from hierflow.io import parse_instance
+from hierflow.maxflow import edmonds_karp
+
+from helpers import random_instance_text
 
 SINGLE = """c tiny
 p max 2 1
@@ -118,6 +127,32 @@ def test_hierarchy_and_validate_round_trip(tmp_path, capsys):
     assert out.splitlines()[0] == "INVALID"
 
 
+def test_hierarchy_validates_once_per_attempt(tmp_path, capsys, monkeypatch):
+    # the summary is the report of build_hierarchy's own validation
+    import hierflow.builder
+    import hierflow.cli
+
+    def refuse(*_args, **_kw):
+        raise RuntimeError("validated again after the build")
+
+    calls = []
+    real = hierflow.builder.validate_hierarchy
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(hierflow.cli, "validate_hierarchy", refuse)
+    monkeypatch.setattr(hierflow.builder, "validate_hierarchy", counted)
+    graph = str(tmp_path / "c8.dimacs")
+    _run(["gen", "--model", "cycle", "--gen-n", "8", "--out", graph], capsys)
+    code, out, err = _run(["hierarchy", "--phi", "1/8", graph], capsys)
+    assert code == 0
+    assert "VALID" in err.splitlines()
+    attempts = int(err.split("attempts ")[1].split()[0])
+    assert len(calls) == attempts
+
+
 def test_validate_malformed_hierarchy_exit_2(tmp_path, capsys):
     graph = _write(tmp_path, "single.dimacs", SINGLE)
     hier = _write(tmp_path, "h.txt", "1 x\n")
@@ -217,3 +252,39 @@ def test_bad_params_exit_2_with_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert any("error:" in line for line in err.splitlines())
+
+
+# `hierflow solve` over fuzzed instance texts (at most 8 vertices), valid
+# and invalid --phi values (None: the default) and a few seeds
+_GOOD_PHIS = [None, "1/16", "1/8", "1/3", "2/3", " 1/4"]
+_BAD_PHIS = ["0", "1", "3/2", "-1/4", "1/0", "0/0", "x", "1/2/3", ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_GOOD_PHIS) | st.sampled_from(_BAD_PHIS),
+       st.integers(-2, 5))
+def test_solve_fuzz_exact_value_or_error_line(tmp_path_factory, rng, phi, seed):
+    text = random_instance_text(rng)
+    path = tmp_path_factory.mktemp("fuzz") / "inst.txt"
+    path.write_text(text)
+    argv = ["solve", "--seed", str(seed)] + (["--phi", phi] if phi is not None else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + [str(path)])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+    try:
+        want = edmonds_karp(parse_instance(text).inst).stats.value
+    except HierflowError:
+        want = None
+        assert code == 2  # a fault in the input file
+    if want is not None and phi in _GOOD_PHIS:
+        assert code == 0
+    if code == 0:
+        assert out.getvalue() == f"value {want}\n"
+    else:
+        assert code in (1, 2)
+        assert any(line.startswith(("error:", "hierflow solve: error:"))
+                   for line in err.getvalue().splitlines())
+        assert "Traceback" not in err.getvalue()

@@ -12,7 +12,7 @@ from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_
                                 hierarchy_to_text, induced_weights,
                                 respecting_topo_order, validate_hierarchy)
 
-from helpers import exhaustive_sparsest_cut
+from helpers import exhaustive_sparsest_cut, gray_worst_cut
 
 
 def _contiguous(vals):
@@ -149,19 +149,73 @@ def test_validate_catches_partition_and_cycle_defects():
     assert not rep.ok  # D cyclic
 
 
+def _check_worst_cut(verts, edges, volw, oracle=True):
+    """exhaustive_worst_cut equals the gray-code reference, (ratio, side)
+    identical, under every `below`; at the minimum ratio itself it
+    returns (None, None)."""
+    want = gray_worst_cut(verts, edges, volw)
+    if oracle:
+        assert want[0] == exhaustive_sparsest_cut(verts, edges, volw)[0]
+    assert exhaustive_worst_cut(verts, edges, volw) == want
+    for below in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)):
+        got = exhaustive_worst_cut(verts, edges, volw, below)
+        assert got == (want if want[0] is not None and want[0] < below else (None, None))
+    if want[0] is not None:
+        assert exhaustive_worst_cut(verts, edges, volw, want[0]) == (None, None)
+
+
 def test_exhaustive_worst_cut_matches_independent_oracle():
+    # multigraphs on arbitrary labels: parallel and antiparallel arcs,
+    # self-loops, zero-volume vertices, missing volume entries and
+    # all-zero volumes
     rng = random.Random(33)
-    for _ in range(40):
-        n = rng.randint(2, 7)
+    for trial in range(600):
+        k = rng.randint(1 if trial % 25 == 0 else 2, 12 if trial % 4 == 0 else 8)
+        verts = rng.sample(range(100), k)
         edges = []
-        for _ in range(rng.randint(1, 14)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
+        if trial % 2:  # a ring keeps every cut's boundary positive
+            edges += [(verts[i - 1], verts[i], rng.randint(1, 3)) for i in range(k)]
+        for _ in range(rng.randint(0, 3 * k)):
+            u, v = rng.choice(verts), rng.choice(verts)
+            c = rng.randint(1, 4)
+            edges.append((u, v, c))
+            if rng.random() < 0.2:
                 edges.append((u, v, rng.randint(1, 4)))
-        volw = {v: rng.randint(0, 3) for v in range(n)}
-        ratio, side = exhaustive_worst_cut(range(n), edges, volw)
-        want_ratio, _ = exhaustive_sparsest_cut(range(n), edges, volw)
-        assert ratio == want_ratio
+            if rng.random() < 0.2:
+                edges.append((v, u, c))
+        shape = trial % 10
+        if shape == 0:
+            volw = {v: 0 for v in verts}
+        elif shape < 4:
+            volw = {}
+            for u, v, c in edges:
+                volw[u] = volw.get(u, 0) + c
+                volw[v] = volw.get(v, 0) + c
+        else:
+            volw = {v: rng.choice((0, 0, 1, 2, 3, 7)) for v in verts if rng.random() < 0.9}
+        _check_worst_cut(verts, edges, volw)
+
+
+def test_exhaustive_worst_cut_ties_on_symmetric_shapes():
+    # 16 vertices, where ties are everywhere: the gray-code first among
+    # equal ratios must still win
+    k = 16
+    ring = [(i, (i + 1) % k, 1) for i in range(k)]
+    shapes = {
+        "complete": [(u, v, 1) for u in range(k) for v in range(k) if u != v],
+        "star": [a for v in range(1, k) for a in ((0, v, 1), (v, 0, 1))],
+        "cycle": ring,
+        "bicycle": ring + [(v, u, c) for u, v, c in ring],
+        "dumbbell": [(u, v, 1) for half in (0, 8) for u in range(half, half + 8)
+                     for v in range(half, half + 8) if u != v] + [(7, 8, 1), (8, 7, 1)],
+    }
+    for name, edges in shapes.items():
+        deg = {v: 0 for v in range(k)}
+        for u, v, c in edges:
+            deg[u] += c
+            deg[v] += c
+        for volw in ({v: 1 for v in range(k)}, deg):
+            _check_worst_cut(range(k), edges, volw, oracle=False)
 
 
 def test_hierarchy_text_round_trip():

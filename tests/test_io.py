@@ -11,6 +11,8 @@ from hierflow.io import (emit_dimacs, emit_diffusion, parse_diffusion,
                          parse_dimacs, parse_instance)
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 
+from helpers import random_instance_text
+
 SINGLE = """c tiny
 p max 2 1
 n 1 s
@@ -77,6 +79,12 @@ def test_parse_diffusion_rejects_oversupply():
         parse_diffusion(text)
 
 
+def test_parse_diffusion_rejects_negative_capacity():
+    # an input fault, reported on its line like the DIMACS parser does
+    with pytest.raises(ParseError, match="line 3"):
+        parse_diffusion("p diff 2 1\nsrc 1 1\na 1 2 -1\nsnk 2 1\n")
+
+
 def test_diffusion_round_trip():
     text = "c x\np diff 3 2\na 1 2 2\na 2 3 1\nsrc 1 2\nsnk 3 2\nsnk 2 1\n"
     f = parse_diffusion(text)
@@ -109,47 +117,11 @@ def test_dumbbell_min_cut_is_bridge():
     assert edmonds_karp(gen.instance()).stats.value == 3
 
 
-# instance text: mostly well-formed `p max` and `p diff` files over at most
-# 8 vertices, with out-of-range vertices, negative numbers, self-loops, a
-# wrong arc count, a missing or unknown node line and junk or comment lines
-_JUNK = ["c note", "", "p max", "n 1", "a 1 2", "a 1 x 2", "q 1", "p diff 2 x", "src 1"]
-
-
-def _instance_text(rng: random.Random) -> str:
-    n = rng.choice([-1, 0] + list(range(1, 9)) * 4)
-    rate = rng.choice([0, 0, 0.02, 0.1])  # half the texts have no planted fault
-
-    def odd():
-        return rng.random() < rate
-
-    def vtx():
-        return rng.choice([0, n + 1]) if n < 1 or odd() else rng.randint(1, n)
-
-    arcs = [(vtx(), vtx(), -1 if odd() else rng.randint(0, 12))
-            for _ in range(rng.randint(0, 16))]
-    if not odd():
-        arcs = [(u, v, c) for u, v, c in arcs if u != v]
-    m = len(arcs) + (rng.choice([-1, 1]) if odd() else 0)
-    kind = rng.choice(["max", "diff"])
-    lines = [f"p {kind} {n} {m}"]
-    if kind == "max":
-        ends = rng.choice(["ss", "tx", "t"]) if odd() else "st"
-        lines += [f"n {vtx()} {end}" for end in ends]
-    else:
-        for word, most in (("src", 12), ("snk", 30)):
-            lines += [f"{word} {vtx()} {-1 if odd() else rng.randint(0, most)}"
-                      for _ in range(rng.randint(0, 2))]
-    lines += [f"a {u} {v} {c}" for u, v, c in arcs]
-    for _ in range(rng.randint(0, 2) if rate else 0):
-        lines.insert(rng.randint(0, len(lines)), rng.choice(_JUNK))
-    return "\n".join(lines)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_parse_instance_fuzz_typed_error_or_exact_value(rng):
     try:
-        inst = parse_instance(_instance_text(rng)).inst
+        inst = parse_instance(random_instance_text(rng)).inst
     except HierflowError:
         return
     assert max_flow_exact(inst).stats.value == edmonds_karp(inst).stats.value

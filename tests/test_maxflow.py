@@ -173,6 +173,30 @@ def test_scaling_matches_direct_on_small_caps():
         assert all(v <= n2 for v in res.stats.phase_values)
 
 
+def test_scaling_on_multigraphs():
+    # parallel arcs can carry more than n^2 per phase; the bound is m + n
+    arcs = [(0, 1, 11), (0, 1, 10), (1, 0, 11), (0, 1, 11), (1, 0, 7),
+            (1, 0, 9), (1, 0, 7), (0, 1, 2), (1, 0, 7), (0, 1, 11)]
+    g, caps = build_graph(2, arcs)
+    big = sum(caps) + 1
+    inst = FlowInstance(g, caps, [big, 0], [0, big])
+    res = capacity_scaled_max_flow(inst, exact_solver(Fraction(2, 3), seed=1))
+    assert res.stats.value == edmonds_karp(inst).stats.value == 45
+    assert max(res.stats.phase_values) > 4
+    rng = random.Random(68)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 40))
+                for _ in range(rng.randint(1, 14))]
+        g, caps = build_graph(n, [(u, v, c) for u, v, c in arcs if u != v])
+        inst = FlowInstance(g, caps, [sum(caps) + 1] + [0] * (n - 1),
+                            [0] * (n - 1) + [sum(caps) + 1])
+        for inner in (ek_solver, exact_solver(Fraction(1, 16), seed=0)):
+            res = capacity_scaled_max_flow(inst, inner)
+            assert res.stats.value == edmonds_karp(inst).stats.value
+            assert all(v <= g.m + n for v in res.stats.phase_values)
+
+
 def test_scaling_phase_count_formula():
     for u, phases in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (1023, 11), (1024, 11)]:
         g, caps = build_graph(2, [(0, 1, u)])
