@@ -27,6 +27,9 @@ from .graph import DiGraph, scc_subgraph
 from .hierarchy import (Hierarchy, ValidationReport, respecting_topo_order,
                         validate_hierarchy)
 
+# fresh-seed attempts before build_hierarchy gives up
+BUILD_RETRIES = 5
+
 
 @dataclass
 class Parts:
@@ -66,7 +69,6 @@ class BuildResult:
     hierarchy: Hierarchy
     log: List[str]
     attempts: int
-    effective_phi: Fraction
     # the accepted attempt's validation; None under validate=False
     report: Optional[ValidationReport] = None
 
@@ -135,7 +137,7 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
         hier = _sub_hierarchy(view, below_here)
         seed = rng.getrandbits(64)
         outcome = cut_or_embed(view.g, view.cap, view.local_edge_set(f_here),
-                               phi, 0, hier, random.Random(seed), config)
+                               phi, hier, random.Random(seed), config)
         if outcome.cut is None:
             cert = outcome.certificate
             log.append(
@@ -262,7 +264,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20000))
     try:
-        for attempt in range(1, config.build_retries + 1):
+        for attempt in range(1, BUILD_RETRIES + 1):
             attempt_seed = base.getrandbits(64)
             rng = random.Random(attempt_seed)
             budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
@@ -280,13 +282,13 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
             tau = respecting_topo_order(g, parts.d, parts.levels)
             hier = Hierarchy(parts.d, parts.levels, tau)
             if not validate:
-                return BuildResult(hier, log, attempt, phi)
+                return BuildResult(hier, log, attempt)
             report = validate_hierarchy(g, cap, hier, phi, att_cfg,
                                         random.Random(attempt_seed ^ 0xA5A5))
             for i, x in enumerate(hier.levels):
                 log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")
             if report.ok:
-                return BuildResult(hier, log, attempt, phi, report)
+                return BuildResult(hier, log, attempt, report)
             last_report = report
             log.append(f"attempt={attempt} event=invalid errors={len(report.errors)}")
     finally:
@@ -298,5 +300,5 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
                 witness = c.witness
                 break
     raise BuildFailedError(
-        f"no valid hierarchy after {config.build_retries} attempts",
+        f"no valid hierarchy after {BUILD_RETRIES} attempts",
         component=None, witness=witness)

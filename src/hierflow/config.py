@@ -1,12 +1,17 @@
 """Tunable constants for the solver stack.
 
-All knobs default to values that keep the desk-scale test corpus honest:
-hard-coded thresholds from the algorithms (the 9h death level, the 2w
-admissibility margin) are never configurable, only the constants the
-analysis leaves unspecified.
+Every field has a setter: the CLI sets `c_h`, `c_6`, `max_h` and
+`debug_invariants`; `build_hierarchy`'s retry escalation raises
+`builder_falsifier_cuts`; tests pick a code path or a budget with
+`cmg_early_exit`, `snapshot_labels` and `validator_falsifier_cuts`.
+Constants no caller varies are module constants next to their reader
+(`cut_matching.C_T` and `C_KAPPA`, `hierarchy.EXACT_CUT_THRESHOLD`,
+`builder.BUILD_RETRIES`); thresholds fixed by the algorithms (the 9h
+death level, the 2w admissibility margin) are never configurable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,10 +35,6 @@ class SolverConfig:
     c_h: float = 8.0
     # sparse-cut height constant: h = ceil(c_6 * eta^4 * ln(n)^7 * kappa * n / phi^2)
     c_6: float = 1.0
-    # cut-matching round constant: t_cmg = ceil(c_t * ln(n*U)^2)
-    c_t: float = 2.0
-    # matching-player congestion constant: kappa = ceil(2 * c_kappa / phi)
-    c_kappa: float = 1.0
     # hard clamp on push-relabel heights inside the sparse-cut subroutine
     max_h: int = 1_000_000
     # scan every residual arc after each relabel/augment and assert the
@@ -42,20 +43,22 @@ class SolverConfig:
     # also snapshot the full label vector at each augmentation (replay tests)
     snapshot_labels: bool = False
     # certify a cut-matching component as soon as brute force confirms
-    # expansion (exact for <= exact_cut_threshold vertices, falsification
-    # only above); turning this off runs the full round budget
+    # expansion (exact up to hierarchy.EXACT_CUT_THRESHOLD vertices,
+    # falsification only above); turning this off runs the full round budget
     cmg_early_exit: bool = True
-    # component size up to which expansion is checked exactly, by
-    # exhaustive_worst_cut's branch and bound over all 2^(k-1) cuts;
-    # larger components only get falsification by sampled cuts
-    exact_cut_threshold: int = 16
     # random cuts tried by the in-builder falsifier on large components
     builder_falsifier_cuts: int = 300
     # random cuts tried by validate_hierarchy on large components (the
     # builder's default check and `hierflow validate`; not the exact driver)
     validator_falsifier_cuts: int = 10_000
-    # fresh-seed retries before build_hierarchy gives up
-    build_retries: int = 5
+
+    def __post_init__(self):
+        # the height formulas need finite positive constants
+        for name, x in (("c_h", self.c_h), ("c_6", self.c_6)):
+            if not (math.isfinite(x) and x > 0):
+                raise BadParamsError(f"{name} must be finite and positive, got {x}")
+        if self.max_h < 1:
+            raise BadParamsError(f"max_h must be at least 1, got {self.max_h}")
 
     def with_(self, **kw) -> "SolverConfig":
         return replace(self, **kw)

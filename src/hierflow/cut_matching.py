@@ -6,16 +6,16 @@ averaging walks: each terminal-degree unit of a vertex carries a sketch
 vector, fresh random directions project them each round, and the routed
 matchings average the sketches across their endpoints (half stays, half
 crosses).  The matching player answers bisections with the sparse-cut
-subroutine at congestion kappa = ceil(2 c_kappa / phi), retrying on
-residual demand; a round may leave a small unrouted remainder that is
-accounted as fake volume against the budget R rather than materialized
-as edges.
+subroutine at congestion kappa = ceil(2 C_KAPPA / phi), retrying on
+residual demand; a round that leaves any demand unrouted without
+yielding a sparse cut fails with CutCheckFailedError.
 
 A component certifies early when brute force already confirms expansion
-(exactly on small components, by failing falsification on large ones);
-the full round budget runs when that shortcut is disabled.  The exact
-check asks `exhaustive_worst_cut` only for a cut sparser than phi, so its
-branch and bound can prune against phi; `union_psi` asks for the value.
+(exactly on small components, by failing falsification on large ones,
+the latter only after at least one round); the full round budget runs
+when that shortcut is disabled.  The exact check asks
+`exhaustive_worst_cut` only for a cut sparser than phi, so its branch and
+bound can prune against phi; `union_psi` asks for the value.
 """
 from __future__ import annotations
 
@@ -28,9 +28,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import CutCheckFailedError, NotStronglyConnectedError
 from .graph import DiGraph, Flow, FlowInstance, decompose_paths, flow_stats, scc
-from .hierarchy import (CutEvaluator, Hierarchy, exhaustive_worst_cut, sampled_sparse_cut,
-                        terminal_volume)
+from .hierarchy import (EXACT_CUT_THRESHOLD, CutEvaluator, Hierarchy, exhaustive_worst_cut,
+                        sampled_sparse_cut, terminal_volume)
 from .sparse_cut import sparse_cut, terminal_weights
+
+# round budget t_cmg = ceil(C_T * ln(n*U)^2)
+C_T = 2.0
+# matching-player congestion kappa = ceil(2 * C_KAPPA / phi)
+C_KAPPA = 1.0
 
 
 @dataclass
@@ -52,9 +57,9 @@ class CMGState:
                 self.sketch[v] = [self.rng.gauss(0.0, 1.0) for _ in range(k)]
 
 
-def rounds_budget(n: int, nu: Sequence[int], config: SolverConfig) -> int:
+def rounds_budget(n: int, nu: Sequence[int]) -> int:
     u = max(1, max(nu, default=1))
-    return max(1, math.ceil(config.c_t * math.log(max(n, 2) * u) ** 2))
+    return max(1, math.ceil(C_T * math.log(max(n, 2) * u) ** 2))
 
 
 def retry_budget(n: int) -> int:
@@ -116,24 +121,21 @@ def absorb_matching(state: CMGState, matching: List[Tuple[int, int, int]]) -> No
     state.rounds_played += 1
 
 
-def union_psi(n: int, matchings, r_vec: Sequence[int],
-              threshold: int) -> Optional[Fraction]:
-    """Worst cut ratio of the matching union (with fake mass in volumes).
+def union_psi(matchings) -> Optional[Fraction]:
+    """Worst cut ratio of the matching union, volumes by matched amount.
 
-    Exact only up to `threshold` participating vertices; None above, and
-    None when the union has no cut with volume on both sides.
+    Exact only up to EXACT_CUT_THRESHOLD participating vertices; None
+    above, and None when the union has no cut with volume on both sides.
     """
     agg: Dict[Tuple[int, int], int] = {}
     for matching in matchings:
         for a, b, c in matching:
             agg[(a, b)] = agg.get((a, b), 0) + c
-    verts = sorted({v for ab in agg for v in ab} | {v for v in range(n) if r_vec[v] > 0})
-    if len(verts) <= 1:
-        return None
-    if len(verts) > threshold:
+    verts = sorted({v for ab in agg for v in ab})
+    if not 1 < len(verts) <= EXACT_CUT_THRESHOLD:
         return None
     edges = [(a, b, c) for (a, b), c in sorted(agg.items())]
-    volw = {v: r_vec[v] for v in verts}
+    volw = {v: 0 for v in verts}
     for a, b, c in edges:
         volw[a] += c
         volw[b] += c
@@ -143,10 +145,8 @@ def union_psi(n: int, matchings, r_vec: Sequence[int],
 
 @dataclass
 class Certificate:
-    phi: Fraction
     psi_measured: Optional[Fraction]
     rounds: int
-    r_used: int
     early: bool
 
 
@@ -164,7 +164,7 @@ class CutOrEmbedOutcome:
 def _brute_force_check(n, edges, volw, phi, rng, config):
     """(certified, witness_side): exact on small graphs, falsification
     above; (None, None) means unknown."""
-    if n <= config.exact_cut_threshold:
+    if n <= EXACT_CUT_THRESHOLD:
         _ratio, side = exhaustive_worst_cut(range(n), edges, volw, phi)
         return side is None, side
     side = sampled_sparse_cut(range(n), edges, volw, phi, rng,
@@ -179,7 +179,6 @@ def cut_or_embed(
     cap: Sequence[int],
     f_edges: Set[int],
     phi: Fraction,
-    r_budget: int,
     hier: Hierarchy,
     rng: random.Random,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -187,8 +186,8 @@ def cut_or_embed(
     """Certify f_edges as expanding in (g, cap) or return a sparse cut.
 
     The cut branch side S satisfies min-direction sparsity below
-    phi * vol_F(S) and r_budget/(4 t) <= vol_F(S) <= vol_F(V)/2; both are
-    checked before returning, never assumed.
+    phi * vol_F(S) and 1 <= vol_F(S) <= vol_F(V)/2; both are checked
+    before returning, never assumed.
     """
     n = g.n
     if n > 1 and len(scc(g)) != 1:
@@ -198,23 +197,19 @@ def cut_or_embed(
     if vol_total * phi.numerator < phi.denominator or n <= 1:
         # tiny total volume expands unconditionally
         return CutOrEmbedOutcome(None, 0, vol_total,
-                                 certificate=Certificate(phi, None, 0, 0, True))
-    state = CMGState(deg_f, rng, rounds_budget(n, deg_f, config))
-    r_vec = [0] * n
-    r_used = 0
+                                 certificate=Certificate(None, 0, True))
+    state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
     w_g = terminal_weights(g, f_edges, hier)
-    kappa = max(1, math.ceil(2 * config.c_kappa / float(phi)))
+    kappa = max(1, math.ceil(2 * C_KAPPA / float(phi)))
     z = retry_budget(n)
-    t_cmg = state.t_cmg
     edges = [(g.tails[e], g.heads[e], cap[e]) for e in range(g.m)]
     volw = dict(enumerate(deg_f))
 
     def finish(early: bool) -> CutOrEmbedOutcome:
-        psi = union_psi(n, state.matchings, r_vec, config.exact_cut_threshold)
+        psi = union_psi(state.matchings)
         return CutOrEmbedOutcome(
             None, 0, vol_total,
-            certificate=Certificate(phi, psi, state.rounds_played, r_used, early),
-            state=state)
+            certificate=Certificate(psi, state.rounds_played, early), state=state)
 
     def try_cut(side: List[int]) -> Optional[CutOrEmbedOutcome]:
         ev = CutEvaluator(n, edges, deg_f)
@@ -222,32 +217,31 @@ def cut_or_embed(
         ev.assign([v in sset for v in range(n)])
         if 2 * ev.vol_s > vol_total:
             ev.assign([v not in sset for v in range(n)])
-        vol_s = ev.vol_s
-        if not (ev.sparse(phi) and 4 * t_cmg * vol_s >= r_budget and vol_s >= 1):
+        if not (ev.sparse(phi) and ev.vol_s >= 1):
             return None
-        return CutOrEmbedOutcome(ev.side(), vol_s, vol_total, ev.out_cap, ev.in_cap,
+        return CutOrEmbedOutcome(ev.side(), ev.vol_s, vol_total, ev.out_cap, ev.in_cap,
                                  state=state)
 
-    if config.cmg_early_exit:
-        verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
-        if verdict is True:
-            return finish(early=True)
-        if witness is not None:
-            out = try_cut(witness)
-            if out is not None:
-                return out
-
-    while state.rounds_played < t_cmg:
+    while True:
+        if config.cmg_early_exit:
+            # falsifier silence proves nothing before the first round
+            verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
+            if verdict is True or (verdict is None and state.rounds_played > 0):
+                return finish(early=True)
+            if witness is not None:
+                out = try_cut(witness)
+                if out is not None:
+                    return out
+        if state.rounds_played >= state.t_cmg:
+            return finish(early=False)
         nu_a, nu_b = cut_player_bisection(state)
         delta = list(nu_a)
         nabla = list(nu_b)
         demand0 = sum(delta)
-        tol2 = r_budget  # remainder rem is fake-tolerable when 2*t*rem <= R
         round_flow = Flow.zero(g.m)
-        stuck = None
         for _attempt in range(z):
             rem = sum(delta)
-            if rem == 0 or 2 * t_cmg * rem <= tol2:
+            if rem == 0:
                 break
             inst = FlowInstance(g, list(cap), delta, nabla)
             out = sparse_cut(inst, kappa, f_edges, hier, config, weights=w_g,
@@ -257,21 +251,15 @@ def cut_or_embed(
                 if branch is not None:
                     return branch
                 if out.value == 0:
-                    stuck = "cut check failed with zero routed flow"
-                    break
+                    raise CutCheckFailedError("cut check failed with zero routed flow")
             st = flow_stats(inst, out.flow)
             for e in range(g.m):
                 round_flow.values[e] += out.flow.values[e]
             delta = list(st.excess)
             nabla = [nabla[v] - st.absorption[v] for v in range(n)]
         rem = sum(delta)
-        if stuck or 2 * t_cmg * rem > tol2:
-            raise CutCheckFailedError(
-                stuck or f"round left {rem} of {demand0} unrouted beyond the fake budget")
         if rem:
-            r_used += 2 * rem  # fake edges count at both endpoints
-            for v in range(n):
-                r_vec[v] += delta[v]
+            raise CutCheckFailedError(f"round left {rem} of {demand0} unrouted")
         # matching = grouped path decomposition of the round flow
         matching: Dict[Tuple[int, int], int] = {}
         if any(round_flow.values):
@@ -283,12 +271,3 @@ def cut_or_embed(
                 key = (a, b)
                 matching[key] = matching.get(key, 0) + amt
         absorb_matching(state, sorted((a, b, c) for (a, b), c in matching.items()))
-        if config.cmg_early_exit:
-            verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
-            if verdict is True or verdict is None:
-                return finish(early=True)
-            if witness is not None:
-                out = try_cut(witness)
-                if out is not None:
-                    return out
-    return finish(early=False)

@@ -198,7 +198,6 @@ class FlowStats:
     value: int
     excess: List[int]
     absorption: List[int]
-    net_out: List[int]
 
 
 def net_outflow(g: DiGraph, f: Flow) -> List[int]:
@@ -228,7 +227,7 @@ def flow_stats(inst: FlowInstance, f: Flow) -> FlowStats:
         a = min(supply, inst.nabla[v])
         absorption.append(a)
         excess.append(supply - a)
-    return FlowStats(sum(absorption), excess, absorption, out)
+    return FlowStats(sum(absorption), excess, absorption)
 
 
 def is_feasible(inst: FlowInstance, f: Flow) -> bool:

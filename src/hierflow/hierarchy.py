@@ -27,6 +27,11 @@ from .errors import LevelViolationError, NotAcyclicError, ParseError
 from .graph import DiGraph, scc_subgraph
 from .io import _int
 
+# component size up to which expansion is checked exactly, by
+# exhaustive_worst_cut's branch and bound over all 2^(k-1) cuts; larger
+# components only get falsification by sampled cuts
+EXACT_CUT_THRESHOLD = 16
+
 
 @dataclass
 class Hierarchy:
@@ -57,8 +62,7 @@ class Hierarchy:
         return len(self.d) + sum(len(x) for x in self.levels)
 
 
-def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
-                          vertices: Optional[Iterable[int]] = None) -> List[int]:
+def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -> List[int]:
     """Compute a respecting topological order for the partition.
 
     Works per level from the top: split into strongly connected
@@ -68,7 +72,6 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
     level edge crosses components of its level graph.
     """
     n = g.n
-    verts = list(range(n)) if vertices is None else list(vertices)
     tau = [0] * n
     eta = len(levels)
     level_sets = [set(d)] + [set(x) for x in levels]
@@ -81,7 +84,7 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
     # frames: (vertex list, active edge ids, level index); pushing the
     # components of a frame in reverse topological order makes the stack
     # pop them topologically, so tau values grow contiguously per block
-    work = [(verts, sorted(edge_level), eta)]
+    work = [(list(range(n)), sorted(edge_level), eta)]
     while work:
         comp_verts, comp_edges, k = work.pop()
         if k == 0:
@@ -401,7 +404,7 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
                        rng: Optional[random.Random] = None) -> ValidationReport:
     """Brute-force checks of the four structural conditions plus tau.
 
-    Expansion is exact on components of at most config.exact_cut_threshold
+    Expansion is exact on components of at most EXACT_CUT_THRESHOLD
     vertices (`exhaustive_worst_cut` against phi), falsification-only above.
     """
     rng = rng or random.Random(0)
@@ -452,7 +455,7 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
             sub_edges = [(g.tails[e], g.heads[e], cap[e]) for e in active
                          if g.tails[e] in comp_set and g.heads[e] in comp_set]
             volw = {v: vol[v] for v in comp}
-            if len(comp) <= config.exact_cut_threshold:
+            if len(comp) <= EXACT_CUT_THRESHOLD:
                 ratio, side = exhaustive_worst_cut(comp, sub_edges, volw, phi)
                 rep.components.append(ComponentCheck(
                     i, len(comp), True, side is None,

@@ -2,7 +2,8 @@
 
 Vertices are 1-indexed on disk, 0-indexed in memory.  DIMACS source/sink
 instances get supply and sink capacity one above the total edge capacity,
-which is effectively unbounded.
+which is effectively unbounded.  Negative counts, self-loops and a
+source that is also the sink are rejected as a ParseError on their line.
 """
 from __future__ import annotations
 
@@ -21,6 +22,34 @@ def _int(token: str, no: int) -> int:
         raise ParseError(no, f"expected an integer, got {token!r}")
 
 
+def _problem(parts: List[str], kind: str, n: Optional[int], no: int) -> Tuple[int, int]:
+    """(n, m) of a `p <kind> <n> <m>` line; `n` is None before the first."""
+    if len(parts) != 4 or parts[1] != kind:
+        raise ParseError(no, f"expected `p {kind} <n> <m>`")
+    if n is not None:
+        raise ParseError(no, "duplicate problem line")
+    n, m = _int(parts[2], no), _int(parts[3], no)
+    if n < 0 or m < 0:
+        raise ParseError(no, "negative vertex or arc count")
+    return n, m
+
+
+def _arc(parts: List[str], n: Optional[int], no: int) -> Tuple[int, int, int]:
+    """The 0-based (u, v, cap) of an `a <u> <v> <cap>` line."""
+    if len(parts) != 4:
+        raise ParseError(no, "expected `a <u> <v> <cap>`")
+    if n is None:
+        raise ParseError(no, "arc line before problem line")
+    u, v, c = _int(parts[1], no) - 1, _int(parts[2], no) - 1, _int(parts[3], no)
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(no, "arc endpoint out of range")
+    if u == v:
+        raise ParseError(no, f"self-loop at vertex {u + 1}")
+    if c < 0:
+        raise ParseError(no, "negative capacity")
+    return u, v, c
+
+
 @dataclass
 class InstanceFile:
     name: str
@@ -34,6 +63,7 @@ class InstanceFile:
 def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
     n = m = None
     s = t = None
+    s_no = t_no = 0
     arcs: List[Tuple[int, int, int]] = []
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -42,11 +72,7 @@ def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
         parts = line.split()
         kind = parts[0]
         if kind == "p":
-            if len(parts) != 4 or parts[1] != "max":
-                raise ParseError(no, "expected `p max <n> <m>`")
-            if n is not None:
-                raise ParseError(no, "duplicate problem line")
-            n, m = _int(parts[2], no), _int(parts[3], no)
+            n, m = _problem(parts, "max", n, no)
         elif kind == "n":
             if len(parts) != 3 or parts[2] not in ("s", "t"):
                 raise ParseError(no, "expected `n <v> s|t`")
@@ -56,26 +82,19 @@ def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
             if not (0 <= v < n):
                 raise ParseError(no, f"vertex {parts[1]} out of range")
             if parts[2] == "s":
-                s = v
+                s, s_no = v, no
             else:
-                t = v
+                t, t_no = v, no
         elif kind == "a":
-            if len(parts) != 4:
-                raise ParseError(no, "expected `a <u> <v> <cap>`")
-            if n is None:
-                raise ParseError(no, "arc line before problem line")
-            u, v, c = _int(parts[1], no) - 1, _int(parts[2], no) - 1, _int(parts[3], no)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(no, "arc endpoint out of range")
-            if c < 0:
-                raise ParseError(no, "negative capacity")
-            arcs.append((u, v, c))
+            arcs.append(_arc(parts, n, no))
         else:
             raise ParseError(no, f"unknown line kind {kind!r}")
     if n is None:
         raise ParseError(0, "missing problem line")
     if s is None or t is None:
         raise MissingSourceOrSinkError("missing `n ... s` or `n ... t` line")
+    if s == t:
+        raise ParseError(max(s_no, t_no), f"vertex {s + 1} is both source and sink")
     if len(arcs) != m:
         raise ArcCountMismatchError(f"declared {m} arcs, saw {len(arcs)}")
     g, caps = build_graph(n, arcs)
@@ -106,22 +125,9 @@ def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
         parts = line.split()
         kind = parts[0]
         if kind == "p":
-            if len(parts) != 4 or parts[1] != "diff":
-                raise ParseError(no, "expected `p diff <n> <m>`")
-            if n is not None:
-                raise ParseError(no, "duplicate problem line")
-            n, m = _int(parts[2], no), _int(parts[3], no)
+            n, m = _problem(parts, "diff", n, no)
         elif kind == "a":
-            if len(parts) != 4:
-                raise ParseError(no, "expected `a <u> <v> <cap>`")
-            if n is None:
-                raise ParseError(no, "arc line before problem line")
-            u, v, c = _int(parts[1], no) - 1, _int(parts[2], no) - 1, _int(parts[3], no)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(no, "arc endpoint out of range")
-            if c < 0:
-                raise ParseError(no, "negative capacity")
-            arcs.append((u, v, c))
+            arcs.append(_arc(parts, n, no))
         elif kind in ("src", "snk"):
             if len(parts) != 3:
                 raise ParseError(no, f"expected `{kind} <v> <amount>`")

@@ -20,7 +20,7 @@ from .errors import (BadParamsError, CutCheckFailedError, InvalidHierarchyError,
                      NotStronglyConnectedError)
 from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
 from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
-from .push_relabel import PushRelabelResult, push_relabel
+from .push_relabel import push_relabel
 
 INF = math.inf
 
@@ -43,7 +43,6 @@ class SparseCutOutcome:
     value: int
     cut: Optional[List[int]]
     metrics: Optional[CutMetrics]
-    result: PushRelabelResult
     h: int
     labels: Optional[List[float]] = None
 
@@ -63,7 +62,7 @@ def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction,
     ln = math.log(max(n, 2))
     eta_eff = max(eta, 1)
     nominal = config.c_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
-    h = max(n, min(math.ceil(nominal), n * n))
+    h = max(n, math.ceil(min(n * n, nominal)))
     return min(config.max_h, h)
 
 
@@ -180,7 +179,7 @@ def sparse_cut(
     result = push_relabel(scaled, w_g, h, mode="capacitated", config=config)
     f = result.flow
     if result.value == inst.total_source():
-        return SparseCutOutcome(f, result.value, None, None, result, h)
+        return SparseCutOutcome(f, result.value, None, None, h)
 
     res = residual(scaled, f)
     w_arc = reduced_arc_weights(g, w_g, hier.d)
@@ -202,4 +201,4 @@ def sparse_cut(
         objective=obj,
         level=lab,
     )
-    return SparseCutOutcome(f, result.value, side, metrics, result, h, labels)
+    return SparseCutOutcome(f, result.value, side, metrics, h, labels)

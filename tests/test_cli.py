@@ -1,15 +1,20 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierflow.builder import build_hierarchy
 from hierflow.cli import main
+from hierflow.config import default_phi
 from hierflow.errors import HierflowError
+from hierflow.hierarchy import hierarchy_from_text, hierarchy_to_text, validate_hierarchy
 from hierflow.io import parse_instance
 from hierflow.maxflow import edmonds_karp
 
@@ -76,6 +81,20 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     code, _, err = _run(["solve", "--algo", "ek", path], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p max 3 2\nn 1 s\nn 3 t\na 1 2 1\na 2 2 1\n", 5),
+    ("p diff 2 1\nsrc 1 1\na 1 1 1\nsnk 2 1\n", 3),
+    ("p max 3 2\nn 2 s\nn 2 t\na 1 2 1\na 2 3 1\n", 3),
+    ("c x\np diff -1 0\n", 2),
+], ids=["self-loop-max", "self-loop-diff", "source-is-sink", "negative-n"])
+def test_solve_bad_instance_exit_2_on_its_line(tmp_path, capsys, text, line):
+    path = _write(tmp_path, "bad.txt", text)
+    for algo in ("exact", "ek"):
+        code, out, err = _run(["solve", "--algo", algo, path], capsys)
+        assert code == 2 and out == ""
+        assert f"error: line {line}:" in err
 
 
 def test_approx_dag(tmp_path, capsys):
@@ -254,6 +273,32 @@ def test_bad_params_exit_2_with_error_line(tmp_path, capsys, argv):
     assert any("error:" in line for line in err.splitlines())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--c-h", "nan"],
+    ["solve", "--c-h", "inf"],
+    ["solve", "--c-h", "0"],
+    ["sparse-cut", "--kappa", "1", "--c-6", "nan"],
+    ["hierarchy", "--c-6", "-1"],
+    ["approx-dag", "--max-h", "0"],
+])
+def test_bad_height_constant_exit_2_with_error_line(tmp_path, capsys, argv):
+    path = _write(tmp_path, "bridge.diff", BRIDGE)
+    code, _, err = _run(argv + [path], capsys)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_huge_height_constant_hits_the_n2_cap(tmp_path, capsys):
+    # the nominal heights overflow to inf; the n^2 cap still applies
+    path = _write(tmp_path, "bridge.diff", BRIDGE)
+    code, out, _ = _run(["solve", "--c-h", "1e308", path], capsys)
+    assert code == 0
+    assert out == f"value {edmonds_karp(parse_instance(BRIDGE).inst).stats.value}\n"
+    code, out, _ = _run(["sparse-cut", "--kappa", "1", "--c-6", "1e308", path], capsys)
+    assert code == 0
+    assert out == _run(["sparse-cut", "--kappa", "1", path], capsys)[1]
+
+
 # `hierflow solve` over fuzzed instance texts (at most 8 vertices), valid
 # and invalid --phi values (None: the default) and a few seeds
 _GOOD_PHIS = [None, "1/16", "1/8", "1/3", "2/3", " 1/4"]
@@ -288,3 +333,131 @@ def test_solve_fuzz_exact_value_or_error_line(tmp_path_factory, rng, phi, seed):
         assert any(line.startswith(("error:", "hierflow solve: error:"))
                    for line in err.getvalue().splitlines())
         assert "Traceback" not in err.getvalue()
+
+
+# `hierarchy`, `validate`, `sparse-cut` and `approx-dag` over fuzzed
+# instance texts and height constants, height caps, congestions and phis;
+# each value is a usable one (None: the flag is left out) or, one time in
+# ten, a zero, negative or non-finite one.  Each run exits 0 with a result
+# checked here, or 1 or 2 with an `error:` line (`validate` also exits 1
+# on INVALID); a parsed instance with usable values never exits 2
+_FUZZ_VALUES = {
+    "--c-h": ([None, "8", "1", "0.5", "1e-9", "1e308"], ["0", "-1", "nan", "inf"]),
+    "--c-6": ([None, "1", "3", "1e-9", "1e308"], ["0", "-1", "nan", "inf"]),
+    "--max-h": ([None, "1", "50", "1000000"], ["0", "-2", "nan", "inf", "1e308"]),
+    "--kappa": (["1", "3", "50"], ["0", "-2", "nan", "inf", "1e308"]),
+    "--phi": ([None, "1/16", "1/8", "1/3"], ["0", "3/2", "1/0", "x"]),
+}
+_FUZZ_FLAGS = {"hierarchy": ["--c-h", "--c-6", "--max-h", "--phi"],
+               "validate": ["--phi"],
+               "sparse-cut": ["--c-h", "--c-6", "--max-h", "--kappa", "--phi"],
+               "approx-dag": ["--c-h", "--c-6", "--max-h"]}
+
+
+def _fuzz_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fuzz_hierarchy_text(rng, text):
+    """The hierarchy `hierarchy` builds for the text, sometimes with one
+    line dropped or one level changed; a stub when the text has a fault."""
+    try:
+        inst = parse_instance(text).inst
+        built = build_hierarchy(inst.g, inst.cap, seed=rng.randrange(4))
+    except HierflowError:
+        return "0 0\n"
+    lines = hierarchy_to_text(built.hierarchy, inst.m).splitlines()
+    if lines and rng.random() < 0.5:
+        i = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            del lines[i]
+        else:
+            lines[i] = f"{lines[i].split()[0]} {rng.randint(-1, 3)}"
+    return "\n".join(lines) + "\n"
+
+
+def _check_fuzz_result(cmd, argv, text, code, out):
+    """Check one successful run's output against the instance."""
+    inst = parse_instance(text).inst
+    g = inst.g
+    if cmd == "hierarchy":
+        phi = argv[argv.index("--phi") + 1] if "--phi" in argv else None
+        phi = Fraction(phi) if phi else default_phi(g.n)
+        report = validate_hierarchy(g, inst.cap, hierarchy_from_text(out, g), phi)
+        assert report.ok, report.errors
+    elif cmd == "validate":
+        assert out.splitlines()[0] == ("VALID" if code == 0 else "INVALID")
+    elif cmd == "approx-dag":
+        value = int(out.split()[1])
+        best = edmonds_karp(inst).stats.value
+        assert value <= best <= 6 * value
+    else:  # sparse-cut: recount the cut's boundaries and terminal volumes
+        terminal = argv[argv.index("--terminals") + 1] == "all"
+        lines = out.splitlines()
+        value = int(lines[0].split()[1])
+        assert (lines[1] == "routed") == (value == sum(inst.delta))
+        if lines[1] != "routed":
+            side = {int(x) - 1 for x in lines[1].split()[1:]}
+            vol = [0] * g.n
+            b_out = b_in = 0
+            for e in range(g.m):
+                u, v, c = g.tails[e], g.heads[e], inst.cap[e]
+                vol[u] += c if terminal else 0
+                vol[v] += c if terminal else 0
+                b_out += c if u in side and v not in side else 0
+                b_in += c if v in side and u not in side else 0
+            vol_s = sum(vol[v] for v in side)
+            assert lines[2].split()[1:9] == [
+                "out", str(b_out), "in", str(b_in), "vol", str(vol_s),
+                "volother", str(sum(vol) - vol_s)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(_FUZZ_FLAGS)),
+       st.integers(0, 2 ** 32 - 1))
+def test_other_subcommands_fuzz_checked_result_or_error_line(tmp_path_factory, rng, cmd,
+                                                             knob_seed):
+    text = random_instance_text(rng)
+    # an unbiased stream for the flag values, so bad ones stay one in ten
+    knobs = random.Random(knob_seed)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "inst.txt"
+    path.write_text(text)
+    argv = [cmd] if cmd == "validate" else [cmd, "--seed", str(knobs.randrange(4))]
+    usable = True
+    for flag in _FUZZ_FLAGS[cmd]:
+        good, bad = _FUZZ_VALUES[flag]
+        value = knobs.choice(bad) if knobs.random() < 0.1 else knobs.choice(good)
+        usable = usable and value not in bad
+        if flag == "--phi" and cmd == "validate":
+            value = value or "1/16"  # required there
+        argv += [flag, value] if value is not None else []
+    if cmd == "sparse-cut":
+        argv += ["--terminals", knobs.choice(["all", "none"])]
+    hier_text = _fuzz_hierarchy_text(knobs, text)
+    if cmd == "validate":
+        hier = tmp / "hier.txt"
+        hier.write_text(hier_text)
+        argv.append(str(hier))
+    code, out, err = _fuzz_run(argv + [str(path)])
+    assert "Traceback" not in err
+    try:
+        g = parse_instance(text).inst.g
+        if cmd == "validate":
+            hierarchy_from_text(hier_text, g)
+    except HierflowError:
+        assert code == 2  # a fault in an input file
+    else:
+        assert code != 2 or not usable
+    if code == 0 or (cmd == "validate" and code == 1 and out):
+        _check_fuzz_result(cmd, argv, text, code, out)
+    else:
+        assert code in (1, 2)
+        assert any(line.startswith(("error:", f"hierflow {cmd}: error:"))
+                   for line in err.splitlines())

@@ -75,7 +75,7 @@ def test_bisection_contract_over_rounds():
 def test_tiny_volume_certifies_without_rounds():
     g, caps = _complete_digraph(3)
     hier = _empty_hier(3)
-    out = cut_or_embed(g, caps, {0}, Fraction(1, 16), 0, hier,
+    out = cut_or_embed(g, caps, {0}, Fraction(1, 16), hier,
                        random.Random(3), NO_EARLY)
     assert out.cut is None
     assert out.certificate.rounds == 0
@@ -85,14 +85,14 @@ def test_tiny_volume_certifies_without_rounds():
 def test_requires_strong_connectivity():
     g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NotStronglyConnectedError):
-        cut_or_embed(g, caps, {0, 1}, Fraction(1, 16), 0, _empty_hier(3),
+        cut_or_embed(g, caps, {0, 1}, Fraction(1, 16), _empty_hier(3),
                      random.Random(0))
 
 
 def test_complete_digraph_certifies_and_is_truly_expanding():
     g, caps = _complete_digraph(8)
     f_edges = set(range(g.m))
-    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), 0, _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), _empty_hier(8),
                        random.Random(5))
     assert out.cut is None
     # exhaustive confirmation that no 1/16-sparse cut exists
@@ -106,7 +106,7 @@ def test_dumbbell_returns_sparse_cut_with_contract():
     g, caps = _dumbbell(4, 1)
     f_edges = set(range(g.m))
     phi = Fraction(1, 16)
-    out = cut_or_embed(g, caps, f_edges, phi, 0, _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(8),
                        random.Random(7))
     assert out.cut is not None
     side = set(out.cut)
@@ -123,7 +123,7 @@ def test_dumbbell_pure_game_outcome_is_sound():
     g, caps = _dumbbell(4, 1)
     f_edges = set(range(g.m))
     phi = Fraction(1, 16)
-    out = cut_or_embed(g, caps, f_edges, phi, 0, _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(8),
                        random.Random(11), NO_EARLY)
     edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
     volw = {v: 0 for v in range(8)}
@@ -145,12 +145,12 @@ def test_dumbbell_pure_game_outcome_is_sound():
 def test_full_game_union_expands_on_complete_digraph():
     g, caps = _complete_digraph(6)
     f_edges = set(range(g.m))
-    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), 0, _empty_hier(6),
+    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), _empty_hier(6),
                        random.Random(13), NO_EARLY)
     assert out.cut is None
     cert = out.certificate
     assert not cert.early
-    assert cert.rounds == rounds_budget(6, [10] * 6, NO_EARLY)
+    assert cert.rounds == rounds_budget(6, [10] * 6)
     # the matching union is strongly connected with positive expansion
     assert cert.psi_measured is not None and cert.psi_measured > 0
 
@@ -169,7 +169,7 @@ def test_certificate_soundness_seeded_sample():
         g, caps = build_graph(n, arcs)
         f_edges = set(range(g.m))
         phi = Fraction(1, 16)
-        out = cut_or_embed(g, caps, f_edges, phi, 0, _empty_hier(n),
+        out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(n),
                            random.Random(1000 + trial))
         edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
         volw = {v: 0 for v in range(n)}
