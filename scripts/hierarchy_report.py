@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Build hierarchies over a seeded corpus and report heights, level
-capacities, validation mode and wall time.
+capacities, validation mode and wall time.  Exits 1 if any accepted
+hierarchy fails its validation.
 
 Usage: python scripts/hierarchy_report.py [--phi 1/16] [--seeds 3] [--n 14]
 """
@@ -41,16 +42,18 @@ def main(argv=None):
     phi = Fraction(int(num), int(den or 1))
     rng = random.Random(7)
     print("graph\tn\tm\tseed\teta\tlevel_caps\tattempts\tvalid\tms")
+    invalid = 0
     for name, (g, caps) in corpus(rng, args.n):
         for seed in range(args.seeds):
             t0 = time.perf_counter()
             res = build_hierarchy(g, caps, phi, seed=seed)
             ms = (time.perf_counter() - t0) * 1e3
+            invalid += not res.report.ok
             lv = ",".join(str(sum(caps[e] for e in x))
                           for x in res.hierarchy.levels) or "-"
             print(f"{name}\t{g.n}\t{g.m}\t{seed}\t{res.hierarchy.eta}\t{lv}\t"
                   f"{res.attempts}\t{int(res.report.ok)}\t{ms:.0f}")
-    return 0
+    return 1 if invalid else 0
 
 
 if __name__ == "__main__":

@@ -206,7 +206,11 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
     if not edge_ids:
         return Parts()
     m = max(len(edge_ids), 1)
-    eta_cap = math.ceil(2 * math.log(4 * m) / math.log(1 / float(phi)))
+    try:
+        log_inv = math.log(1 / float(phi))
+    except ZeroDivisionError:  # float(phi) underflows: ln(1/phi) from its integers
+        log_inv = math.log(phi.denominator) - math.log(phi.numerator)
+    eta_cap = math.ceil(2 * math.log(4 * m) / log_inv)
     eta_cap = max(eta_cap, 1)
     f_cur: Set[int] = set(edge_ids)
     parts = Parts()

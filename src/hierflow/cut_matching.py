@@ -200,7 +200,10 @@ def cut_or_embed(
                                  certificate=Certificate(None, 0, True))
     state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
     w_g = terminal_weights(g, f_edges, hier)
-    kappa = max(1, math.ceil(2 * C_KAPPA / float(phi)))
+    try:
+        kappa = max(1, math.ceil(2 * C_KAPPA / float(phi)))
+    except (ZeroDivisionError, OverflowError):  # phi below the float range
+        kappa = math.ceil(2 * Fraction(C_KAPPA) / phi)
     z = retry_budget(n)
     edges = [(g.tails[e], g.heads[e], cap[e]) for e in range(g.m)]
     volw = dict(enumerate(deg_f))

@@ -13,7 +13,12 @@ components get an exact answer from `exhaustive_worst_cut`, a branch and
 bound over all 2^(k-1) proper cuts that drops every subtree whose
 boundary and volume bounds already rule out a cut sparser than phi (or
 than the best cut found so far); large ones only get falsification by
-`sampled_sparse_cut`.
+`sampled_sparse_cut`.  Its random cuts are tested 512 at a time: cut j of
+a batch owns byte lane j of one int per vertex, so boundary capacities
+and volumes of the whole batch come from big-int ANDs and sums over the
+arcs.  The cuts are drawn in the order a cut-by-cut loop draws them,
+and on a hit the rng is rewound and replayed up to the witness, so the
+witness and the rng state match that loop exactly.
 """
 from __future__ import annotations
 
@@ -332,16 +337,26 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
     Tries `budget` random cuts plus every level cut of breadth-first
     labelings from random sources (forward and reverse).  Returns a
     witness side or None; None proves nothing.
+
+    Draw order: random cut j puts local vertex i (0 <= i < k) in S when
+    the (j * k + i)-th `rng.random()` of the phase is below 1/2, and the
+    first phi-sparse cut in j order is the witness.  The cuts are tested
+    by `_random_cuts` in batches of `_BATCH`: a batch's k * b draws are
+    taken at once, and cut j of the batch occupies lane j, bytes
+    [j * L, (j + 1) * L) of one little-endian int per vertex, where L is
+    the byte length of max(vol(V), total capacity).  On a hit in lane j
+    the rng is set back to its state at the batch start and (j + 1) * k
+    draws are replayed, so the witness, and the rng state the level-cut
+    phase and later callers see, are those of a loop that draws and
+    tests one cut at a time.
     """
     verts, ev = _evaluator(vertices, edges, vol_weight)
     k = ev.k
     if k <= 1:
         return None
-    # random subsets
-    for _ in range(budget):
-        ev.assign([rng.random() < 0.5 for _ in range(k)])
-        if ev.sparse(phi):  # never for S empty or S = V: one side has no volume
-            return [verts[i] for i in ev.side()]
+    side = _random_cuts(ev, phi, rng, budget)
+    if side is not None:
+        return [verts[i] for i in side]
     # level cuts of BFS labelings from random sources, both directions;
     # each layer joins S by flips
     tries = max(2, min(k, 8))
@@ -366,6 +381,71 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
                 if ev.sparse(phi):
                     return [verts[i] for i in ev.side()]
                 layer = nxt
+    return None
+
+
+# random cuts evaluated together by _random_cuts, one lane each
+_BATCH = 512
+
+
+def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
+                 budget: int) -> Optional[List[int]]:
+    """The first phi-sparse cut of `budget` random cuts, bit-sliced as
+    `sampled_sparse_cut` describes; the witness's local indices, or None.
+
+    X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
+    P = sum over arcs (u, v, c) of c * (X_u & X_v), every lane j of
+        sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
+    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  No lane value
+    exceeds total capacity or vol(V), so no carry or borrow crosses a
+    lane.  Each lane is read back from the bytes of the three sums and
+    tested as `CutEvaluator.sparse` does.
+    """
+    k = ev.k
+    outcap = [0] * k
+    incap = [0] * k
+    pair_cap: Dict[Tuple[int, int], int] = {}  # X_u & X_v is symmetric in u, v
+    for u, v, c in ev.arcs:
+        outcap[u] += c
+        incap[v] += c
+        key = (u, v) if u < v else (v, u)
+        pair_cap[key] = pair_cap.get(key, 0) + c
+    pairs = [(u, v, c) for (u, v), c in pair_cap.items() if c]
+    out_w = [(i, c) for i, c in enumerate(outcap) if c]
+    in_w = [(i, c) for i, c in enumerate(incap) if c]
+    vol_w = [(i, x) for i, x in enumerate(ev.vol) if x]
+    total = ev.total_vol
+    width = max(1, (max(total, sum(outcap)).bit_length() + 7) // 8)
+    num, den = phi.numerator, phi.denominator
+    draw = rng.random
+    frm = int.from_bytes
+    done = 0
+    while done < budget:
+        b = min(_BATCH, budget - done)
+        start = rng.getstate()
+        flags = bytes([draw() < 0.5 for _ in range(b * k)])  # cut-major
+        size = b * width
+        lanes = bytearray(size)
+        xs = []
+        for i in range(k):
+            lanes[::width] = flags[i::k]
+            xs.append(frm(lanes, "little"))
+        cross = sum(c * (xs[u] & xs[v]) for u, v, c in pairs)
+        out_b = (sum(c * xs[i] for i, c in out_w) - cross).to_bytes(size, "little")
+        in_b = (sum(c * xs[i] for i, c in in_w) - cross).to_bytes(size, "little")
+        vol_b = sum(x * xs[i] for i, x in vol_w).to_bytes(size, "little")
+        for j, lo in enumerate(range(0, size, width)):
+            hi = lo + width
+            vol_s = frm(vol_b[lo:hi], "little")
+            mv = min(vol_s, total - vol_s)
+            if mv <= 0:
+                continue  # one side has no volume: never sparse
+            if min(frm(out_b[lo:hi], "little"), frm(in_b[lo:hi], "little")) * den < num * mv:
+                rng.setstate(start)
+                for _ in range((j + 1) * k):
+                    draw()
+                return [i for i in range(k) if flags[j * k + i]]
+        done += b
     return None
 
 

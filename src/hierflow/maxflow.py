@@ -165,8 +165,12 @@ def _lift(f: Flow, arc_ids: Sequence[int], corr: Flow) -> None:
 def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
     # capped at n^2: weights never exceed n, so beyond n^2 every simple
     # path already counts as short and a larger height only adds relabels;
-    # capping before ceil keeps an overflowed (inf or nan) nominal finite
-    nominal = config.c_h * n * (eta ** 2) * math.log(max(n, 2)) / float(phi)
+    # capping before ceil keeps an overflowed (inf or nan) nominal finite;
+    # a phi whose float underflows to 0 puts the nominal above the cap
+    try:
+        nominal = config.c_h * n * (eta ** 2) * math.log(max(n, 2)) / float(phi)
+    except ZeroDivisionError:
+        nominal = math.inf
     return max(n, math.ceil(min(n * n, nominal)))
 
 

@@ -57,11 +57,15 @@ def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction,
     at n (the level construction needs that), capped at n^2 (every edge
     weight is at most n, so every simple path is shorter than n^2 and
     heights beyond that cannot enlarge the set of h-short flows), and
-    clamped at config.max_h.
+    clamped at config.max_h.  A kappa too large for a float, or a phi
+    whose square underflows to 0, puts the nominal height above the cap.
     """
     ln = math.log(max(n, 2))
     eta_eff = max(eta, 1)
-    nominal = config.c_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
+    try:
+        nominal = config.c_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
+    except (OverflowError, ZeroDivisionError):
+        nominal = math.inf
     h = max(n, math.ceil(min(n * n, nominal)))
     return min(config.max_h, h)
 

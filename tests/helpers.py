@@ -225,6 +225,54 @@ def gray_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Opt
     return Fraction(best_num, best_den), [verts[i] for i in range(k) if gray >> i & 1]
 
 
+def per_cut_sampled_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.Random,
+                        budget: int) -> Optional[List[int]]:
+    """Falsification-only search for a phi-sparse cut, one random cut at a
+    time: the draw-order and rng-state reference for
+    `hierarchy.sampled_sparse_cut`.
+
+    Tries `budget` random cuts plus every level cut of breadth-first
+    labelings from random sources (forward and reverse).  Returns a
+    witness side or None; None proves nothing.
+    """
+    from hierflow.hierarchy import _evaluator
+
+    verts, ev = _evaluator(vertices, edges, vol_weight)
+    k = ev.k
+    if k <= 1:
+        return None
+    # random subsets
+    for _ in range(budget):
+        ev.assign([rng.random() < 0.5 for _ in range(k)])
+        if ev.sparse(phi):  # never for S empty or S = V: one side has no volume
+            return [verts[i] for i in ev.side()]
+    # level cuts of BFS labelings from random sources, both directions;
+    # each layer joins S by flips
+    tries = max(2, min(k, 8))
+    for _ in range(tries):
+        src = rng.randrange(k)
+        for adj in (ev.out_adj, ev.in_adj):
+            ev.assign([False] * k)
+            seen = [False] * k
+            seen[src] = True
+            layer = [src]
+            while True:
+                nxt = []
+                for u in layer:
+                    for v, _c in adj[u]:
+                        if not seen[v]:
+                            seen[v] = True
+                            nxt.append(v)
+                if not nxt:
+                    break  # the last layer never joins S, so S != V
+                for u in layer:
+                    ev.flip(u)
+                if ev.sparse(phi):
+                    return [verts[i] for i in ev.side()]
+                layer = nxt
+    return None
+
+
 # instance text: mostly well-formed `p max` and `p diff` files over at most
 # 8 vertices, with out-of-range vertices, negative numbers, self-loops, a
 # wrong arc count, a missing or unknown node line and junk or comment lines

@@ -299,6 +299,30 @@ def test_huge_height_constant_hits_the_n2_cap(tmp_path, capsys):
     assert out == _run(["sparse-cut", "--kappa", "1", path], capsys)[1]
 
 
+def test_phi_below_float_range_hits_the_n2_cap(tmp_path, capsys):
+    # float(phi) (and phi^2) underflow to 0: heights are capped at n^2
+    path = _write(tmp_path, "bridge.diff", BRIDGE)
+    tiny = "1/1" + "0" * 400
+    code, out, _ = _run(["solve", "--phi", tiny, path], capsys)
+    assert code == 0
+    assert out == f"value {edmonds_karp(parse_instance(BRIDGE).inst).stats.value}\n"
+    code, out, _ = _run(["sparse-cut", "--kappa", "1", "--phi", "1/1" + "0" * 200, path],
+                        capsys)
+    assert code == 0
+    # phi = 10^-100 already puts the nominal height far above the cap
+    assert out == _run(["sparse-cut", "--kappa", "1", "--phi", "1/1" + "0" * 100, path],
+                       capsys)[1]
+
+
+def test_kappa_beyond_float_range_hits_the_n2_cap(tmp_path, capsys):
+    path = _write(tmp_path, "bridge.diff", BRIDGE)
+    code, out, _ = _run(["sparse-cut", "--kappa", "1" + "0" * 400, path], capsys)
+    assert code == 0
+    # kappa = 10^300 still fits a float and is far above the cap too
+    assert out == _run(["sparse-cut", "--kappa", "1" + "0" * 300, path], capsys)[1]
+    assert out.splitlines()[-1] == "routed"
+
+
 # `hierflow solve` over fuzzed instance texts (at most 8 vertices), valid
 # and invalid --phi values (None: the default) and a few seeds
 _GOOD_PHIS = [None, "1/16", "1/8", "1/3", "2/3", " 1/4"]

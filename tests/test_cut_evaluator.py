@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 from hierflow.graph import scc_subgraph
-from hierflow.hierarchy import CutEvaluator, sampled_sparse_cut
+from hierflow.hierarchy import _BATCH, CutEvaluator, sampled_sparse_cut
 
-from helpers import cut_sparsity, scc_from_closure
+from helpers import cut_sparsity, per_cut_sampled_cut, scc_from_closure
 
 
 def _random_multigraph(rng, k, m):
@@ -98,6 +98,87 @@ def test_sampled_witnesses_are_sparse_by_recount():
         ratio = cut_sparsity(sset, edges, volw)
         assert ratio is not None and ratio < phi
     assert found >= 10
+
+
+class _CountingRandom(random.Random):
+    """Counts `random()` calls: the reference's draws before its witness."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):  # keeps randrange on getrandbits, as in Random
+        return super().getrandbits(k)
+
+
+_PHIS = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]
+_BUDGETS = [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 7]
+
+
+def _same_as_reference(verts, edges, volw, phi, seed, budget):
+    """Run both searches from one seed; assert the same witness and end
+    state, and return the reference's (witness, random() calls)."""
+    mine, ref = random.Random(seed), _CountingRandom(seed)
+    side = sampled_sparse_cut(verts, edges, volw, phi, mine, budget)
+    want = per_cut_sampled_cut(verts, edges, volw, phi, ref, budget)
+    assert side == want
+    assert mine.getstate() == ref.getstate()
+    return want, ref.calls
+
+
+def test_sampled_sparse_cut_matches_per_cut_reference():
+    rng = random.Random(404)
+    lanes = set()
+    for case in range(240):
+        k = rng.randint(2, 30)
+        big = rng.choice([5, 5, 10 ** 6, 10 ** 30])  # lanes of 1 to 13 bytes
+        edges = []
+        for _ in range(rng.randint(0, 4 * k)):
+            u, v = rng.randrange(k), rng.randrange(k)  # self-loops too
+            edges += [(u, v, rng.randint(0, big))] * rng.choice([1, 1, 2])
+            if rng.random() < 0.3:
+                edges.append((v, u, rng.randint(0, big)))
+        shape = case % 4
+        if shape == 0:
+            volw = {v: 0 for v in range(k)}  # no volume anywhere
+        else:  # zero, missing and up-to-`big` volumes
+            volw = {v: rng.choice([0, 1, rng.randint(0, big)])
+                    for v in range(k) if rng.random() < 0.9}
+        budget = _BUDGETS[case % len(_BUDGETS)]
+        phi = _PHIS[case // len(_BUDGETS) % len(_PHIS)]
+        side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                                         rng.getrandbits(32), budget)
+        if side is not None and calls < budget * k:
+            lanes.add((calls // k - 1) % _BATCH)
+    assert 0 in lanes and len(lanes) > 3  # hits in the first lane and beyond it
+
+
+def test_sampled_sparse_cut_planted_hit_in_every_lane_position():
+    """The target-th random cut is made the one sparse cut: arcs of
+    capacity 10^30 both ways inside each side of it, one way across."""
+    k = 18
+    heavy = 10 ** 30
+    for target in [0, 1, _BATCH // 2, _BATCH - 1, _BATCH, 2 * _BATCH - 1, 3 * _BATCH + 6]:
+        seed = 0
+        while True:
+            r = random.Random(seed)
+            cuts = [tuple(r.random() < 0.5 for _ in range(k)) for _ in range(target + 1)]
+            plant = cuts[target]
+            flipped = tuple(not x for x in plant)
+            if 0 < sum(plant) < k and plant not in cuts[:target] and flipped not in cuts[:target]:
+                break
+            seed += 1
+        edges = [(u, v, heavy) for u in range(k) for v in range(k)
+                 if u != v and (plant[u] == plant[v] or plant[u])]
+        volw = {v: 1 for v in range(k)}
+        for phi in (Fraction(1, 16), Fraction(9, 10)):
+            for budget in (target + 1, 3 * _BATCH + 7):
+                side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                                                 seed, budget)
+                assert calls == (target + 1) * k
+                assert side == [v for v in range(k) if plant[v]]
 
 
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():

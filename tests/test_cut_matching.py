@@ -82,6 +82,14 @@ def test_tiny_volume_certifies_without_rounds():
     assert out.certificate.early
 
 
+def test_phi_below_float_range_takes_kappa_from_the_fraction():
+    # float(phi) is 0, and the volume 10^401 is not tiny against 1/phi
+    g, cap = _complete_digraph(4, 10 ** 401)
+    out = cut_or_embed(g, cap, set(range(g.m)), Fraction(1, 10 ** 400), _empty_hier(4),
+                       random.Random(0))
+    assert out.cut is None and out.certificate.early
+
+
 def test_requires_strong_connectivity():
     g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NotStronglyConnectedError):

@@ -224,3 +224,24 @@ def test_sparse_cut_height_floors_and_clamp():
     # tiny nominal values still respect the floor at n
     tiny = DEFAULT_CONFIG.with_(c_6=1e-9)
     assert sparse_cut_height(10, 1, 1, Fraction(1, 2), tiny) == 10
+
+
+def test_heights_follow_the_float_formula_and_cap_out_of_float_range():
+    from hierflow.maxflow import driver_height
+
+    rng = random.Random(505)
+    for _ in range(400):
+        n, eta, kappa = rng.randint(1, 400), rng.randint(0, 12), rng.randint(1, 10 ** 4)
+        phi = Fraction(rng.randint(1, 50), rng.randint(51, 10 ** 6))
+        cfg = DEFAULT_CONFIG.with_(c_h=rng.choice([8.0, 1e-6, 0.37]),
+                                   c_6=rng.choice([1.0, 1e-12, 3e-7]))
+        ln = math.log(max(n, 2))
+        h = cfg.c_h * n * (max(eta, 1) ** 2) * ln / float(phi)
+        assert driver_height(n, max(eta, 1), phi, cfg) == max(n, math.ceil(min(n * n, h)))
+        h = cfg.c_6 * (max(eta, 1) ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
+        assert sparse_cut_height(n, eta, kappa, phi, cfg) == min(
+            cfg.max_h, max(n, math.ceil(min(n * n, h))))
+    # float(phi) underflows to 0, phi^2 underflows, kappa overflows a float
+    assert driver_height(30, 2, Fraction(1, 10 ** 400), DEFAULT_CONFIG) == 900
+    assert sparse_cut_height(30, 2, 1, Fraction(1, 10 ** 200), DEFAULT_CONFIG) == 900
+    assert sparse_cut_height(30, 2, 10 ** 400, Fraction(1, 2), DEFAULT_CONFIG) == 900
