@@ -99,23 +99,27 @@ def absorb_matching(state: CMGState, matching: List[Tuple[int, int, int]]) -> No
         state.rounds_played += 1
         return
     k = len(next(iter(state.sketch.values())))
+    # a volume beyond the float range is scaled down by a power of two,
+    # with every amount it is weighed against; within it (shift 0) the
+    # arithmetic is the plain one
+    shift = {v: max(0, state.nu[v].bit_length() - 1000) for v in state.sketch}
     part = {v: 0 for v in state.sketch}
     for a, b, c in matching:
         part[a] += c
         part[b] += c
     acc = {}
     for v, x in state.sketch.items():
-        stay = state.nu[v] - part[v] / 2.0
+        stay = (state.nu[v] >> shift[v]) - (part[v] >> shift[v]) / 2.0
         acc[v] = [stay * xi for xi in x]
     for a, b, c in matching:
         xa, xb = state.sketch[a], state.sketch[b]
-        half = c / 2.0
+        half_a, half_b = (c >> shift[a]) / 2.0, (c >> shift[b]) / 2.0
         va, vb = acc[a], acc[b]
         for i in range(k):
-            va[i] += half * xb[i]
-            vb[i] += half * xa[i]
+            va[i] += half_a * xb[i]
+            vb[i] += half_b * xa[i]
     for v in acc:
-        nu = state.nu[v]
+        nu = state.nu[v] >> shift[v]
         state.sketch[v] = [x / nu for x in acc[v]]
     state.matchings.append(matching)
     state.rounds_played += 1

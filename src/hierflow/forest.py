@@ -3,7 +3,13 @@
 Supports link, cut, find_root, find_min and add_path in amortized
 logarithmic time.  Values live on edges and are stored at the child
 endpoint; represented roots hold a neutral +inf sentinel so path
-aggregates never see them.
+aggregates never see them.  No arithmetic ever touches the sentinel: a
+pushed amount skips roots and subtree minima that are the sentinel, so
+values of any integer size stay exact (a float +inf plus an int beyond
+the float range would raise OverflowError).
+
+A node's `val` and `mn` (the minimum over its splay subtree) are always
+current; its `lz` is an amount still owed to both children's subtrees.
 
 Splay trees are ordered by depth: in-order left to right runs from the
 represented root down to the accessed node.  No rerooting or subtree
@@ -29,7 +35,7 @@ class DynForest:
         self.par: List[int] = [-1] * n  # splay parent or path-parent
         self.val: List[float] = [INF] * n  # value of parent edge
         self.mn: List[float] = [INF] * n
-        self.lz: List[float] = [0] * n
+        self.lz: List[int] = [0] * n
         self.rep_par: List[int] = [-1] * n  # represented-tree parent
         self.rotations = 0
 
@@ -42,26 +48,22 @@ class DynForest:
     def _push(self, x: int) -> None:
         z = self.lz[x]
         if z:
-            self.val[x] += z
-            self.mn[x] += z
-            l, r = self.left[x], self.right[x]
-            if l != -1:
-                self.lz[l] += z
-            if r != -1:
-                self.lz[r] += z
+            for c in (self.left[x], self.right[x]):
+                if c != -1:
+                    if self.rep_par[c] != -1:
+                        self.val[c] += z
+                    if self.mn[c] != INF:
+                        self.mn[c] += z
+                    self.lz[c] += z
             self.lz[x] = 0
 
     def _update(self, x: int) -> None:
         m = self.val[x]
         l, r = self.left[x], self.right[x]
-        if l != -1:
-            cm = self.mn[l] + self.lz[l]
-            if cm < m:
-                m = cm
-        if r != -1:
-            cm = self.mn[r] + self.lz[r]
-            if cm < m:
-                m = cm
+        if l != -1 and self.mn[l] < m:
+            m = self.mn[l]
+        if r != -1 and self.mn[r] < m:
+            m = self.mn[r]
         self.mn[x] = m
 
     def _rotate(self, x: int) -> None:
@@ -180,7 +182,7 @@ class DynForest:
         target = self.mn[x]
         while True:
             r = self.right[x]
-            if r != -1 and self.mn[r] + self.lz[r] == target:
+            if r != -1 and self.mn[r] == target:
                 x = r
                 self._push(x)
                 continue
@@ -194,8 +196,11 @@ class DynForest:
     def add_path(self, u: int, x: int) -> None:
         """Add x to every edge value on the u-to-root path (no-op on roots)."""
         self._access(u)
-        self.lz[u] += x
-        self._push(u)
+        if self.rep_par[u] != -1:
+            # u is the splay root: its whole tree is the root-to-u path
+            self.val[u] += x
+            self.mn[u] += x
+            self.lz[u] += x
 
     def edge_value(self, u: int) -> float:
         """Current value of u's parent edge."""

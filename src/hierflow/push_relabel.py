@@ -34,6 +34,19 @@ sink.  A missed vertex would die anyway, because at the end of a run
 every alive vertex has an admissible path to an unsaturated sink.  So
 the final alive set is the one plain climbing reaches; only levels and
 marks of alive vertices can differ where a doomed neighbor held them up.
+
+Capacitated mode keeps the admissible forest in link-cut trees (Goldberg
+and Tarjan), touched only where an augmentation needs them.  Every
+vertex's current arc is its smallest admissible out-arc, but the tree
+edge along it is linked lazily: an augmentation links the unlinked tails
+on its path, with their raw cf entries, before it takes the bottleneck,
+and an edge is cut when it saturates or its arc stops being current.  So
+a climb that ends in death or in a re-climb links nothing.  Residual
+tests read the raw cf entry first.  Tree values only fall, so a raw
+entry is exact, or it understates an arc whose partner is linked (the
+only case read from the forest), or it overstates a linked arc, whose
+live value is positive because a zero edge is cut as its augmentation
+ends.
 """
 from __future__ import annotations
 
@@ -94,9 +107,11 @@ def push_relabel(
 ) -> PushRelabelResult:
     """Run weighted push-relabel on a diffusion instance.
 
-    mode: "unit" walks paths explicitly (meant for unit capacities),
-    "capacitated" drives augmentation through a dynamic forest, "auto"
-    picks by inspecting the capacities.
+    mode: "unit" walks paths explicitly and updates raw residuals (meant
+    for unit capacities), "capacitated" drives augmentation through a
+    dynamic forest whose edges are linked only when an augmentation first
+    walks them, "auto" picks by inspecting the capacities.  Both modes give
+    the same flows, labels, augmentations and counters.
     """
     if inst.total_source() > inst.total_sink():
         raise BadInstanceError("supply exceeds sink capacity; not a diffusion instance")
@@ -159,6 +174,7 @@ class _Engine:
     # residual capacity that respects in-tree values ----------------------
 
     def cf_of(self, a: int) -> int:
+        """Exact live residual of arc a (the invariant checks' oracle)."""
         if self.forest is not None:
             t = self.arc_tail[a]
             if self.current_arc[t] == a and self.forest.rep_par[t] != -1:
@@ -169,6 +185,27 @@ class _Engine:
                 return self.inst.cap[a >> 1] - int(self.forest.edge_value(tp))
         return self.cf[a]
 
+    def has_residual(self, a: int) -> bool:
+        """cf_of(a) > 0 outside an augmentation (see the module docstring).
+
+        A positive raw entry decides it, and so does an admissible current
+        arc; the forest is read only when the raw entry is 0 and the
+        partner arc is a linked tree edge.  Hot loops test `cf[a] > 0`
+        themselves before calling.
+        """
+        if self.cf[a] > 0:
+            return True
+        t = self.arc_tail[a]
+        if self.current_arc[t] == a:
+            return True
+        forest = self.forest
+        if forest is None:
+            return False
+        tp = self.arc_head[a]
+        if self.current_arc[tp] == a ^ 1 and forest.rep_par[tp] != -1:
+            return self.inst.cap[a >> 1] > forest.edge_value(tp)
+        return False
+
     # admissible bookkeeping ----------------------------------------------
 
     def _enqueue(self, v: int) -> None:
@@ -178,22 +215,14 @@ class _Engine:
             heapq.heappush(self.pending, v)
 
     def _select_parent(self, v: int) -> None:
-        """Point current_arc[v] at the smallest valid admissible out-arc."""
+        """Point current_arc[v] at the smallest valid admissible out-arc.
+
+        The tree edge is linked later, when an augmentation first walks it.
+        """
         heap = self.adm_heap[v]
         while heap and not self.adm[heap[0]]:
             heapq.heappop(heap)
-        if not heap:
-            self.current_arc[v] = -1
-            return
-        a = heap[0]
-        if self.forest is not None:
-            # read through cf_of: mid-examination the partner arc can still
-            # sit in a tree, making the raw cf entry stale
-            val = self.cf_of(a)
-            self.current_arc[v] = a
-            self.forest.link_unchecked(v, self.arc_head[a], val)
-        else:
-            self.current_arc[v] = a
+        self.current_arc[v] = heap[0] if heap else -1
 
     def _drop_parent(self, v: int) -> None:
         """Detach v's tree edge, persisting its live residual value."""
@@ -257,8 +286,9 @@ class _Engine:
         best = INF
         start = self.level[v]
         lvl = self.level
+        cf, has_residual = self.cf, self.has_residual
         for a in self.out_arc_list[v]:
-            if self.cf_of(a) <= 0:
+            if cf[a] <= 0 and not has_residual(a):
                 continue
             wa = self.w[a >> 1]
             t = lvl[self.arc_head[a]] + 2 * wa
@@ -281,7 +311,7 @@ class _Engine:
             self._die(v)
             return
         self.level[v] = stop
-        lvl = self.level
+        lvl, cf = self.level, self.cf
         to_mark = []
         for a in self.inc_arc_list[v]:
             wa = self.w[a >> 1]
@@ -292,7 +322,7 @@ class _Engine:
                 gap = mark_level - lvl[self.arc_head[a]]
             else:
                 gap = lvl[self.arc_tail[a]] - mark_level
-            if gap >= 2 * wa and self.cf_of(a) > 0:
+            if gap >= 2 * wa and (cf[a] > 0 or self.has_residual(a)):
                 to_mark.append(a)
             else:
                 self.set_mark(a, False)
@@ -323,7 +353,7 @@ class _Engine:
             if nxt % wa:
                 continue
             gap = lvl[self.arc_tail[a]] - lvl[self.arc_head[a]]
-            if gap >= 2 * wa and self.cf_of(a) > 0:
+            if gap >= 2 * wa and self.has_residual(a):
                 to_mark.append(a)
             else:
                 self.set_mark(a, False)
@@ -332,32 +362,20 @@ class _Engine:
 
     def _prune(self) -> None:
         """Kill every alive vertex with no residual path to an unsaturated sink."""
-        alive, head, cur, cf = self.alive, self.arc_head, self.current_arc, self.cf
+        alive, head, cf = self.alive, self.arc_head, self.cf
+        has_residual = self.has_residual
         reached = [False] * self.n
         stack = [v for v in range(self.n) if self.nabla_rem[v] > 0]
         for v in stack:
             reached[v] = True
-        # A tree arc is admissible, so its residual is positive.  Any other
-        # raw cf entry is exact, or understates the live residual when the
-        # partner arc sits in a tree (tree values only fall); such a zero is
-        # read from the forest only if nothing else reaches the arc's tail.
-        deferred = []
-        while stack or deferred:
-            if stack:
-                x = stack.pop()
-                for a in self.out_arc_list[x]:
-                    y = head[a]
-                    if reached[y] or not alive[y]:
-                        continue
-                    if cur[y] == a ^ 1 or cf[a ^ 1] > 0:  # a ^ 1 runs y -> x
-                        reached[y] = True
-                        stack.append(y)
-                    elif cur[x] == a:
-                        deferred.append(a)
-            else:
-                a = deferred.pop()
+        while stack:
+            x = stack.pop()
+            for a in self.out_arc_list[x]:
                 y = head[a]
-                if not reached[y] and self.cf_of(a ^ 1) > 0:
+                if reached[y] or not alive[y]:
+                    continue
+                # a ^ 1 runs y -> x
+                if cf[a ^ 1] > 0 or has_residual(a ^ 1):
                     reached[y] = True
                     stack.append(y)
         doomed = [v for v in range(self.n) if alive[v] and not reached[v]]
@@ -413,10 +431,21 @@ class _Engine:
 
     def _augment_capacitated(self, s: int) -> None:
         forest = self.forest
-        t = forest.find_root(s)
-        arcs, t2 = self._walk_path(s)
-        if t2 != t:
-            raise SolverInvariantError(f"trace from {s} ends at {t2}, forest root is {t}")
+        arcs, t = self._walk_path(s)
+        # Link the path's tails not yet in a tree, with their raw cf: no
+        # partner of an admissible arc is linked, so the entry is exact.
+        # Levels fall strictly along the path, so no link closes a cycle.
+        # The tree path from s is then the trace, with root t.
+        cf, head, rep_par = self.cf, self.arc_head, forest.rep_par
+        for a in arcs:
+            u = self.arc_tail[a]
+            if rep_par[u] == -1:
+                forest.link_unchecked(u, head[a], cf[a])
+            elif rep_par[u] != head[a]:
+                raise SolverInvariantError(
+                    f"trace from {s} leaves {u} by arc {a}, its tree edge goes to {rep_par[u]}")
+        if rep_par[t] != -1:
+            raise SolverInvariantError(f"trace from {s} ends at {t}, which has a tree parent")
         amt = min(self.delta_rem[s], self.nabla_rem[t])
         _, bottleneck = forest.find_min(s)
         amt = min(amt, int(bottleneck))
@@ -479,7 +508,7 @@ class _Engine:
         # persist in-tree residual values before reading the flow off cf
         if self.forest is not None:
             for v in range(self.n):
-                if self.current_arc[v] != -1 and self.forest.rep_par[v] != -1:
+                if self.forest.rep_par[v] != -1:
                     a = self.current_arc[v]
                     val = int(self.forest.edge_value(v))
                     self.cf[a] = val
@@ -522,6 +551,10 @@ class _Engine:
                 assert lvl[v] > self.nine_h, f"I-3: dead {v} at {lvl[v]}"
             if self.nabla_rem[v] > 0:
                 assert lvl[v] == 0, f"I-3: unsaturated sink {v} at level {lvl[v]}"
+            if self.forest is not None and self.forest.rep_par[v] != -1:
+                a = self.current_arc[v]
+                assert a != -1 and self.forest.rep_par[v] == self.arc_head[a], \
+                    f"tree edge of {v} is not its current arc"
 
 
 def label_gap_certificate(result: PushRelabelResult, s: int, t: int) -> int:

@@ -323,6 +323,29 @@ def test_kappa_beyond_float_range_hits_the_n2_cap(tmp_path, capsys):
     assert out.splitlines()[-1] == "routed"
 
 
+def test_hierarchy_with_capacities_beyond_float_range(tmp_path, capsys):
+    # a 20-vertex random 3-out digraph, every capacity 10^400: its
+    # component is too big for the exhaustive check, so cut-matching and
+    # sparse-cut push-relabel run on amounts no float can hold
+    rng = random.Random(5)
+    n = 20
+    lines = [f"p max {n} {3 * n}", "n 1 s", f"n {n} t"]
+    for u in range(n):
+        for v in rng.sample([x for x in range(n) if x != u], 3):
+            lines.append(f"a {u + 1} {v + 1} {10 ** 400}")
+    graph = _write(tmp_path, "big.dimacs", "\n".join(lines) + "\n")
+    hier = str(tmp_path / "h.txt")
+    code, out, _ = _run(["hierarchy", "--seed", "1", "--out", hier, graph], capsys)
+    assert code == 0
+    # the summary is the build's own validation of the hierarchy it returns
+    assert out.splitlines()[1] == "VALID"
+    with open(graph) as fh:
+        g = parse_instance(fh.read()).inst.g
+    with open(hier) as fh:
+        h = hierarchy_from_text(fh.read(), g)
+    assert sorted(h.d.union(*h.levels)) == list(range(3 * n))
+
+
 # `hierflow solve` over fuzzed instance texts (at most 8 vertices), valid
 # and invalid --phi values (None: the default) and a few seeds
 _GOOD_PHIS = [None, "1/16", "1/8", "1/3", "2/3", " 1/4"]

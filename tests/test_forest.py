@@ -158,6 +158,39 @@ def test_randomized_against_oracle_small():
                 naive.add_path(u, x)
 
 
+def test_values_beyond_float_range_against_oracle():
+    # values and add_path amounts beyond 2^1100 must stay exact ints: no
+    # arithmetic may meet the roots' +inf sentinel
+    big = 2 ** 1100
+    for seed in range(4):
+        rng = random.Random(seed)
+        n = 20
+        f = DynForest(n)
+        naive = NaiveForest(n)
+        for _ in range(1500):
+            op = rng.choice(["link", "cut", "root", "min", "add", "value"])
+            u = rng.randrange(n)
+            if op == "link":
+                v = rng.randrange(n)
+                if u != v and naive.parent[u] == -1 and naive.find_root(v) != u:
+                    val = rng.randint(1, 9) * big + rng.randint(-10, 50)
+                    f.link(u, v, val)
+                    naive.link(u, v, val)
+            elif op == "cut" and naive.parent[u] != -1:
+                f.cut(u)
+                naive.cut(u)
+            elif op == "root":
+                assert f.find_root(u) == naive.find_root(u)
+            elif op == "min" and naive.parent[u] != -1:
+                assert f.find_min(u) == naive.find_min(u)
+            elif op == "add":
+                x = rng.randint(-2, 2) * big + rng.randint(-4, 8)
+                f.add_path(u, x)
+                naive.add_path(u, x)
+            elif op == "value" and naive.parent[u] != -1:
+                assert f.edge_value(u) == naive.value[u]
+
+
 def test_amortized_rotations_logged():
     rng = random.Random(123)
     n = 200

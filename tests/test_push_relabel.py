@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -303,3 +304,88 @@ def test_unit_and_capacitated_modes_agree_on_unit_caps():
         assert a.value == b.value
         assert a.flow.values == b.flow.values
         assert a.labels.levels == b.labels.levels
+
+
+_CAPS = (1, 2, 3, 7, 10 ** 6, 10 ** 30)
+
+
+def _random_multigraph_instance(rng, n):
+    """Random diffusion instance on n vertices with parallel and
+    antiparallel arcs, capacities drawn from _CAPS."""
+    arcs = []
+    for _ in range(rng.randint(2, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.choice(_CAPS)))
+        if rng.random() < 0.25:
+            arcs.append((u, v, rng.choice(_CAPS)))
+        if rng.random() < 0.25:
+            arcs.append((v, u, rng.choice(_CAPS)))
+    g, caps = build_graph(n, arcs)
+    delta = [0] * n
+    nabla = [0] * n
+    for _ in range(rng.randint(1, max(1, n // 3))):
+        delta[rng.randrange(n)] += rng.choice(_CAPS)
+    total = sum(delta) + rng.choice((0, 1, 10 ** 6))
+    while total > 0:
+        amt = rng.randint(1, total)
+        nabla[rng.randrange(n)] += amt
+        total -= amt
+    return FlowInstance(g, caps, delta, nabla)
+
+
+def _run_trace(r):
+    return (r.value, r.flow.values, r.labels.levels, r.labels.alive,
+            r.labels.admissible, [(rec.arcs, rec.amount) for rec in r.augmentations],
+            r.relabel_climbs, r.relabel_landings, r.edge_saturations, r.edge_flips,
+            r.levels_visited)
+
+
+def test_unit_and_capacitated_modes_agree_on_general_caps():
+    # the unit mode walks paths and keeps raw cf; the capacitated mode must
+    # reproduce it exactly through its lazily linked forest
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(3, 14)
+        inst = _random_multigraph_instance(rng, n)
+        w = [rng.randint(1, 5) for _ in range(inst.m)]
+        for h in (1, 2, n, n * n):
+            for config in (DEFAULT_CONFIG, DEFAULT_CONFIG.with_(debug_invariants=True)):
+                a = push_relabel(inst, w, h, mode="unit", config=config)
+                b = push_relabel(inst, w, h, mode="capacitated", config=config)
+                assert _run_trace(a) == _run_trace(b)
+
+
+def _counting_forests(monkeypatch):
+    # the package exports the function push_relabel under the module's name
+    pr = importlib.import_module("hierflow.push_relabel")
+    forests = []
+
+    class CountingForest(pr.DynForest):
+        def __init__(self, n):
+            super().__init__(n)
+            self.links = 0
+            forests.append(self)
+
+        def link_unchecked(self, u, v, value):
+            self.links += 1
+            super().link_unchecked(u, v, value)
+
+    monkeypatch.setattr(pr, "DynForest", CountingForest)
+    return forests
+
+
+def test_capacitated_mode_links_only_augmenting_arcs(monkeypatch):
+    forests = _counting_forests(monkeypatch)
+    rng = random.Random(30)
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(3, 12), rng.randint(2, 30), 12, st=False)
+        w = [rng.randint(1, 5) for _ in range(inst.m)]
+        r = push_relabel(inst, w, rng.randint(2, 20), mode="capacitated")
+        assert forests[-1].links <= sum(len(rec.arcs) for rec in r.augmentations)
+    # no supply: vertices climb and mark arcs toward the sink, but no
+    # augmentation walks them, so the forest is never touched
+    g, caps = build_graph(5, [(0, 1, 4), (1, 2, 3), (2, 3, 5), (3, 4, 2), (0, 2, 2)])
+    r = push_relabel(FlowInstance(g, caps, [0] * 5, [0, 0, 0, 0, 9]), [1] * 5, 10,
+                     mode="capacitated")
+    assert r.augmentations == [] and r.relabel_climbs > 0 and any(r.labels.admissible)
+    assert (forests[-1].links, forests[-1].rotations) == (0, 0)
