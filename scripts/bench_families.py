@@ -14,15 +14,26 @@ from hierflow.graph import is_feasible
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 
 
+def _sizes_arg(text):
+    """Comma list of vertex counts, each at least 2."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers >= 2, got {text!r}")
+    return sizes
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sizes", default="8,12,16,24,30,50,80")
+    ap.add_argument("--sizes", type=_sizes_arg, default="8,12,16,24,30,50,80")
     args = ap.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
 
     cases = []
-    for n in sizes:
+    for n in args.sizes:
         cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=12))
         cases.append(generate("dag", seed=args.seed, n=n, m=3 * n, cap=9))
     for k in (3, 4, 5):

@@ -9,9 +9,9 @@ import argparse
 import random
 import sys
 import time
-from fractions import Fraction
 
 from hierflow.builder import build_hierarchy
+from hierflow.cli import _phi_arg
 from hierflow.generators import gen_dumbbell
 from hierflow.graph import build_graph
 
@@ -34,19 +34,19 @@ def corpus(rng, n_max):
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
-    ap.add_argument("--phi", default="1/16")
+    ap.add_argument("--phi", type=_phi_arg, default="1/16")
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--n", type=int, default=14)
     args = ap.parse_args(argv)
-    num, _, den = args.phi.partition("/")
-    phi = Fraction(int(num), int(den or 1))
+    if args.n < 4:  # the random graphs take 4 to n vertices
+        ap.error(f"argument --n: expected an integer >= 4, got {args.n}")
     rng = random.Random(7)
     print("graph\tn\tm\tseed\teta\tlevel_caps\tattempts\tvalid\tms")
     invalid = 0
     for name, (g, caps) in corpus(rng, args.n):
         for seed in range(args.seeds):
             t0 = time.perf_counter()
-            res = build_hierarchy(g, caps, phi, seed=seed)
+            res = build_hierarchy(g, caps, args.phi, seed=seed)
             ms = (time.perf_counter() - t0) * 1e3
             invalid += not res.report.ok
             lv = ",".join(str(sum(caps[e] for e in x))

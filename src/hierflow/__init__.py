@@ -6,8 +6,7 @@ from .graph import (DiGraph, Flow, FlowInstance, build_graph,
                     condensation_topo_order, decompose_paths, flow_stats,
                     is_feasible, residual, scc)
 from .forest import DynForest
-from .push_relabel import (LevelLabeling, PushRelabelResult,
-                           label_gap_certificate, push_relabel)
+from .push_relabel import LevelLabeling, PushRelabelResult, push_relabel
 from .hierarchy import (Hierarchy, ValidationReport, hierarchy_from_text,
                         hierarchy_to_text, induced_weights,
                         respecting_topo_order, validate_hierarchy)
@@ -24,7 +23,7 @@ __all__ = [
     "DiGraph", "Flow", "FlowInstance", "build_graph", "condensation_topo_order",
     "decompose_paths", "flow_stats", "is_feasible", "residual", "scc",
     "DynForest",
-    "LevelLabeling", "PushRelabelResult", "label_gap_certificate", "push_relabel",
+    "LevelLabeling", "PushRelabelResult", "push_relabel",
     "Hierarchy", "ValidationReport", "hierarchy_from_text", "hierarchy_to_text",
     "induced_weights", "respecting_topo_order", "validate_hierarchy",
     "SparseCutOutcome", "level_labels", "sparse_cut",

@@ -18,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .cut_matching import CutOrEmbedOutcome, cut_or_embed
@@ -111,17 +111,8 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
     expand in what remains; returns (removed, partition of the rest)."""
     removed: Set[int] = set()
     parts = Parts()
-    pieces = scc_subgraph(vertices, [(g.tails[e], g.heads[e]) for e in edge_ids])
-    by_vertex: Dict[int, int] = {}
-    for i, piece in enumerate(pieces):
-        for v in piece:
-            by_vertex[v] = i
-    piece_edges: List[List[int]] = [[] for _ in pieces]
-    for e in sorted(edge_ids):
-        pu, pv = by_vertex[g.tails[e]], by_vertex[g.heads[e]]
-        if pu == pv:
-            piece_edges[pu].append(e)
-        # cross edges fall through to D at assembly
+    # edges between pieces fall through to D at assembly
+    pieces, piece_edges, _ = scc_subgraph(g, vertices, sorted(edge_ids))
     order = sorted(range(len(pieces)), key=lambda i: (len(pieces[i]), min(pieces[i])))
     for i in order:
         piece = sorted(pieces[i])

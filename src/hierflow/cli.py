@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .builder import build_hierarchy
-from .config import DEFAULT_CONFIG, default_phi
+from .config import DEFAULT_CONFIG, check_phi, default_phi
 from .errors import (ArcCountMismatchError, BadParamsError, HierflowError,
                      MissingSourceOrSinkError, NotDiffusionError, ParseError)
 from .graph import FlowInstance, flow_stats
@@ -26,12 +26,18 @@ PARSE_ERRORS = (ParseError, MissingSourceOrSinkError, ArcCountMismatchError,
 
 
 def _phi_arg(text: str) -> Fraction:
+    """p or p/q, an expansion parameter in (0, 1)."""
     num, _, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den) if den else 1)
+        phi = Fraction(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected p or p/q with q != 0, got {text!r}") from None
+    try:
+        check_phi(phi)
+    except BadParamsError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return phi
 
 
 def _load(path: str) -> InstanceFile:

@@ -74,20 +74,21 @@ def build_graph(n: int, arcs: Sequence[Tuple[int, int, int]]) -> Tuple[DiGraph, 
     return g, caps
 
 
-def scc(g: DiGraph) -> List[List[int]]:
-    """Strongly connected components, in reverse topological discovery order.
+def _tarjan(succ: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Strongly connected components of vertices 0..len(succ)-1, where
+    succ[v] lists v's out-neighbours, plus each vertex's component index.
 
-    Iterative Tarjan; component k never has an edge into component j < k.
+    Iterative Tarjan; roots are tried in index order and neighbours in
+    list order.  Components come in reverse topological discovery order:
+    component k never has an edge into component j > k.
     """
-    n = g.n
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp_of = [-1] * n  # a visited vertex still at -1 is on the stack
     stack: List[int] = []
     comps: List[List[int]] = []
     counter = 0
-    out_edges = g.out_edges
-    heads = g.heads
     for root in range(n):
         if index[root] != -1:
             continue
@@ -98,19 +99,17 @@ def scc(g: DiGraph) -> List[List[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
             advanced = False
-            edges_v = out_edges[v]
-            while ei < len(edges_v):
-                e = edges_v[ei]
+            succ_v = succ[v]
+            while ei < len(succ_v):
+                w = succ_v[ei]
                 ei += 1
-                w = heads[e]
                 if index[w] == -1:
                     work[-1] = (v, ei)
                     work.append((w, 0))
                     advanced = True
                     break
-                elif on_stack[w]:
+                elif comp_of[w] == -1:
                     if index[w] < low[v]:
                         low[v] = index[w]
             if advanced:
@@ -120,7 +119,7 @@ def scc(g: DiGraph) -> List[List[int]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    comp_of[w] = len(comps)
                     comp.append(w)
                     if w == v:
                         break
@@ -129,7 +128,16 @@ def scc(g: DiGraph) -> List[List[int]]:
                 u, _ = work[-1]
                 if low[v] < low[u]:
                     low[u] = low[v]
-    return comps
+    return comps, comp_of
+
+
+def scc(g: DiGraph) -> List[List[int]]:
+    """Strongly connected components, in reverse topological discovery order.
+
+    Component k never has an edge into component j > k.
+    """
+    heads = g.heads
+    return _tarjan([[heads[e] for e in es] for es in g.out_edges])[0]
 
 
 def condensation_topo_order(g: DiGraph) -> List[List[int]]:
@@ -137,17 +145,36 @@ def condensation_topo_order(g: DiGraph) -> List[List[int]]:
     return list(reversed(scc(g)))
 
 
-def scc_subgraph(vertices: Iterable[int], arcs: Iterable[Tuple[int, int]]) -> List[List[int]]:
-    """SCCs of an ad-hoc subgraph, in reverse topological order.
+def scc_subgraph(g: DiGraph, vertices: Iterable[int], edge_ids: Iterable[int]
+                 ) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """SCCs of the subgraph of `g` on `vertices` and `edge_ids`.
 
-    `arcs` are (tail, head) pairs; endpoints outside `vertices` are ignored.
-    Roots are tried in the given vertex order and neighbours in arc order.
+    Edges with an endpoint outside `vertices` are ignored.  Returns
+    (comps, inner, between): the components in reverse topological
+    order, each component's edge ids with both ends inside it, and the
+    edge ids that run between two components, both in `edge_ids` order.
+    Roots are tried in the given vertex order and neighbours in edge order.
     """
     verts = list(vertices)
     index = {v: i for i, v in enumerate(verts)}
-    local = DiGraph(len(verts), [(index[u], index[v]) for u, v in arcs
-                                 if u != v and u in index and v in index])
-    return [[verts[i] for i in comp] for comp in scc(local)]
+    succ: List[List[int]] = [[] for _ in verts]
+    kept: List[Tuple[int, int, int]] = []
+    tails, heads = g.tails, g.heads
+    for e in edge_ids:
+        iu, iv = index.get(tails[e]), index.get(heads[e])
+        if iu is not None and iv is not None:
+            succ[iu].append(iv)
+            kept.append((e, iu, iv))
+    local, comp_of = _tarjan(succ)
+    inner: List[List[int]] = [[] for _ in local]
+    between: List[int] = []
+    for e, iu, iv in kept:
+        cu = comp_of[iu]
+        if cu == comp_of[iv]:
+            inner[cu].append(e)
+        else:
+            between.append(e)
+    return [[verts[i] for i in comp] for comp in local], inner, between
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import LevelViolationError, NotAcyclicError, ParseError
 from .graph import DiGraph, scc_subgraph
 from .io import _int
@@ -92,8 +92,8 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     work = [(list(range(n)), sorted(edge_level), eta)]
     while work:
         comp_verts, comp_edges, k = work.pop()
+        comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
         if k == 0:
-            comps = scc_subgraph(comp_verts, [(g.tails[e], g.heads[e]) for e in comp_edges])
             if any(len(c) > 1 for c in comps):
                 bad = next(c for c in comps if len(c) > 1)
                 raise NotAcyclicError(f"D contains a cycle through {sorted(bad)}")
@@ -101,27 +101,14 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
                 tau[comp[0]] = next_val
                 next_val += 1
             continue
-        comps = scc_subgraph(comp_verts, [(g.tails[e], g.heads[e]) for e in comp_edges])
-        comp_id: Dict[int, int] = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_id[v] = i
-        edges_in: List[List[int]] = [[] for _ in comps]
-        for e in comp_edges:
-            cu, cv = comp_id[g.tails[e]], comp_id[g.heads[e]]
-            lv = edge_level[e]
-            if cu != cv:
-                # only D edges may run between components of a level graph
-                if lv >= 1:
-                    raise LevelViolationError(
-                        f"level-{lv} edge {e} crosses components at level {k}")
-            elif lv != k:
-                edges_in[cu].append(e)
-            else:
-                # level-k edge inside its component: consumed at this level
-                pass
-        for i, comp in enumerate(comps):
-            work.append((comp, edges_in[i], k - 1))
+        # only D edges may run between components of a level graph
+        for e in between:
+            if edge_level[e] >= 1:
+                raise LevelViolationError(
+                    f"level-{edge_level[e]} edge {e} crosses components at level {k}")
+        # level-k edges inside a component are consumed at this level
+        for comp, edges in zip(comps, inner):
+            work.append((comp, [e for e in edges if edge_level[e] != k], k - 1))
     return tau
 
 
@@ -486,7 +473,9 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
 
     Expansion is exact on components of at most EXACT_CUT_THRESHOLD
     vertices (`exhaustive_worst_cut` against phi), falsification-only above.
+    Raises BadParamsError for phi outside (0, 1).
     """
+    check_phi(phi)
     rng = rng or random.Random(0)
     rep = ValidationReport(ok=True)
     m = g.m
@@ -503,7 +492,7 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
         rep.errors.append(f"partition broken at edges {bad}")
         return rep
     # (b) D acyclic
-    comps = scc_subgraph(range(g.n), [(g.tails[e], g.heads[e]) for e in h.d])
+    comps, _, _ = scc_subgraph(g, range(g.n), h.d)
     if any(len(c) > 1 for c in comps):
         rep.ok = False
         rep.errors.append("D has a cycle")
@@ -513,27 +502,20 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
     active: Set[int] = set(h.d)
     level_comps: List[List[List[int]]] = []
     for i in range(1, eta + 1):
-        active |= level_sets[i]
-        comps = scc_subgraph(range(g.n), [(g.tails[e], g.heads[e]) for e in active])
+        level = level_sets[i]
+        active |= level
+        comps, inner, between = scc_subgraph(g, range(g.n), active)
         level_comps.append(comps)
-        comp_id = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_id[v] = ci
-        members: Dict[int, List[int]] = {}
-        for e in level_sets[i]:
-            cu, cv = comp_id[g.tails[e]], comp_id[g.heads[e]]
-            if cu != cv:
+        for e in between:
+            if e in level:
                 rep.ok = False
                 rep.errors.append(f"level-{i} edge {e} not inside one component")
+        terminals = [[e for e in edges if e in level] for edges in inner]
+        vol = terminal_volume(g, cap, (e for f_here in terminals for e in f_here))
+        for comp, edges, f_here in zip(comps, inner, terminals):
+            if not f_here:
                 continue
-            members.setdefault(cu, []).append(e)
-        vol = terminal_volume(g, cap, (e for f_edges in members.values() for e in f_edges))
-        for ci in sorted(members):
-            comp = comps[ci]
-            comp_set = set(comp)
-            sub_edges = [(g.tails[e], g.heads[e], cap[e]) for e in active
-                         if g.tails[e] in comp_set and g.heads[e] in comp_set]
+            sub_edges = [(g.tails[e], g.heads[e], cap[e]) for e in edges]
             volw = {v: vol[v] for v in comp}
             if len(comp) <= EXACT_CUT_THRESHOLD:
                 ratio, side = exhaustive_worst_cut(comp, sub_edges, volw, phi)

@@ -556,8 +556,3 @@ class _Engine:
                 assert a != -1 and self.forest.rep_par[v] == self.arc_head[a], \
                     f"tree edge of {v} is not its current arc"
 
-
-def label_gap_certificate(result: PushRelabelResult, s: int, t: int) -> int:
-    """Final-label gap l(s) - l(t); at most three times the residual
-    w-distance between s and t at every point of the run."""
-    return result.labels.levels[s] - result.labels.levels[t]

@@ -156,6 +156,25 @@ def bellman_ford_arcs(n: int, arcs: Sequence[Tuple[int, int, int]],
     return dist
 
 
+def max_flow_value_by_cuts(inst: FlowInstance) -> int:
+    """Exhaustive min-cut evaluation: min over S of c(E(S, S-bar)) +
+    delta(S-bar) + nabla(S).  Exponential; for tiny oracles only."""
+    g = inst.g
+    n = g.n
+    best = None
+    for mask in range(1 << n):
+        cut_cap = 0
+        for e in range(g.m):
+            if (mask >> g.tails[e]) & 1 and not (mask >> g.heads[e]) & 1:
+                cut_cap += inst.cap[e]
+        val = cut_cap
+        val += sum(inst.delta[v] for v in range(n) if not (mask >> v) & 1)
+        val += sum(inst.nabla[v] for v in range(n) if (mask >> v) & 1)
+        if best is None or val < best:
+            best = val
+    return best
+
+
 def exhaustive_sparsest_cut(vertices: Sequence[int],
                             edges: Sequence[Tuple[int, int, int]],
                             volw: Dict[int, int]) -> Tuple[Optional[Fraction], Optional[Set[int]]]:

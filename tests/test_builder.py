@@ -47,7 +47,7 @@ def test_decompose_two_cliques_cuts_bridges():
     # on the surviving subgraph (reindexed without the separator)
     rest = sorted(set(range(g.m)) - x)
     g2, caps2 = build_graph(2 * k, [(g.tails[e], g.heads[e], caps[e]) for e in rest])
-    comps = scc_subgraph(range(2 * k), [(g2.tails[e], g2.heads[e]) for e in range(g2.m)])
+    comps, _, _ = scc_subgraph(g2, range(2 * k), range(g2.m))
     comp_of = {}
     for i, c in enumerate(comps):
         for v in c:
@@ -125,8 +125,7 @@ def test_separator_property_every_level():
             below = set()
             for j in range(i):
                 below |= level_sets[j]
-            comps = scc_subgraph(range(g.n),
-                                 [(g.tails[e], g.heads[e]) for e in below])
+            comps, _, _ = scc_subgraph(g, range(g.n), below)
             comp_of = {}
             for ci, c in enumerate(comps):
                 for v in c:

@@ -172,6 +172,24 @@ def test_hierarchy_validates_once_per_attempt(tmp_path, capsys, monkeypatch):
     assert len(calls) == attempts
 
 
+@pytest.mark.parametrize("phi", ["0", "-1/4", "1", "3/2"])
+def test_validate_phi_outside_unit_interval_exit_2(tmp_path, capsys, phi):
+    graph = str(tmp_path / "r.dimacs")
+    _run(["gen", "--model", "random", "--gen-n", "20", "--m", "60", "--cap", "3",
+          "--seed", "2", "--out", graph], capsys)
+    hier = str(tmp_path / "h.txt")
+    code, _, _ = _run(["hierarchy", "--out", hier, graph], capsys)
+    assert code == 0
+    try:
+        code = main(["validate", f"--phi={phi}", hier, graph])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert "VALID" not in out.out
+    assert any("error:" in line for line in out.err.splitlines())
+
+
 def test_validate_malformed_hierarchy_exit_2(tmp_path, capsys):
     graph = _write(tmp_path, "single.dimacs", SINGLE)
     hier = _write(tmp_path, "h.txt", "1 x\n")
@@ -502,6 +520,8 @@ def test_other_subcommands_fuzz_checked_result_or_error_line(tmp_path_factory, r
         assert code == 2  # a fault in an input file
     else:
         assert code != 2 or not usable
+        if cmd == "validate" and not usable:  # only --phi can be bad there
+            assert code == 2
     if code == 0 or (cmd == "validate" and code == 1 and out):
         _check_fuzz_result(cmd, argv, text, code, out)
     else:

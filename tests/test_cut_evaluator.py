@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hierflow.graph import scc_subgraph
+from hierflow.graph import DiGraph, scc_subgraph
 from hierflow.hierarchy import _BATCH, CutEvaluator, sampled_sparse_cut
 
 from helpers import cut_sparsity, per_cut_sampled_cut, scc_from_closure
@@ -185,16 +185,28 @@ def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)
     for _ in range(300):
         n = rng.randint(1, 10)
-        verts = rng.sample(range(n + 5), n)  # vertex ids need not be 0..n-1
+        verts = rng.sample(range(n + 5), n)  # shuffled, and ids need not be 0..n-1
         pool = verts + [n + 5 + i for i in range(3)]  # ids outside the set
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 25))]
-        comps = scc_subgraph(verts, pairs)
+        pairs = [(u, v) for u, v in pairs if u != v]
+        # parallel and antiparallel copies of some edges
+        pairs += [rng.choice([(u, v), (v, u)]) for u, v in rng.sample(pairs, len(pairs) // 3)]
+        g = DiGraph(n + 8, pairs)
+        edge_ids = rng.sample(range(g.m), rng.randint(0, g.m))  # a subset, shuffled
+        comps, inner, between = scc_subgraph(g, verts, edge_ids)
         index = {v: i for i, v in enumerate(verts)}
-        inside = [(index[u], index[v]) for u, v in pairs if u in index and v in index]
-        want = {frozenset(verts[i] for i in c) for c in scc_from_closure(n, inside)}
+        inside = [e for e in edge_ids if g.tails[e] in index and g.heads[e] in index]
+        want = {frozenset(verts[i] for i in c) for c in scc_from_closure(
+            n, [(index[g.tails[e]], index[g.heads[e]]) for e in inside])}
         assert {frozenset(c) for c in comps} == want
         assert sorted(v for c in comps for v in c) == sorted(verts)
         pos = {v: i for i, c in enumerate(comps) for v in c}
-        for u, v in pairs:
-            if u in pos and v in pos and pos[u] != pos[v]:
+        for e in inside:
+            u, v = g.tails[e], g.heads[e]
+            if pos[u] != pos[v]:
                 assert pos[v] < pos[u]  # reverse topological order
+        # inner and between edges, in edge_ids order, against the oracle
+        oracle = {v: c for c in want for v in c}
+        assert inner == [[e for e in inside if oracle[g.tails[e]] == oracle[g.heads[e]]
+                          and g.tails[e] in c] for c in comps]
+        assert between == [e for e in inside if oracle[g.tails[e]] != oracle[g.heads[e]]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierflow.errors import LevelViolationError, NotAcyclicError, ParseError
+from hierflow.errors import BadParamsError, LevelViolationError, NotAcyclicError, ParseError
 from hierflow.graph import build_graph
 from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_text,
                                 hierarchy_to_text, induced_weights,
@@ -147,6 +147,26 @@ def test_validate_catches_partition_and_cycle_defects():
     assert not rep.ok  # edge 0 placed twice
     rep = validate_hierarchy(g, caps, Hierarchy({0, 1}, [], [1, 2]), Fraction(1, 8))
     assert not rep.ok  # D cyclic
+
+
+def test_validate_reports_level_edge_between_components():
+    # two 2-cycles joined by edge 4 (1 -> 2): with every edge on level 1,
+    # edge 4 runs between the two level-1 components, breaking (c)
+    g, caps = build_graph(4, [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1), (1, 2, 1)])
+    rep = validate_hierarchy(g, caps, Hierarchy(set(), [set(range(5))], [1, 2, 3, 4]),
+                             Fraction(1, 8))
+    assert not rep.ok
+    assert rep.errors == ["level-1 edge 4 not inside one component"]
+    # both 2-cycles are still checked, and expand
+    assert [(c.size, c.ok) for c in rep.components] == [(2, True), (2, True)]
+
+
+@pytest.mark.parametrize("phi", [Fraction(0), Fraction(-1, 4), Fraction(1), Fraction(3, 2)])
+def test_validate_rejects_phi_outside_unit_interval(phi):
+    g, caps = _c8()
+    h = Hierarchy(set(), [set(range(8))], respecting_topo_order(g, set(), [set(range(8))]))
+    with pytest.raises(BadParamsError):
+        validate_hierarchy(g, caps, h, phi)
 
 
 def _check_worst_cut(verts, edges, volw, oracle=True):

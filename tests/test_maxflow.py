@@ -9,9 +9,9 @@ from hierflow.generators import generate
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, ek_solver, exact_solver,
-                              max_flow_exact, max_flow_value_by_cuts)
+                              max_flow_exact)
 
-from helpers import random_instance
+from helpers import max_flow_value_by_cuts, random_instance
 
 
 def test_ek_single_edge():
