@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
-from .cut_matching import CutOrEmbedOutcome, cut_or_embed
+from .cut_matching import cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
 from .graph import DiGraph, scc_subgraph
 from .hierarchy import (Hierarchy, ValidationReport, respecting_topo_order,

@@ -12,12 +12,11 @@ from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, check_phi, default_phi
 from .errors import (ArcCountMismatchError, BadParamsError, HierflowError,
                      MissingSourceOrSinkError, NotDiffusionError, ParseError)
-from .graph import FlowInstance, flow_stats
 from .hierarchy import (Hierarchy, hierarchy_from_text, hierarchy_to_text,
                         validate_hierarchy)
 from .io import InstanceFile, emit_dimacs, emit_diffusion, parse_instance
 from .maxflow import (capacity_scaled_max_flow, dag_approx_flow, edmonds_karp,
-                      ek_solver, exact_solver, max_flow_exact)
+                      exact_solver, max_flow_exact)
 from .generators import generate
 from .sparse_cut import sparse_cut
 

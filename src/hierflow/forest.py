@@ -18,7 +18,7 @@ aggregates; only what capacitated augmentation needs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import NoParentError, NotARootError, SameTreeError
 

@@ -326,16 +326,16 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
     witness side or None; None proves nothing.
 
     Draw order: random cut j puts local vertex i (0 <= i < k) in S when
-    the (j * k + i)-th `rng.random()` of the phase is below 1/2, and the
-    first phi-sparse cut in j order is the witness.  The cuts are tested
-    by `_random_cuts` in batches of `_BATCH`: a batch's k * b draws are
-    taken at once, and cut j of the batch occupies lane j, bytes
-    [j * L, (j + 1) * L) of one little-endian int per vertex, where L is
-    the byte length of max(vol(V), total capacity).  On a hit in lane j
-    the rng is set back to its state at the batch start and (j + 1) * k
-    draws are replayed, so the witness, and the rng state the level-cut
-    phase and later callers see, are those of a loop that draws and
-    tests one cut at a time.
+    the (j * k + i)-th `rng.random()` of the phase would be below 1/2, and
+    the first phi-sparse cut in j order is the witness.  `_random_cuts`
+    takes a batch of b cuts' draws as the 2 * b * k 32-bit Mersenne
+    Twister words that b * k `random()` calls would use, in one
+    `getrandbits` call, and tests all b cuts at once, cut j in lane j of
+    one int per vertex.  On a hit in lane j the rng is set back to its
+    state at the batch start and the words of (j + 1) * k draws are taken
+    again, so the witness, and the rng state the level-cut phase and later
+    callers see, are those of a loop that calls `random()` once per vertex
+    and tests one cut at a time.
     """
     verts, ev = _evaluator(vertices, edges, vol_weight)
     k = ev.k
@@ -374,19 +374,36 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
 # random cuts evaluated together by _random_cuts, one lane each
 _BATCH = 512
 
+# byte -> 1 when its top bit is clear: the high byte of a draw's first
+# 32-bit word, mapped to whether `random() < 0.5` for that draw
+_TOP = bytes(x < 0x80 for x in range(256))
+
 
 def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
                  budget: int) -> Optional[List[int]]:
     """The first phi-sparse cut of `budget` random cuts, bit-sliced as
     `sampled_sparse_cut` describes; the witness's local indices, or None.
 
-    X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
+    Draws: `random()` takes two 32-bit words a, b and returns
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, which is below 1/2 exactly when
+    the top bit of a is 0.  `getrandbits(64 * n)` takes the same 2n words
+    in the same order and puts the first least significant, so byte
+    8 * d + 3 of its little-endian bytes is the high byte of draw d's
+    word a, and the rng ends where n `random()` calls leave it.
+
+    Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
     P = sum over arcs (u, v, c) of c * (X_u & X_v), every lane j of
         sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
-    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  No lane value
-    exceeds total capacity or vol(V), so no carry or borrow crosses a
-    lane.  Each lane is read back from the bytes of the three sums and
-    tested as `CutEvaluator.sparse` does.
+    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Cut j is sparse
+    when c * den < num * vol(S) and c * den < num * vol(S-bar) for c one
+    of its two capacities (vol(S) = 0 or vol(S-bar) = 0 fails one test,
+    since c >= 0).  Each test x < y is made in every lane at once: the
+    lane of G + y - 1 - x, where G is the guard bit (the top bit of every
+    lane), is G + (y - x - 1) and keeps its guard bit exactly when
+    x < y.  L is the byte length of max(vol(V), total capacity) *
+    max(num, den) plus one bit for the guard, so -G <= y - x - 1 < G, no
+    lane leaves [0, 2G), and no carry or borrow crosses a lane.  The first
+    sparse cut is the lowest guard bit left after the tests are combined.
     """
     k = ev.k
     outcap = [0] * k
@@ -402,36 +419,34 @@ def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
     in_w = [(i, c) for i, c in enumerate(incap) if c]
     vol_w = [(i, x) for i, x in enumerate(ev.vol) if x]
     total = ev.total_vol
-    width = max(1, (max(total, sum(outcap)).bit_length() + 7) // 8)
     num, den = phi.numerator, phi.denominator
-    draw = rng.random
-    frm = int.from_bytes
+    width = ((max(total, sum(outcap)) * max(num, den)).bit_length() + 8) // 8
+    lane_bits = 8 * width
     done = 0
     while done < budget:
         b = min(_BATCH, budget - done)
         start = rng.getstate()
-        flags = bytes([draw() < 0.5 for _ in range(b * k)])  # cut-major
-        size = b * width
-        lanes = bytearray(size)
+        # cut-major: flags[j * k + i] is 1 when cut j puts vertex i in S
+        flags = rng.getrandbits(64 * b * k).to_bytes(8 * b * k, "little")[3::8].translate(_TOP)
+        lanes = bytearray(b * width)
         xs = []
         for i in range(k):
             lanes[::width] = flags[i::k]
-            xs.append(frm(lanes, "little"))
+            xs.append(int.from_bytes(lanes, "little"))
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
+        guard = ones << (lane_bits - 1)
         cross = sum(c * (xs[u] & xs[v]) for u, v, c in pairs)
-        out_b = (sum(c * xs[i] for i, c in out_w) - cross).to_bytes(size, "little")
-        in_b = (sum(c * xs[i] for i, c in in_w) - cross).to_bytes(size, "little")
-        vol_b = sum(x * xs[i] for i, x in vol_w).to_bytes(size, "little")
-        for j, lo in enumerate(range(0, size, width)):
-            hi = lo + width
-            vol_s = frm(vol_b[lo:hi], "little")
-            mv = min(vol_s, total - vol_s)
-            if mv <= 0:
-                continue  # one side has no volume: never sparse
-            if min(frm(out_b[lo:hi], "little"), frm(in_b[lo:hi], "little")) * den < num * mv:
-                rng.setstate(start)
-                for _ in range((j + 1) * k):
-                    draw()
-                return [i for i in range(k) if flags[j * k + i]]
+        c_out = (sum(c * xs[i] for i, c in out_w) - cross) * den  # c(S, S-bar) * den
+        c_in = (sum(c * xs[i] for i, c in in_w) - cross) * den  # c(S-bar, S) * den
+        v_s = num * sum(x * xs[i] for i, x in vol_w)  # num * vol(S)
+        g_s = guard - ones + v_s  # G + num * vol(S) - 1
+        g_t = guard - ones + num * total * ones - v_s  # G + num * vol(S-bar) - 1
+        hit = ((g_s - c_out) & (g_t - c_out) | (g_s - c_in) & (g_t - c_in)) & guard
+        if hit:
+            j = ((hit & -hit).bit_length() - 1) // lane_bits
+            rng.setstate(start)
+            rng.getrandbits(64 * (j + 1) * k)
+            return [i for i in range(k) if flags[j * k + i]]
         done += b
     return None
 

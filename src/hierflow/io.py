@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArcCountMismatchError, MissingSourceOrSinkError,
                      NotDiffusionError, ParseError)
-from .graph import DiGraph, FlowInstance, build_graph
+from .graph import FlowInstance, build_graph
 
 
 def _int(token: str, no: int) -> int:

@@ -1,5 +1,6 @@
 """No contract in the library rests on `assert`, which `python -O` strips,
-and no `SolverConfig` field goes unread.
+no `SolverConfig` field goes unread, and no module imports a name it
+never reads.
 
 The one `assert` exception is `_assert_invariants`, the push-relabel
 debug oracle that runs only with `debug_invariants` on.
@@ -75,3 +76,33 @@ def test_every_config_field_is_read_outside_config():
         read |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert [name for name in _config_fields() if name not in read] == []
+
+
+def _unread_imports(tree):
+    """Names a module imports but never reads, `from __future__` aside."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported if name not in read]
+
+
+def test_import_checker_finds_unread_names():
+    src = ("from __future__ import annotations\n"
+           "import os.path, sys as system\n"
+           "from typing import List, Optional\n"
+           "def f(x: List[int]):\n"
+           "    return os.path.join(*x)\n")
+    assert _unread_imports(ast.parse(src)) == [("system", 2), ("Optional", 3)]
+
+
+def test_library_imports_only_names_it_reads():
+    """`__init__.py` is exempt: its imports are the package's re-exports."""
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted(Path(hierflow.__file__).parent.glob("*.py"))
+              if path.name != "__init__.py"
+              for name, line in _unread_imports(ast.parse(path.read_text(), str(path)))]
+    assert unread == []

@@ -181,6 +181,84 @@ def test_sampled_sparse_cut_planted_hit_in_every_lane_position():
                 assert side == [v for v in range(k) if plant[v]]
 
 
+# phi far wider than the capacities: it, not they, sets the lane width
+_WIDE_PHIS = [Fraction(1, 10 ** 20), Fraction(10 ** 20 - 1, 10 ** 20)]
+
+
+def test_sampled_sparse_cut_matches_per_cut_reference_at_wide_phi():
+    rng = random.Random(505)
+    found = 0
+    for case in range(96):
+        k = rng.randint(2, 24)
+        edges = [(rng.randrange(k), rng.randrange(k), rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 3 * k))]
+        volw = {v: rng.randint(0, 5) for v in range(k)}
+        budget = _BUDGETS[case % len(_BUDGETS)]
+        phi = _WIDE_PHIS[case // len(_BUDGETS) % len(_WIDE_PHIS)]
+        side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                                         rng.getrandbits(32), budget)
+        found += side is not None and calls < budget * k
+    assert found >= 10
+
+
+def test_sampled_sparse_cut_cut_capacity_filling_its_lane():
+    """One arc carries almost all the capacity, so a cut across it takes
+    nearly the whole signed range of its lane: max(vol(V), total capacity)
+    * max(num, den) is 97 % of 2^bits, for every bits from 72 to 103.
+    Light arcs both ways between every pair leave no sparse cut, so any
+    witness is a lane read wrongly."""
+    k = 6
+    light = [(u, v, 1) for u in range(k) for v in range(k) if u != v]
+    volw = {v: 1 for v in range(k)}
+    for phi in _WIDE_PHIS:
+        for bits in range(72, 104):
+            heavy = 2 ** bits * 97 // 100 // phi.denominator - len(light)
+            side, _calls = _same_as_reference(list(range(k)), light + [(0, 1, heavy)],
+                                              volw, phi, bits, 2 * _BATCH)
+            assert side is None
+
+
+def _planted_seed(k, target):
+    """The first seed whose target-th random cut of k vertices is proper
+    and, up to complement, not among the cuts drawn before it."""
+    seed = 0
+    while True:
+        r = random.Random(seed)
+        cuts = [tuple(r.random() < 0.5 for _ in range(k)) for _ in range(target + 1)]
+        plant = cuts[target]
+        flipped = tuple(not x for x in plant)
+        if 0 < sum(plant) < k and plant not in cuts[:target] and flipped not in cuts[:target]:
+            return seed, plant
+        seed += 1
+
+
+def test_sampled_sparse_cut_is_strict_at_ratio_phi():
+    """The target-th random cut S gets c(S-bar, S) / min(vol(S), vol(S-bar))
+    equal to phi, every other cut a ratio far above it: no witness, since
+    sparse means ratio < phi.  One unit of capacity less makes S the
+    witness, found in its own lane."""
+    k = 18
+    heavy = 10 ** 30
+    for target in [0, _BATCH - 1, _BATCH + 5]:
+        seed, plant = _planted_seed(k, target)
+        s = min(sum(plant), k - sum(plant))
+        inside = [(u, v, heavy) for u in range(k) for v in range(k)
+                  if u != v and (plant[u] == plant[v] or plant[u])]
+        back = (plant.index(False), plant.index(True))  # the one S-bar -> S arc
+        for phi in _WIDE_PHIS + [Fraction(1, 16)]:
+            volw = {v: phi.denominator for v in range(k)}
+            for c in (phi.numerator * s, phi.numerator * s - 1):
+                edges = inside + [back + (c,)]
+                for budget in (target + 1, 3 * _BATCH + 7):
+                    side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                                                     seed, budget)
+                    if c == phi.numerator * s:
+                        assert side is None
+                    else:
+                        assert calls == (target + 1) * k
+                        assert side == [v for v in range(k) if plant[v]]
+
+
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)
     for _ in range(300):
