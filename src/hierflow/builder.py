@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .cut_matching import cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
-from .graph import DiGraph, scc_subgraph
+from .graph import DiGraph, scc_subgraph, subgraph
 from .hierarchy import (Hierarchy, ValidationReport, respecting_topo_order,
                         validate_hierarchy)
 
@@ -73,42 +72,44 @@ class BuildResult:
     report: Optional[ValidationReport] = None
 
 
-class _SubView:
-    """Reindexed subgraph over a vertex/edge subset."""
-
-    def __init__(self, g: DiGraph, cap: Sequence[int], vertices: List[int],
-                 edge_ids: List[int]):
-        self.vmap = {v: i for i, v in enumerate(vertices)}
-        self.vertices = vertices
-        self.edge_ids = edge_ids
-        self.g = DiGraph(len(vertices),
-                         [(self.vmap[g.tails[e]], self.vmap[g.heads[e]]) for e in edge_ids])
-        self.cap = [cap[e] for e in edge_ids]
-        self.emap = {e: i for i, e in enumerate(edge_ids)}
-
-    def to_global_vertices(self, local: Sequence[int]) -> List[int]:
-        return [self.vertices[v] for v in local]
-
-    def local_edge_set(self, global_ids: Set[int]) -> Set[int]:
-        return {self.emap[e] for e in global_ids if e in self.emap}
-
-
-def _sub_hierarchy(view: _SubView, parts: Parts) -> Hierarchy:
-    """Reindexed hierarchy of the piece's non-terminal edges."""
-    d = view.local_edge_set(parts.d)
-    levels = [view.local_edge_set(x) for x in parts.levels]
-    levels = [x for x in levels if x]
+def _sub_hierarchy(sub: DiGraph, local: Dict[int, int], parts: Parts) -> Hierarchy:
+    """Hierarchy of a piece's non-terminal edges in its local edge ids
+    (`local` maps each edge id of the piece to its index in `sub`)."""
+    d = {local[e] for e in parts.d}
+    levels = [{local[e] for e in x} for x in parts.levels]
     # any non-terminal edge not placed by parts would be a bookkeeping bug
-    tau = respecting_topo_order(view.g, d, levels)
+    tau = respecting_topo_order(sub, d, levels)
     return Hierarchy(d, levels, tau)
+
+
+def _run(frame):
+    """Run a generator frame to its return value on one explicit stack.
+
+    A frame calls a nested frame by yielding it and is sent the nested
+    frame's return value, so nesting depth costs heap, not Python stack.
+    """
+    stack = [frame]
+    value = None
+    while True:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
 
 
 def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                f_edges: Set[int], below: Parts, phi: Fraction,
                rng: random.Random, config: SolverConfig, budget: _Budget,
-               log: List[str], level_no: int) -> Tuple[Set[int], Parts]:
+               log: List[str], level_no: int):
     """Carve a separator out of (vertices, edge_ids) so the terminals
-    expand in what remains; returns (removed, partition of the rest)."""
+    expand in what remains; returns (removed, partition of the rest).
+    A generator frame for `_run`."""
     removed: Set[int] = set()
     parts = Parts()
     # edges between pieces fall through to D at assembly
@@ -124,10 +125,11 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
             parts.d |= below_here.d
             _merge_levels(parts, below_here.levels)
             continue
-        view = _SubView(g, cap, piece, edges_here)
-        hier = _sub_hierarchy(view, below_here)
+        sub = subgraph(g, piece, edges_here)
+        local = {e: i for i, e in enumerate(edges_here)}
+        hier = _sub_hierarchy(sub, local, below_here)
         seed = rng.getrandbits(64)
-        outcome = cut_or_embed(view.g, view.cap, view.local_edge_set(f_here),
+        outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
                                phi, hier, random.Random(seed), config)
         if outcome.cut is None:
             cert = outcome.certificate
@@ -139,8 +141,7 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
             parts.d |= merged.d
             continue
         budget.tick()
-        side_local = outcome.cut
-        side = set(view.to_global_vertices(side_local))
+        side = {piece[i] for i in outcome.cut}
         other = [v for v in piece if v not in side]
         if outcome.boundary_out <= outcome.boundary_in:
             rem_dir = {e for e in edges_here
@@ -165,13 +166,13 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                 log.append(
                     f"level={level_no} event=rebuild component={len(sub_vertices)} "
                     f"edges={len(sub_lower)}")
-                sub_below = _full_build(g, cap, sub_vertices, sub_lower, phi,
-                                        rng, config, budget, log)
+                sub_below = yield _full_build(g, cap, sub_vertices, sub_lower, phi,
+                                              rng, config, budget, log)
             else:
                 sub_below = below.restrict(sub_lower).compact()
-            rem2, parts2 = _decompose(g, cap, sub_vertices, sub_edges, sub_f,
-                                      sub_below, phi, rng, config, budget, log,
-                                      level_no)
+            rem2, parts2 = yield _decompose(g, cap, sub_vertices, sub_edges, sub_f,
+                                            sub_below, phi, rng, config, budget, log,
+                                            level_no)
             removed |= rem2
             parts.d |= parts2.d
             _merge_levels(parts, parts2.levels)
@@ -192,8 +193,9 @@ def _merge_levels(parts: Parts, levels: Sequence[Set[int]]) -> None:
 
 def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                 phi: Fraction, rng: random.Random, config: SolverConfig,
-                budget: _Budget, log: List[str]) -> Parts:
-    """Complete hierarchy of (vertices, edge_ids) built from scratch."""
+                budget: _Budget, log: List[str]):
+    """Complete hierarchy of (vertices, edge_ids) built from scratch.
+    A generator frame for `_run`."""
     if not edge_ids:
         return Parts()
     m = max(len(edge_ids), 1)
@@ -211,8 +213,8 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
         if level_no > eta_cap + 1:
             raise IterationCapExceededError(
                 f"level count exceeded cap {eta_cap} while terminals remain")
-        removed, parts = _decompose(g, cap, list(vertices), set(edge_ids), f_cur,
-                                    parts, phi, rng, config, budget, log, level_no)
+        removed, parts = yield _decompose(g, cap, list(vertices), set(edge_ids), f_cur,
+                                          parts, phi, rng, config, budget, log, level_no)
         f_cur = removed
     return parts
 
@@ -230,14 +232,9 @@ def expander_decompose(g: DiGraph, cap: Sequence[int], f_edges: Set[int],
     budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
     below_parts = Parts(set(below.d), [set(x) for x in below.levels])
     rng = random.Random(seed)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20000))
-    try:
-        removed, _parts = _decompose(g, cap, list(range(g.n)), set(range(g.m)),
-                                     set(f_edges), below_parts, phi, rng, config,
-                                     budget, log, 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    removed, _parts = _run(_decompose(g, cap, list(range(g.n)), set(range(g.m)),
+                                      set(f_edges), below_parts, phi, rng, config,
+                                      budget, log, 1))
     return removed
 
 
@@ -256,38 +253,33 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     base = random.Random(seed)
     log: List[str] = []
     last_report = None
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20000))
-    try:
-        for attempt in range(1, BUILD_RETRIES + 1):
-            attempt_seed = base.getrandbits(64)
-            rng = random.Random(attempt_seed)
-            budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
-            # a refuted attempt was certified too optimistically on some large
-            # component; escalate the falsification budget so retries converge
-            att_cfg = config if attempt == 1 else config.with_(
-                builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
-            try:
-                parts = _full_build(g, cap, list(range(g.n)), set(range(g.m)),
-                                    phi, rng, att_cfg, budget, log)
-            except (IterationCapExceededError, CutCheckFailedError) as exc:
-                log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
-                continue
-            parts = parts.compact()
-            tau = respecting_topo_order(g, parts.d, parts.levels)
-            hier = Hierarchy(parts.d, parts.levels, tau)
-            if not validate:
-                return BuildResult(hier, log, attempt)
-            report = validate_hierarchy(g, cap, hier, phi, att_cfg,
-                                        random.Random(attempt_seed ^ 0xA5A5))
-            for i, x in enumerate(hier.levels):
-                log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")
-            if report.ok:
-                return BuildResult(hier, log, attempt, report)
-            last_report = report
-            log.append(f"attempt={attempt} event=invalid errors={len(report.errors)}")
-    finally:
-        sys.setrecursionlimit(old_limit)
+    for attempt in range(1, BUILD_RETRIES + 1):
+        attempt_seed = base.getrandbits(64)
+        rng = random.Random(attempt_seed)
+        budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
+        # a refuted attempt was certified too optimistically on some large
+        # component; escalate the falsification budget so retries converge
+        att_cfg = config if attempt == 1 else config.with_(
+            builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
+        try:
+            parts = _run(_full_build(g, cap, list(range(g.n)), set(range(g.m)),
+                                     phi, rng, att_cfg, budget, log))
+        except (IterationCapExceededError, CutCheckFailedError) as exc:
+            log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
+            continue
+        parts = parts.compact()
+        tau = respecting_topo_order(g, parts.d, parts.levels)
+        hier = Hierarchy(parts.d, parts.levels, tau)
+        if not validate:
+            return BuildResult(hier, log, attempt)
+        report = validate_hierarchy(g, cap, hier, phi, att_cfg,
+                                    random.Random(attempt_seed ^ 0xA5A5))
+        for i, x in enumerate(hier.levels):
+            log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")
+        if report.ok:
+            return BuildResult(hier, log, attempt, report)
+        last_report = report
+        log.append(f"attempt={attempt} event=invalid errors={len(report.errors)}")
     witness = None
     if last_report is not None:
         for c in last_report.components:

@@ -138,12 +138,11 @@ def union_psi(matchings) -> Optional[Fraction]:
     verts = sorted({v for ab in agg for v in ab})
     if not 1 < len(verts) <= EXACT_CUT_THRESHOLD:
         return None
-    edges = [(a, b, c) for (a, b), c in sorted(agg.items())]
-    volw = {v: 0 for v in verts}
-    for a, b, c in edges:
-        volw[a] += c
-        volw[b] += c
-    ratio, _side = exhaustive_worst_cut(verts, edges, volw)
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = sorted(agg)
+    union = DiGraph(len(verts), [(index[a], index[b]) for a, b in pairs])
+    cap = [agg[ab] for ab in pairs]
+    ratio, _side = exhaustive_worst_cut(union, cap, terminal_volume(union, cap, range(union.m)))
     return ratio
 
 
@@ -165,14 +164,13 @@ class CutOrEmbedOutcome:
     state: Optional[CMGState] = None
 
 
-def _brute_force_check(n, edges, volw, phi, rng, config):
+def _brute_force_check(g, cap, vol, phi, rng, config):
     """(certified, witness_side): exact on small graphs, falsification
     above; (None, None) means unknown."""
-    if n <= EXACT_CUT_THRESHOLD:
-        _ratio, side = exhaustive_worst_cut(range(n), edges, volw, phi)
+    if g.n <= EXACT_CUT_THRESHOLD:
+        _ratio, side = exhaustive_worst_cut(g, cap, vol, phi)
         return side is None, side
-    side = sampled_sparse_cut(range(n), edges, volw, phi, rng,
-                              config.builder_falsifier_cuts)
+    side = sampled_sparse_cut(g, cap, vol, phi, rng, config.builder_falsifier_cuts)
     if side is not None:
         return False, side
     return None, None  # silence: no refutation, no proof
@@ -198,8 +196,9 @@ def cut_or_embed(
         raise NotStronglyConnectedError("cut_or_embed needs a strongly connected graph")
     deg_f = terminal_volume(g, cap, f_edges)
     vol_total = sum(deg_f)
-    if vol_total * phi.numerator < phi.denominator or n <= 1:
-        # tiny total volume expands unconditionally
+    if n <= 1 or (vol_total * phi.numerator < phi.denominator and all(c > 0 for c in cap)):
+        # every cut of a strongly connected graph has an edge each way, so
+        # with positive capacities a tiny total volume expands unconditionally
         return CutOrEmbedOutcome(None, 0, vol_total,
                                  certificate=Certificate(None, 0, True))
     state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
@@ -209,8 +208,7 @@ def cut_or_embed(
     except (ZeroDivisionError, OverflowError):  # phi below the float range
         kappa = math.ceil(2 * Fraction(C_KAPPA) / phi)
     z = retry_budget(n)
-    edges = [(g.tails[e], g.heads[e], cap[e]) for e in range(g.m)]
-    volw = dict(enumerate(deg_f))
+    ev = CutEvaluator(g, cap, deg_f)
 
     def finish(early: bool) -> CutOrEmbedOutcome:
         psi = union_psi(state.matchings)
@@ -219,7 +217,6 @@ def cut_or_embed(
             certificate=Certificate(psi, state.rounds_played, early), state=state)
 
     def try_cut(side: List[int]) -> Optional[CutOrEmbedOutcome]:
-        ev = CutEvaluator(n, edges, deg_f)
         sset = set(side)
         ev.assign([v in sset for v in range(n)])
         if 2 * ev.vol_s > vol_total:
@@ -232,7 +229,7 @@ def cut_or_embed(
     while True:
         if config.cmg_early_exit:
             # falsifier silence proves nothing before the first round
-            verdict, witness = _brute_force_check(n, edges, volw, phi, rng, config)
+            verdict, witness = _brute_force_check(g, cap, deg_f, phi, rng, config)
             if verdict is True or (verdict is None and state.rounds_played > 0):
                 return finish(early=True)
             if witness is not None:

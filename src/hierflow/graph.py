@@ -10,6 +10,11 @@ runs against it (head to tail).  Every residual structure in the library
 (residual capacities, admissible marks, per-arc weights) is indexed by
 this arc id, and `DiGraph` holds the layout once: `arc_tail`, `arc_head`
 and the per-vertex `out_arcs` lists, which callers only read.
+
+Code that works on part of a graph gets a local `DiGraph` of its own:
+`subgraph` for a vertex and edge-id subset, `residual_graph` for the
+usable arcs of a residual view.  Both keep the caller's order, so local
+index i always names the i-th vertex, edge or arc the caller passed.
 """
 from __future__ import annotations
 
@@ -177,6 +182,15 @@ def scc_subgraph(g: DiGraph, vertices: Iterable[int], edge_ids: Iterable[int]
     return [[verts[i] for i in comp] for comp in local], inner, between
 
 
+def subgraph(g: DiGraph, vertices: Sequence[int], edge_ids: Sequence[int]) -> DiGraph:
+    """The subgraph on `vertices` and `edge_ids`, reindexed in the given
+    orders: local vertex i is vertices[i] and local edge j is edge_ids[j].
+    Every edge must have both ends in `vertices`."""
+    index = {v: i for i, v in enumerate(vertices)}
+    tails, heads = g.tails, g.heads
+    return DiGraph(len(vertices), [(index[tails[e]], index[heads[e]]) for e in edge_ids])
+
+
 @dataclass
 class FlowInstance:
     """Diffusion instance: graph, capacities, supply and sink vectors."""
@@ -280,9 +294,6 @@ class ResidualView:
         self.delta_f = delta_f
         self.nabla_f = nabla_f
 
-    def arc_ends(self, a: int) -> Tuple[int, int]:
-        return self.g.arc_tail[a], self.g.arc_head[a]
-
     def usable_out_arcs(self, v: int) -> List[int]:
         return [a for a in self.g.out_arcs[v] if self.arc_cap[a] > 0]
 
@@ -298,6 +309,16 @@ def residual(inst: FlowInstance, f: Flow) -> ResidualView:
     st = flow_stats(inst, f)
     nabla_f = [inst.nabla[v] - st.absorption[v] for v in range(inst.n)]
     return ResidualView(inst.g, arc_cap, st.excess, nabla_f)
+
+
+def residual_graph(res: ResidualView) -> Tuple[List[int], FlowInstance]:
+    """The residual graph materialized: one edge per usable arc, in
+    ascending arc-id order, carrying its residual capacity, with the
+    residual supply and sink vectors.  Returns (arc ids, instance)."""
+    arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
+    tail, head = res.g.arc_tail, res.g.arc_head
+    rg = DiGraph(res.g.n, [(tail[a], head[a]) for a in arc_ids])
+    return arc_ids, FlowInstance(rg, [res.arc_cap[a] for a in arc_ids], res.delta_f, res.nabla_f)
 
 
 def decompose_paths(inst: FlowInstance, f: Flow):

@@ -8,17 +8,21 @@ edges expand inside those components.  The respecting order tau makes
 every D edge point forward and keeps each component's tau values
 contiguous at every level; the weight of an edge is |tau_v - tau_u|.
 
-Expansion is checked cut by cut through `CutEvaluator`.  Small
-components get an exact answer from `exhaustive_worst_cut`, a branch and
-bound over all 2^(k-1) proper cuts that drops every subtree whose
-boundary and volume bounds already rule out a cut sparser than phi (or
-than the best cut found so far); large ones only get falsification by
-`sampled_sparse_cut`.  Its random cuts are tested 512 at a time: cut j of
-a batch owns byte lane j of one int per vertex, so boundary capacities
-and volumes of the whole batch come from big-int ANDs and sums over the
-arcs.  The cuts are drawn in the order a cut-by-cut loop draws them,
-and on a hit the rng is rewound and replayed up to the witness, so the
-witness and the rng state match that loop exactly.
+Expansion is checked cut by cut on a local graph: `CutEvaluator`,
+`exhaustive_worst_cut` and `sampled_sparse_cut` take a `DiGraph`, its
+per-edge capacities and a per-vertex volume list, read its edge lists and
+return sides as its vertex indices, which the caller maps back;
+`validate_hierarchy` hands them `graph.subgraph` of each component.
+Small components get an exact answer from `exhaustive_worst_cut`, a
+branch and bound over all 2^(k-1) proper cuts that drops every subtree
+whose boundary and volume bounds already rule out a cut sparser than phi
+(or than the best cut found so far); large ones only get falsification
+by `sampled_sparse_cut`.  Its random cuts are tested 512 at a time: cut
+j of a batch owns byte lane j of one int per vertex, so boundary
+capacities and volumes of the whole batch come from big-int ANDs and
+sums over the edges.  The cuts are drawn in the order a cut-by-cut loop
+draws them, and on a hit the rng is rewound and replayed up to the
+witness, so the witness and the rng state match that loop exactly.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import LevelViolationError, NotAcyclicError, ParseError
-from .graph import DiGraph, scc_subgraph
+from .graph import DiGraph, scc_subgraph, subgraph
 from .io import _int
 
 # component size up to which expansion is checked exactly, by
@@ -130,48 +134,43 @@ def terminal_volume(g: DiGraph, cap: Sequence[int], f_edges: Iterable[int]) -> L
 
 
 class CutEvaluator:
-    """Boundary capacity in both directions and volume of a cut S.
+    """Boundary capacity in both directions and volume of a cut S of a
+    local graph.
 
-    Vertices are local indices 0..k-1, arcs a fixed (u, v, c) list
-    (parallel and antiparallel arcs allowed, self-loops never cross),
-    volume weights an arbitrary nonnegative vertex vector (terminal
-    volumes in hierarchy checks, witness degrees when measuring a
-    matching union).  S starts empty; `flip` moves one vertex across in
-    one pass over its arcs, `assign` recomputes from scratch.
+    `g` is any `DiGraph` (parallel and antiparallel edges allowed), `cap`
+    its per-edge capacities and `vol` an arbitrary nonnegative vertex
+    vector (terminal volumes in hierarchy checks, witness degrees when
+    measuring a matching union).  S starts empty; `flip` moves one vertex
+    across in one pass over its edges, `assign` recomputes from scratch.
     """
 
-    __slots__ = ("k", "arcs", "vol", "total_vol", "out_adj", "in_adj",
-                 "in_s", "out_cap", "in_cap", "vol_s")
+    __slots__ = ("g", "cap", "vol", "total_vol", "in_s", "out_cap", "in_cap", "vol_s")
 
-    def __init__(self, k: int, arcs: Sequence[Tuple[int, int, int]], vol: Sequence[int]):
-        self.k = k
-        self.arcs = [(u, v, c) for u, v, c in arcs if u != v]
-        self.vol = list(vol)
-        self.total_vol = sum(self.vol)
-        self.out_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-        self.in_adj: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-        for u, v, c in self.arcs:
-            self.out_adj[u].append((v, c))
-            self.in_adj[v].append((u, c))
-        self.in_s = [False] * k
+    def __init__(self, g: DiGraph, cap: Sequence[int], vol: Sequence[int]):
+        self.g = g
+        self.cap = cap
+        self.vol = vol
+        self.total_vol = sum(vol)
+        self.in_s = [False] * g.n
         self.out_cap = 0  # c(E(S, S-bar))
         self.in_cap = 0   # c(E(S-bar, S))
         self.vol_s = 0
 
     def flip(self, i: int) -> None:
-        in_s = self.in_s
+        in_s, cap, g = self.in_s, self.cap, self.g
+        heads, tails = g.heads, g.tails
         to_s = to_out = 0
-        for j, c in self.out_adj[i]:
-            if in_s[j]:
-                to_s += c
+        for e in g.out_edges[i]:
+            if in_s[heads[e]]:
+                to_s += cap[e]
             else:
-                to_out += c
+                to_out += cap[e]
         from_s = from_out = 0
-        for j, c in self.in_adj[i]:
-            if in_s[j]:
-                from_s += c
+        for e in g.in_edges[i]:
+            if in_s[tails[e]]:
+                from_s += cap[e]
             else:
-                from_out += c
+                from_out += cap[e]
         if in_s[i]:
             in_s[i] = False
             self.out_cap += from_s - to_out
@@ -186,7 +185,7 @@ class CutEvaluator:
     def assign(self, flags: Sequence[bool]) -> None:
         in_s = self.in_s = list(flags)
         out_c = in_c = 0
-        for u, v, c in self.arcs:
+        for u, v, c in zip(self.g.tails, self.g.heads, self.cap):
             if in_s[u] != in_s[v]:
                 if in_s[u]:
                     out_c += c
@@ -196,21 +195,13 @@ class CutEvaluator:
         self.vol_s = sum(x for x, s in zip(self.vol, in_s) if s)
 
     def side(self) -> List[int]:
-        return [i for i in range(self.k) if self.in_s[i]]
+        return [i for i in range(self.g.n) if self.in_s[i]]
 
     def sparse(self, phi: Fraction) -> bool:
         """min(out, in) < phi * min(vol(S), vol(S-bar)); False when either
         side has no volume."""
         mv = min(self.vol_s, self.total_vol - self.vol_s)
         return min(self.out_cap, self.in_cap) * phi.denominator < phi.numerator * mv
-
-
-def _evaluator(vertices, edges, vol_weight) -> Tuple[List[int], CutEvaluator]:
-    """Reindex a component's (u, v, c) edges and volume map to local indices."""
-    verts = list(vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    arcs = [(idx[u], idx[v], c) for u, v, c in edges]
-    return verts, CutEvaluator(len(verts), arcs, [vol_weight.get(v, 0) for v in verts])
 
 
 def _gray_rank(code: int) -> int:
@@ -223,39 +214,38 @@ def _gray_rank(code: int) -> int:
     return i
 
 
-def exhaustive_worst_cut(vertices, edges, vol_weight, below: Optional[Fraction] = None
+def exhaustive_worst_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int],
+                         below: Optional[Fraction] = None
                          ) -> Tuple[Optional[Fraction], Optional[List[int]]]:
     """Exact sparsest cut min(c(S, S-bar), c(S-bar, S)) / min(vol(S), vol(S-bar))
-    over every proper cut, by depth-first branch and bound.
+    over every proper cut of (g, cap), by depth-first branch and bound.
 
     The last vertex stays outside S; the others are assigned, S-bar
-    first, in order of decreasing weighted degree (capacity in plus out,
-    self-loops excluded).  Under a partial assignment the capacity
-    between decided vertices bounds c(S, S-bar) and c(S-bar, S) from
-    below, and min(vol(S_dec) + vol(undecided), vol(V) - vol(S_dec),
-    vol(V) // 2) bounds min(vol(S), vol(S-bar)) from above.  A subtree
-    whose bound ratio is not below `below`, or is above the best cut
-    found so far, is dropped; one that ties the best is searched, for
-    the tie-break.  Ratios are compared by integer cross-multiplication
-    and one Fraction is built at the end.
+    first, in order of decreasing weighted degree (capacity in plus out).
+    Under a partial assignment the capacity between decided vertices
+    bounds c(S, S-bar) and c(S-bar, S) from below, and
+    min(vol(S_dec) + vol(undecided), vol(V) - vol(S_dec), vol(V) // 2)
+    bounds min(vol(S), vol(S-bar)) from above.  A subtree whose bound
+    ratio is not below `below`, or is above the best cut found so far, is
+    dropped; one that ties the best is searched, for the tie-break.
+    Ratios are compared by integer cross-multiplication and one Fraction
+    is built at the end.
 
-    Returns (ratio, side) of the minimizing cut; among equal ratios, the
-    cut a gray-code scan of S over the first k-1 vertices meets first
-    (the smallest i with i ^ (i >> 1) equal to S's bitmask).  Returns
-    (None, None) when no cut has positive volume on both sides.  With
-    `below`, a cut is returned only if its ratio is strictly below it,
-    and (None, None) otherwise.
+    Returns (ratio, side) of the minimizing cut, side as ascending vertex
+    indices of g; among equal ratios, the cut a gray-code scan of S over
+    the first k-1 vertices meets first (the smallest i with i ^ (i >> 1)
+    equal to S's bitmask).  Returns (None, None) when no cut has positive
+    volume on both sides.  With `below`, a cut is returned only if its
+    ratio is strictly below it, and (None, None) otherwise.
     """
-    verts, ev = _evaluator(vertices, edges, vol_weight)
-    k = ev.k
+    k = g.n
     if k <= 1:
         return None, None
-    vol = ev.vol
-    total = ev.total_vol
+    total = sum(vol)
     half = total >> 1
     free = k - 1
     deg = [0] * k
-    for u, v, c in ev.arcs:
+    for u, v, c in zip(g.tails, g.heads, cap):
         deg[u] += c
         deg[v] += c
     order = sorted(range(free), key=lambda v: (-deg[v], v))
@@ -263,10 +253,10 @@ def exhaustive_worst_cut(vertices, edges, vol_weight, below: Optional[Fraction] 
     for p, v in enumerate(order):
         pos[v] = p
     pos[free] = -1  # decided before the search starts, outside S
-    # per search position p, the arcs between order[p] = v and the vertices
+    # per search position p, the edges between order[p] = v and the vertices
     # decided before it, as (u, c(v, u), c(u, v)) with one side 0
     back_arcs: List[List[Tuple[int, int, int]]] = [[] for _ in range(free)]
-    for u, v, c in ev.arcs:
+    for u, v, c in zip(g.tails, g.heads, cap):
         if pos[u] > pos[v]:
             back_arcs[pos[u]].append((v, c, 0))
         else:
@@ -314,19 +304,21 @@ def exhaustive_worst_cut(vertices, edges, vol_weight, below: Optional[Fraction] 
     search(0, 0, 0, 0, 0)
     if best_mask < 0:
         return None, None
-    return Fraction(best_num, best_den), [verts[i] for i in range(k) if best_mask >> i & 1]
+    return Fraction(best_num, best_den), [i for i in range(k) if best_mask >> i & 1]
 
 
-def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.Random,
-                       budget: int) -> Optional[List[int]]:
-    """Falsification-only search for a phi-sparse cut on large components.
+def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction,
+                       rng: random.Random, budget: int) -> Optional[List[int]]:
+    """Falsification-only search for a phi-sparse cut of (g, cap) on large
+    components.
 
     Tries `budget` random cuts plus every level cut of breadth-first
     labelings from random sources (forward and reverse).  Returns a
-    witness side or None; None proves nothing.
+    witness side as ascending vertex indices of g, or None; None proves
+    nothing.
 
-    Draw order: random cut j puts local vertex i (0 <= i < k) in S when
-    the (j * k + i)-th `rng.random()` of the phase would be below 1/2, and
+    Draw order: random cut j puts vertex i (0 <= i < k) in S when the
+    (j * k + i)-th `rng.random()` of the phase would be below 1/2, and
     the first phi-sparse cut in j order is the witness.  `_random_cuts`
     takes a batch of b cuts' draws as the 2 * b * k 32-bit Mersenne
     Twister words that b * k `random()` calls would use, in one
@@ -337,19 +329,19 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
     callers see, are those of a loop that calls `random()` once per vertex
     and tests one cut at a time.
     """
-    verts, ev = _evaluator(vertices, edges, vol_weight)
-    k = ev.k
+    k = g.n
     if k <= 1:
         return None
-    side = _random_cuts(ev, phi, rng, budget)
+    side = _random_cuts(g, cap, vol, phi, rng, budget)
     if side is not None:
-        return [verts[i] for i in side]
+        return side
     # level cuts of BFS labelings from random sources, both directions;
     # each layer joins S by flips
+    ev = CutEvaluator(g, cap, vol)
     tries = max(2, min(k, 8))
     for _ in range(tries):
         src = rng.randrange(k)
-        for adj in (ev.out_adj, ev.in_adj):
+        for edges_at, ends in ((g.out_edges, g.heads), (g.in_edges, g.tails)):
             ev.assign([False] * k)
             seen = [False] * k
             seen[src] = True
@@ -357,7 +349,8 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
             while True:
                 nxt = []
                 for u in layer:
-                    for v, _c in adj[u]:
+                    for e in edges_at[u]:
+                        v = ends[e]
                         if not seen[v]:
                             seen[v] = True
                             nxt.append(v)
@@ -366,7 +359,7 @@ def sampled_sparse_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.R
                 for u in layer:
                     ev.flip(u)
                 if ev.sparse(phi):
-                    return [verts[i] for i in ev.side()]
+                    return ev.side()
                 layer = nxt
     return None
 
@@ -379,10 +372,10 @@ _BATCH = 512
 _TOP = bytes(x < 0x80 for x in range(256))
 
 
-def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
-                 budget: int) -> Optional[List[int]]:
+def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction,
+                 rng: random.Random, budget: int) -> Optional[List[int]]:
     """The first phi-sparse cut of `budget` random cuts, bit-sliced as
-    `sampled_sparse_cut` describes; the witness's local indices, or None.
+    `sampled_sparse_cut` describes; the witness's vertex indices, or None.
 
     Draws: `random()` takes two 32-bit words a, b and returns
     ((a >> 5) * 2^26 + (b >> 6)) / 2^53, which is below 1/2 exactly when
@@ -392,7 +385,7 @@ def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
     word a, and the rng ends where n `random()` calls leave it.
 
     Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
-    P = sum over arcs (u, v, c) of c * (X_u & X_v), every lane j of
+    P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
         sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
     holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Cut j is sparse
     when c * den < num * vol(S) and c * den < num * vol(S-bar) for c one
@@ -405,11 +398,11 @@ def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
     lane leaves [0, 2G), and no carry or borrow crosses a lane.  The first
     sparse cut is the lowest guard bit left after the tests are combined.
     """
-    k = ev.k
+    k = g.n
     outcap = [0] * k
     incap = [0] * k
     pair_cap: Dict[Tuple[int, int], int] = {}  # X_u & X_v is symmetric in u, v
-    for u, v, c in ev.arcs:
+    for u, v, c in zip(g.tails, g.heads, cap):
         outcap[u] += c
         incap[v] += c
         key = (u, v) if u < v else (v, u)
@@ -417,8 +410,8 @@ def _random_cuts(ev: CutEvaluator, phi: Fraction, rng: random.Random,
     pairs = [(u, v, c) for (u, v), c in pair_cap.items() if c]
     out_w = [(i, c) for i, c in enumerate(outcap) if c]
     in_w = [(i, c) for i, c in enumerate(incap) if c]
-    vol_w = [(i, x) for i, x in enumerate(ev.vol) if x]
-    total = ev.total_vol
+    vol_w = [(i, x) for i, x in enumerate(vol) if x]
+    total = sum(vol)
     num, den = phi.numerator, phi.denominator
     width = ((max(total, sum(outcap)) * max(num, den)).bit_length() + 8) // 8
     lane_bits = 8 * width
@@ -530,29 +523,25 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
         for comp, edges, f_here in zip(comps, inner, terminals):
             if not f_here:
                 continue
-            sub_edges = [(g.tails[e], g.heads[e], cap[e]) for e in edges]
-            volw = {v: vol[v] for v in comp}
-            if len(comp) <= EXACT_CUT_THRESHOLD:
-                ratio, side = exhaustive_worst_cut(comp, sub_edges, volw, phi)
-                rep.components.append(ComponentCheck(
-                    i, len(comp), True, side is None,
-                    sorted(side) if side is not None else None, ratio))
-                if side is not None:
-                    rep.ok = False
-                    rep.errors.append(
-                        f"level-{i} component of size {len(comp)} has a "
-                        f"{ratio}-sparse cut (phi={phi})")
+            sub = subgraph(g, comp, edges)
+            sub_cap, sub_vol = [cap[e] for e in edges], [vol[v] for v in comp]
+            exact = len(comp) <= EXACT_CUT_THRESHOLD
+            if exact:
+                ratio, side = exhaustive_worst_cut(sub, sub_cap, sub_vol, phi)
             else:
-                side = sampled_sparse_cut(comp, sub_edges, volw, phi, rng,
-                                          config.validator_falsifier_cuts)
-                rep.components.append(ComponentCheck(
-                    i, len(comp), False, side is None,
-                    sorted(side) if side else None))
-                if side is not None:
-                    rep.ok = False
-                    rep.errors.append(
-                        f"level-{i} component of size {len(comp)} refuted "
-                        f"by sampled cut of size {len(side)}")
+                ratio, side = None, sampled_sparse_cut(sub, sub_cap, sub_vol, phi, rng,
+                                                       config.validator_falsifier_cuts)
+            witness = None if side is None else sorted(comp[i] for i in side)
+            rep.components.append(ComponentCheck(i, len(comp), exact, side is None, witness, ratio))
+            if side is None:
+                continue
+            rep.ok = False
+            if exact:
+                rep.errors.append(f"level-{i} component of size {len(comp)} has a "
+                                  f"{ratio}-sparse cut (phi={phi})")
+            else:
+                rep.errors.append(f"level-{i} component of size {len(comp)} refuted "
+                                  f"by sampled cut of size {len(side)}")
     _check_tau(g, h, level_comps, rep)
     return rep
 

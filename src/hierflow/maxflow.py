@@ -15,12 +15,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .errors import BuildFailedError, NotADAGError, SolverInvariantError
-from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
+from .graph import DiGraph, Flow, FlowInstance, flow_stats, residual, residual_graph, scc
 from .hierarchy import induced_weights
 from .push_relabel import push_relabel
 
@@ -126,17 +126,8 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
     return None, -1, -1
 
 
-def _residual_instance(res: ResidualView) -> Tuple[List[int], FlowInstance]:
-    """The residual graph materialized: one edge per usable arc, in
-    ascending arc-id order.  Returns (arc ids, instance)."""
-    arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
-    rg = DiGraph(res.g.n, [res.arc_ends(a) for a in arc_ids])
-    rcaps = [res.arc_cap[a] for a in arc_ids]
-    return arc_ids, FlowInstance(rg, rcaps, res.delta_f, res.nabla_f)
-
-
 def _lift(f: Flow, arc_ids: Sequence[int], corr: Flow) -> None:
-    """Add a flow on the materialized residual graph back onto f."""
+    """Add a flow on `residual_graph`'s instance back onto f."""
     for ridx, a in enumerate(arc_ids):
         x = corr.values[ridx]
         if x:
@@ -171,7 +162,7 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
         if arcs_path is None:
             break
         stats.iterations += 1
-        arc_ids, rinst = _residual_instance(res)
+        arc_ids, rinst = residual_graph(res)
         r = None
         try:
             hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
@@ -225,7 +216,7 @@ def capacity_scaled_max_flow(inst: FlowInstance,
         inst_b = FlowInstance(g, [c >> shift for c in inst.cap],
                               [d >> shift for d in inst.delta],
                               [s >> shift for s in inst.nabla])
-        arc_ids, rinst = _residual_instance(residual(inst_b, f))
+        arc_ids, rinst = residual_graph(residual(inst_b, f))
         rinst.cap = [min(c, clamp) for c in rinst.cap]
         corr = inner(rinst)
         val = flow_stats(rinst, corr).value

@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import (BadParamsError, CutCheckFailedError, InvalidHierarchyError,
                      NotStronglyConnectedError)
-from .graph import DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual, scc
+from .graph import (DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual,
+                    residual_graph, scc)
 from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
 from .push_relabel import push_relabel
 
@@ -125,11 +126,9 @@ def min_level_cut(res: ResidualView, labels: Sequence[float], h: int,
     vertex joins S once, in label order, so the scan is O(m + n log n).
     Returns (side, objective, level).
     """
-    g = res.g
-    n = g.n
-    arc_cap = res.arc_cap
-    arcs = [res.arc_ends(a) + (arc_cap[a],) for a in range(2 * g.m) if arc_cap[a] > 0]
-    ev = CutEvaluator(n, arcs, vol_f)
+    n = res.g.n
+    _arc_ids, rinst = residual_graph(res)
+    ev = CutEvaluator(rinst.g, rinst.cap, vol_f)
     order = sorted(range(n), key=lambda v: (labels[v], v))
     best = None
     idx = 0
@@ -191,7 +190,7 @@ def sparse_cut(
     labels = level_labels(res, w_arc, s0)
     vol_f = terminal_volume(g, inst.cap, f_edges)
     side, obj, lab = min_level_cut(res, labels, h, vol_f)
-    ev = CutEvaluator(n, [(g.tails[e], g.heads[e], inst.cap[e]) for e in range(g.m)], vol_f)
+    ev = CutEvaluator(g, inst.cap, vol_f)
     sset = set(side)
     ev.assign([v in sset for v in range(n)])
     st = flow_stats(scaled, f)

@@ -212,18 +212,38 @@ def cut_sparsity(side: Set[int], edges: Sequence[Tuple[int, int, int]],
     return Fraction(min(out_c, in_c), min(vol_s, vol_t))
 
 
-def gray_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Optional[List[int]]]:
-    """Exact sparsest cut by enumerating all 2^(k-1) proper cuts: the
-    tie-break reference for `hierarchy.exhaustive_worst_cut`.
+def local_cut_input(vertices, edges, volw):
+    """Cut-check inputs from vertex labels, a (u, v, c) list over them and
+    a volume dict, as the library's (g, cap, vol) plus `back`.
+
+    Local vertex i is the i-th label and local edge j the j-th edge that
+    is not a self-loop: self-loops never cross a cut, so they are dropped
+    from the graph, while volumes come from `volw` alone (a missing label
+    has volume 0).  `back` maps a local side (or None) to labels.
+    """
+    verts = list(vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    kept = [(index[u], index[v], c) for u, v, c in edges if u != v]
+    g = DiGraph(len(verts), [(u, v) for u, v, _ in kept])
+
+    def back(side):
+        return None if side is None else [verts[i] for i in side]
+
+    return g, [c for _, _, c in kept], [volw.get(v, 0) for v in verts], back
+
+
+def gray_worst_cut(g, cap, vol) -> Tuple[Optional[Fraction], Optional[List[int]]]:
+    """Exact sparsest cut of (g, cap) by enumerating all 2^(k-1) proper
+    cuts: the tie-break reference for `hierarchy.exhaustive_worst_cut`.
 
     Returns (ratio, side) for the minimizing cut; (None, None) when no
     cut has positive volume on both sides.  Deterministic: gray-code
     order, strict improvement only.
     """
-    from hierflow.hierarchy import _evaluator
+    from hierflow.hierarchy import CutEvaluator
 
-    verts, ev = _evaluator(vertices, edges, vol_weight)
-    k = ev.k
+    ev = CutEvaluator(g, cap, vol)
+    k = g.n
     if k <= 1:
         return None, None
     total = ev.total_vol
@@ -241,36 +261,38 @@ def gray_worst_cut(vertices, edges, vol_weight) -> Tuple[Optional[Fraction], Opt
     if best_den == 0:
         return None, None
     gray = best_code ^ (best_code >> 1)  # S after the winning flip
-    return Fraction(best_num, best_den), [verts[i] for i in range(k) if gray >> i & 1]
+    return Fraction(best_num, best_den), [i for i in range(k) if gray >> i & 1]
 
 
-def per_cut_sampled_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.Random,
+def per_cut_sampled_cut(g, cap, vol, phi: Fraction, rng: random.Random,
                         budget: int) -> Optional[List[int]]:
-    """Falsification-only search for a phi-sparse cut, one random cut at a
-    time: the draw-order and rng-state reference for
+    """Falsification-only search for a phi-sparse cut of (g, cap), one
+    random cut at a time: the draw-order and rng-state reference for
     `hierarchy.sampled_sparse_cut`.
 
     Tries `budget` random cuts plus every level cut of breadth-first
     labelings from random sources (forward and reverse).  Returns a
     witness side or None; None proves nothing.
     """
-    from hierflow.hierarchy import _evaluator
+    from hierflow.hierarchy import CutEvaluator
 
-    verts, ev = _evaluator(vertices, edges, vol_weight)
-    k = ev.k
+    ev = CutEvaluator(g, cap, vol)
+    k = g.n
     if k <= 1:
         return None
     # random subsets
     for _ in range(budget):
         ev.assign([rng.random() < 0.5 for _ in range(k)])
         if ev.sparse(phi):  # never for S empty or S = V: one side has no volume
-            return [verts[i] for i in ev.side()]
+            return ev.side()
     # level cuts of BFS labelings from random sources, both directions;
     # each layer joins S by flips
+    out_adj = [[g.heads[e] for e in es] for es in g.out_edges]
+    in_adj = [[g.tails[e] for e in es] for es in g.in_edges]
     tries = max(2, min(k, 8))
     for _ in range(tries):
         src = rng.randrange(k)
-        for adj in (ev.out_adj, ev.in_adj):
+        for adj in (out_adj, in_adj):
             ev.assign([False] * k)
             seen = [False] * k
             seen[src] = True
@@ -278,7 +300,7 @@ def per_cut_sampled_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.
             while True:
                 nxt = []
                 for u in layer:
-                    for v, _c in adj[u]:
+                    for v in adj[u]:
                         if not seen[v]:
                             seen[v] = True
                             nxt.append(v)
@@ -287,7 +309,7 @@ def per_cut_sampled_cut(vertices, edges, vol_weight, phi: Fraction, rng: random.
                 for u in layer:
                     ev.flip(u)
                 if ev.sparse(phi):
-                    return [verts[i] for i in ev.side()]
+                    return ev.side()
                 layer = nxt
     return None
 

@@ -167,3 +167,19 @@ def test_level_capacities_logged():
     g, caps = build_graph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     res = build_hierarchy(g, caps, Fraction(1, 8), seed=0)
     assert any("capacity=" in line for line in res.log)
+
+
+def test_zero_capacity_multigraphs_build_valid_hierarchies():
+    """A zero-capacity edge leaves a cut with nothing one way, so no total
+    volume, however tiny, certifies a component by itself: every build
+    must finish and validate."""
+    rng = random.Random(5)
+    phi = Fraction(1, 16)
+    for trial in range(150):
+        n = rng.randint(3, 24)
+        arcs = [(u, v, rng.randint(0, 4)) for u, v in
+                ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 4 * n)))
+                if u != v]
+        g, caps = build_graph(n, arcs)
+        out = build_hierarchy(g, caps, phi, seed=trial)
+        assert out.report.ok, (trial, out.report.errors)

@@ -146,6 +146,16 @@ def test_hierarchy_and_validate_round_trip(tmp_path, capsys):
     assert out.splitlines()[0] == "INVALID"
 
 
+def test_hierarchy_on_cycle_with_zero_capacity_edge(tmp_path, capsys):
+    # 3 -> 1 carries nothing, so the cut {1} has no capacity into it
+    graph = _write(tmp_path, "zero.dimacs",
+                   "p max 3 3\nn 1 s\nn 3 t\na 1 2 3\na 2 3 3\na 3 1 0\n")
+    hier = str(tmp_path / "h.txt")
+    code, out, _ = _run(["hierarchy", "--phi", "1/16", "--out", hier, graph], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "VALID"
+
+
 def test_hierarchy_validates_once_per_attempt(tmp_path, capsys, monkeypatch):
     # the summary is the report of build_hierarchy's own validation
     import hierflow.builder

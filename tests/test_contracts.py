@@ -1,6 +1,6 @@
 """No contract in the library rests on `assert`, which `python -O` strips,
-no `SolverConfig` field goes unread, and no module imports a name it
-never reads.
+or on raising Python's recursion limit, no `SolverConfig` field goes
+unread, and no module imports a name it never reads.
 
 The one `assert` exception is `_assert_invariants`, the push-relabel
 debug oracle that runs only with `debug_invariants` on.
@@ -52,6 +52,21 @@ def test_library_has_no_assert_based_contracts():
     assert modules
     bad = [f"{path.name}:{line}" for path in modules
            for line in _offences(ast.parse(path.read_text(), str(path)))]
+    assert bad == []
+
+
+def _recursion_limit_calls(tree):
+    """Line numbers of calls to any `setrecursionlimit`."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        getattr(node.func, "attr", None) == "setrecursionlimit"
+        or getattr(node.func, "id", None) == "setrecursionlimit")]
+
+
+def test_library_never_raises_the_recursion_limit():
+    assert _recursion_limit_calls(ast.parse("import sys\nsys.setrecursionlimit(9)\n")) == [2]
+    bad = [f"{path.name}:{line}"
+           for path in sorted(Path(hierflow.__file__).parent.glob("*.py"))
+           for line in _recursion_limit_calls(ast.parse(path.read_text(), str(path)))]
     assert bad == []
 
 

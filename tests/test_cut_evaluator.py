@@ -4,7 +4,7 @@ from fractions import Fraction
 from hierflow.graph import DiGraph, scc_subgraph
 from hierflow.hierarchy import _BATCH, CutEvaluator, sampled_sparse_cut
 
-from helpers import cut_sparsity, per_cut_sampled_cut, scc_from_closure
+from helpers import cut_sparsity, local_cut_input, per_cut_sampled_cut, scc_from_closure
 
 
 def _random_multigraph(rng, k, m):
@@ -36,8 +36,9 @@ def test_cut_evaluator_flips_match_recomputation():
         k = rng.randint(2, 9)
         arcs = _random_multigraph(rng, k, rng.randint(0, 3 * k))
         vol = [rng.randint(0, 6) for _ in range(k)]
-        ev = CutEvaluator(k, arcs, vol)
-        fresh = CutEvaluator(k, arcs, vol)
+        g, cap, _vol, _back = local_cut_input(range(k), arcs, dict(enumerate(vol)))
+        ev = CutEvaluator(g, cap, vol)
+        fresh = CutEvaluator(g, cap, vol)
         in_s = [False] * k
         assert (ev.out_cap, ev.in_cap, ev.vol_s) == (0, 0, 0)
         assert ev.total_vol == sum(vol)
@@ -88,8 +89,9 @@ def test_sampled_witnesses_are_sparse_by_recount():
                 volw[u] += c
                 volw[v] += c
         phi = Fraction(1, rng.choice([2, 4, 8, 16]))
-        side = sampled_sparse_cut(verts, edges, volw, phi, random.Random(rng.getrandbits(32)),
-                                  rng.choice([0, 20, 200]))
+        g, cap, vol, back = local_cut_input(verts, edges, volw)
+        side = back(sampled_sparse_cut(g, cap, vol, phi, random.Random(rng.getrandbits(32)),
+                                       rng.choice([0, 20, 200])))
         if side is None:
             continue
         found += 1
@@ -121,8 +123,9 @@ def _same_as_reference(verts, edges, volw, phi, seed, budget):
     """Run both searches from one seed; assert the same witness and end
     state, and return the reference's (witness, random() calls)."""
     mine, ref = random.Random(seed), _CountingRandom(seed)
-    side = sampled_sparse_cut(verts, edges, volw, phi, mine, budget)
-    want = per_cut_sampled_cut(verts, edges, volw, phi, ref, budget)
+    g, cap, vol, back = local_cut_input(verts, edges, volw)
+    side = back(sampled_sparse_cut(g, cap, vol, phi, mine, budget))
+    want = back(per_cut_sampled_cut(g, cap, vol, phi, ref, budget))
     assert side == want
     assert mine.getstate() == ref.getstate()
     return want, ref.calls

@@ -8,7 +8,7 @@ from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import InfeasibleFlowError, SelfLoopError, VertexOutOfRangeError
 from hierflow.graph import (Flow, FlowInstance, build_graph, condensation_topo_order,
                             decompose_paths, flow_stats, is_feasible, net_outflow,
-                            residual, scc)
+                            residual, residual_graph, scc, subgraph)
 from hierflow.hierarchy import Hierarchy
 from hierflow.maxflow import max_flow_exact
 from hierflow.push_relabel import push_relabel
@@ -294,7 +294,7 @@ def test_arc_layout_on_multigraphs():
         res = residual(inst, f)
         for a in range(2 * g.m):
             u, v = g.edge(a >> 1)
-            assert res.arc_ends(a) == ((v, u) if a & 1 else (u, v))
+            assert (res.g.arc_tail[a], res.g.arc_head[a]) == ((v, u) if a & 1 else (u, v))
         for v in range(n):
             usable = sorted([2 * e for e in g.out_edges[v] if inst.cap[e] > f[e]]
                             + [2 * e + 1 for e in g.in_edges[v] if f[e] > 0])
@@ -326,3 +326,46 @@ def test_repeated_solves_share_and_keep_the_arc_layout():
                          exact.flow.values, exact.stats))
             assert (g.arc_tail, g.arc_head, g.out_arcs) == layout
         assert runs[0] == runs[1]
+
+
+def test_subgraph_keeps_the_given_vertex_and_edge_orders():
+    # parallel edges 1, 2 and antiparallel pairs 0/3 and 4/5 stay distinct
+    g, _ = build_graph(6, [(0, 1, 1), (1, 2, 1), (1, 2, 1), (1, 0, 1), (2, 4, 1),
+                           (4, 2, 1), (3, 5, 1)])
+    sub = subgraph(g, [4, 1, 2, 0], [5, 2, 0, 4, 1, 3])
+    assert sub.n == 4 and sub.m == 6
+    # local vertex i is vertices[i], local edge j is edge_ids[j]
+    assert [sub.edge(j) for j in range(sub.m)] == [(0, 2), (1, 2), (3, 1), (2, 0), (1, 2), (1, 3)]
+    assert sub.out_edges == [[0], [1, 4, 5], [3], [2]]
+    assert sub.in_edges == [[3], [2], [0, 1, 4], [5]]
+    rng = random.Random(37)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 3 * n))) if u != v]
+        g, _ = build_graph(n, [(u, v, 1) for u, v in pairs])
+        verts = rng.sample(range(n), rng.randint(1, n))
+        inside = [e for e in range(g.m) if g.tails[e] in verts and g.heads[e] in verts]
+        edge_ids = rng.sample(inside, len(inside))
+        sub = subgraph(g, verts, edge_ids)
+        assert sub.n == len(verts)
+        assert [(verts[u], verts[v]) for _j, u, v in sub.edges()] == [g.edge(e) for e in edge_ids]
+
+
+def test_residual_graph_has_one_edge_per_usable_arc_in_arc_order():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        inst = random_instance(rng, n, rng.randint(1, 3 * n), rng.randint(1, 5), st=False)
+        g = inst.g
+        f = Flow([rng.choice([0, c, rng.randint(0, c)]) for c in inst.cap])
+        res = residual(inst, f)
+        arc_ids, rinst = residual_graph(res)
+        assert arc_ids == [a for a in range(2 * g.m) if res.arc_cap[a] > 0]
+        assert arc_ids == sorted(arc_ids)
+        assert [rinst.g.edge(j) for j in range(rinst.m)] == [
+            (g.arc_tail[a], g.arc_head[a]) for a in arc_ids]
+        assert rinst.cap == [res.arc_cap[a] for a in arc_ids]
+        assert all(c > 0 for c in rinst.cap)
+        assert rinst.n == g.n
+        assert (rinst.delta, rinst.nabla) == (res.delta_f, res.nabla_f)

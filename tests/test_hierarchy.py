@@ -12,7 +12,7 @@ from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_
                                 hierarchy_to_text, induced_weights,
                                 respecting_topo_order, validate_hierarchy)
 
-from helpers import exhaustive_sparsest_cut, gray_worst_cut
+from helpers import exhaustive_sparsest_cut, gray_worst_cut, local_cut_input
 
 
 def _contiguous(vals):
@@ -169,19 +169,27 @@ def test_validate_rejects_phi_outside_unit_interval(phi):
         validate_hierarchy(g, caps, h, phi)
 
 
+def _local(check, verts, edges, volw, *args):
+    """`check` run on the local graph of the labelled inputs; the side it
+    returns is mapped back to the labels."""
+    g, cap, vol, back = local_cut_input(verts, edges, volw)
+    ratio, side = check(g, cap, vol, *args)
+    return ratio, back(side)
+
+
 def _check_worst_cut(verts, edges, volw, oracle=True):
     """exhaustive_worst_cut equals the gray-code reference, (ratio, side)
     identical, under every `below`; at the minimum ratio itself it
     returns (None, None)."""
-    want = gray_worst_cut(verts, edges, volw)
+    want = _local(gray_worst_cut, verts, edges, volw)
     if oracle:
         assert want[0] == exhaustive_sparsest_cut(verts, edges, volw)[0]
-    assert exhaustive_worst_cut(verts, edges, volw) == want
+    assert _local(exhaustive_worst_cut, verts, edges, volw) == want
     for below in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)):
-        got = exhaustive_worst_cut(verts, edges, volw, below)
+        got = _local(exhaustive_worst_cut, verts, edges, volw, below)
         assert got == (want if want[0] is not None and want[0] < below else (None, None))
     if want[0] is not None:
-        assert exhaustive_worst_cut(verts, edges, volw, want[0]) == (None, None)
+        assert _local(exhaustive_worst_cut, verts, edges, volw, want[0]) == (None, None)
 
 
 def test_exhaustive_worst_cut_matches_independent_oracle():

@@ -54,7 +54,7 @@ def test_level_labels_against_bellman_ford():
         arcs = []
         for a in range(2 * g.m):
             if res.arc_cap[a] > 0:
-                u, v = res.arc_ends(a)
+                u, v = res.g.arc_tail[a], res.g.arc_head[a]
                 arcs.append((u, v, w_arc[a]))
         want = bellman_ford_arcs(g.n, arcs, s0)
         assert labels == want
@@ -137,7 +137,7 @@ def _oracle_min_level_cut(inst, kappa, f_edges, hier, out, config=DEFAULT_CONFIG
     arcs = []
     for a in range(2 * g.m):
         if res.arc_cap[a] > 0:
-            u, v = res.arc_ends(a)
+            u, v = res.g.arc_tail[a], res.g.arc_head[a]
             e = a >> 1
             wt = w_g[e]
             if a & 1 == 0 and e in hier.d:
@@ -160,7 +160,7 @@ def _oracle_min_level_cut(inst, kappa, f_edges, hier, out, config=DEFAULT_CONFIG
         boundary = 0
         for a in range(2 * g.m):
             if res.arc_cap[a] > 0:
-                u, v = res.arc_ends(a)
+                u, v = res.g.arc_tail[a], res.g.arc_head[a]
                 if u in sset and v not in sset:
                     boundary += res.arc_cap[a]
         vol_s = sum(vol_f[v] for v in side)
