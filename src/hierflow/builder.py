@@ -287,5 +287,4 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
                 witness = c.witness
                 break
     raise BuildFailedError(
-        f"no valid hierarchy after {BUILD_RETRIES} attempts",
-        component=None, witness=witness)
+        f"no valid hierarchy after {BUILD_RETRIES} attempts", witness=witness)

@@ -22,6 +22,7 @@ from .sparse_cut import sparse_cut
 
 PARSE_ERRORS = (ParseError, MissingSourceOrSinkError, ArcCountMismatchError,
                 NotDiffusionError, FileNotFoundError)
+ALGOS = ("exact", "ek")
 
 
 def _phi_arg(text: str) -> Fraction:
@@ -39,23 +40,27 @@ def _phi_arg(text: str) -> Fraction:
     return phi
 
 
+def _algos_arg(text: str) -> List[str]:
+    """Comma list of solvers, each one of ALGOS."""
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(
+                f"unknown solver {algo!r}; choose from {', '.join(ALGOS)}")
+    return algos
+
+
 def _load(path: str) -> InstanceFile:
     with open(path) as fh:
         return parse_instance(fh.read(), path)
 
 
 def _config_from(args) -> "SolverConfig":
-    cfg = DEFAULT_CONFIG
-    kw = {}
-    if getattr(args, "debug_invariants", False):
+    kw = {k: getattr(args, k) for k in ("c_h", "c_6", "max_h")
+          if getattr(args, k, None) is not None}
+    if args.debug_invariants:
         kw["debug_invariants"] = True
-    if getattr(args, "c_h", None) is not None:
-        kw["c_h"] = args.c_h
-    if getattr(args, "c_6", None) is not None:
-        kw["c_6"] = args.c_6
-    if getattr(args, "max_h", None) is not None:
-        kw["max_h"] = args.max_h
-    return cfg.with_(**kw) if kw else cfg
+    return DEFAULT_CONFIG.with_(**kw)
 
 
 def _write_flow(path: str, inst_file: InstanceFile, flow) -> None:
@@ -179,13 +184,12 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from(args)
-    algos = args.algo.split(",") if args.algo else ["exact", "ek"]
     print(f"# seed {args.seed}")
     print("instance\talgo\tvalue\twall_ms\taugmentations\trelabels")
     for path in args.files:
         inst_file = _load(path)
         inst = inst_file.inst
-        for algo in algos:
+        for algo in args.algo:
             t0 = time.perf_counter()
             if algo == "ek":
                 res = edmonds_karp(inst)
@@ -204,26 +208,25 @@ def make_parser() -> argparse.ArgumentParser:
                                             "over expander hierarchies")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, phi=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        if phi:
-            sp.add_argument("--phi", type=_phi_arg, default=None,
-                            help="expansion parameter as p/q")
+        sp.add_argument("--phi", type=_phi_arg, default=None,
+                        help="expansion parameter as p/q")
         sp.add_argument("--debug-invariants", action="store_true")
-        sp.add_argument("--c-h", type=float, default=None)
         sp.add_argument("--c-6", type=float, default=None)
         sp.add_argument("--max-h", type=int, default=None)
 
     sp = sub.add_parser("solve", help="exact maximum flow")
-    sp.add_argument("--algo", choices=["exact", "ek"], default="exact")
+    sp.add_argument("--algo", choices=ALGOS, default="exact")
     sp.add_argument("--flow", help="write flow lines to this file")
+    sp.add_argument("--c-h", type=float, default=None)
     common(sp)
     sp.add_argument("file")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("approx-dag", help="constant-factor approximation on DAGs")
     sp.add_argument("--flow")
-    common(sp)
+    sp.add_argument("--debug-invariants", action="store_true")
     sp.add_argument("file")
     sp.set_defaults(fn=cmd_approx_dag)
 
@@ -262,7 +265,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("bench", help="table of solver runs")
-    sp.add_argument("--algo", default=None, help="comma list: exact,ek")
+    sp.add_argument("--algo", type=_algos_arg, default=list(ALGOS),
+                    help="comma list: exact,ek")
+    sp.add_argument("--c-h", type=float, default=None)
     common(sp)
     sp.add_argument("files", nargs="+")
     sp.set_defaults(fn=cmd_bench)
@@ -274,10 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BadParamsError as exc:
+    except PARSE_ERRORS + (BadParamsError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HierflowError as exc:

@@ -247,7 +247,7 @@ def cut_or_embed(
             rem = sum(delta)
             if rem == 0:
                 break
-            inst = FlowInstance(g, list(cap), delta, nabla)
+            inst = FlowInstance(g, cap, delta, nabla)
             out = sparse_cut(inst, kappa, f_edges, hier, config, weights=w_g,
                              phi=phi, check_connected=False)
             if 2 * out.value < rem:
@@ -267,8 +267,8 @@ def cut_or_embed(
         # matching = grouped path decomposition of the round flow
         matching: Dict[Tuple[int, int], int] = {}
         if any(round_flow.values):
-            inst0 = FlowInstance(g, [kappa * z * c for c in cap], nu_a, nu_b)
-            paths, _cycles = decompose_paths(inst0, round_flow)
+            # the round flow routes nu_a to nu_b; decompose_paths reads no capacities
+            paths, _cycles = decompose_paths(FlowInstance(g, cap, nu_a, nu_b), round_flow)
             for arcs, amt in paths:
                 a = g.tails[arcs[0]]
                 b = g.heads[arcs[-1]]

@@ -69,8 +69,7 @@ class IterationCapExceededError(HierflowError):
 
 
 class BuildFailedError(HierflowError):
-    def __init__(self, message, component=None, witness=None):
-        self.component = component
+    def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
 

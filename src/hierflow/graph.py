@@ -382,32 +382,14 @@ def decompose_paths(inst: FlowInstance, f: Flow):
             if path:
                 paths.append((path, amt))
 
-    # leftover is a circulation; every positive edge lies on a cycle
+    # leftover is a circulation; every positive edge lies on a cycle, closed
+    # by the walk from its head back to its tail (loops peeled on the way
+    # never contain e0: only reaching the tail stops the walk)
     for e0 in range(g.m):
         while rem[e0] > 0:
             u0 = g.tails[e0]
-            path = [e0]
-            pos = {u0: 0, g.heads[e0]: 1}
-            v = g.heads[e0]
-            while v != u0:
-                e = next_out(v)
-                if e == -1:
-                    raise InfeasibleFlowError("circulation peel stalled: flow does not conserve")
-                path.append(e)
-                v = g.heads[e]
-                if v in pos and v != u0:
-                    # inner loop never contains e0 (only u0 sits at index 0)
-                    k = pos[v]
-                    loop = path[k:]
-                    amt = min(rem[e2] for e2 in loop)
-                    for e2 in loop:
-                        rem[e2] -= amt
-                    cycles.append((loop, amt))
-                    for u in [u for u, i in pos.items() if i > k]:
-                        del pos[u]
-                    del path[k:]
-                else:
-                    pos[v] = len(path)
+            path, _ = walk_until(g.heads[e0], lambda u: u == u0)
+            path.insert(0, e0)
             amt = min(rem[e2] for e2 in path)
             for e2 in path:
                 rem[e2] -= amt

@@ -56,8 +56,6 @@ class InstanceFile:
     inst: FlowInstance
     source: Optional[int]
     sink: Optional[int]
-    declared_n: int
-    declared_m: int
 
 
 def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
@@ -103,7 +101,7 @@ def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
     nabla = [0] * n
     delta[s] = big
     nabla[t] = big
-    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), s, t, n, m)
+    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), s, t)
 
 
 def emit_dimacs(n: int, arcs: List[Tuple[int, int, int]], s: int, t: int,
@@ -155,7 +153,7 @@ def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
         raise NotDiffusionError(
             f"total supply {sum(delta)} exceeds total sink capacity {sum(nabla)}")
     g, caps = build_graph(n, arcs)
-    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), None, None, n, m)
+    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), None, None)
 
 
 def emit_diffusion(inst: FlowInstance, name: str = "instance") -> str:

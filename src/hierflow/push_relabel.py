@@ -90,12 +90,18 @@ class PushRelabelResult:
     edge_saturations: List[int]
     edge_flips: List[int]
     relabel_climbs: int
-    relabel_landings: int
     levels_visited: List[int]
     delta_residual: List[int]
     nabla_residual: List[int]
-    augment_count: int = 0
     relabel_events: Optional[List[Tuple[int, int, int]]] = None  # debug only
+
+    @property
+    def relabel_landings(self) -> int:
+        return sum(self.levels_visited)
+
+    @property
+    def augment_count(self) -> int:
+        return len(self.augmentations)
 
 
 def push_relabel(
@@ -133,7 +139,7 @@ def push_relabel(
 class _Engine:
     def __init__(self, inst, w, h, mode, config):
         self.inst = inst
-        self.w = list(w)
+        self.w = w
         self.h = h
         self.nine_h = 9 * h
         self.mode = mode
@@ -165,7 +171,6 @@ class _Engine:
         self.edge_sat = [0] * m
         self.edge_flip = [0] * m
         self.relabel_climbs = 0
-        self.relabel_landings = 0
         self.levels_visited = [0] * n
         self.augments: List[AugmentRecord] = []
         self.relabel_events: List[Tuple[int, int, int]] = []
@@ -260,13 +265,9 @@ class _Engine:
 
     # relabel ---------------------------------------------------------------
 
-    def _land(self, v: int, k: int) -> None:
-        self.relabel_landings += k
-        self.levels_visited[v] += k
-
     def _die(self, v: int) -> None:
         """The landing at 9h + 1 that kills v."""
-        self._land(v, 1)
+        self.levels_visited[v] += 1
         if self.cfg.debug_invariants:
             self.relabel_events.append((v, self.level[v], self.nine_h + 1))
         self.level[v] = self.nine_h + 1
@@ -306,7 +307,8 @@ class _Engine:
         self.relabel_climbs += 1
         dies = stop > self.nine_h
         stop = self.nine_h if dies else int(stop)
-        self._land(v, sum(stop // wgt - start // wgt for wgt in self.distinct_weights[v]))
+        self.levels_visited[v] += sum(stop // wgt - start // wgt
+                                      for wgt in self.distinct_weights[v])
         if dies:
             self._die(v)
             return
@@ -345,7 +347,7 @@ class _Engine:
         nxt = int(nxt)
         self.relabel_events.append((v, cur, nxt))
         self.level[v] = nxt
-        self._land(v, sum(1 for wgt in self.distinct_weights[v] if nxt % wgt == 0))
+        self.levels_visited[v] += sum(1 for wgt in self.distinct_weights[v] if nxt % wgt == 0)
         lvl = self.level
         to_mark = []
         for a in self.inc_arc_list[v]:
@@ -476,7 +478,6 @@ class _Engine:
             tuple(arcs), amt, sum(self.w[a >> 1] for a in arcs),
             tuple(self.level) if self.cfg.snapshot_labels else None,
         ))
-        self.augment_count += 1
         if saturated or self.nabla_rem[t] == 0:
             self._prune()
         if self.cfg.debug_invariants:
@@ -485,7 +486,6 @@ class _Engine:
     # main loop ---------------------------------------------------------------
 
     def run(self) -> PushRelabelResult:
-        self.augment_count = 0
         self._prune()
         for v in range(self.n):
             self._enqueue(v)
@@ -524,11 +524,9 @@ class _Engine:
             edge_saturations=self.edge_sat,
             edge_flips=self.edge_flip,
             relabel_climbs=self.relabel_climbs,
-            relabel_landings=self.relabel_landings,
             levels_visited=self.levels_visited,
             delta_residual=list(self.delta_rem),
             nabla_residual=list(self.nabla_rem),
-            augment_count=self.augment_count,
             relabel_events=self.relabel_events if self.cfg.debug_invariants else None,
         )
 

@@ -55,7 +55,8 @@ def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction,
     The nominal formula is ceil(c_6 * eta^4 * ln(n)^7 * kappa * n / phi^2),
     with eta read as at least one (an all-terminal call sees the empty
     hierarchy, which must not collapse the height).  The result is floored
-    at n (the level construction needs that), capped at n^2 (every edge
+    at n (the level construction needs that) and at 1 (push-relabel's
+    least height, which an empty instance needs), capped at n^2 (every edge
     weight is at most n, so every simple path is shorter than n^2 and
     heights beyond that cannot enlarge the set of h-short flows), and
     clamped at config.max_h.  A kappa too large for a float, or a phi
@@ -67,7 +68,7 @@ def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction,
         nominal = config.c_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
     except (OverflowError, ZeroDivisionError):
         nominal = math.inf
-    h = max(n, math.ceil(min(n * n, nominal)))
+    h = max(n, 1, math.ceil(min(n * n, nominal)))
     return min(config.max_h, h)
 
 
@@ -176,7 +177,7 @@ def sparse_cut(
     if hier.edge_count() != g.m - len(f_edges):
         raise InvalidHierarchyError(
             f"hierarchy covers {hier.edge_count()} edges, expected {g.m - len(f_edges)}")
-    w_g = list(weights) if weights is not None else terminal_weights(g, f_edges, hier)
+    w_g = weights if weights is not None else terminal_weights(g, f_edges, hier)
     h = sparse_cut_height(n, hier.eta, kappa, phi, config)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)
     result = push_relabel(scaled, w_g, h, mode="capacitated", config=config)

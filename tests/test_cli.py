@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierflow.builder import build_hierarchy
-from hierflow.cli import main
+from hierflow.cli import main, make_parser
 from hierflow.config import default_phi
 from hierflow.errors import HierflowError
 from hierflow.hierarchy import hierarchy_from_text, hierarchy_to_text, validate_hierarchy
@@ -250,6 +251,48 @@ def test_bench_table(tmp_path, capsys):
         assert row[2] == "5"
 
 
+@pytest.mark.parametrize("algo", ["foo,,ek", "exact,", "EK", ""])
+def test_bench_rejects_unknown_solver_names(tmp_path, capsys, algo):
+    path = _write(tmp_path, "single.dimacs", SINGLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algo", algo, path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert any("error:" in line and "--algo" in line for line in err.splitlines())
+
+
+def test_sparse_cut_command_on_the_empty_instance(tmp_path, capsys):
+    path = _write(tmp_path, "empty.diff", "p diff 0 0\n")
+    code, out, _ = _run(["sparse-cut", "--kappa", "1", path], capsys)
+    assert code == 0
+    assert out.splitlines() == ["flow 0", "routed"]
+
+
+# every subcommand's options: each one is read by the command it belongs to
+_OPTIONS = {
+    "solve": {"--algo", "--flow", "--c-h", "--seed", "--phi", "--debug-invariants",
+              "--c-6", "--max-h"},
+    "approx-dag": {"--flow", "--debug-invariants"},
+    "sparse-cut": {"--kappa", "--terminals", "--seed", "--phi", "--debug-invariants",
+                   "--c-6", "--max-h"},
+    "hierarchy": {"--out", "--seed", "--phi", "--debug-invariants", "--c-6", "--max-h"},
+    "validate": {"--phi"},
+    "gen": {"--model", "--seed", "--out", "--format", "--gen-n", "--m", "--cap", "--k",
+            "--bridge", "--rows", "--cols"},
+    "bench": {"--algo", "--c-h", "--seed", "--phi", "--debug-invariants", "--c-6",
+              "--max-h"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_OPTIONS)
+    for cmd, parser in sub.choices.items():
+        opts = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert opts == _OPTIONS[cmd], cmd
+
+
 def test_bench_deterministic_modulo_walltime(tmp_path, capsys):
     path = _write(tmp_path, "single.dimacs", SINGLE)
     norm = []
@@ -307,7 +350,7 @@ def test_bad_params_exit_2_with_error_line(tmp_path, capsys, argv):
     ["solve", "--c-h", "0"],
     ["sparse-cut", "--kappa", "1", "--c-6", "nan"],
     ["hierarchy", "--c-6", "-1"],
-    ["approx-dag", "--max-h", "0"],
+    ["sparse-cut", "--kappa", "1", "--max-h", "0"],
 ])
 def test_bad_height_constant_exit_2_with_error_line(tmp_path, capsys, argv):
     path = _write(tmp_path, "bridge.diff", BRIDGE)
@@ -417,16 +460,15 @@ def test_solve_fuzz_exact_value_or_error_line(tmp_path_factory, rng, phi, seed):
 # checked here, or 1 or 2 with an `error:` line (`validate` also exits 1
 # on INVALID); a parsed instance with usable values never exits 2
 _FUZZ_VALUES = {
-    "--c-h": ([None, "8", "1", "0.5", "1e-9", "1e308"], ["0", "-1", "nan", "inf"]),
     "--c-6": ([None, "1", "3", "1e-9", "1e308"], ["0", "-1", "nan", "inf"]),
     "--max-h": ([None, "1", "50", "1000000"], ["0", "-2", "nan", "inf", "1e308"]),
     "--kappa": (["1", "3", "50"], ["0", "-2", "nan", "inf", "1e308"]),
     "--phi": ([None, "1/16", "1/8", "1/3"], ["0", "3/2", "1/0", "x"]),
 }
-_FUZZ_FLAGS = {"hierarchy": ["--c-h", "--c-6", "--max-h", "--phi"],
+_FUZZ_FLAGS = {"hierarchy": ["--c-6", "--max-h", "--phi"],
                "validate": ["--phi"],
-               "sparse-cut": ["--c-h", "--c-6", "--max-h", "--kappa", "--phi"],
-               "approx-dag": ["--c-h", "--c-6", "--max-h"]}
+               "sparse-cut": ["--c-6", "--max-h", "--kappa", "--phi"],
+               "approx-dag": []}
 
 
 def _fuzz_run(argv):
@@ -504,7 +546,8 @@ def test_other_subcommands_fuzz_checked_result_or_error_line(tmp_path_factory, r
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "inst.txt"
     path.write_text(text)
-    argv = [cmd] if cmd == "validate" else [cmd, "--seed", str(knobs.randrange(4))]
+    argv = [cmd] if cmd in ("validate", "approx-dag") else [cmd, "--seed",
+                                                           str(knobs.randrange(4))]
     usable = True
     for flag in _FUZZ_FLAGS[cmd]:
         good, bad = _FUZZ_VALUES[flag]

@@ -23,7 +23,7 @@ a 1 2 5
 
 def test_parse_single_edge_dimacs():
     f = parse_dimacs(SINGLE)
-    assert f.declared_n == 2 and f.declared_m == 1
+    assert f.inst.n == 2 and f.inst.m == 1
     assert f.source == 0 and f.sink == 1
     inst = f.inst
     assert inst.cap == [5]
@@ -60,7 +60,7 @@ def test_dimacs_round_trip_on_generated():
                        rows=rng.randint(2, 3), cols=rng.randint(2, 3))
         text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
         parsed = parse_dimacs(text, gen.name)
-        text2 = emit_dimacs(parsed.declared_n,
+        text2 = emit_dimacs(parsed.inst.n,
                             [(parsed.inst.g.tails[e], parsed.inst.g.heads[e],
                               parsed.inst.cap[e]) for e in range(parsed.inst.m)],
                             parsed.source, parsed.sink, gen.name)

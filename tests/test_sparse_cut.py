@@ -226,6 +226,14 @@ def test_sparse_cut_height_floors_and_clamp():
     assert sparse_cut_height(10, 1, 1, Fraction(1, 2), tiny) == 10
 
 
+def test_sparse_cut_on_the_empty_instance_routes_nothing():
+    # the floor at n alone would give height 0, which push-relabel rejects
+    assert sparse_cut_height(0, 0, 1, Fraction(1, 2), DEFAULT_CONFIG) == 1
+    g, caps = build_graph(0, [])
+    out = sparse_cut(FlowInstance(g, caps, [], []), 1, set(), _all_terminal_hier(g))
+    assert (out.value, out.cut, out.h) == (0, None, 1)
+
+
 def test_heights_follow_the_float_formula_and_cap_out_of_float_range():
     from hierflow.maxflow import driver_height
 
