@@ -2,9 +2,8 @@
 hierarchies, with brute-force oracles for every claimed invariant."""
 
 from .config import DEFAULT_CONFIG, SolverConfig, default_phi
-from .graph import (DiGraph, Flow, FlowInstance, build_graph,
-                    condensation_topo_order, decompose_paths, flow_stats,
-                    is_feasible, residual, scc)
+from .graph import (DiGraph, Flow, FlowInstance, build_graph, decompose_paths,
+                    flow_stats, is_feasible, residual, scc)
 from .forest import DynForest
 from .push_relabel import LevelLabeling, PushRelabelResult, push_relabel
 from .hierarchy import (Hierarchy, ValidationReport, hierarchy_from_text,
@@ -20,7 +19,7 @@ from .generators import generate
 
 __all__ = [
     "DEFAULT_CONFIG", "SolverConfig", "default_phi",
-    "DiGraph", "Flow", "FlowInstance", "build_graph", "condensation_topo_order",
+    "DiGraph", "Flow", "FlowInstance", "build_graph",
     "decompose_paths", "flow_stats", "is_feasible", "residual", "scc",
     "DynForest",
     "LevelLabeling", "PushRelabelResult", "push_relabel",

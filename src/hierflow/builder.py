@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -199,10 +199,8 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
     if not edge_ids:
         return Parts()
     m = max(len(edge_ids), 1)
-    try:
-        log_inv = math.log(1 / float(phi))
-    except ZeroDivisionError:  # float(phi) underflows: ln(1/phi) from its integers
-        log_inv = math.log(phi.denominator) - math.log(phi.numerator)
+    # ln(1/phi) from phi's integers, so a phi below the float range works too
+    log_inv = math.log(phi.denominator) - math.log(phi.numerator)
     eta_cap = math.ceil(2 * math.log(4 * m) / log_inv)
     eta_cap = max(eta_cap, 1)
     f_cur: Set[int] = set(edge_ids)
@@ -259,8 +257,8 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
         budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
         # a refuted attempt was certified too optimistically on some large
         # component; escalate the falsification budget so retries converge
-        att_cfg = config if attempt == 1 else config.with_(
-            builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
+        att_cfg = config if attempt == 1 else replace(
+            config, builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
         try:
             parts = _run(_full_build(g, cap, list(range(g.n)), set(range(g.m)),
                                      phi, rng, att_cfg, budget, log))

@@ -5,6 +5,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -60,7 +61,7 @@ def _config_from(args) -> "SolverConfig":
           if getattr(args, k, None) is not None}
     if args.debug_invariants:
         kw["debug_invariants"] = True
-    return DEFAULT_CONFIG.with_(**kw)
+    return replace(DEFAULT_CONFIG, **kw)
 
 
 def _write_flow(path: str, inst_file: InstanceFile, flow) -> None:
@@ -82,12 +83,11 @@ def cmd_solve(args) -> int:
     if args.algo == "ek":
         res = edmonds_karp(inst)
     else:
-        phi = args.phi if args.phi is not None else default_phi(inst.n)
         n2 = inst.n * inst.n
         if max(inst.cap, default=0) > n2:
-            res = capacity_scaled_max_flow(inst, exact_solver(phi, args.seed, cfg))
+            res = capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
         else:
-            res = max_flow_exact(inst, phi, args.seed, cfg)
+            res = max_flow_exact(inst, args.phi, args.seed, cfg)
     print(f"value {res.stats.value}")
     if args.flow:
         _write_flow(args.flow, inst_file, res.flow)
@@ -194,8 +194,7 @@ def cmd_bench(args) -> int:
             if algo == "ek":
                 res = edmonds_karp(inst)
             else:
-                phi = args.phi if args.phi is not None else default_phi(inst.n)
-                res = max_flow_exact(inst, phi, args.seed, cfg)
+                res = max_flow_exact(inst, args.phi, args.seed, cfg)
             ms = (time.perf_counter() - t0) * 1000.0
             print(f"{inst_file.name}\t{algo}\t{res.stats.value}\t{ms:.2f}\t"
                   f"{res.stats.augmentations}\t{res.stats.relabels}")

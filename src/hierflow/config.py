@@ -1,6 +1,7 @@
 """Tunable constants for the solver stack.
 
-Every field has a setter: the CLI sets `c_h`, `c_6`, `max_h` and
+Every field has a setter, which copies the config with
+`dataclasses.replace`: the CLI sets `c_h`, `c_6`, `max_h` and
 `debug_invariants`; `build_hierarchy`'s retry escalation raises
 `builder_falsifier_cuts`; tests pick a code path or a budget with
 `cmg_early_exit`, `snapshot_labels` and `validator_falsifier_cuts`.
@@ -12,7 +13,7 @@ death level, the 2w admissibility margin) are never configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParamsError
@@ -59,9 +60,6 @@ class SolverConfig:
                 raise BadParamsError(f"{name} must be finite and positive, got {x}")
         if self.max_h < 1:
             raise BadParamsError(f"max_h must be at least 1, got {self.max_h}")
-
-    def with_(self, **kw) -> "SolverConfig":
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -203,10 +203,7 @@ def cut_or_embed(
                                  certificate=Certificate(None, 0, True))
     state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
     w_g = terminal_weights(g, f_edges, hier)
-    try:
-        kappa = max(1, math.ceil(2 * C_KAPPA / float(phi)))
-    except (ZeroDivisionError, OverflowError):  # phi below the float range
-        kappa = math.ceil(2 * Fraction(C_KAPPA) / phi)
+    kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
     z = retry_budget(n)
     ev = CutEvaluator(g, cap, deg_f)
 

@@ -123,10 +123,6 @@ class DynForest:
 
     # public interface ---------------------------------------------------
 
-    def parent_of(self, u: int) -> int:
-        """Represented-tree parent of u, or -1."""
-        return self.rep_par[u]
-
     def link(self, u: int, v: int, value: int) -> None:
         """Attach root u below v with edge value `value`."""
         if self.rep_par[u] != -1:

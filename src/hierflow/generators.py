@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import BadParamsError
-from .graph import FlowInstance, build_graph
+from .graph import FlowInstance, st_instance
 
 
 @dataclass
@@ -18,13 +18,7 @@ class Generated:
     sink: int
 
     def instance(self) -> FlowInstance:
-        g, caps = build_graph(self.n, self.arcs)
-        big = sum(caps) + 1
-        delta = [0] * self.n
-        nabla = [0] * self.n
-        delta[self.source] = big
-        nabla[self.sink] = big
-        return FlowInstance(g, caps, delta, nabla)
+        return st_instance(self.n, self.arcs, self.source, self.sink)
 
 
 def gen_cycle(n: int, cap: int = 1) -> Generated:

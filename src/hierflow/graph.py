@@ -61,13 +61,6 @@ class DiGraph:
     def m(self) -> int:
         return len(self.tails)
 
-    def edge(self, e: int) -> Tuple[int, int]:
-        return self.tails[e], self.heads[e]
-
-    def edges(self) -> Iterable[Tuple[int, int, int]]:
-        for e in range(self.m):
-            yield e, self.tails[e], self.heads[e]
-
 
 def build_graph(n: int, arcs: Sequence[Tuple[int, int, int]]) -> Tuple[DiGraph, List[int]]:
     """Build a graph plus capacity vector from (tail, head, capacity) triples."""
@@ -145,11 +138,6 @@ def scc(g: DiGraph) -> List[List[int]]:
     return _tarjan([[heads[e] for e in es] for es in g.out_edges])[0]
 
 
-def condensation_topo_order(g: DiGraph) -> List[List[int]]:
-    """SCCs ordered so that every inter-component edge points forward."""
-    return list(reversed(scc(g)))
-
-
 def scc_subgraph(g: DiGraph, vertices: Iterable[int], edge_ids: Iterable[int]
                  ) -> Tuple[List[List[int]], List[List[int]], List[int]]:
     """SCCs of the subgraph of `g` on `vertices` and `edge_ids`.
@@ -213,6 +201,18 @@ class FlowInstance:
 
     def total_sink(self) -> int:
         return sum(self.nabla)
+
+
+def st_instance(n: int, arcs: Sequence[Tuple[int, int, int]], s: int, t: int) -> FlowInstance:
+    """Single-source single-sink instance: s supplies and t absorbs one
+    above the total edge capacity, which is effectively unbounded."""
+    g, caps = build_graph(n, arcs)
+    big = sum(caps) + 1
+    delta = [0] * n
+    nabla = [0] * n
+    delta[s] = big
+    nabla[t] = big
+    return FlowInstance(g, caps, delta, nabla)
 
 
 class Flow:
@@ -293,9 +293,6 @@ class ResidualView:
         self.arc_cap = arc_cap
         self.delta_f = delta_f
         self.nabla_f = nabla_f
-
-    def usable_out_arcs(self, v: int) -> List[int]:
-        return [a for a in self.g.out_arcs[v] if self.arc_cap[a] > 0]
 
 
 def residual(inst: FlowInstance, f: Flow) -> ResidualView:

@@ -1,9 +1,14 @@
 """Instance file formats: DIMACS max-flow and the diffusion variant.
 
-Vertices are 1-indexed on disk, 0-indexed in memory.  DIMACS source/sink
-instances get supply and sink capacity one above the total edge capacity,
-which is effectively unbounded.  Negative counts, self-loops and a
-source that is also the sink are rejected as a ParseError on their line.
+Vertices are 1-indexed on disk, 0-indexed in memory.  `parse_instance`
+reads both formats in one pass: the problem line, `p max <n> <m>` or
+`p diff <n> <m>`, sets the format; `a` arc lines belong to both,
+`n <v> s|t` lines only to `p max` files and `src`/`snk <v> <amount>`
+lines only to `p diff` files.  DIMACS source/sink instances get supply
+and sink capacity one above the total edge capacity, which is
+effectively unbounded.  Negative counts, self-loops, a line before the
+problem line or of the other format, and a source that is also the sink
+are rejected as a ParseError on their line.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArcCountMismatchError, MissingSourceOrSinkError,
                      NotDiffusionError, ParseError)
-from .graph import FlowInstance, build_graph
+from .graph import FlowInstance, build_graph, st_instance
 
 
 def _int(token: str, no: int) -> int:
@@ -22,16 +27,18 @@ def _int(token: str, no: int) -> int:
         raise ParseError(no, f"expected an integer, got {token!r}")
 
 
-def _problem(parts: List[str], kind: str, n: Optional[int], no: int) -> Tuple[int, int]:
-    """(n, m) of a `p <kind> <n> <m>` line; `n` is None before the first."""
-    if len(parts) != 4 or parts[1] != kind:
-        raise ParseError(no, f"expected `p {kind} <n> <m>`")
-    if n is not None:
+def _problem(line: str, fmt: Optional[str], no: int) -> Tuple[str, int, int]:
+    """(format, n, m) of a `p max|diff <n> <m>` line; `fmt` is None before the first."""
+    parts = line.split()
+    # only `p` and a space start a problem line, as emit_* writes it
+    if not line.startswith("p ") or len(parts) != 4 or parts[1] not in ("max", "diff"):
+        raise ParseError(no, "expected `p max <n> <m>` or `p diff <n> <m>`")
+    if fmt is not None:
         raise ParseError(no, "duplicate problem line")
     n, m = _int(parts[2], no), _int(parts[3], no)
     if n < 0 or m < 0:
         raise ParseError(no, "negative vertex or arc count")
-    return n, m
+    return parts[1], n, m
 
 
 def _arc(parts: List[str], n: Optional[int], no: int) -> Tuple[int, int, int]:
@@ -58,11 +65,14 @@ class InstanceFile:
     sink: Optional[int]
 
 
-def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
-    n = m = None
+def parse_instance(text: str, name: str = "<memory>") -> InstanceFile:
+    """A `p max` (source/sink) or `p diff` (diffusion) file, in one pass."""
+    fmt = n = m = None
     s = t = None
     s_no = t_no = 0
     arcs: List[Tuple[int, int, int]] = []
+    srcs: List[Tuple[int, int]] = []
+    snks: List[Tuple[int, int]] = []
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -70,8 +80,12 @@ def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
         parts = line.split()
         kind = parts[0]
         if kind == "p":
-            n, m = _problem(parts, "max", n, no)
-        elif kind == "n":
+            fmt, n, m = _problem(line, fmt, no)
+        elif kind == "a":
+            arcs.append(_arc(parts, n, no))
+        # a line of the other format falls through to "unknown line kind";
+        # before the problem line each kind has its own error
+        elif kind == "n" and fmt != "diff":
             if len(parts) != 3 or parts[2] not in ("s", "t"):
                 raise ParseError(no, "expected `n <v> s|t`")
             if n is None:
@@ -83,50 +97,7 @@ def parse_dimacs(text: str, name: str = "<memory>") -> InstanceFile:
                 s, s_no = v, no
             else:
                 t, t_no = v, no
-        elif kind == "a":
-            arcs.append(_arc(parts, n, no))
-        else:
-            raise ParseError(no, f"unknown line kind {kind!r}")
-    if n is None:
-        raise ParseError(0, "missing problem line")
-    if s is None or t is None:
-        raise MissingSourceOrSinkError("missing `n ... s` or `n ... t` line")
-    if s == t:
-        raise ParseError(max(s_no, t_no), f"vertex {s + 1} is both source and sink")
-    if len(arcs) != m:
-        raise ArcCountMismatchError(f"declared {m} arcs, saw {len(arcs)}")
-    g, caps = build_graph(n, arcs)
-    big = sum(caps) + 1
-    delta = [0] * n
-    nabla = [0] * n
-    delta[s] = big
-    nabla[t] = big
-    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), s, t)
-
-
-def emit_dimacs(n: int, arcs: List[Tuple[int, int, int]], s: int, t: int,
-                name: str = "instance") -> str:
-    lines = [f"c {name}", f"p max {n} {len(arcs)}", f"n {s + 1} s", f"n {t + 1} t"]
-    lines += [f"a {u + 1} {v + 1} {c}" for u, v, c in arcs]
-    return "\n".join(lines) + "\n"
-
-
-def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
-    n = m = None
-    arcs: List[Tuple[int, int, int]] = []
-    srcs: List[Tuple[int, int]] = []
-    snks: List[Tuple[int, int]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "p":
-            n, m = _problem(parts, "diff", n, no)
-        elif kind == "a":
-            arcs.append(_arc(parts, n, no))
-        elif kind in ("src", "snk"):
+        elif kind in ("src", "snk") and fmt != "max":
             if len(parts) != 3:
                 raise ParseError(no, f"expected `{kind} <v> <amount>`")
             if n is None:
@@ -141,8 +112,15 @@ def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
             raise ParseError(no, f"unknown line kind {kind!r}")
     if n is None:
         raise ParseError(0, "missing problem line")
+    if fmt == "max":
+        if s is None or t is None:
+            raise MissingSourceOrSinkError("missing `n ... s` or `n ... t` line")
+        if s == t:
+            raise ParseError(max(s_no, t_no), f"vertex {s + 1} is both source and sink")
     if len(arcs) != m:
         raise ArcCountMismatchError(f"declared {m} arcs, saw {len(arcs)}")
+    if fmt == "max":
+        return InstanceFile(name, st_instance(n, arcs, s, t), s, t)
     delta = [0] * n
     nabla = [0] * n
     for v, amt in srcs:
@@ -156,6 +134,13 @@ def parse_diffusion(text: str, name: str = "<memory>") -> InstanceFile:
     return InstanceFile(name, FlowInstance(g, caps, delta, nabla), None, None)
 
 
+def emit_dimacs(n: int, arcs: List[Tuple[int, int, int]], s: int, t: int,
+                name: str = "instance") -> str:
+    lines = [f"c {name}", f"p max {n} {len(arcs)}", f"n {s + 1} s", f"n {t + 1} t"]
+    lines += [f"a {u + 1} {v + 1} {c}" for u, v, c in arcs]
+    return "\n".join(lines) + "\n"
+
+
 def emit_diffusion(inst: FlowInstance, name: str = "instance") -> str:
     g = inst.g
     lines = [f"c {name}", f"p diff {g.n} {g.m}"]
@@ -163,17 +148,3 @@ def emit_diffusion(inst: FlowInstance, name: str = "instance") -> str:
     lines += [f"src {v + 1} {inst.delta[v]}" for v in range(g.n) if inst.delta[v] > 0]
     lines += [f"snk {v + 1} {inst.nabla[v]}" for v in range(g.n) if inst.nabla[v] > 0]
     return "\n".join(lines) + "\n"
-
-
-def parse_instance(text: str, name: str = "<memory>") -> InstanceFile:
-    """Dispatch on the problem line: `p max` or `p diff`."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p "):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == "diff":
-                return parse_diffusion(text, name)
-            return parse_dimacs(text, name)
-    raise ParseError(0, "missing problem line")

@@ -229,10 +229,6 @@ def capacity_scaled_max_flow(inst: FlowInstance,
     return SolveResult(f, stats)
 
 
-def ek_solver(inst: FlowInstance) -> Flow:
-    return edmonds_karp(inst).flow
-
-
 def exact_solver(phi: Optional[Fraction] = None, seed: int = 0,
                  config: SolverConfig = DEFAULT_CONFIG) -> Callable[[FlowInstance], Flow]:
     def solve(inst: FlowInstance) -> Flow:

@@ -6,6 +6,7 @@ to shrink the corpora during development (the shipped default is 1.0).
 import math
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats,
                             is_feasible, net_outflow, residual)
 from hierflow.hierarchy import (Hierarchy, induced_weights, validate_hierarchy)
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
-                              driver_height, edmonds_karp, ek_solver,
+                              driver_height, edmonds_karp,
                               max_flow_exact)
 from hierflow.push_relabel import push_relabel
 from hierflow.sparse_cut import sparse_cut, terminal_weights
@@ -105,7 +106,7 @@ def test_criterion_1_exactness():
 
 def test_criterion_2_invariants_debug_mode():
     rng = random.Random(102)
-    cfg = DEFAULT_CONFIG.with_(debug_invariants=True)
+    cfg = replace(DEFAULT_CONFIG, debug_invariants=True)
     runs = 0
     for i in range(_count(25)):
         n = rng.randint(4, 16)
@@ -192,7 +193,7 @@ def test_criterion_4_work_bounds():
 
 def test_criterion_5_near_shortest_replay():
     rng = random.Random(105)
-    cfg = DEFAULT_CONFIG.with_(snapshot_labels=True)
+    cfg = replace(DEFAULT_CONFIG, snapshot_labels=True)
     checked = 0
     for i in range(_count(50)):
         inst = random_instance(rng, rng.randint(4, 12), rng.randint(4, 30),
@@ -241,8 +242,8 @@ def test_criterion_6_weight_sum_bound():
     for n in sizes:
         g, caps = _simple_connected_graph(rng, n, 2 * n)
         res = build_hierarchy(g, caps, None, seed=n,
-                              config=DEFAULT_CONFIG.with_(
-                                  validator_falsifier_cuts=500))
+                              config=replace(DEFAULT_CONFIG,
+                                             validator_falsifier_cuts=500))
         w = induced_weights(g, res.hierarchy.tau)
         assert all(x >= 1 for x in w)
         assert sum(1.0 / x for x in w) <= 2 * n * (math.log(n) + 1)
@@ -364,7 +365,7 @@ def test_criterion_9_cut_or_embed_soundness():
         f_edges = set(range(g.m))
         phi = Fraction(1, 16)
         cfg = DEFAULT_CONFIG if trial % 2 == 0 else \
-            DEFAULT_CONFIG.with_(cmg_early_exit=False)
+            replace(DEFAULT_CONFIG, cmg_early_exit=False)
         hier = Hierarchy(set(), [], list(range(1, n + 1)))
         out = cut_or_embed(g, caps, f_edges, phi, hier,
                            random.Random(5000 + trial), cfg)
@@ -441,7 +442,7 @@ def test_criterion_11_capacity_scaling():
     for u in (1, 2, 3, 4, 7, 8, 100, 1023, 1024, 65536, 10 ** 6 - 1, 10 ** 6):
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
-        res = capacity_scaled_max_flow(inst, ek_solver)
+        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
         want_phases = 1 if u == 1 else math.ceil(math.log2(u)) + 1
         assert res.stats.phases == want_phases, f"U={u}"
         assert res.stats.value == u
@@ -452,7 +453,7 @@ def test_criterion_11_capacity_scaling():
         inst = random_instance(rng, rng.randint(2, 9), rng.randint(1, 18),
                                rng.choice([3, 10, 100, 5000, 10 ** 6]),
                                st=(i % 2 == 0))
-        res = capacity_scaled_max_flow(inst, ek_solver)
+        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
         assert res.stats.value == edmonds_karp(inst).stats.value
         n2 = inst.n * inst.n
         assert all(v <= n2 for v in res.stats.phase_values)

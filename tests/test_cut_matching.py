@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hierflow.hierarchy import Hierarchy
 
 from helpers import exhaustive_sparsest_cut
 
-NO_EARLY = DEFAULT_CONFIG.with_(cmg_early_exit=False)
+NO_EARLY = replace(DEFAULT_CONFIG, cmg_early_exit=False)
 
 
 def _complete_digraph(n, cap=1):

@@ -51,7 +51,7 @@ def test_link_two_singletons():
     f = DynForest(2)
     f.link(0, 1, 5)
     assert f.find_root(0) == 1
-    assert f.parent_of(0) == 1
+    assert f.rep_par[0] == 1
 
 
 def test_double_link_raises_not_a_root():

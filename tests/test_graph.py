@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import InfeasibleFlowError, SelfLoopError, VertexOutOfRangeError
-from hierflow.graph import (Flow, FlowInstance, build_graph, condensation_topo_order,
-                            decompose_paths, flow_stats, is_feasible, net_outflow,
-                            residual, residual_graph, scc, subgraph)
+from hierflow.graph import (Flow, FlowInstance, build_graph, decompose_paths, flow_stats,
+                            is_feasible, net_outflow, residual, residual_graph, scc,
+                            subgraph)
 from hierflow.hierarchy import Hierarchy
 from hierflow.maxflow import max_flow_exact
 from hierflow.push_relabel import push_relabel
@@ -27,7 +27,7 @@ def test_build_single_edge():
 def test_build_antiparallel_pair_kept_distinct():
     g, caps = build_graph(3, [(0, 1, 1), (1, 0, 1)])
     assert g.m == 2
-    assert g.edge(0) == (0, 1) and g.edge(1) == (1, 0)
+    assert list(zip(g.tails, g.heads)) == [(0, 1), (1, 0)]
 
 
 def test_build_rejects_self_loop():
@@ -87,13 +87,13 @@ def test_scc_reverse_topological_order():
 
 def test_condensation_topo_chain():
     g, _ = build_graph(3, [(0, 1, 1), (1, 2, 1)])
-    comps = condensation_topo_order(g)
+    comps = scc(g)[::-1]
     assert [sorted(c) for c in comps] == [[0], [1], [2]]
 
 
 def test_condensation_topo_cycle_single_component():
     g, _ = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    assert len(condensation_topo_order(g)) == 1
+    assert len(scc(g)) == 1
 
 
 def test_condensation_topo_random_dag_edges_forward():
@@ -103,7 +103,7 @@ def test_condensation_topo_random_dag_edges_forward():
         pairs = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(20)})
         pairs = [(u, v) for u, v in pairs if u < v]  # force a DAG
         g, _ = build_graph(n, [(u, v, 1) for u, v in pairs])
-        comps = condensation_topo_order(g)
+        comps = scc(g)[::-1]
         pos = {}
         for i, c in enumerate(comps):
             for v in c:
@@ -175,8 +175,8 @@ def test_residual_saturated_edge_only_backward_usable():
     inst = FlowInstance(g, caps, [3, 0], [0, 3])
     res = residual(inst, Flow([3]))
     assert res.arc_cap[0] == 0 and res.arc_cap[1] == 3
-    assert list(res.usable_out_arcs(0)) == []
-    assert list(res.usable_out_arcs(1)) == [1]
+    assert [a for a in g.out_arcs[0] if res.arc_cap[a] > 0] == []
+    assert [a for a in g.out_arcs[1] if res.arc_cap[a] > 0] == [1]
 
 
 def test_residual_rejects_overflow():
@@ -284,7 +284,7 @@ def test_arc_layout_on_multigraphs():
         inst = _multigraph_instance(rng, n, rng.randint(1, 3 * n))
         g = inst.g
         assert len(g.arc_tail) == len(g.arc_head) == 2 * g.m
-        for e, u, v in g.edges():
+        for e, (u, v) in enumerate(zip(g.tails, g.heads)):
             assert (g.arc_tail[2 * e], g.arc_head[2 * e]) == (u, v)
             assert (g.arc_tail[2 * e + 1], g.arc_head[2 * e + 1]) == (v, u)
         for v in range(n):
@@ -293,12 +293,12 @@ def test_arc_layout_on_multigraphs():
         f = Flow([rng.randint(0, c) for c in inst.cap])
         res = residual(inst, f)
         for a in range(2 * g.m):
-            u, v = g.edge(a >> 1)
+            u, v = g.tails[a >> 1], g.heads[a >> 1]
             assert (res.g.arc_tail[a], res.g.arc_head[a]) == ((v, u) if a & 1 else (u, v))
         for v in range(n):
             usable = sorted([2 * e for e in g.out_edges[v] if inst.cap[e] > f[e]]
                             + [2 * e + 1 for e in g.in_edges[v] if f[e] > 0])
-            assert list(res.usable_out_arcs(v)) == usable
+            assert [a for a in res.g.out_arcs[v] if res.arc_cap[a] > 0] == usable
 
 
 def _pr_view(r):
@@ -335,7 +335,7 @@ def test_subgraph_keeps_the_given_vertex_and_edge_orders():
     sub = subgraph(g, [4, 1, 2, 0], [5, 2, 0, 4, 1, 3])
     assert sub.n == 4 and sub.m == 6
     # local vertex i is vertices[i], local edge j is edge_ids[j]
-    assert [sub.edge(j) for j in range(sub.m)] == [(0, 2), (1, 2), (3, 1), (2, 0), (1, 2), (1, 3)]
+    assert list(zip(sub.tails, sub.heads)) == [(0, 2), (1, 2), (3, 1), (2, 0), (1, 2), (1, 3)]
     assert sub.out_edges == [[0], [1, 4, 5], [3], [2]]
     assert sub.in_edges == [[3], [2], [0, 1, 4], [5]]
     rng = random.Random(37)
@@ -349,7 +349,8 @@ def test_subgraph_keeps_the_given_vertex_and_edge_orders():
         edge_ids = rng.sample(inside, len(inside))
         sub = subgraph(g, verts, edge_ids)
         assert sub.n == len(verts)
-        assert [(verts[u], verts[v]) for _j, u, v in sub.edges()] == [g.edge(e) for e in edge_ids]
+        assert [(verts[u], verts[v]) for u, v in zip(sub.tails, sub.heads)] == [
+            (g.tails[e], g.heads[e]) for e in edge_ids]
 
 
 def test_residual_graph_has_one_edge_per_usable_arc_in_arc_order():
@@ -363,7 +364,7 @@ def test_residual_graph_has_one_edge_per_usable_arc_in_arc_order():
         arc_ids, rinst = residual_graph(res)
         assert arc_ids == [a for a in range(2 * g.m) if res.arc_cap[a] > 0]
         assert arc_ids == sorted(arc_ids)
-        assert [rinst.g.edge(j) for j in range(rinst.m)] == [
+        assert list(zip(rinst.g.tails, rinst.g.heads)) == [
             (g.arc_tail[a], g.arc_head[a]) for a in arc_ids]
         assert rinst.cap == [res.arc_cap[a] for a in arc_ids]
         assert all(c > 0 for c in rinst.cap)

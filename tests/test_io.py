@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hierflow.errors import (ArcCountMismatchError, HierflowError, MissingSourceOrSinkError,
                              NotDiffusionError, ParseError)
 from hierflow.generators import generate
-from hierflow.io import (emit_dimacs, emit_diffusion, parse_diffusion,
-                         parse_dimacs, parse_instance)
+from hierflow.io import emit_dimacs, emit_diffusion, parse_instance
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 
 from helpers import random_instance_text
@@ -22,7 +21,7 @@ a 1 2 5
 
 
 def test_parse_single_edge_dimacs():
-    f = parse_dimacs(SINGLE)
+    f = parse_instance(SINGLE)
     assert f.inst.n == 2 and f.inst.m == 1
     assert f.source == 0 and f.sink == 1
     inst = f.inst
@@ -33,22 +32,22 @@ def test_parse_single_edge_dimacs():
 def test_parse_dimacs_missing_sink():
     text = "p max 2 1\nn 1 s\na 1 2 5\n"
     with pytest.raises(MissingSourceOrSinkError):
-        parse_dimacs(text)
+        parse_instance(text)
 
 
 def test_parse_dimacs_arc_count_mismatch():
     text = "p max 2 2\nn 1 s\nn 2 t\na 1 2 5\n"
     with pytest.raises(ArcCountMismatchError):
-        parse_dimacs(text)
+        parse_instance(text)
 
 
 def test_parse_dimacs_bad_lines():
     with pytest.raises(ParseError):
-        parse_dimacs("p max x y\n")
+        parse_instance("p max x y\n")
     with pytest.raises(ParseError):
-        parse_dimacs("p max 2 1\nn 3 s\nn 2 t\na 1 2 5\n")
+        parse_instance("p max 2 1\nn 3 s\nn 2 t\na 1 2 5\n")
     with pytest.raises(ParseError):
-        parse_dimacs("q max 2 1\n")
+        parse_instance("q max 2 1\n")
 
 
 def test_dimacs_round_trip_on_generated():
@@ -59,7 +58,7 @@ def test_dimacs_round_trip_on_generated():
                        m=rng.randint(4, 20), k=rng.randint(2, 4),
                        rows=rng.randint(2, 3), cols=rng.randint(2, 3))
         text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
-        parsed = parse_dimacs(text, gen.name)
+        parsed = parse_instance(text, gen.name)
         text2 = emit_dimacs(parsed.inst.n,
                             [(parsed.inst.g.tails[e], parsed.inst.g.heads[e],
                               parsed.inst.cap[e]) for e in range(parsed.inst.m)],
@@ -68,7 +67,7 @@ def test_dimacs_round_trip_on_generated():
 
 
 def test_parse_diffusion_header_only():
-    f = parse_diffusion("p diff 3 0\n")
+    f = parse_instance("p diff 3 0\n")
     assert f.inst.n == 3 and f.inst.m == 0
     assert sum(f.inst.delta) == 0
 
@@ -76,20 +75,20 @@ def test_parse_diffusion_header_only():
 def test_parse_diffusion_rejects_oversupply():
     text = "p diff 2 1\na 1 2 1\nsrc 1 3\nsnk 2 1\n"
     with pytest.raises(NotDiffusionError):
-        parse_diffusion(text)
+        parse_instance(text)
 
 
 def test_parse_diffusion_rejects_negative_capacity():
     # an input fault, reported on its line like the DIMACS parser does
     with pytest.raises(ParseError, match="line 3"):
-        parse_diffusion("p diff 2 1\nsrc 1 1\na 1 2 -1\nsnk 2 1\n")
+        parse_instance("p diff 2 1\nsrc 1 1\na 1 2 -1\nsnk 2 1\n")
 
 
 def test_diffusion_round_trip():
     text = "c x\np diff 3 2\na 1 2 2\na 2 3 1\nsrc 1 2\nsnk 3 2\nsnk 2 1\n"
-    f = parse_diffusion(text)
+    f = parse_instance(text)
     emitted = emit_diffusion(f.inst, "x")
-    f2 = parse_diffusion(emitted)
+    f2 = parse_instance(emitted)
     assert f2.inst.delta == f.inst.delta
     assert f2.inst.nabla == f.inst.nabla
     assert f2.inst.cap == f.inst.cap
@@ -101,6 +100,23 @@ def test_parse_instance_dispatch():
     assert parse_instance("p diff 2 0\n").source is None
     with pytest.raises(ParseError):
         parse_instance("c nothing\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p diff 2 0\nn 1 s\n", 2),
+    ("p max 2 1\nn 1 s\nn 2 t\nsrc 1 1\na 1 2 5\n", 4),
+    ("p max 2 1\nn 1 s\nn 2 t\na 1 2 5\nsnk 2 1\n", 5),
+    ("c x\nn 1 s\np max 2 0\nn 2 t\n", 2),
+    ("src 1 1\np diff 2 0\n", 1),
+    ("snk 2 1\np diff 2 0\nsrc 1 1\n", 1),
+    ("p max 2 0\nn 1 s\nn 2 t\np diff 2 0\n", 4),
+    ("p diff 2 0\nc x\np max 2 0\n", 3),
+], ids=["n-in-diff", "src-in-max", "snk-in-max", "n-before-p", "src-before-p",
+        "snk-before-p", "diff-after-max", "max-after-diff"])
+def test_parse_instance_rejects_lines_of_the_other_format(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line_no == line
 
 
 def test_generators_deterministic():

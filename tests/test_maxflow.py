@@ -8,7 +8,7 @@ from hierflow.errors import NotADAGError
 from hierflow.generators import generate
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
-                              edmonds_karp, ek_solver, exact_solver,
+                              edmonds_karp, exact_solver,
                               max_flow_exact)
 
 from helpers import max_flow_value_by_cuts, random_instance
@@ -156,7 +156,7 @@ def test_exact_matches_oracle_at_bench_sizes(model, n, m):
 def test_scaling_single_edge_large_cap():
     g, caps = build_graph(2, [(0, 1, 10 ** 6)])
     inst = FlowInstance(g, caps, [10 ** 6, 0], [0, 10 ** 6])
-    res = capacity_scaled_max_flow(inst, ek_solver)
+    res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
     assert res.stats.value == 10 ** 6
     assert res.stats.phases == 21  # ceil(log2(1e6)) + 1
     assert all(v <= 4 for v in res.stats.phase_values)  # n^2 = 4
@@ -166,7 +166,7 @@ def test_scaling_matches_direct_on_small_caps():
     rng = random.Random(65)
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 8), rng.randint(1, 14), 3, st=False)
-        res = capacity_scaled_max_flow(inst, ek_solver)
+        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
         want = edmonds_karp(inst).stats.value
         assert res.stats.value == want
         n2 = inst.n * inst.n
@@ -191,7 +191,7 @@ def test_scaling_on_multigraphs():
         g, caps = build_graph(n, [(u, v, c) for u, v, c in arcs if u != v])
         inst = FlowInstance(g, caps, [sum(caps) + 1] + [0] * (n - 1),
                             [0] * (n - 1) + [sum(caps) + 1])
-        for inner in (ek_solver, exact_solver(Fraction(1, 16), seed=0)):
+        for inner in (lambda i: edmonds_karp(i).flow, exact_solver(Fraction(1, 16), seed=0)):
             res = capacity_scaled_max_flow(inst, inner)
             assert res.stats.value == edmonds_karp(inst).stats.value
             assert all(v <= g.m + n for v in res.stats.phase_values)
@@ -201,7 +201,7 @@ def test_scaling_phase_count_formula():
     for u, phases in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (1023, 11), (1024, 11)]:
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
-        res = capacity_scaled_max_flow(inst, ek_solver)
+        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
         assert res.stats.phases == phases, f"U={u}"
         assert res.stats.value == u
 

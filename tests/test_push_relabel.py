@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from hierflow.push_relabel import push_relabel
 
 from helpers import dijkstra_residual, random_instance, reachability_closure
 
-DBG = DEFAULT_CONFIG.with_(debug_invariants=True, snapshot_labels=True)
+DBG = replace(DEFAULT_CONFIG, debug_invariants=True, snapshot_labels=True)
 
 
 def _single_edge(cap=1, w=1):
@@ -254,7 +255,7 @@ def test_fast_and_debug_schedulers_agree():
         w = [rng.randint(1, 5) for _ in range(inst.m)]
         h = rng.randint(2, 9)
         fast = push_relabel(inst, w, h)
-        slow = push_relabel(inst, w, h, config=DEFAULT_CONFIG.with_(debug_invariants=True))
+        slow = push_relabel(inst, w, h, config=replace(DEFAULT_CONFIG, debug_invariants=True))
         assert fast.value == slow.value
         assert fast.flow.values == slow.flow.values
         assert fast.labels.levels == slow.labels.levels
@@ -348,7 +349,7 @@ def test_unit_and_capacitated_modes_agree_on_general_caps():
         inst = _random_multigraph_instance(rng, n)
         w = [rng.randint(1, 5) for _ in range(inst.m)]
         for h in (1, 2, n, n * n):
-            for config in (DEFAULT_CONFIG, DEFAULT_CONFIG.with_(debug_invariants=True)):
+            for config in (DEFAULT_CONFIG, replace(DEFAULT_CONFIG, debug_invariants=True)):
                 a = push_relabel(inst, w, h, mode="unit", config=config)
                 b = push_relabel(inst, w, h, mode="capacitated", config=config)
                 assert _run_trace(a) == _run_trace(b)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -219,10 +220,10 @@ def test_sparse_cut_height_floors_and_clamp():
     # nominal value explodes, so the n^2 saturation cap takes over
     assert sparse_cut_height(10, 0, 4, Fraction(1, 8), cfg) == 100
     assert sparse_cut_height(10, 2, 16, Fraction(1, 16), cfg) == 100
-    small = DEFAULT_CONFIG.with_(max_h=50)
+    small = replace(DEFAULT_CONFIG, max_h=50)
     assert sparse_cut_height(10, 2, 16, Fraction(1, 16), small) == 50
     # tiny nominal values still respect the floor at n
-    tiny = DEFAULT_CONFIG.with_(c_6=1e-9)
+    tiny = replace(DEFAULT_CONFIG, c_6=1e-9)
     assert sparse_cut_height(10, 1, 1, Fraction(1, 2), tiny) == 10
 
 
@@ -241,8 +242,8 @@ def test_heights_follow_the_float_formula_and_cap_out_of_float_range():
     for _ in range(400):
         n, eta, kappa = rng.randint(1, 400), rng.randint(0, 12), rng.randint(1, 10 ** 4)
         phi = Fraction(rng.randint(1, 50), rng.randint(51, 10 ** 6))
-        cfg = DEFAULT_CONFIG.with_(c_h=rng.choice([8.0, 1e-6, 0.37]),
-                                   c_6=rng.choice([1.0, 1e-12, 3e-7]))
+        cfg = replace(DEFAULT_CONFIG, c_h=rng.choice([8.0, 1e-6, 0.37]),
+                      c_6=rng.choice([1.0, 1e-12, 3e-7]))
         ln = math.log(max(n, 2))
         h = cfg.c_h * n * (max(eta, 1) ** 2) * ln / float(phi)
         assert driver_height(n, max(eta, 1), phi, cfg) == max(n, math.ceil(min(n * n, h)))
