@@ -284,6 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except HierflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # below graph.MAX_SIZE, yet more than this machine has
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import BadParamsError
-from .graph import FlowInstance, st_instance
+from .graph import MAX_SIZE, FlowInstance, st_instance
 
 
 @dataclass
@@ -21,9 +21,15 @@ class Generated:
         return st_instance(self.n, self.arcs, self.source, self.sink)
 
 
+def _check_size(n: int, m: int) -> None:
+    if n > MAX_SIZE or m > MAX_SIZE:
+        raise BadParamsError(f"{n} vertices and {m} arcs: more than {MAX_SIZE} of either")
+
+
 def gen_cycle(n: int, cap: int = 1) -> Generated:
     if n < 2:
         raise BadParamsError("cycle needs n >= 2")
+    _check_size(n, n)
     arcs = [(i, (i + 1) % n, cap) for i in range(n)]
     return Generated(f"cycle-{n}", n, arcs, 0, n // 2)
 
@@ -32,6 +38,7 @@ def gen_dumbbell(k: int, bridge: int, clique_cap: int = 1) -> Generated:
     """Two complete digraphs on k vertices, one bridge each way."""
     if k < 2 or bridge < 0:
         raise BadParamsError("dumbbell needs k >= 2 and bridge >= 0")
+    _check_size(2 * k, 2 * k * (k - 1) + 2)
     arcs = []
     for a in range(k):
         for b in range(k):
@@ -49,6 +56,7 @@ def gen_dumbbell(k: int, bridge: int, clique_cap: int = 1) -> Generated:
 def gen_dag(n: int, m: int, cap: int, seed: int) -> Generated:
     if n < 2 or m < 1 or cap < 1:
         raise BadParamsError("dag needs n >= 2, m >= 1, cap >= 1")
+    _check_size(n, m)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)  # perm[i] = vertex at topological position i
@@ -72,6 +80,7 @@ def gen_dag(n: int, m: int, cap: int, seed: int) -> Generated:
 def gen_random(n: int, m: int, cap: int, seed: int) -> Generated:
     if n < 2 or m < 1 or cap < 1:
         raise BadParamsError("random needs n >= 2, m >= 1, cap >= 1")
+    _check_size(n, m)
     rng = random.Random(seed)
     arcs = []
     seen = set()
@@ -90,6 +99,7 @@ def gen_random(n: int, m: int, cap: int, seed: int) -> Generated:
 def gen_grid(rows: int, cols: int, cap: int, seed: int = 0) -> Generated:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise BadParamsError("grid needs at least two cells")
+    _check_size(rows * cols, 2 * rows * cols)
     rng = random.Random(seed)
     n = rows * cols
     arcs = []

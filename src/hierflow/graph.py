@@ -23,6 +23,11 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InfeasibleFlowError, SelfLoopError, VertexOutOfRangeError
 
+# The most vertices, and the most edges, that a parsed or generated
+# instance may have, checked before anything is allocated (at n = 10^6 an
+# instance without edges already takes about 250 MB).
+MAX_SIZE = 10 ** 6
+
 
 class DiGraph:
     """Directed multigraph with stable dense edge ids."""

@@ -6,9 +6,9 @@ reads both formats in one pass: the problem line, `p max <n> <m>` or
 `n <v> s|t` lines only to `p max` files and `src`/`snk <v> <amount>`
 lines only to `p diff` files.  DIMACS source/sink instances get supply
 and sink capacity one above the total edge capacity, which is
-effectively unbounded.  Negative counts, self-loops, a line before the
-problem line or of the other format, and a source that is also the sink
-are rejected as a ParseError on their line.
+effectively unbounded.  Counts below 0 or above `graph.MAX_SIZE`,
+self-loops, a line before the problem line or of the other format, and a
+source that is also the sink are rejected as a ParseError on their line.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (ArcCountMismatchError, MissingSourceOrSinkError,
                      NotDiffusionError, ParseError)
-from .graph import FlowInstance, build_graph, st_instance
+from .graph import MAX_SIZE, FlowInstance, build_graph, st_instance
 
 
 def _int(token: str, no: int) -> int:
@@ -38,6 +38,8 @@ def _problem(line: str, fmt: Optional[str], no: int) -> Tuple[str, int, int]:
     n, m = _int(parts[2], no), _int(parts[3], no)
     if n < 0 or m < 0:
         raise ParseError(no, "negative vertex or arc count")
+    if n > MAX_SIZE or m > MAX_SIZE:
+        raise ParseError(no, f"more than {MAX_SIZE} vertices or arcs")
     return parts[1], n, m
 
 

@@ -86,7 +86,7 @@ def dag_approx_flow(inst: FlowInstance, config: SolverConfig = DEFAULT_CONFIG):
     for pos, comp in enumerate(reversed(comps), start=1):
         tau[comp[0]] = pos
     w = [abs(tau[g.heads[e]] - tau[g.tails[e]]) for e in range(g.m)]
-    return push_relabel(inst, w, max(g.n, 1), mode="auto", config=config)
+    return push_relabel(inst, w, max(g.n, 1), config=config)
 
 
 # --- exact driver -------------------------------------------------------------
@@ -169,7 +169,7 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
                                    config, validate=False).hierarchy
             w = induced_weights(rinst.g, hier.tau)
             h = driver_height(n, max(hier.eta, 1), phi, config)
-            r = push_relabel(rinst, w, h, mode="capacitated", config=config)
+            r = push_relabel(rinst, w, h, config=config)
             stats.augmentations += r.augment_count
             stats.relabels += r.relabel_climbs
         except BuildFailedError:

@@ -35,18 +35,18 @@ every alive vertex has an admissible path to an unsaturated sink.  So
 the final alive set is the one plain climbing reaches; only levels and
 marks of alive vertices can differ where a doomed neighbor held them up.
 
-Capacitated mode keeps the admissible forest in link-cut trees (Goldberg
-and Tarjan), touched only where an augmentation needs them.  Every
-vertex's current arc is its smallest admissible out-arc, but the tree
-edge along it is linked lazily: an augmentation links the unlinked tails
-on its path, with their raw cf entries, before it takes the bottleneck,
-and an edge is cut when it saturates or its arc stops being current.  So
-a climb that ends in death or in a re-climb links nothing.  Residual
-tests read the raw cf entry first.  Tree values only fall, so a raw
-entry is exact, or it understates an arc whose partner is linked (the
-only case read from the forest), or it overstates a linked arc, whose
-live value is positive because a zero edge is cut as its augmentation
-ends.
+Augmentation walks the current arcs (each vertex's smallest admissible
+out-arc) from a source to an open sink and updates the raw cf entries,
+which stay exact.  The exact driver and the sparse-cut search run these
+unit walks at any capacities.  The "capacitated" mode is the reference
+they are tested against: it keeps the admissible forest in link-cut
+trees (Goldberg and Tarjan), links a path's unlinked tails with their
+raw entries as an augmentation first walks them, and cuts an edge when
+it saturates or its arc stops being current.  Tree values only fall, so
+a raw entry is exact, or it understates an arc whose partner is linked
+(the only case read from the forest), or it overstates a linked arc,
+whose live value is positive because a zero edge is cut as its
+augmentation ends.
 """
 from __future__ import annotations
 
@@ -108,16 +108,16 @@ def push_relabel(
     inst: FlowInstance,
     w: Sequence[int],
     h: int,
-    mode: str = "auto",
+    mode: str = "unit",
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> PushRelabelResult:
     """Run weighted push-relabel on a diffusion instance.
 
-    mode: "unit" walks paths explicitly and updates raw residuals (meant
-    for unit capacities), "capacitated" drives augmentation through a
-    dynamic forest whose edges are linked only when an augmentation first
-    walks them, "auto" picks by inspecting the capacities.  Both modes give
-    the same flows, labels, augmentations and counters.
+    mode: "unit" walks each augmenting path and updates the raw residuals,
+    at any capacities; "capacitated" augments through a link-cut forest
+    whose edges are linked only when an augmentation first walks them, the
+    reference the unit walks are tested against.  Both modes give the same
+    flows, labels, augmentations and counters.
     """
     if inst.total_source() > inst.total_sink():
         raise BadInstanceError("supply exceeds sink capacity; not a diffusion instance")
@@ -129,8 +129,6 @@ def push_relabel(
     for e in range(m):
         if w[e] <= 0:
             raise WeightZeroError(f"edge {e} has non-positive weight {w[e]}")
-    if mode == "auto":
-        mode = "unit" if all(c <= 1 for c in inst.cap) else "capacitated"
     if mode not in ("unit", "capacitated"):
         raise ValueError(f"unknown mode {mode!r}")
     return _Engine(inst, w, h, mode, config).run()
@@ -158,12 +156,13 @@ class _Engine:
         self.adm_count = [0] * n
         self.current_arc = [-1] * n  # chosen admissible out-arc (tree parent)
         self.adm_heap: List[List[int]] = [[] for _ in range(n)]
-        self.out_arc_list = g.out_arcs
-        # both arcs of every edge touching v, ascending
-        self.inc_arc_list = [[b for a in outs for b in (a & ~1, a | 1)] for outs in g.out_arcs]
-        self.distinct_weights: List[List[int]] = [
-            sorted({self.w[a >> 1] for a in self.inc_arc_list[v]}) for v in range(n)
-        ]
+        head = g.arc_head
+        # per vertex: (arc, weight, head) of each out-arc, and (arc, weight,
+        # other endpoint, is-out) of both arcs of every incident edge, ascending
+        self.outs = [[(a, w[a >> 1], head[a]) for a in outs] for outs in g.out_arcs]
+        self.inc = [[(b, w[a >> 1], head[a], b == a) for a in outs for b in (a & ~1, a | 1)]
+                    for outs in g.out_arcs]
+        self.distinct_weights = [sorted({w[a >> 1] for a in outs}) for outs in g.out_arcs]
         self.pending: List[int] = []
         self.pending_flag = [False] * n
         self.forest = DynForest(n) if mode == "capacitated" else None
@@ -200,16 +199,11 @@ class _Engine:
         """
         if self.cf[a] > 0:
             return True
-        t = self.arc_tail[a]
-        if self.current_arc[t] == a:
+        if self.current_arc[self.arc_tail[a]] == a:
             return True
-        forest = self.forest
-        if forest is None:
-            return False
-        tp = self.arc_head[a]
-        if self.current_arc[tp] == a ^ 1 and forest.rep_par[tp] != -1:
-            return self.inst.cap[a >> 1] > forest.edge_value(tp)
-        return False
+        forest, tp = self.forest, self.arc_head[a]
+        return (forest is not None and self.current_arc[tp] == a ^ 1
+                and forest.rep_par[tp] != -1 and self.inst.cap[a >> 1] > forest.edge_value(tp))
 
     # admissible bookkeeping ----------------------------------------------
 
@@ -274,59 +268,49 @@ class _Engine:
         self.alive[v] = False
         # marks on arcs touching a dead vertex are purged: traces can never
         # reach them and the level invariants stay strict
-        for a in self.inc_arc_list[v]:
+        for a, _, _, _ in self.inc[v]:
             if self.adm[a]:
                 self.set_mark(a, False)
 
-    def _stop_level(self, v: int) -> float:
-        """First admissible-making level for v given frozen neighbors.
-
-        Always strictly above the current level: an examination only
-        happens at a landing, and landings go up.
-        """
-        best = INF
-        start = self.level[v]
-        lvl = self.level
-        cf, has_residual = self.cf, self.has_residual
-        for a in self.out_arc_list[v]:
-            if cf[a] <= 0 and not has_residual(a):
-                continue
-            wa = self.w[a >> 1]
-            t = lvl[self.arc_head[a]] + 2 * wa
-            le = -(-t // wa) * wa  # smallest multiple of wa >= t
-            if le <= start:
-                le = (start // wa + 1) * wa
-            if le < best:
-                best = le
-        return best
-
     def _climb(self, v: int) -> None:
-        """Relabel v until it has an admissible out-arc or dies (batched)."""
-        start = self.level[v]
-        stop = self._stop_level(v)
+        """Relabel v until it has an admissible out-arc or dies (batched).
+
+        The stop is the first level where an out-arc turns admissible with
+        the neighbors' levels frozen.  It is strictly above the current
+        level: an examination only happens at a landing, and landings go up.
+        """
+        lvl, cf, adm, has_residual = self.level, self.cf, self.adm, self.has_residual
+        start = lvl[v]
+        stop = INF
+        for a, wa, u in self.outs[v]:
+            if cf[a] > 0 or has_residual(a):
+                le = -(-(lvl[u] + 2 * wa) // wa) * wa  # smallest multiple of wa >= l(u) + 2wa
+                if le <= start:
+                    le = (start // wa + 1) * wa
+                if le < stop:
+                    stop = le
         self.relabel_climbs += 1
         dies = stop > self.nine_h
         stop = self.nine_h if dies else int(stop)
-        self.levels_visited[v] += sum(stop // wgt - start // wgt
-                                      for wgt in self.distinct_weights[v])
+        landings = 0
+        for wgt in self.distinct_weights[v]:
+            landings += stop // wgt - start // wgt
+        self.levels_visited[v] += landings
         if dies:
             self._die(v)
             return
-        self.level[v] = stop
-        lvl, cf = self.level, self.cf
+        lvl[v] = stop
         to_mark = []
-        for a in self.inc_arc_list[v]:
-            wa = self.w[a >> 1]
-            mark_level = (stop // wa) * wa
+        for a, wa, u, out in self.inc[v]:
+            mark_level = stop // wa * wa
             if mark_level <= start:
                 continue  # no crossing of wa since the last examination
-            if self.arc_tail[a] == v:
-                gap = mark_level - lvl[self.arc_head[a]]
-            else:
-                gap = lvl[self.arc_tail[a]] - mark_level
-            if gap >= 2 * wa and (cf[a] > 0 or self.has_residual(a)):
-                to_mark.append(a)
-            else:
+            gap = mark_level - lvl[u] if out else lvl[u] - mark_level
+            # set_mark only where the mark changes
+            if gap >= 2 * wa and (cf[a] > 0 or has_residual(a)):
+                if not adm[a]:
+                    to_mark.append(a)
+            elif adm[a]:
                 self.set_mark(a, False)
         # unmark before mark: a stale opposite arc must release its tree
         # edge before the fresh direction claims one
@@ -350,11 +334,10 @@ class _Engine:
         self.levels_visited[v] += sum(1 for wgt in self.distinct_weights[v] if nxt % wgt == 0)
         lvl = self.level
         to_mark = []
-        for a in self.inc_arc_list[v]:
-            wa = self.w[a >> 1]
+        for a, wa, u, out in self.inc[v]:
             if nxt % wa:
                 continue
-            gap = lvl[self.arc_tail[a]] - lvl[self.arc_head[a]]
+            gap = nxt - lvl[u] if out else lvl[u] - nxt
             if gap >= 2 * wa and self.has_residual(a):
                 to_mark.append(a)
             else:
@@ -364,16 +347,14 @@ class _Engine:
 
     def _prune(self) -> None:
         """Kill every alive vertex with no residual path to an unsaturated sink."""
-        alive, head, cf = self.alive, self.arc_head, self.cf
-        has_residual = self.has_residual
+        alive, cf, has_residual = self.alive, self.cf, self.has_residual
         reached = [False] * self.n
         stack = [v for v in range(self.n) if self.nabla_rem[v] > 0]
         for v in stack:
             reached[v] = True
         while stack:
             x = stack.pop()
-            for a in self.out_arc_list[x]:
-                y = head[a]
+            for a, _, y in self.outs[x]:
                 if reached[y] or not alive[y]:
                     continue
                 # a ^ 1 runs y -> x
@@ -533,24 +514,23 @@ class _Engine:
     # invariants ---------------------------------------------------------------
 
     def _assert_invariants(self) -> None:
-        lvl = self.level
+        """The debug oracle: raise SolverInvariantError on a broken I-1 to I-3."""
+        lvl, nine_h = self.level, self.nine_h
         for a in range(2 * self.m):
             wa = self.w[a >> 1]
             gap = lvl[self.arc_tail[a]] - lvl[self.arc_head[a]]
-            if self.cf_of(a) > 0:
-                assert gap < 3 * wa, f"I-1 violated on arc {a}: gap {gap}, w {wa}"
-            if self.adm[a]:
-                assert gap > wa, f"I-2 violated on arc {a}: gap {gap}, w {wa}"
-                assert self.cf_of(a) > 0, f"admissible arc {a} has no capacity"
+            live = self.cf_of(a) > 0
+            if live and gap >= 3 * wa:
+                raise SolverInvariantError(f"I-1 violated on arc {a}: gap {gap}, w {wa}")
+            if self.adm[a] and (gap <= wa or not live):
+                raise SolverInvariantError(
+                    f"I-2 violated on admissible arc {a}: gap {gap}, w {wa}, live {live}")
         for v in range(self.n):
-            if self.alive[v]:
-                assert lvl[v] <= self.nine_h, f"I-3: alive {v} above 9h"
-            else:
-                assert lvl[v] > self.nine_h, f"I-3: dead {v} at {lvl[v]}"
-            if self.nabla_rem[v] > 0:
-                assert lvl[v] == 0, f"I-3: unsaturated sink {v} at level {lvl[v]}"
-            if self.forest is not None and self.forest.rep_par[v] != -1:
-                a = self.current_arc[v]
-                assert a != -1 and self.forest.rep_par[v] == self.arc_head[a], \
-                    f"tree edge of {v} is not its current arc"
-
+            if self.alive[v] != (lvl[v] <= nine_h):
+                raise SolverInvariantError(f"I-3: {v} alive {self.alive[v]} at {lvl[v]}")
+            if self.nabla_rem[v] > 0 and lvl[v] != 0:
+                raise SolverInvariantError(f"I-3: unsaturated sink {v} at level {lvl[v]}")
+            if self.forest is not None and self.forest.rep_par[v] != -1 and (
+                    self.current_arc[v] == -1
+                    or self.forest.rep_par[v] != self.arc_head[self.current_arc[v]]):
+                raise SolverInvariantError(f"tree edge of {v} is not its current arc")

@@ -180,7 +180,7 @@ def sparse_cut(
     w_g = weights if weights is not None else terminal_weights(g, f_edges, hier)
     h = sparse_cut_height(n, hier.eta, kappa, phi, config)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)
-    result = push_relabel(scaled, w_g, h, mode="capacitated", config=config)
+    result = push_relabel(scaled, w_g, h, config=config)
     f = result.flow
     if result.value == inst.total_source():
         return SparseCutOutcome(f, result.value, None, None, h)

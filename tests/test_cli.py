@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hierflow.builder import build_hierarchy
 from hierflow.cli import main, make_parser
 from hierflow.config import default_phi
 from hierflow.errors import HierflowError
+from hierflow.graph import MAX_SIZE
 from hierflow.hierarchy import hierarchy_from_text, hierarchy_to_text, validate_hierarchy
 from hierflow.io import parse_instance
 from hierflow.maxflow import edmonds_karp
@@ -128,6 +130,56 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     code, _, err = _run(["gen", "--model", "cycle", "--gen-n", "1",
                          "--out", str(tmp_path / "x")], capsys)
     assert code == 2
+
+
+def _limit_address_space():
+    # runs in the child between fork and exec, so only the child is limited
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_OVERSIZED_TEXTS = ("p diff {} 0\n", "p diff 2 {}\n", "p max {} 0\nn 1 s\nn 2 t\n",
+                    "p max 3 {}\nn 1 s\nn 2 t\n")
+_FILE_COMMANDS = (["solve", "--algo", "ek"], ["solve"], ["approx-dag"],
+                  ["sparse-cut", "--kappa", "1"], ["hierarchy"], ["bench"],
+                  ["validate", "--phi", "1/2"])
+_GEN_SIZE_FLAGS = (("cycle", "--gen-n"), ("random", "--m"), ("dag", "--gen-n"),
+                   ("dumbbell", "--k"), ("grid", "--rows"))
+
+
+def test_oversized_sizes_exit_2_with_error_line_under_a_memory_limit(tmp_path):
+    # each size is refused before anything is allocated; without the check
+    # the child runs into its 1 GB address-space limit with a MemoryError
+    rng = random.Random(74)
+
+    def big():
+        return rng.choice([MAX_SIZE + 1, 10 ** 12, rng.randint(MAX_SIZE + 2, 10 ** 30)])
+    runs = [(["solve", "--algo", "ek"], "p diff 1000000000000 0\n"),
+            (["gen", "--model", "cycle", "--gen-n", "1000000000000"], None)]
+    runs += [(cmd, _OVERSIZED_TEXTS[i % len(_OVERSIZED_TEXTS)].format(big()))
+             for i, cmd in enumerate(_FILE_COMMANDS)]
+    runs += [(["gen", "--model", model, flag, str(big())], None)
+             for model, flag in _GEN_SIZE_FLAGS]
+    hier = _write(tmp_path, "any.hier", "1 1\n")
+    for i, (argv, text) in enumerate(runs):
+        if argv[0] == "validate":
+            argv = argv + [hier]
+        if text is not None:
+            argv = argv + [_write(tmp_path, f"big{i}.txt", text)]
+        proc = subprocess.run([sys.executable, "-m", "hierflow"] + argv, capture_output=True,
+                              text=True, preexec_fn=_limit_address_space, timeout=120)
+        assert proc.returncode == 2, (argv, text, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, text, proc.stderr)
+        assert any(line.startswith("error: ") and f"more than {MAX_SIZE}" in line
+                   for line in proc.stderr.splitlines()), (argv, text, proc.stderr)
+
+
+def test_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr("hierflow.cli.parse_instance", exhausted)
+    code, out, err = _run(["solve", "--algo", "ek", _write(tmp_path, "single.dimacs", SINGLE)],
+                          capsys)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_hierarchy_and_validate_round_trip(tmp_path, capsys):

@@ -2,8 +2,9 @@
 or on raising Python's recursion limit, no `SolverConfig` field goes
 unread, and no module imports a name it never reads.
 
-The one `assert` exception is `_assert_invariants`, the push-relabel
-debug oracle that runs only with `debug_invariants` on.
+There is no `assert` exception: the push-relabel debug oracle
+`_assert_invariants` raises `SolverInvariantError` too, so its checks
+survive `-O`.
 """
 import ast
 import dataclasses
@@ -12,8 +13,6 @@ from pathlib import Path
 import hierflow
 from hierflow.config import SolverConfig
 
-ALLOWED = {"_assert_invariants"}
-
 
 def _raises_assertion_error(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -21,30 +20,18 @@ def _raises_assertion_error(node):
 
 
 def _offences(tree):
-    """Line numbers of `assert` and `raise AssertionError` outside ALLOWED."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and child.name in ALLOWED:
-                continue
-            if isinstance(child, ast.Assert) or (
-                    isinstance(child, ast.Raise) and _raises_assertion_error(child)):
-                found.append(child.lineno)
-            visit(child)
-
-    visit(tree)
-    return found
+    """Line numbers of `assert` and `raise AssertionError` anywhere."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Raise) and _raises_assertion_error(node)))
 
 
-def test_checker_finds_both_forms_and_spares_the_oracle():
+def test_checker_finds_both_forms_in_any_function():
     src = ("def f(x):\n"
            "    assert x\n"
            "    raise AssertionError('no')\n"
            "def _assert_invariants(x):\n"
            "    assert x\n")
-    assert _offences(ast.parse(src)) == [2, 3]
+    assert _offences(ast.parse(src)) == [2, 3, 5]
 
 
 def test_library_has_no_assert_based_contracts():

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -246,3 +248,43 @@ def test_exact_without_validation_on_random_instances(monkeypatch):
         res = max_flow_exact(inst, seed=1)
         assert res.stats.value == edmonds_karp(inst).stats.value, f"trial {trial}"
         assert is_feasible(inst, res.flow)
+
+
+def _digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((dataclasses.astuple(r.stats), r.flow.values)).encode())
+    return h.hexdigest()
+
+
+def _exact_results():
+    for s in range(30):
+        model = ("random", "dag", "grid")[s % 3]
+        n = 6 + s % 19
+        size = dict(rows=3, cols=2 + s % 5) if model == "grid" else dict(n=n, m=3 * n)
+        yield max_flow_exact(generate(model, s, cap=1 + s % 12, **size).instance(), seed=s)
+
+
+def _scaled_results():
+    for s in range(10):
+        n = 6 + s
+        inst = generate("random", 100 + s, n=n, m=3 * n, cap=10 ** 6).instance()
+        inner = []
+
+        def solve(rinst):
+            inner.append(max_flow_exact(rinst, seed=s))
+            return inner[-1].flow
+        yield capacity_scaled_max_flow(inst, solve)
+        yield from inner
+
+
+def test_exact_solves_are_bit_identical_to_the_recorded_digest():
+    # SolveStats (augmentations, climbs, phases, ...) and flows of seeded
+    # solves, hashed: any change to which flow push-relabel finds, or to
+    # how much relabel work it counts, changes a digest.  The digests were
+    # recorded with the link-cut (capacitated) augmentation in the driver.
+    assert _digest(_exact_results()) == (
+        "e848257bf6c5e857ac67ee77dea0d48123a84e192541aecf10fdd6786a2a489e")
+    # capacities up to 10^6: the scaled solve and every inner exact solve
+    assert _digest(_scaled_results()) == (
+        "3e0f83978723139c16cae991a97abf54814880851ad026794e4c1e19eee55154")

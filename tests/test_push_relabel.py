@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import BadInstanceError, WeightZeroError
+from hierflow.errors import BadInstanceError, SolverInvariantError, WeightZeroError
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import edmonds_karp
-from hierflow.push_relabel import push_relabel
+from hierflow.push_relabel import _Engine, push_relabel
 
 from helpers import dijkstra_residual, random_instance, reachability_closure
 
@@ -264,6 +264,35 @@ def test_fast_and_debug_schedulers_agree():
         assert fast.relabel_landings == slow.relabel_landings
         assert fast.relabel_climbs == slow.relabel_climbs
         assert fast.levels_visited == slow.levels_visited
+    # the exact driver's regime: unit walks at capacities far above 1,
+    # weights up to n and heights up to n^2; the debug run checks I-1 to
+    # I-3 after every step
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        inst = _random_multigraph_instance(rng, n)
+        w = [rng.randint(1, n) for _ in range(inst.m)]
+        for h in (n, n * n):
+            fast = push_relabel(inst, w, h, mode="unit")
+            slow = push_relabel(inst, w, h, mode="unit",
+                                config=replace(DEFAULT_CONFIG, debug_invariants=True))
+            assert _run_trace(fast) == _run_trace(slow)
+
+
+@pytest.mark.parametrize("break_state,which", [
+    (lambda e: e.level.__setitem__(0, 3), "I-1"),  # residual arc 0 -> 1 spans 3 = 3w
+    (lambda e: e.adm.__setitem__(0, True), "I-2"),  # admissible arc 0 -> 1 at gap 0
+    (lambda e: e.alive.__setitem__(1, False), "I-3"),  # dead at level 0
+    (lambda e: e.level.__setitem__(2, 1), "I-3"),  # unsaturated sink above level 0
+])
+def test_debug_oracle_raises_typed_errors(break_state, which):
+    # the oracle raises SolverInvariantError rather than asserting, so the
+    # debug scheduler keeps checking under python -O
+    g, caps = build_graph(3, [(0, 1, 2), (1, 2, 2)])
+    engine = _Engine(FlowInstance(g, caps, [2, 0, 0], [0, 0, 2]), [1, 1], 3, "unit", DBG)
+    engine._assert_invariants()
+    break_state(engine)
+    with pytest.raises(SolverInvariantError, match=which):
+        engine._assert_invariants()
 
 
 @pytest.mark.parametrize("edges,delta,nabla", [
