@@ -63,7 +63,8 @@ def gen_dag(n: int, m: int, cap: int, seed: int) -> Generated:
     arcs = []
     seen = set()
     guard = 0
-    while len(arcs) < m and guard < 50 * m:
+    fit = min(m, n * (n - 1) // 2)  # no draw adds an arc once all that fit are drawn
+    while len(arcs) < fit and guard < 50 * m:
         guard += 1
         i = rng.randrange(n - 1)
         j = rng.randrange(i + 1, n)
@@ -85,7 +86,8 @@ def gen_random(n: int, m: int, cap: int, seed: int) -> Generated:
     arcs = []
     seen = set()
     guard = 0
-    while len(arcs) < m and guard < 50 * m + 100:
+    fit = min(m, n * (n - 1))  # no draw adds an arc once all that fit are drawn
+    while len(arcs) < fit and guard < 50 * m + 100:
         guard += 1
         u = rng.randrange(n)
         v = rng.randrange(n)

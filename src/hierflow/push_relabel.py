@@ -17,9 +17,9 @@ admissible out-arc or dies.  The fast scheduler collapses such a climb
 into one batch whose final labels and marks coincide with jumping level
 by level; the debug scheduler really does jump level by level (to the
 next multiple of an incident weight) and asserts the level invariants
-after every step.  Both count one landing per multiple of each distinct
-incident weight crossed, plus one for the landing that kills a vertex:
-the quantity the 9h/w bound counts.
+after every step.  Both land through one routine, which counts one
+landing per multiple of each distinct incident weight crossed, plus one
+for the landing that kills a vertex: the quantity the 9h/w bound counts.
 
 Dead-vertex pruning (Cherkassky and Goldberg's gap heuristic): before
 the first relabel, and after every augmentation that saturates an arc or
@@ -36,17 +36,14 @@ the final alive set is the one plain climbing reaches; only levels and
 marks of alive vertices can differ where a doomed neighbor held them up.
 
 Augmentation walks the current arcs (each vertex's smallest admissible
-out-arc) from a source to an open sink and updates the raw cf entries,
-which stay exact.  The exact driver and the sparse-cut search run these
-unit walks at any capacities.  The "capacitated" mode is the reference
-they are tested against: it keeps the admissible forest in link-cut
-trees (Goldberg and Tarjan), links a path's unlinked tails with their
-raw entries as an augmentation first walks them, and cuts an edge when
-it saturates or its arc stops being current.  Tree values only fall, so
-a raw entry is exact, or it understates an arc whose partner is linked
-(the only case read from the forest), or it overstates a linked arc,
-whose live value is positive because a zero edge is cut as its
-augmentation ends.
+out-arc) from a source to an open sink and updates the residual array
+cf.  The exact driver and the sparse-cut search run these unit walks at
+any capacities.  The "capacitated" mode is the reference they are tested
+against: it keeps the admissible forest in link-cut trees (Goldberg and
+Tarjan), links a path's unlinked tails as an augmentation first walks
+them, takes the bottleneck and the saturated arcs from the trees, and
+cuts an edge when it saturates or its arc stops being current.  cf is
+exact in both modes.
 """
 from __future__ import annotations
 
@@ -56,7 +53,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import BadInstanceError, SolverInvariantError, WeightZeroError
+from .errors import BadInstanceError, BadParamsError, SolverInvariantError, WeightZeroError
 from .forest import DynForest
 from .graph import Flow, FlowInstance, residual
 
@@ -113,7 +110,7 @@ def push_relabel(
 ) -> PushRelabelResult:
     """Run weighted push-relabel on a diffusion instance.
 
-    mode: "unit" walks each augmenting path and updates the raw residuals,
+    mode: "unit" walks each augmenting path and updates the residuals,
     at any capacities; "capacitated" augments through a link-cut forest
     whose edges are linked only when an augmentation first walks them, the
     reference the unit walks are tested against.  Both modes give the same
@@ -130,13 +127,12 @@ def push_relabel(
         if w[e] <= 0:
             raise WeightZeroError(f"edge {e} has non-positive weight {w[e]}")
     if mode not in ("unit", "capacitated"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadParamsError(f"unknown mode {mode!r}")
     return _Engine(inst, w, h, mode, config).run()
 
 
 class _Engine:
     def __init__(self, inst, w, h, mode, config):
-        self.inst = inst
         self.w = w
         self.h = h
         self.nine_h = 9 * h
@@ -175,36 +171,6 @@ class _Engine:
         self.relabel_events: List[Tuple[int, int, int]] = []
         self.total_supply = inst.total_source()
 
-    # residual capacity that respects in-tree values ----------------------
-
-    def cf_of(self, a: int) -> int:
-        """Exact live residual of arc a (the invariant checks' oracle)."""
-        if self.forest is not None:
-            t = self.arc_tail[a]
-            if self.current_arc[t] == a and self.forest.rep_par[t] != -1:
-                return int(self.forest.edge_value(t))
-            p = a ^ 1
-            tp = self.arc_tail[p]
-            if self.current_arc[tp] == p and self.forest.rep_par[tp] != -1:
-                return self.inst.cap[a >> 1] - int(self.forest.edge_value(tp))
-        return self.cf[a]
-
-    def has_residual(self, a: int) -> bool:
-        """cf_of(a) > 0 outside an augmentation (see the module docstring).
-
-        A positive raw entry decides it, and so does an admissible current
-        arc; the forest is read only when the raw entry is 0 and the
-        partner arc is a linked tree edge.  Hot loops test `cf[a] > 0`
-        themselves before calling.
-        """
-        if self.cf[a] > 0:
-            return True
-        if self.current_arc[self.arc_tail[a]] == a:
-            return True
-        forest, tp = self.forest, self.arc_head[a]
-        return (forest is not None and self.current_arc[tp] == a ^ 1
-                and forest.rep_par[tp] != -1 and self.inst.cap[a >> 1] > forest.edge_value(tp))
-
     # admissible bookkeeping ----------------------------------------------
 
     def _enqueue(self, v: int) -> None:
@@ -224,14 +190,10 @@ class _Engine:
         self.current_arc[v] = heap[0] if heap else -1
 
     def _drop_parent(self, v: int) -> None:
-        """Detach v's tree edge, persisting its live residual value."""
-        a = self.current_arc[v]
+        """Detach v's tree edge."""
         self.current_arc[v] = -1
         if self.forest is not None and self.forest.rep_par[v] != -1:
-            val = int(self.forest.edge_value(v))
             self.forest.cut(v)
-            self.cf[a] = val
-            self.cf[a ^ 1] = self.inst.cap[a >> 1] - val
 
     def set_mark(self, a: int, new: bool) -> None:
         if self.adm[a] == new:
@@ -272,33 +234,27 @@ class _Engine:
             if self.adm[a]:
                 self.set_mark(a, False)
 
-    def _climb(self, v: int) -> None:
-        """Relabel v until it has an admissible out-arc or dies (batched).
+    def _land(self, v: int, start: int, stop) -> None:
+        """Relabel v from level `start` to `stop`, or kill it when `stop`
+        (INF if no out-arc has residual) is above 9h.
 
-        The stop is the first level where an out-arc turns admissible with
-        the neighbors' levels frozen.  It is strictly above the current
-        level: an examination only happens at a landing, and landings go up.
+        Counts one landing per multiple of each distinct incident weight
+        crossed, and examines each incident arc at the last multiple of
+        its weight crossed; arcs whose weight was not crossed keep their
+        marks.
         """
-        lvl, cf, adm, has_residual = self.level, self.cf, self.adm, self.has_residual
-        start = lvl[v]
-        stop = INF
-        for a, wa, u in self.outs[v]:
-            if cf[a] > 0 or has_residual(a):
-                le = -(-(lvl[u] + 2 * wa) // wa) * wa  # smallest multiple of wa >= l(u) + 2wa
-                if le <= start:
-                    le = (start // wa + 1) * wa
-                if le < stop:
-                    stop = le
-        self.relabel_climbs += 1
         dies = stop > self.nine_h
-        stop = self.nine_h if dies else int(stop)
+        top = self.nine_h if dies else stop
         landings = 0
         for wgt in self.distinct_weights[v]:
-            landings += stop // wgt - start // wgt
+            landings += top // wgt - start // wgt
         self.levels_visited[v] += landings
         if dies:
             self._die(v)
             return
+        if self.cfg.debug_invariants:
+            self.relabel_events.append((v, start, stop))
+        lvl, cf, adm = self.level, self.cf, self.adm
         lvl[v] = stop
         to_mark = []
         for a, wa, u, out in self.inc[v]:
@@ -307,7 +263,7 @@ class _Engine:
                 continue  # no crossing of wa since the last examination
             gap = mark_level - lvl[u] if out else lvl[u] - mark_level
             # set_mark only where the mark changes
-            if gap >= 2 * wa and (cf[a] > 0 or has_residual(a)):
+            if gap >= 2 * wa and cf[a] > 0:
                 if not adm[a]:
                     to_mark.append(a)
             elif adm[a]:
@@ -317,37 +273,35 @@ class _Engine:
         for a in to_mark:
             self.set_mark(a, True)
 
+    def _climb(self, v: int) -> None:
+        """Relabel v until it has an admissible out-arc or dies (batched).
+
+        The stop is the first level where an out-arc turns admissible with
+        the neighbors' levels frozen.  It is strictly above the current
+        level: an examination only happens at a landing, and landings go up.
+        """
+        lvl, cf = self.level, self.cf
+        start = lvl[v]
+        stop = INF
+        for a, wa, u in self.outs[v]:
+            if cf[a] > 0:
+                le = -(-(lvl[u] + 2 * wa) // wa) * wa  # smallest multiple of wa >= l(u) + 2wa
+                if le <= start:
+                    le = (start // wa + 1) * wa
+                if le < stop:
+                    stop = le
+        self.relabel_climbs += 1
+        self._land(v, start, stop)
+
     def _relabel_once(self, v: int) -> None:
         """One jump to the next multiple of an incident weight (debug path)."""
-        cur = self.level[v]
-        nxt = INF
-        for wgt in self.distinct_weights[v]:
-            cand = (cur // wgt + 1) * wgt
-            if cand < nxt:
-                nxt = cand
-        if nxt > self.nine_h:
-            self._die(v)
-            return
-        nxt = int(nxt)
-        self.relabel_events.append((v, cur, nxt))
-        self.level[v] = nxt
-        self.levels_visited[v] += sum(1 for wgt in self.distinct_weights[v] if nxt % wgt == 0)
-        lvl = self.level
-        to_mark = []
-        for a, wa, u, out in self.inc[v]:
-            if nxt % wa:
-                continue
-            gap = nxt - lvl[u] if out else lvl[u] - nxt
-            if gap >= 2 * wa and self.has_residual(a):
-                to_mark.append(a)
-            else:
-                self.set_mark(a, False)
-        for a in to_mark:
-            self.set_mark(a, True)
+        start = self.level[v]
+        self._land(v, start, min(((start // wgt + 1) * wgt for wgt in self.distinct_weights[v]),
+                                 default=INF))
 
     def _prune(self) -> None:
         """Kill every alive vertex with no residual path to an unsaturated sink."""
-        alive, cf, has_residual = self.alive, self.cf, self.has_residual
+        alive, cf = self.alive, self.cf
         reached = [False] * self.n
         stack = [v for v in range(self.n) if self.nabla_rem[v] > 0]
         for v in stack:
@@ -358,7 +312,7 @@ class _Engine:
                 if reached[y] or not alive[y]:
                     continue
                 # a ^ 1 runs y -> x
-                if cf[a ^ 1] > 0 or has_residual(a ^ 1):
+                if cf[a ^ 1] > 0:
                     reached[y] = True
                     stack.append(y)
         doomed = [v for v in range(self.n) if alive[v] and not reached[v]]
@@ -415,9 +369,8 @@ class _Engine:
     def _augment_capacitated(self, s: int) -> None:
         forest = self.forest
         arcs, t = self._walk_path(s)
-        # Link the path's tails not yet in a tree, with their raw cf: no
-        # partner of an admissible arc is linked, so the entry is exact.
-        # Levels fall strictly along the path, so no link closes a cycle.
+        # Link the path's tails not yet in a tree, with their cf.  Levels
+        # fall strictly along the path, so no link closes a cycle.
         # The tree path from s is then the trace, with root t.
         cf, head, rep_par = self.cf, self.arc_head, forest.rep_par
         for a in arcs:
@@ -433,6 +386,9 @@ class _Engine:
         _, bottleneck = forest.find_min(s)
         amt = min(amt, int(bottleneck))
         forest.add_path(s, -amt)
+        for a in arcs:
+            cf[a] -= amt
+            cf[a ^ 1] += amt
         # mark newly saturated arcs, climbing from s toward the root
         cur = s
         saturated = False
@@ -443,7 +399,7 @@ class _Engine:
             saturated = True
             a = self.current_arc[child]
             self.edge_sat[a >> 1] += 1
-            self.set_mark(a, False)  # drops the tree edge and syncs cf
+            self.set_mark(a, False)  # drops the tree edge
             cur = par
         self._finish_augment(s, t, amt, arcs, saturated)
 
@@ -486,14 +442,6 @@ class _Engine:
         return self._result()
 
     def _result(self) -> PushRelabelResult:
-        # persist in-tree residual values before reading the flow off cf
-        if self.forest is not None:
-            for v in range(self.n):
-                if self.forest.rep_par[v] != -1:
-                    a = self.current_arc[v]
-                    val = int(self.forest.edge_value(v))
-                    self.cf[a] = val
-                    self.cf[a ^ 1] = self.inst.cap[a >> 1] - val
         f = Flow(self.cf[1::2])
         value = self.total_supply - sum(self.delta_rem)
         labels = LevelLabeling(list(self.level), list(self.alive), list(self.adm), self.h)
@@ -515,11 +463,11 @@ class _Engine:
 
     def _assert_invariants(self) -> None:
         """The debug oracle: raise SolverInvariantError on a broken I-1 to I-3."""
-        lvl, nine_h = self.level, self.nine_h
+        lvl, nine_h, cf, forest = self.level, self.nine_h, self.cf, self.forest
         for a in range(2 * self.m):
             wa = self.w[a >> 1]
             gap = lvl[self.arc_tail[a]] - lvl[self.arc_head[a]]
-            live = self.cf_of(a) > 0
+            live = cf[a] > 0
             if live and gap >= 3 * wa:
                 raise SolverInvariantError(f"I-1 violated on arc {a}: gap {gap}, w {wa}")
             if self.adm[a] and (gap <= wa or not live):
@@ -530,7 +478,12 @@ class _Engine:
                 raise SolverInvariantError(f"I-3: {v} alive {self.alive[v]} at {lvl[v]}")
             if self.nabla_rem[v] > 0 and lvl[v] != 0:
                 raise SolverInvariantError(f"I-3: unsaturated sink {v} at level {lvl[v]}")
-            if self.forest is not None and self.forest.rep_par[v] != -1 and (
-                    self.current_arc[v] == -1
-                    or self.forest.rep_par[v] != self.arc_head[self.current_arc[v]]):
+            if forest is None or forest.rep_par[v] == -1:
+                continue
+            a = self.current_arc[v]
+            if a == -1 or forest.rep_par[v] != self.arc_head[a]:
                 raise SolverInvariantError(f"tree edge of {v} is not its current arc")
+            val = forest.edge_value(v)
+            if val != cf[a]:
+                raise SolverInvariantError(
+                    f"tree edge of {v} holds {val}, arc {a} has residual {cf[a]}")

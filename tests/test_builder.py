@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from hierflow.builder import build_hierarchy, expander_decompose
 from hierflow.config import DEFAULT_CONFIG
+from hierflow.generators import gen_dumbbell
 from hierflow.graph import build_graph, scc_subgraph
 from hierflow.hierarchy import Hierarchy, validate_hierarchy
 
@@ -183,3 +186,46 @@ def test_zero_capacity_multigraphs_build_valid_hierarchies():
         g, caps = build_graph(n, arcs)
         out = build_hierarchy(g, caps, phi, seed=trial)
         assert out.report.ok, (trial, out.report.errors)
+
+
+def _out_digraph(n, seed, deg):
+    """Unit-capacity random digraph where every vertex has `deg` out-arcs."""
+    rng = random.Random(seed)
+    arcs = [(u, v, 1) for u in range(n)
+            for v in rng.sample([x for x in range(n) if x != u], deg)]
+    return build_graph(n, arcs)
+
+
+def _build_digest_cases():
+    # random digraphs with components above the exhaustive limit, so the
+    # cut-matching game and sparse_cut's push-relabel run (certified, cut,
+    # and refuted then retried), and dumbbells, whose game runs only on
+    # some seeds
+    for n in (40, 44, 48):
+        for seed in (1, 2):
+            yield _out_digraph(n, seed, 4), None, seed
+    for seed in (1, 2, 3):
+        yield _out_digraph(48, seed, 4), Fraction(1, 2), seed
+        yield _out_digraph(40, seed, 2), None, seed
+        yield _out_digraph(40, seed, 2), Fraction(1, 4), seed
+    for k, bridge, seed in ((8, 1, 1), (8, 1, 2), (9, 1, 1), (12, 1, 3)):
+        gen = gen_dumbbell(k, bridge)
+        yield build_graph(gen.n, gen.arcs), None, seed
+
+
+def test_builds_are_bit_identical_to_the_recorded_digest():
+    # Hierarchies, logs and validation reports of seeded builds, hashed:
+    # any change to which cuts sparse_cut's push-relabel finds changes it.
+    h = hashlib.sha256()
+    certified_rounds = []
+    for (g, caps), phi, seed in _build_digest_cases():
+        res = build_hierarchy(g, caps, phi, seed=seed)
+        hier = res.hierarchy
+        h.update(repr((sorted(hier.d), [sorted(x) for x in hier.levels], hier.tau,
+                       res.attempts, res.log,
+                       [dataclasses.astuple(c) for c in res.report.components])).encode())
+        certified_rounds += [int(line.split("rounds=")[1].split()[0])
+                             for line in res.log if "event=certify" in line]
+    assert max(certified_rounds) > 0
+    assert h.hexdigest() == (
+        "944a3f29012d0d6d7b7a855d6d7038b989adfbea05df4bc3feafb5bf6f8863d1")

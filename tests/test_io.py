@@ -1,4 +1,6 @@
+import importlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,28 @@ def test_generators_deterministic():
         a = generate(model, seed=5)
         b = generate(model, seed=5)
         assert a.arcs == b.arcs and a.name == b.name
+
+
+@pytest.mark.parametrize("model,fit", [("random", 6), ("dag", 3)])
+def test_generators_stop_drawing_once_every_arc_that_fits_is_drawn(monkeypatch, model, fit):
+    # 3 vertices fit 6 arcs (3 in a DAG): asking for 1000 returns the arcs
+    # of m = fit after the same draws, not after 50 000 more
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws[-1] += 1
+            return super().randrange(*args)
+
+    gen_module = importlib.import_module("hierflow.generators")
+    monkeypatch.setattr(gen_module, "random", types.SimpleNamespace(Random=CountingRandom))
+    out = []
+    for m in (fit, 1000):
+        draws.append(0)
+        out.append(generate(model, seed=0, n=3, m=m, cap=5))
+    assert out[1].arcs == out[0].arcs and len(out[0].arcs) == fit
+    assert draws[1] == draws[0]
+    assert out[1].name == f"{model}-3-1000-0"
 
 
 def test_dumbbell_min_cut_is_bridge():

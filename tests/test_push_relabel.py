@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import BadInstanceError, SolverInvariantError, WeightZeroError
+from hierflow.errors import (BadInstanceError, BadParamsError, SolverInvariantError,
+                             WeightZeroError)
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import edmonds_karp
 from hierflow.push_relabel import _Engine, push_relabel
@@ -48,6 +49,12 @@ def test_bad_instance_rejected():
     inst = FlowInstance(g, caps, [2, 0], [0, 1])
     with pytest.raises(BadInstanceError):
         push_relabel(inst, [1], 2)
+
+
+def test_unknown_mode_rejected():
+    inst, w = _single_edge()
+    with pytest.raises(BadParamsError, match="bogus"):
+        push_relabel(inst, w, 2, mode="bogus")
 
 
 def test_relabel_jumps_to_weight_multiple():
@@ -292,6 +299,20 @@ def test_debug_oracle_raises_typed_errors(break_state, which):
     engine._assert_invariants()
     break_state(engine)
     with pytest.raises(SolverInvariantError, match=which):
+        engine._assert_invariants()
+
+
+def test_debug_oracle_checks_the_forest_against_the_residuals():
+    # one unit routed along 0 -> 1 -> 2 saturates nothing, so both tree
+    # edges stay linked; a raw entry that disagrees with its tree edge is
+    # caught, not read around
+    g, caps = build_graph(3, [(0, 1, 2), (1, 2, 2)])
+    engine = _Engine(FlowInstance(g, caps, [1, 0, 0], [0, 0, 2]), [1, 1], 3, "capacitated", DBG)
+    engine.run()
+    assert len(engine.augments) == 1 and engine.forest.rep_par[:2] == [1, 2]
+    engine._assert_invariants()
+    engine.cf[engine.current_arc[0]] += 1
+    with pytest.raises(SolverInvariantError, match="tree edge of 0 holds 1"):
         engine._assert_invariants()
 
 
