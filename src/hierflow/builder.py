@@ -203,7 +203,7 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
     log_inv = math.log(phi.denominator) - math.log(phi.numerator)
     eta_cap = math.ceil(2 * math.log(4 * m) / log_inv)
     eta_cap = max(eta_cap, 1)
-    f_cur: Set[int] = set(edge_ids)
+    f_cur = edge_ids
     parts = Parts()
     level_no = 0
     while f_cur:
@@ -211,8 +211,8 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
         if level_no > eta_cap + 1:
             raise IterationCapExceededError(
                 f"level count exceeded cap {eta_cap} while terminals remain")
-        removed, parts = yield _decompose(g, cap, list(vertices), set(edge_ids), f_cur,
-                                          parts, phi, rng, config, budget, log, level_no)
+        removed, parts = yield _decompose(g, cap, vertices, edge_ids, f_cur, parts, phi, rng,
+                                          config, budget, log, level_no)
         f_cur = removed
     return parts
 

@@ -47,7 +47,10 @@ class CMGState:
     t_cmg: int
     sketch: Dict[int, List[float]] = field(default_factory=dict)
     matchings: List[List[Tuple[int, int, int]]] = field(default_factory=list)
-    rounds_played: int = 0
+
+    @property
+    def rounds_played(self) -> int:
+        return len(self.matchings)
 
     def __post_init__(self):
         n = len(self.nu)
@@ -96,7 +99,6 @@ def absorb_matching(state: CMGState, matching: List[Tuple[int, int, int]]) -> No
     """Average the sketches across the matching: half stays, half crosses."""
     if not matching:
         state.matchings.append([])
-        state.rounds_played += 1
         return
     k = len(next(iter(state.sketch.values())))
     # a volume beyond the float range is scaled down by a power of two,
@@ -122,7 +124,6 @@ def absorb_matching(state: CMGState, matching: List[Tuple[int, int, int]]) -> No
         nu = state.nu[v] >> shift[v]
         state.sketch[v] = [x / nu for x in acc[v]]
     state.matchings.append(matching)
-    state.rounds_played += 1
 
 
 def union_psi(matchings) -> Optional[Fraction]:
@@ -236,8 +237,7 @@ def cut_or_embed(
         if state.rounds_played >= state.t_cmg:
             return finish(early=False)
         nu_a, nu_b = cut_player_bisection(state)
-        delta = list(nu_a)
-        nabla = list(nu_b)
+        delta, nabla = nu_a, nu_b
         demand0 = sum(delta)
         round_flow = Flow.zero(g.m)
         for _attempt in range(z):
@@ -256,7 +256,7 @@ def cut_or_embed(
             st = flow_stats(inst, out.flow)
             for e in range(g.m):
                 round_flow.values[e] += out.flow.values[e]
-            delta = list(st.excess)
+            delta = st.excess
             nabla = [nabla[v] - st.absorption[v] for v in range(n)]
         rem = sum(delta)
         if rem:

@@ -83,11 +83,7 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     n = g.n
     tau = [0] * n
     eta = len(levels)
-    level_sets = [set(d)] + [set(x) for x in levels]
-    edge_level: Dict[int, int] = {}
-    for lv, s in enumerate(level_sets):
-        for e in s:
-            edge_level[e] = lv
+    edge_level = {e: lv for lv, xs in enumerate([d, *levels]) for e in xs}
     next_val = 1
 
     # frames: (vertex list, active edge ids, level index); pushing the
@@ -462,15 +458,22 @@ class ComponentCheck:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     errors: List[str] = field(default_factory=list)
     components: List[ComponentCheck] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
     def summary(self) -> str:
+        """VALID or INVALID, the errors, then how many components were
+        checked, proved exactly, and only sampled without a refuting cut."""
         lines = ["VALID" if self.ok else "INVALID"]
         lines += [f"error {e}" for e in self.errors]
         exact = sum(1 for c in self.components if c.exact)
-        lines.append(f"components checked {len(self.components)} exact {exact}")
+        sampled = sum(1 for c in self.components if not c.exact and c.ok)
+        lines.append(f"components checked {len(self.components)}: exact {exact}, "
+                     f"sampled {sampled} (not refuted, not proved)")
         return "\n".join(lines)
 
 
@@ -485,7 +488,7 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
     """
     check_phi(phi)
     rng = rng or random.Random(0)
-    rep = ValidationReport(ok=True)
+    rep = ValidationReport()
     m = g.m
     # (a) partition
     seen = [0] * m
@@ -496,27 +499,24 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
             seen[e] += 1
     if any(c != 1 for c in seen):
         bad = [e for e in range(m) if seen[e] != 1][:5]
-        rep.ok = False
         rep.errors.append(f"partition broken at edges {bad}")
         return rep
     # (b) D acyclic
     comps, _, _ = scc_subgraph(g, range(g.n), h.d)
     if any(len(c) > 1 for c in comps):
-        rep.ok = False
         rep.errors.append("D has a cycle")
     # (c) containment and (d) expansion, level by level
-    level_sets = [set(h.d)] + [set(x) for x in h.levels]
-    eta = len(h.levels)
     active: Set[int] = set(h.d)
     level_comps: List[List[List[int]]] = []
-    for i in range(1, eta + 1):
-        level = level_sets[i]
+    # each level is read through a copy: a copy of a set may iterate in
+    # another order, and active's edge order sets the order of the
+    # components, which the sampled cuts are drawn in
+    for i, level in enumerate((set(x) for x in h.levels), 1):
         active |= level
         comps, inner, between = scc_subgraph(g, range(g.n), active)
         level_comps.append(comps)
         for e in between:
             if e in level:
-                rep.ok = False
                 rep.errors.append(f"level-{i} edge {e} not inside one component")
         terminals = [[e for e in edges if e in level] for edges in inner]
         vol = terminal_volume(g, cap, (e for f_here in terminals for e in f_here))
@@ -535,7 +535,6 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
             rep.components.append(ComponentCheck(i, len(comp), exact, side is None, witness, ratio))
             if side is None:
                 continue
-            rep.ok = False
             if exact:
                 rep.errors.append(f"level-{i} component of size {len(comp)} has a "
                                   f"{ratio}-sparse cut (phi={phi})")
@@ -552,18 +551,15 @@ def _check_tau(g: DiGraph, h: Hierarchy, level_comps: Sequence[List[List[int]]],
     of every level graph (`level_comps[i - 1]` for level i)."""
     tau = h.tau
     if sorted(tau) != list(range(1, g.n + 1)):
-        rep.ok = False
         rep.errors.append("tau is not a permutation of 1..n")
         return
     for e in h.d:
         if tau[g.tails[e]] >= tau[g.heads[e]]:
-            rep.ok = False
             rep.errors.append(f"tau not forward on D edge {e}")
     for i, comps in enumerate(level_comps, start=1):
         for comp in comps:
             vals = sorted(tau[v] for v in comp)
             if vals[-1] - vals[0] + 1 != len(vals):
-                rep.ok = False
                 rep.errors.append(f"tau not contiguous on a level-{i} component")
 
 

@@ -149,8 +149,9 @@ class _Engine:
         self.level = [0] * n
         self.alive = [True] * n
         self.adm = [False] * (2 * m)
-        self.adm_count = [0] * n
-        self.current_arc = [-1] * n  # chosen admissible out-arc (tree parent)
+        # smallest admissible out-arc (tree parent); -1 exactly when v has
+        # no admissible out-arc
+        self.current_arc = [-1] * n
         self.adm_heap: List[List[int]] = [[] for _ in range(n)]
         head = g.arc_head
         # per vertex: (arc, weight, head) of each out-arc, and (arc, weight,
@@ -159,8 +160,7 @@ class _Engine:
         self.inc = [[(b, w[a >> 1], head[a], b == a) for a in outs for b in (a & ~1, a | 1)]
                     for outs in g.out_arcs]
         self.distinct_weights = [sorted({w[a >> 1] for a in outs}) for outs in g.out_arcs]
-        self.pending: List[int] = []
-        self.pending_flag = [False] * n
+        self.pending: List[int] = []  # may repeat a vertex; _drain skips stale entries
         self.forest = DynForest(n) if mode == "capacitated" else None
         # counters
         self.edge_sat = [0] * m
@@ -174,9 +174,7 @@ class _Engine:
     # admissible bookkeeping ----------------------------------------------
 
     def _enqueue(self, v: int) -> None:
-        if not self.pending_flag[v] and self.alive[v] and self.nabla_rem[v] == 0 \
-                and self.adm_count[v] == 0:
-            self.pending_flag[v] = True
+        if self.alive[v] and self.nabla_rem[v] == 0 and self.current_arc[v] == -1:
             heapq.heappush(self.pending, v)
 
     def _select_parent(self, v: int) -> None:
@@ -202,7 +200,6 @@ class _Engine:
         self.edge_flip[a >> 1] += 1
         t = self.arc_tail[a]
         if new:
-            self.adm_count[t] += 1
             heapq.heappush(self.adm_heap[t], a)
             # the parent is always the smallest admissible arc, so the
             # traced structure is a pure function of the current marks
@@ -211,13 +208,10 @@ class _Engine:
             elif a < self.current_arc[t]:
                 self._drop_parent(t)
                 self._select_parent(t)
-        else:
-            self.adm_count[t] -= 1
-            if self.current_arc[t] == a:
-                self._drop_parent(t)
-                self._select_parent(t)
-            if self.adm_count[t] == 0:
-                self._enqueue(t)
+        elif self.current_arc[t] == a:
+            self._drop_parent(t)
+            self._select_parent(t)
+            self._enqueue(t)
 
     # relabel ---------------------------------------------------------------
 
@@ -327,11 +321,10 @@ class _Engine:
         debug = self.cfg.debug_invariants
         while self.pending:
             v = heapq.heappop(self.pending)
-            self.pending_flag[v] = False
-            if not self.alive[v] or self.nabla_rem[v] > 0 or self.adm_count[v] > 0:
+            if not self.alive[v] or self.nabla_rem[v] > 0 or self.current_arc[v] != -1:
                 continue
             if debug:
-                while self.alive[v] and self.nabla_rem[v] == 0 and self.adm_count[v] == 0:
+                while self.alive[v] and self.nabla_rem[v] == 0 and self.current_arc[v] == -1:
                     self._relabel_once(v)
                     self._assert_invariants()
                 self.relabel_climbs += 1
@@ -444,7 +437,7 @@ class _Engine:
     def _result(self) -> PushRelabelResult:
         f = Flow(self.cf[1::2])
         value = self.total_supply - sum(self.delta_rem)
-        labels = LevelLabeling(list(self.level), list(self.alive), list(self.adm), self.h)
+        labels = LevelLabeling(self.level, self.alive, self.adm, self.h)
         return PushRelabelResult(
             flow=f,
             labels=labels,
@@ -454,8 +447,8 @@ class _Engine:
             edge_flips=self.edge_flip,
             relabel_climbs=self.relabel_climbs,
             levels_visited=self.levels_visited,
-            delta_residual=list(self.delta_rem),
-            nabla_residual=list(self.nabla_rem),
+            delta_residual=self.delta_rem,
+            nabla_residual=self.nabla_rem,
             relabel_events=self.relabel_events if self.cfg.debug_invariants else None,
         )
 

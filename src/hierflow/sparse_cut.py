@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import (BadParamsError, CutCheckFailedError, InvalidHierarchyError,
                      NotStronglyConnectedError)
-from .graph import (DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual,
-                    residual_graph, scc)
+from .graph import DiGraph, Flow, FlowInstance, ResidualView, residual, residual_graph, scc
 from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
 from .push_relabel import push_relabel
 
@@ -194,14 +193,13 @@ def sparse_cut(
     ev = CutEvaluator(g, inst.cap, vol_f)
     sset = set(side)
     ev.assign([v in sset for v in range(n)])
-    st = flow_stats(scaled, f)
     metrics = CutMetrics(
         boundary_out=ev.out_cap,
         boundary_in=ev.in_cap,
         vol_f_side=ev.vol_s,
         vol_f_other=ev.total_vol - ev.vol_s,
-        absorbed=sum(st.absorption[v] for v in side),
-        excess=sum(st.excess[v] for v in side),
+        absorbed=sum(scaled.nabla[v] - res.nabla_f[v] for v in side),
+        excess=sum(res.delta_f[v] for v in side),
         objective=obj,
         level=lab,
     )

@@ -446,17 +446,23 @@ def test_kappa_beyond_float_range_hits_the_n2_cap(tmp_path, capsys):
     assert out.splitlines()[-1] == "routed"
 
 
-def test_hierarchy_with_capacities_beyond_float_range(tmp_path, capsys):
-    # a 20-vertex random 3-out digraph, every capacity 10^400: its
-    # component is too big for the exhaustive check, so cut-matching and
-    # sparse-cut push-relabel run on amounts no float can hold
+def _random_three_out(tmp_path, cap):
+    """A 20-vertex random 3-out digraph, every capacity `cap`."""
     rng = random.Random(5)
     n = 20
     lines = [f"p max {n} {3 * n}", "n 1 s", f"n {n} t"]
     for u in range(n):
         for v in rng.sample([x for x in range(n) if x != u], 3):
-            lines.append(f"a {u + 1} {v + 1} {10 ** 400}")
-    graph = _write(tmp_path, "big.dimacs", "\n".join(lines) + "\n")
+            lines.append(f"a {u + 1} {v + 1} {cap}")
+    return _write(tmp_path, "three-out.dimacs", "\n".join(lines) + "\n")
+
+
+def test_hierarchy_with_capacities_beyond_float_range(tmp_path, capsys):
+    # every capacity 10^400: the one component is too big for the
+    # exhaustive check, so cut-matching and sparse-cut push-relabel run on
+    # amounts no float can hold
+    n = 20
+    graph = _random_three_out(tmp_path, 10 ** 400)
     hier = str(tmp_path / "h.txt")
     code, out, _ = _run(["hierarchy", "--seed", "1", "--out", hier, graph], capsys)
     assert code == 0
@@ -467,6 +473,24 @@ def test_hierarchy_with_capacities_beyond_float_range(tmp_path, capsys):
     with open(hier) as fh:
         h = hierarchy_from_text(fh.read(), g)
     assert sorted(h.d.union(*h.levels)) == list(range(3 * n))
+
+
+def test_summary_counts_components_that_were_only_sampled(tmp_path, capsys):
+    # at unit capacities the build certifies the 20-vertex component by
+    # sampled cuts, which a larger sample refutes: VALID on a sampled
+    # component proves nothing, and the summary says so
+    graph = _random_three_out(tmp_path, 1)
+    hier = str(tmp_path / "h.txt")
+    code, out, _ = _run(["hierarchy", "--phi", "1/8", "--seed", "1", "--out", hier, graph],
+                        capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "VALID", "components checked 1: exact 0, sampled 1 (not refuted, not proved)"]
+    code, out, _ = _run(["validate", "--phi", "1/8", hier, graph], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "INVALID", "error level-1 component of size 20 refuted by sampled cut of size 12",
+        "components checked 1: exact 0, sampled 0 (not refuted, not proved)"]
 
 
 # `hierflow solve` over fuzzed instance texts (at most 8 vertices), valid

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -439,3 +440,54 @@ def test_capacitated_mode_links_only_augmenting_arcs(monkeypatch):
                      mode="capacitated")
     assert r.augmentations == [] and r.relabel_climbs > 0 and any(r.labels.admissible)
     assert (forests[-1].links, forests[-1].rotations) == (0, 0)
+
+
+_PIN_CAPS = (1, 3, 12, 10 ** 6)
+
+
+def _pinned_instances():
+    """Seeded diffusion instances, n 3-40 with capacities from _PIN_CAPS;
+    every fourth one dense (about n(n-1)/3 distinct arcs)."""
+    rng = random.Random(31)
+    for i in range(100):
+        n = rng.randint(3, 40)
+        if i % 4 == 3:
+            pairs = rng.sample([(u, v) for u in range(n) for v in range(n) if u != v],
+                               n * (n - 1) // 3)
+        else:
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(2, 3 * n))]
+        g, caps = build_graph(n, [(u, v, rng.choice(_PIN_CAPS)) for u, v in pairs])
+        delta = [0] * n
+        nabla = [0] * n
+        for _ in range(rng.randint(1, max(1, n // 3))):
+            delta[rng.randrange(n)] += rng.choice(_PIN_CAPS)
+        total = sum(delta) + rng.choice((0, 1, 12))
+        while total > 0:
+            amt = rng.randint(1, total)
+            nabla[rng.randrange(n)] += amt
+            total -= amt
+        yield (FlowInstance(g, caps, delta, nabla), [rng.randint(1, n) for _ in pairs],
+               rng.randint(1, n * n))
+
+
+def _pin(r):
+    return (r.flow.values, r.labels.levels, r.labels.alive, r.labels.admissible,
+            [(rec.arcs, rec.amount, rec.w_length, rec.labels) for rec in r.augmentations],
+            r.edge_saturations, r.edge_flips, r.relabel_climbs, r.levels_visited,
+            r.delta_residual, r.nabla_residual, r.relabel_events)
+
+
+def test_push_relabel_is_bit_identical_to_the_recorded_digest():
+    # flows, labels, marks, augment records, work counters, residual
+    # vectors and (debug) relabel events of seeded runs in both modes and
+    # both schedulers, hashed: any change to what push-relabel computes or
+    # counts changes the digest
+    fast = replace(DEFAULT_CONFIG, snapshot_labels=True)
+    digest = hashlib.sha256()
+    for inst, w, h in _pinned_instances():
+        for mode in ("unit", "capacitated"):
+            for config in (fast, DBG) if inst.m <= 150 else (fast,):
+                digest.update(repr(_pin(push_relabel(inst, w, h, mode=mode,
+                                                     config=config))).encode())
+    assert digest.hexdigest() == (
+        "8b7cff68d1a57876313493b299c1add0f1753a706484304b292f0c1cdaaabcbe")
