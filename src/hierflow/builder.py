@@ -3,7 +3,9 @@
 The builder grows levels from the terminal set downward-up: level one
 decomposes with every edge as a terminal, each later level decomposes
 with the previous separator as its terminal set.  Components are handled
-by the cut-matching game; every returned cut removes the sparser
+by the cut-matching game, which gets the hierarchy of the component's
+lower levels as a callable: the respecting order it needs is computed
+only if the game plays a round.  Every returned cut removes the sparser
 direction of its boundary, and when that direction contains non-terminal
 edges (a non-nested cut) the lower hierarchy of both sides is rebuilt
 from scratch.  Unless the caller opts out (`validate=False`: the exact
@@ -17,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
@@ -127,10 +130,11 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
             continue
         sub = subgraph(g, piece, edges_here)
         local = {e: i for i, e in enumerate(edges_here)}
-        hier = _sub_hierarchy(sub, local, below_here)
         seed = rng.getrandbits(64)
+        # the piece's order is computed only if the game plays a round
         outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
-                               phi, hier, random.Random(seed), config)
+                               phi, partial(_sub_hierarchy, sub, local, below_here),
+                               random.Random(seed), config)
         if outcome.cut is None:
             cert = outcome.certificate
             log.append(

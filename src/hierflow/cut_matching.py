@@ -13,7 +13,10 @@ yielding a sparse cut fails with CutCheckFailedError.
 A component certifies early when brute force already confirms expansion
 (exactly on small components, by failing falsification on large ones,
 the latter only after at least one round); the full round budget runs
-when that shortcut is disabled.  The exact check asks
+when that shortcut is disabled.  The game's set-up (the piece's
+hierarchy, its terminal weights, kappa and the retry budget) is made
+only when the first round is played; the sketch is drawn up front, since
+the falsifier's draws follow it on the same rng.  The exact check asks
 `exhaustive_worst_cut` only for a cut sparser than phi, so its branch and
 bound can prune against phi; `union_psi` asks for the value.
 """
@@ -23,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import CutCheckFailedError, NotStronglyConnectedError
@@ -182,15 +185,17 @@ def cut_or_embed(
     cap: Sequence[int],
     f_edges: Set[int],
     phi: Fraction,
-    hier: Hierarchy,
+    hier_of: Callable[[], Hierarchy],
     rng: random.Random,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> CutOrEmbedOutcome:
     """Certify f_edges as expanding in (g, cap) or return a sparse cut.
 
-    The cut branch side S satisfies min-direction sparsity below
-    phi * vol_F(S) and 1 <= vol_F(S) <= vol_F(V)/2; both are checked
-    before returning, never assumed.
+    `hier_of()` returns the hierarchy of the non-terminal edges; it is
+    called at most once, when the first round is played.  The cut branch
+    side S satisfies min-direction sparsity below phi * vol_F(S) and
+    1 <= vol_F(S) <= vol_F(V)/2; both are checked before returning, never
+    assumed.
     """
     n = g.n
     if n > 1 and len(scc(g)) != 1:
@@ -203,10 +208,6 @@ def cut_or_embed(
         return CutOrEmbedOutcome(None, 0, vol_total,
                                  certificate=Certificate(None, 0, True))
     state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
-    w_g = terminal_weights(g, f_edges, hier)
-    kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
-    z = retry_budget(n)
-    ev = CutEvaluator(g, cap, deg_f)
 
     def finish(early: bool) -> CutOrEmbedOutcome:
         psi = union_psi(state.matchings)
@@ -215,6 +216,7 @@ def cut_or_embed(
             certificate=Certificate(psi, state.rounds_played, early), state=state)
 
     def try_cut(side: List[int]) -> Optional[CutOrEmbedOutcome]:
+        ev = CutEvaluator(g, cap, deg_f)
         sset = set(side)
         ev.assign([v in sset for v in range(n)])
         if 2 * ev.vol_s > vol_total:
@@ -236,6 +238,11 @@ def cut_or_embed(
                     return out
         if state.rounds_played >= state.t_cmg:
             return finish(early=False)
+        if state.rounds_played == 0:  # the game's set-up, for its first round
+            hier = hier_of()
+            w_g = terminal_weights(g, f_edges, hier)
+            kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
+            z = retry_budget(n)
         nu_a, nu_b = cut_player_bisection(state)
         delta, nabla = nu_a, nu_b
         demand0 = sum(delta)

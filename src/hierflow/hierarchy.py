@@ -77,6 +77,8 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     Works per level from the top: split into strongly connected
     components, order them topologically, hand each component a
     contiguous block, then recurse inside with the top level dropped.
+    A part with no edges left is not split: its vertices take its block
+    in reverse vertex order, as Tarjan's singleton components would.
     Raises NotAcyclicError if D has a cycle, LevelViolationError if a
     level edge crosses components of its level graph.
     """
@@ -92,6 +94,13 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     work = [(list(range(n)), sorted(edge_level), eta)]
     while work:
         comp_verts, comp_edges, k = work.pop()
+        if not comp_edges:
+            # every vertex is its own component, and Tarjan would list
+            # them in vertex order: their blocks go out in reverse
+            for v in reversed(comp_verts):
+                tau[v] = next_val
+                next_val += 1
+            continue
         comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
         if k == 0:
             if any(len(c) > 1 for c in comps):
@@ -317,8 +326,8 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     (j * k + i)-th `rng.random()` of the phase would be below 1/2, and
     the first phi-sparse cut in j order is the witness.  `_random_cuts`
     takes a batch of b cuts' draws as the 2 * b * k 32-bit Mersenne
-    Twister words that b * k `random()` calls would use, in one
-    `getrandbits` call, and tests all b cuts at once, cut j in lane j of
+    Twister words that b * k `random()` calls would use, in `getrandbits`
+    calls of at most 64 KiB, and tests all b cuts at once, cut j in lane j of
     one int per vertex.  On a hit in lane j the rng is set back to its
     state at the batch start and the words of (j + 1) * k draws are taken
     again, so the witness, and the rng state the level-cut phase and later
@@ -363,9 +372,22 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
 # random cuts evaluated together by _random_cuts, one lane each
 _BATCH = 512
 
+# draws per `getrandbits` call: 64 KiB of words, so neither the int nor
+# its bytes reach glibc's 128 KiB mmap threshold and no batch's timing
+# depends on whether such blocks went back to the OS
+_CHUNK = 8192
+
 # byte -> 1 when its top bit is clear: the high byte of a draw's first
 # 32-bit word, mapped to whether `random() < 0.5` for that draw
 _TOP = bytes(x < 0x80 for x in range(256))
+
+
+def _draw_tops(rng: random.Random, draws: int) -> bytes:
+    """The high byte of the first word of each of the next `draws`
+    `random()` draws, taken in `getrandbits` calls of at most _CHUNK
+    draws; the rng ends where `draws` calls of `random()` leave it."""
+    return b"".join(rng.getrandbits(64 * c).to_bytes(8 * c, "little")[3::8]
+                    for c in (min(_CHUNK, draws - d) for d in range(0, draws, _CHUNK)))
 
 
 def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction,
@@ -379,6 +401,8 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     in the same order and puts the first least significant, so byte
     8 * d + 3 of its little-endian bytes is the high byte of draw d's
     word a, and the rng ends where n `random()` calls leave it.
+    Consecutive calls continue the word stream, so `_draw_tops` takes a
+    batch's draws in chunks and joins their high bytes.
 
     Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
@@ -416,7 +440,7 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
         b = min(_BATCH, budget - done)
         start = rng.getstate()
         # cut-major: flags[j * k + i] is 1 when cut j puts vertex i in S
-        flags = rng.getrandbits(64 * b * k).to_bytes(8 * b * k, "little")[3::8].translate(_TOP)
+        flags = _draw_tops(rng, b * k).translate(_TOP)
         lanes = bytearray(b * width)
         xs = []
         for i in range(k):
@@ -434,7 +458,7 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
         if hit:
             j = ((hit & -hit).bit_length() - 1) // lane_bits
             rng.setstate(start)
-            rng.getrandbits(64 * (j + 1) * k)
+            _draw_tops(rng, (j + 1) * k)
             return [i for i in range(k) if flags[j * k + i]]
         done += b
     return None

@@ -314,6 +314,37 @@ def per_cut_sampled_cut(g, cap, vol, phi: Fraction, rng: random.Random,
     return None
 
 
+def per_frame_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -> List[int]:
+    """`hierarchy.respecting_topo_order` with Tarjan run on every frame,
+    edgeless ones too: the reference for its shortcut on frames without
+    edges.  Raises the same errors."""
+    from hierflow.errors import LevelViolationError, NotAcyclicError
+    from hierflow.graph import scc_subgraph
+
+    tau = [0] * g.n
+    edge_level = {e: lv for lv, xs in enumerate([d, *levels]) for e in xs}
+    next_val = 1
+    work = [(list(range(g.n)), sorted(edge_level), len(levels))]
+    while work:
+        comp_verts, comp_edges, k = work.pop()
+        comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
+        if k == 0:
+            bad = [c for c in comps if len(c) > 1]
+            if bad:
+                raise NotAcyclicError(f"D contains a cycle through {sorted(bad[0])}")
+            for comp in reversed(comps):
+                tau[comp[0]] = next_val
+                next_val += 1
+            continue
+        for e in between:
+            if edge_level[e] >= 1:
+                raise LevelViolationError(
+                    f"level-{edge_level[e]} edge {e} crosses components at level {k}")
+        for comp, edges in zip(comps, inner):
+            work.append((comp, [e for e in edges if edge_level[e] != k], k - 1))
+    return tau
+
+
 # instance text: mostly well-formed `p max` and `p diff` files over at most
 # 8 vertices, with out-of-range vertices, negative numbers, self-loops, a
 # wrong arc count, a missing or unknown node line and junk or comment lines

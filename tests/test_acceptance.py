@@ -367,7 +367,7 @@ def test_criterion_9_cut_or_embed_soundness():
         cfg = DEFAULT_CONFIG if trial % 2 == 0 else \
             replace(DEFAULT_CONFIG, cmg_early_exit=False)
         hier = Hierarchy(set(), [], list(range(1, n + 1)))
-        out = cut_or_embed(g, caps, f_edges, phi, hier,
+        out = cut_or_embed(g, caps, f_edges, phi, lambda: hier,
                            random.Random(5000 + trial), cfg)
         edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
         volw = {v: 0 for v in range(n)}

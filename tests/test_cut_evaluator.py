@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from hierflow.graph import DiGraph, scc_subgraph
-from hierflow.hierarchy import _BATCH, CutEvaluator, sampled_sparse_cut
+from hierflow.hierarchy import _BATCH, _CHUNK, CutEvaluator, sampled_sparse_cut
 
 from helpers import cut_sparsity, local_cut_input, per_cut_sampled_cut, scc_from_closure
 
@@ -260,6 +260,48 @@ def test_sampled_sparse_cut_is_strict_at_ratio_phi():
                     else:
                         assert calls == (target + 1) * k
                         assert side == [v for v in range(k) if plant[v]]
+
+
+def _two_heavy_cycles(plant, heavy):
+    """A heavy bidirected cycle through each side of `plant` and one light
+    arc from S to S-bar: every random cut but `plant` and its complement
+    cuts a cycle both ways, so only they can be sparse."""
+    edges = []
+    for flag in (True, False):
+        side = [v for v, x in enumerate(plant) if x == flag]
+        if len(side) > 1:
+            for u, v in zip(side, side[1:] + side[:1]):
+                edges += [(u, v, heavy), (v, u, heavy)]
+    edges.append((plant.index(True), plant.index(False), 1))
+    return edges
+
+
+def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference():
+    """k = 200: a batch's draws span 13 `getrandbits` chunks.  Budgets end
+    inside a chunk, just past one and inside a later batch, and the one
+    sparse cut is planted where its draws straddle chunk boundaries; the
+    witness and the rng state are those of one `random()` per vertex."""
+    k = 200
+    assert _BATCH * k > 12 * _CHUNK and _BATCH * k % _CHUNK and _CHUNK % k
+    volw = {v: 1 for v in range(k)}
+    phi = Fraction(1, 16)
+    # one heavy bidirected cycle through all k: no cut is sparse
+    no_cut = [(u, (u + 1) % k, 10 ** 6) for u in range(k)]
+    no_cut += [(v, u, c) for u, v, c in no_cut]
+    for budget in (1, _CHUNK // k, _CHUNK // k + 1, _BATCH, _BATCH + 1):
+        side, calls = _same_as_reference(list(range(k)), no_cut, volw, phi, budget, budget)
+        assert side is None and calls == budget * k
+    # cuts whose draws straddle a chunk boundary of their batch, and the
+    # batch's last cut, inside its last, partial chunk
+    straddling = [t for t in range(2 * _BATCH)
+                  if t % _BATCH * k // _CHUNK < ((t % _BATCH + 1) * k - 1) // _CHUNK]
+    for target in straddling[:2] + [_BATCH - 1, straddling[-1]]:
+        seed, plant = _planted_seed(k, target)
+        edges = _two_heavy_cycles(plant, 10 ** 6)
+        for budget in (target + 1, target + 2, 2 * _BATCH + 1):
+            side, calls = _same_as_reference(list(range(k)), edges, volw, phi, seed, budget)
+            assert calls == (target + 1) * k
+            assert side == [v for v in range(k) if plant[v]]
 
 
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():

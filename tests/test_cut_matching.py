@@ -40,6 +40,17 @@ def _empty_hier(n):
     return Hierarchy(set(), [], list(range(1, n + 1)))
 
 
+def _counted(hier):
+    """A hierarchy callable and the list its calls append to."""
+    calls = []
+
+    def hier_of():
+        calls.append(hier)
+        return hier
+
+    return hier_of, calls
+
+
 def test_bisection_two_uniform_vertices():
     state = CMGState([1, 1], random.Random(0), 4)
     nu_a, nu_b = cut_player_bisection(state)
@@ -76,7 +87,7 @@ def test_bisection_contract_over_rounds():
 def test_tiny_volume_certifies_without_rounds():
     g, caps = _complete_digraph(3)
     hier = _empty_hier(3)
-    out = cut_or_embed(g, caps, {0}, Fraction(1, 16), hier,
+    out = cut_or_embed(g, caps, {0}, Fraction(1, 16), lambda: hier,
                        random.Random(3), NO_EARLY)
     assert out.cut is None
     assert out.certificate.rounds == 0
@@ -86,7 +97,7 @@ def test_tiny_volume_certifies_without_rounds():
 def test_phi_below_float_range_takes_kappa_from_the_fraction():
     # float(phi) is 0, and the volume 10^401 is not tiny against 1/phi
     g, cap = _complete_digraph(4, 10 ** 401)
-    out = cut_or_embed(g, cap, set(range(g.m)), Fraction(1, 10 ** 400), _empty_hier(4),
+    out = cut_or_embed(g, cap, set(range(g.m)), Fraction(1, 10 ** 400), lambda: _empty_hier(4),
                        random.Random(0))
     assert out.cut is None and out.certificate.early
 
@@ -94,14 +105,14 @@ def test_phi_below_float_range_takes_kappa_from_the_fraction():
 def test_requires_strong_connectivity():
     g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NotStronglyConnectedError):
-        cut_or_embed(g, caps, {0, 1}, Fraction(1, 16), _empty_hier(3),
+        cut_or_embed(g, caps, {0, 1}, Fraction(1, 16), lambda: _empty_hier(3),
                      random.Random(0))
 
 
 def test_complete_digraph_certifies_and_is_truly_expanding():
     g, caps = _complete_digraph(8)
     f_edges = set(range(g.m))
-    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), lambda: _empty_hier(8),
                        random.Random(5))
     assert out.cut is None
     # exhaustive confirmation that no 1/16-sparse cut exists
@@ -115,7 +126,7 @@ def test_dumbbell_returns_sparse_cut_with_contract():
     g, caps = _dumbbell(4, 1)
     f_edges = set(range(g.m))
     phi = Fraction(1, 16)
-    out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, phi, lambda: _empty_hier(8),
                        random.Random(7))
     assert out.cut is not None
     side = set(out.cut)
@@ -132,7 +143,7 @@ def test_dumbbell_pure_game_outcome_is_sound():
     g, caps = _dumbbell(4, 1)
     f_edges = set(range(g.m))
     phi = Fraction(1, 16)
-    out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(8),
+    out = cut_or_embed(g, caps, f_edges, phi, lambda: _empty_hier(8),
                        random.Random(11), NO_EARLY)
     edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
     volw = {v: 0 for v in range(8)}
@@ -151,10 +162,34 @@ def test_dumbbell_pure_game_outcome_is_sound():
         assert 2 * out.vol_f_side <= out.vol_f_total
 
 
+def test_early_outcomes_never_ask_for_the_hierarchy():
+    # a tiny volume, an exact certificate and an exact cut, all before a round
+    for (g, caps), f_edges, config in (
+            (_complete_digraph(3), {0}, NO_EARLY),
+            (_complete_digraph(8), None, DEFAULT_CONFIG),
+            (_dumbbell(4, 1), None, DEFAULT_CONFIG)):
+        hier_of, calls = _counted(_empty_hier(g.n))
+        f_edges = set(range(g.m)) if f_edges is None else f_edges
+        out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), hier_of, random.Random(5),
+                           config)
+        assert out.state is None or out.state.rounds_played == 0
+        assert calls == []
+    assert out.cut is not None  # the dumbbell's bridge cut
+
+
+def test_played_rounds_ask_for_the_hierarchy_once():
+    g, caps = _complete_digraph(6)
+    hier_of, calls = _counted(_empty_hier(6))
+    out = cut_or_embed(g, caps, set(range(g.m)), Fraction(1, 16), hier_of,
+                       random.Random(13), NO_EARLY)
+    assert out.certificate.rounds > 1
+    assert len(calls) == 1
+
+
 def test_full_game_union_expands_on_complete_digraph():
     g, caps = _complete_digraph(6)
     f_edges = set(range(g.m))
-    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), _empty_hier(6),
+    out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), lambda: _empty_hier(6),
                        random.Random(13), NO_EARLY)
     assert out.cut is None
     cert = out.certificate
@@ -178,7 +213,7 @@ def test_certificate_soundness_seeded_sample():
         g, caps = build_graph(n, arcs)
         f_edges = set(range(g.m))
         phi = Fraction(1, 16)
-        out = cut_or_embed(g, caps, f_edges, phi, _empty_hier(n),
+        out = cut_or_embed(g, caps, f_edges, phi, lambda: _empty_hier(n),
                            random.Random(1000 + trial))
         edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
         volw = {v: 0 for v in range(n)}

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierflow.errors import BadParamsError, LevelViolationError, NotAcyclicError, ParseError
-from hierflow.graph import build_graph
+from hierflow.graph import DiGraph, build_graph
 from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_text,
                                 hierarchy_to_text, induced_weights,
                                 respecting_topo_order, validate_hierarchy)
 
-from helpers import exhaustive_sparsest_cut, gray_worst_cut, local_cut_input
+from helpers import (exhaustive_sparsest_cut, gray_worst_cut, local_cut_input,
+                     per_frame_topo_order)
 
 
 def _contiguous(vals):
@@ -73,6 +74,87 @@ def test_respecting_order_nested_two_levels():
     assert sorted(tau) == [1, 2, 3, 4]
     assert _contiguous([tau[0], tau[1]])
     assert _contiguous([tau[2], tau[3]])
+
+
+def test_respecting_order_without_edges_is_reversed_vertex_order():
+    g = DiGraph(5, [])
+    assert respecting_topo_order(g, set(), [set(), set()]) == [5, 4, 3, 2, 1]
+    # one level-1 cycle: the frame inside it has no edges left, and its
+    # block goes out in reverse of the component's vertex order
+    g, _ = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    tau = respecting_topo_order(g, set(), [set(range(4))])
+    assert tau == per_frame_topo_order(g, set(), [set(range(4))])
+
+
+def _nested_hierarchy(rng, n, eta):
+    """A random graph with a partition that respects it: each level-k block
+    is split into runs of a random vertex order, a level-k cycle (plus
+    chords) ties each run together, and D edges run forward between runs."""
+    order = rng.sample(range(n), n)
+    arcs, level_of = [], []
+
+    def add(u, v, lv):
+        arcs.append((u, v))
+        level_of.append(lv)
+
+    def block(verts, k):
+        if k == 0:
+            for _ in range(rng.randint(0, len(verts)) if len(verts) > 1 else 0):
+                i, j = sorted(rng.sample(range(len(verts)), 2))
+                add(verts[i], verts[j], 0)
+            return
+        cuts = sorted(rng.sample(range(1, len(verts)), rng.randint(0, len(verts) - 1)))
+        runs = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
+        for r, run in enumerate(runs):
+            if len(run) > 1:
+                for i, u in enumerate(run):
+                    add(u, run[(i + 1) % len(run)], k)
+                for _ in range(rng.randint(0, 2)):
+                    add(*rng.sample(run, 2), k)
+            if r + 1 < len(runs) and rng.random() < 0.7:
+                add(rng.choice(run), rng.choice(runs[rng.randrange(r + 1, len(runs))]), 0)
+            if rng.random() < 0.6:  # otherwise the run's inner frames stay edgeless
+                block(run, k - 1)
+
+    block(order, eta)
+    pairs = list(zip(arcs, level_of))
+    rng.shuffle(pairs)
+    g = DiGraph(n, [uv for uv, _lv in pairs])
+    parts = [set() for _ in range(eta + 1)]
+    for e, (_uv, lv) in enumerate(pairs):
+        parts[lv].add(e)
+    return g, parts[0], parts[1:]
+
+
+def test_respecting_order_matches_per_frame_tarjan_reference():
+    # nested hierarchies, valid by construction, and arbitrary partitions,
+    # whose NotAcyclicError and LevelViolationError must match too
+    rng = random.Random(606)
+    valid = 0
+    for case in range(400):
+        n = rng.randint(1, 14)
+        eta = rng.randint(0, 3)
+        if case % 2:
+            g, d, levels = _nested_hierarchy(rng, n, eta)
+        else:
+            g = DiGraph(n, [tuple(rng.sample(range(n), 2))
+                            for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)])
+            parts = [set() for _ in range(eta + 1)]
+            for e in range(g.m):
+                parts[rng.randrange(eta + 1)].add(e)
+            d, levels = parts[0], parts[1:]
+        try:
+            want = per_frame_topo_order(g, d, levels)
+        except (NotAcyclicError, LevelViolationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                respecting_topo_order(g, d, levels)
+            assert str(got.value) == str(exc)
+            assert case % 2 == 0
+            continue
+        assert respecting_topo_order(g, d, levels) == want
+        assert sorted(want) == list(range(1, n + 1))
+        valid += 1
+    assert valid >= 250
 
 
 def test_induced_weights_path_identity():
