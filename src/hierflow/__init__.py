@@ -12,7 +12,7 @@ from .hierarchy import (Hierarchy, ValidationReport, hierarchy_from_text,
 from .sparse_cut import SparseCutOutcome, level_labels, sparse_cut
 from .cut_matching import (CMGState, CutOrEmbedOutcome, cut_or_embed,
                            cut_player_bisection)
-from .builder import BuildResult, build_hierarchy, expander_decompose
+from .builder import BuildResult, build_hierarchy
 from .maxflow import (SolveResult, capacity_scaled_max_flow, dag_approx_flow,
                       edmonds_karp, max_flow_exact)
 from .generators import generate
@@ -27,7 +27,7 @@ __all__ = [
     "induced_weights", "respecting_topo_order", "validate_hierarchy",
     "SparseCutOutcome", "level_labels", "sparse_cut",
     "CMGState", "CutOrEmbedOutcome", "cut_or_embed", "cut_player_bisection",
-    "BuildResult", "build_hierarchy", "expander_decompose",
+    "BuildResult", "build_hierarchy",
     "SolveResult", "capacity_scaled_max_flow", "dag_approx_flow",
     "edmonds_karp", "max_flow_exact",
     "generate",

@@ -47,11 +47,10 @@ class Parts:
         return out
 
     def restrict(self, edge_subset: Set[int]) -> "Parts":
-        return Parts(self.d & edge_subset,
-                     [x & edge_subset for x in self.levels])
-
-    def compact(self) -> "Parts":
-        return Parts(set(self.d), [x for x in self.levels if x])
+        """The partition of `edge_subset`; a level left empty is dropped,
+        and the levels above it move down."""
+        levels = (x & edge_subset for x in self.levels)
+        return Parts(self.d & edge_subset, [x for x in levels if x])
 
 
 class _Budget:
@@ -123,7 +122,7 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
         edges_here = piece_edges[i]
         f_here = {e for e in edges_here if e in f_edges}
         lower_here = {e for e in edges_here if e not in f_edges}
-        below_here = below.restrict(lower_here).compact()
+        below_here = below.restrict(lower_here)
         if not f_here:
             parts.d |= below_here.d
             _merge_levels(parts, below_here.levels)
@@ -140,9 +139,8 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
             log.append(
                 f"level={level_no} event=certify component={len(piece)} "
                 f"rounds={cert.rounds} early={int(cert.early)}")
-            merged = below_here.compact()
-            _merge_levels(parts, merged.levels + [set(f_here)])
-            parts.d |= merged.d
+            _merge_levels(parts, below_here.levels + [f_here])
+            parts.d |= below_here.d
             continue
         budget.tick()
         side = {piece[i] for i in outcome.cut}
@@ -173,7 +171,7 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                 sub_below = yield _full_build(g, cap, sub_vertices, sub_lower, phi,
                                               rng, config, budget, log)
             else:
-                sub_below = below.restrict(sub_lower).compact()
+                sub_below = below.restrict(sub_lower)
             rem2, parts2 = yield _decompose(g, cap, sub_vertices, sub_edges, sub_f,
                                             sub_below, phi, rng, config, budget, log,
                                             level_no)
@@ -187,10 +185,9 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
 
 
 def _merge_levels(parts: Parts, levels: Sequence[Set[int]]) -> None:
+    # no level passed in is empty (`Parts.restrict` drops those), so none is made here
     for i, x in enumerate(levels):
-        if not x:
-            continue
-        while len(parts.levels) <= i:
+        if i == len(parts.levels):
             parts.levels.append(set())
         parts.levels[i] |= x
 
@@ -219,25 +216,6 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                                           config, budget, log, level_no)
         f_cur = removed
     return parts
-
-
-def expander_decompose(g: DiGraph, cap: Sequence[int], f_edges: Set[int],
-                       phi: Fraction, below: Hierarchy, seed: int,
-                       config: SolverConfig = DEFAULT_CONFIG,
-                       log: Optional[List[str]] = None) -> Set[int]:
-    """Separator X such that the terminals expand in the graph without X.
-
-    `below` must partition the non-terminal edges.  Components are
-    decomposed independently; every cut removes one boundary direction.
-    """
-    log = log if log is not None else []
-    budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
-    below_parts = Parts(set(below.d), [set(x) for x in below.levels])
-    rng = random.Random(seed)
-    removed, _parts = _run(_decompose(g, cap, list(range(g.n)), set(range(g.m)),
-                                      set(f_edges), below_parts, phi, rng, config,
-                                      budget, log, 1))
-    return removed
 
 
 def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = None,
@@ -269,7 +247,6 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
         except (IterationCapExceededError, CutCheckFailedError) as exc:
             log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
             continue
-        parts = parts.compact()
         tau = respecting_topo_order(g, parts.d, parts.levels)
         hier = Hierarchy(parts.d, parts.levels, tau)
         if not validate:

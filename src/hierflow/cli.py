@@ -15,7 +15,8 @@ from .errors import (ArcCountMismatchError, BadParamsError, HierflowError,
                      MissingSourceOrSinkError, NotDiffusionError, ParseError)
 from .hierarchy import (Hierarchy, hierarchy_from_text, hierarchy_to_text,
                         validate_hierarchy)
-from .io import InstanceFile, emit_dimacs, emit_diffusion, parse_instance
+from .graph import FlowInstance
+from .io import emit_dimacs, emit_diffusion, parse_instance
 from .maxflow import (capacity_scaled_max_flow, dag_approx_flow, edmonds_karp,
                       exact_solver, max_flow_exact)
 from .generators import generate
@@ -51,9 +52,9 @@ def _algos_arg(text: str) -> List[str]:
     return algos
 
 
-def _load(path: str) -> InstanceFile:
+def _load(path: str) -> FlowInstance:
     with open(path) as fh:
-        return parse_instance(fh.read(), path)
+        return parse_instance(fh.read())
 
 
 def _config_from(args) -> "SolverConfig":
@@ -64,8 +65,8 @@ def _config_from(args) -> "SolverConfig":
     return replace(DEFAULT_CONFIG, **kw)
 
 
-def _write_flow(path: str, inst_file: InstanceFile, flow) -> None:
-    g = inst_file.inst.g
+def _write_flow(path: str, inst: FlowInstance, flow) -> None:
+    g = inst.g
     lines = []
     for e in range(g.m):
         x = flow.values[e]
@@ -76,8 +77,7 @@ def _write_flow(path: str, inst_file: InstanceFile, flow) -> None:
 
 
 def cmd_solve(args) -> int:
-    inst_file = _load(args.file)
-    inst = inst_file.inst
+    inst = _load(args.file)
     cfg = _config_from(args)
     print(f"# seed {args.seed} file {args.file} algo {args.algo}", file=sys.stderr)
     if args.algo == "ek":
@@ -90,23 +90,22 @@ def cmd_solve(args) -> int:
             res = max_flow_exact(inst, args.phi, args.seed, cfg)
     print(f"value {res.stats.value}")
     if args.flow:
-        _write_flow(args.flow, inst_file, res.flow)
+        _write_flow(args.flow, inst, res.flow)
     return 0
 
 
 def cmd_approx_dag(args) -> int:
-    inst_file = _load(args.file)
+    inst = _load(args.file)
     cfg = _config_from(args)
-    result = dag_approx_flow(inst_file.inst, cfg)
+    result = dag_approx_flow(inst, cfg)
     print(f"value {result.value}")
     if args.flow:
-        _write_flow(args.flow, inst_file, result.flow)
+        _write_flow(args.flow, inst, result.flow)
     return 0
 
 
 def cmd_sparse_cut(args) -> int:
-    inst_file = _load(args.file)
-    inst = inst_file.inst
+    inst = _load(args.file)
     cfg = _config_from(args)
     phi = args.phi if args.phi is not None else default_phi(inst.n)
     print(f"# seed {args.seed} kappa {args.kappa} phi {phi}", file=sys.stderr)
@@ -134,8 +133,7 @@ def cmd_sparse_cut(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    inst_file = _load(args.file)
-    inst = inst_file.inst
+    inst = _load(args.file)
     cfg = _config_from(args)
     phi = args.phi if args.phi is not None else default_phi(inst.n)
     build = build_hierarchy(inst.g, inst.cap, phi, args.seed, cfg)
@@ -154,11 +152,11 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    inst_file = _load(args.graph)
+    inst = _load(args.graph)
     with open(args.hierarchy) as fh:
-        hier = hierarchy_from_text(fh.read(), inst_file.inst.g)
-    report = validate_hierarchy(inst_file.inst.g, inst_file.inst.cap, hier,
-                                args.phi, DEFAULT_CONFIG, random.Random(0))
+        hier = hierarchy_from_text(fh.read(), inst.g)
+    report = validate_hierarchy(inst.g, inst.cap, hier, args.phi, DEFAULT_CONFIG,
+                                random.Random(0))
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -187,8 +185,7 @@ def cmd_bench(args) -> int:
     print(f"# seed {args.seed}")
     print("instance\talgo\tvalue\twall_ms\taugmentations\trelabels")
     for path in args.files:
-        inst_file = _load(path)
-        inst = inst_file.inst
+        inst = _load(path)
         for algo in args.algo:
             t0 = time.perf_counter()
             if algo == "ek":
@@ -196,7 +193,7 @@ def cmd_bench(args) -> int:
             else:
                 res = max_flow_exact(inst, args.phi, args.seed, cfg)
             ms = (time.perf_counter() - t0) * 1000.0
-            print(f"{inst_file.name}\t{algo}\t{res.stats.value}\t{ms:.2f}\t"
+            print(f"{path}\t{algo}\t{res.stats.value}\t{ms:.2f}\t"
                   f"{res.stats.augmentations}\t{res.stats.relabels}")
     return 0
 

@@ -6,16 +6,17 @@ averaging walks: each terminal-degree unit of a vertex carries a sketch
 vector, fresh random directions project them each round, and the routed
 matchings average the sketches across their endpoints (half stays, half
 crosses).  The matching player answers bisections with the sparse-cut
-subroutine at congestion kappa = ceil(2 C_KAPPA / phi), retrying on
-residual demand; a round that leaves any demand unrouted without
-yielding a sparse cut fails with CutCheckFailedError.
+subroutine at congestion kappa = ceil(2 C_KAPPA / phi) and the game's
+phi, retrying on residual demand; `sparse_cut` weighs the edges from
+the piece's hierarchy on each call.  A round that leaves any demand
+unrouted without yielding a sparse cut fails with CutCheckFailedError.
 
 A component certifies early when brute force already confirms expansion
 (exactly on small components, by failing falsification on large ones,
 the latter only after at least one round); the full round budget runs
 when that shortcut is disabled.  The game's set-up (the piece's
-hierarchy, its terminal weights, kappa and the retry budget) is made
-only when the first round is played; the sketch is drawn up front, since
+hierarchy, kappa and the retry budget) is made only when the first
+round is played; the sketch is drawn up front, since
 the falsifier's draws follow it on the same rng.  The exact check asks
 `exhaustive_worst_cut` only for a cut sparser than phi, so its branch and
 bound can prune against phi; `union_psi` asks for the value.
@@ -33,7 +34,7 @@ from .errors import CutCheckFailedError, NotStronglyConnectedError
 from .graph import DiGraph, Flow, FlowInstance, decompose_paths, flow_stats, scc
 from .hierarchy import (EXACT_CUT_THRESHOLD, CutEvaluator, Hierarchy, exhaustive_worst_cut,
                         sampled_sparse_cut, terminal_volume)
-from .sparse_cut import sparse_cut, terminal_weights
+from .sparse_cut import sparse_cut
 
 # round budget t_cmg = ceil(C_T * ln(n*U)^2)
 C_T = 2.0
@@ -240,7 +241,6 @@ def cut_or_embed(
             return finish(early=False)
         if state.rounds_played == 0:  # the game's set-up, for its first round
             hier = hier_of()
-            w_g = terminal_weights(g, f_edges, hier)
             kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
             z = retry_budget(n)
         nu_a, nu_b = cut_player_bisection(state)
@@ -252,8 +252,8 @@ def cut_or_embed(
             if rem == 0:
                 break
             inst = FlowInstance(g, cap, delta, nabla)
-            out = sparse_cut(inst, kappa, f_edges, hier, config, weights=w_g,
-                             phi=phi, check_connected=False)
+            out = sparse_cut(inst, kappa, f_edges, hier, config, phi=phi,
+                             check_connected=False)
             if 2 * out.value < rem:
                 branch = try_cut(out.cut)
                 if branch is not None:

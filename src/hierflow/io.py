@@ -1,18 +1,18 @@
 """Instance file formats: DIMACS max-flow and the diffusion variant.
 
 Vertices are 1-indexed on disk, 0-indexed in memory.  `parse_instance`
-reads both formats in one pass: the problem line, `p max <n> <m>` or
-`p diff <n> <m>`, sets the format; `a` arc lines belong to both,
-`n <v> s|t` lines only to `p max` files and `src`/`snk <v> <amount>`
-lines only to `p diff` files.  DIMACS source/sink instances get supply
-and sink capacity one above the total edge capacity, which is
-effectively unbounded.  Counts below 0 or above `graph.MAX_SIZE`,
+reads both formats in one pass and returns the `FlowInstance`: the
+problem line, `p max <n> <m>` or `p diff <n> <m>`, sets the format; `a`
+arc lines belong to both, `n <v> s|t` lines only to `p max` files and
+`src`/`snk <v> <amount>` lines only to `p diff` files.  A DIMACS
+source/sink pair becomes the supply and sink capacity of those two
+vertices, one above the total edge capacity, which is effectively
+unbounded.  Counts below 0 or above `graph.MAX_SIZE`,
 self-loops, a line before the problem line or of the other format, and a
 source that is also the sink are rejected as a ParseError on their line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (ArcCountMismatchError, MissingSourceOrSinkError,
@@ -59,15 +59,7 @@ def _arc(parts: List[str], n: Optional[int], no: int) -> Tuple[int, int, int]:
     return u, v, c
 
 
-@dataclass
-class InstanceFile:
-    name: str
-    inst: FlowInstance
-    source: Optional[int]
-    sink: Optional[int]
-
-
-def parse_instance(text: str, name: str = "<memory>") -> InstanceFile:
+def parse_instance(text: str) -> FlowInstance:
     """A `p max` (source/sink) or `p diff` (diffusion) file, in one pass."""
     fmt = n = m = None
     s = t = None
@@ -122,7 +114,7 @@ def parse_instance(text: str, name: str = "<memory>") -> InstanceFile:
     if len(arcs) != m:
         raise ArcCountMismatchError(f"declared {m} arcs, saw {len(arcs)}")
     if fmt == "max":
-        return InstanceFile(name, st_instance(n, arcs, s, t), s, t)
+        return st_instance(n, arcs, s, t)
     delta = [0] * n
     nabla = [0] * n
     for v, amt in srcs:
@@ -133,7 +125,7 @@ def parse_instance(text: str, name: str = "<memory>") -> InstanceFile:
         raise NotDiffusionError(
             f"total supply {sum(delta)} exceeds total sink capacity {sum(nabla)}")
     g, caps = build_graph(n, arcs)
-    return InstanceFile(name, FlowInstance(g, caps, delta, nabla), None, None)
+    return FlowInstance(g, caps, delta, nabla)
 
 
 def emit_dimacs(n: int, arcs: List[Tuple[int, int, int]], s: int, t: int,

@@ -85,8 +85,7 @@ def dag_approx_flow(inst: FlowInstance, config: SolverConfig = DEFAULT_CONFIG):
     tau = [0] * g.n
     for pos, comp in enumerate(reversed(comps), start=1):
         tau[comp[0]] = pos
-    w = [abs(tau[g.heads[e]] - tau[g.tails[e]]) for e in range(g.m)]
-    return push_relabel(inst, w, max(g.n, 1), config=config)
+    return push_relabel(inst, induced_weights(g, tau), max(g.n, 1), config=config)
 
 
 # --- exact driver -------------------------------------------------------------

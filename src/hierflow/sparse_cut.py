@@ -1,9 +1,10 @@
 """Flow-or-cut subroutine: route a diffusion demand at bounded congestion
 or return a sparse level cut of the residual graph.
 
-Push-relabel runs on kappa-scaled capacities with hierarchy-induced
-weights (terminal edges get weight n).  If demand is left over, distance
-levels are computed in the residual graph under a reduced weight
+Push-relabel runs on kappa-scaled capacities with the terminal weights,
+which each call computes from its hierarchy: the induced weight
+|tau_v - tau_u| off the terminal set, n on it.  If demand is left over,
+distance levels are computed in the residual graph under a reduced weight
 function whose forward DAG arcs cost zero, and the returned cut is the
 level cut minimizing residual boundary capacity minus terminal volume.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .config import DEFAULT_CONFIG, SolverConfig, check_phi
+from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .errors import (BadParamsError, CutCheckFailedError, InvalidHierarchyError,
                      NotStronglyConnectedError)
 from .graph import DiGraph, Flow, FlowInstance, ResidualView, residual, residual_graph, scc
@@ -153,22 +154,21 @@ def sparse_cut(
     f_edges: Set[int],
     hier: Hierarchy,
     config: SolverConfig = DEFAULT_CONFIG,
-    weights: Optional[Sequence[int]] = None,
     phi: Optional[Fraction] = None,
     check_connected: bool = True,
 ) -> SparseCutOutcome:
     """Route the demand at congestion kappa or return a sparse level cut.
 
-    `hier` describes the graph without the terminal edges `f_edges`.
-    `weights` may carry precomputed terminal weights (one entry per edge)
-    to amortize repeated calls on a fixed graph.
+    `hier` describes the graph without the terminal edges `f_edges`; the
+    edge weights are `terminal_weights` of the two.  `phi` defaults to
+    `default_phi(n)`, as in `build_hierarchy` and `max_flow_exact`.
     """
-    phi = phi if phi is not None else Fraction(1, 2)
+    g = inst.g
+    n = g.n
+    phi = phi if phi is not None else default_phi(n)
     check_phi(phi)
     if kappa < 1:
         raise BadParamsError(f"kappa must be at least 1, got {kappa}")
-    g = inst.g
-    n = g.n
     if check_connected and n > 1:
         comps = scc(g)
         if len(comps) != 1:
@@ -176,7 +176,7 @@ def sparse_cut(
     if hier.edge_count() != g.m - len(f_edges):
         raise InvalidHierarchyError(
             f"hierarchy covers {hier.edge_count()} edges, expected {g.m - len(f_edges)}")
-    w_g = weights if weights is not None else terminal_weights(g, f_edges, hier)
+    w_g = terminal_weights(g, f_edges, hier)
     h = sparse_cut_height(n, hier.eta, kappa, phi, config)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)
     result = push_relabel(scaled, w_g, h, config=config)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hierflow.builder import build_hierarchy, expander_decompose
+from hierflow.builder import build_hierarchy
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.generators import gen_dumbbell
 from hierflow.graph import build_graph, scc_subgraph
-from hierflow.hierarchy import Hierarchy, validate_hierarchy
+from hierflow.hierarchy import validate_hierarchy
 
 from helpers import random_instance
 
@@ -20,14 +20,7 @@ def _validate(g, caps, hier, phi, seed=0):
     return rep
 
 
-def test_decompose_empty_terminals_returns_empty():
-    g, caps = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)])
-    hier = Hierarchy({3}, [{0, 1, 2}], [1, 2, 3, 4])
-    x = expander_decompose(g, caps, set(), Fraction(1, 8), hier, seed=0)
-    assert x == set()
-
-
-def test_decompose_two_cliques_cuts_bridges():
+def test_build_two_cliques_top_level_is_one_bridge():
     k = 4
     arcs = []
     for a in range(k):
@@ -41,26 +34,16 @@ def test_decompose_two_cliques_cuts_bridges():
     arcs.append((k - 1, k, 1))
     arcs.append((2 * k - 1, 0, 1))
     g, caps = build_graph(2 * k, arcs)
-    empty = Hierarchy(set(), [], list(range(1, 2 * k + 1)))
-    x = expander_decompose(g, caps, set(range(g.m)), Fraction(1, 16), empty, seed=3)
-    # the separator takes at least one bridge direction and no clique edges
-    bridge_ids = {g.m - 2, g.m - 1}
-    assert x and x <= bridge_ids
-    # terminals expand in what remains: validate the one-level hierarchy
-    # on the surviving subgraph (reindexed without the separator)
-    rest = sorted(set(range(g.m)) - x)
-    g2, caps2 = build_graph(2 * k, [(g.tails[e], g.heads[e], caps[e]) for e in rest])
-    comps, _, _ = scc_subgraph(g2, range(2 * k), range(g2.m))
-    comp_of = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            comp_of[v] = i
-    internal = {e for e in range(g2.m) if comp_of[g2.tails[e]] == comp_of[g2.heads[e]]}
-    dag = set(range(g2.m)) - internal
-    from hierflow.hierarchy import respecting_topo_order
-
-    tau = respecting_topo_order(g2, dag, [internal])
-    _validate(g2, caps2, Hierarchy(dag, [internal], tau), Fraction(1, 16))
+    bridges = {g.m - 2, g.m - 1}
+    for seed in range(6):
+        res = build_hierarchy(g, caps, Fraction(1, 16), seed=seed)
+        h = res.hierarchy
+        # level one removes one bridge, which expands on its own at level
+        # two; the other bridge runs between the two cliques, so it is in D
+        assert h.levels[0] == set(range(g.m)) - bridges
+        assert h.eta == 2 and len(h.levels[1]) == len(h.d) == 1
+        assert h.levels[1] | h.d == bridges
+        assert res.report.ok
 
 
 def test_build_dag_gives_empty_hierarchy():

@@ -416,7 +416,7 @@ def test_huge_height_constant_hits_the_n2_cap(tmp_path, capsys):
     path = _write(tmp_path, "bridge.diff", BRIDGE)
     code, out, _ = _run(["solve", "--c-h", "1e308", path], capsys)
     assert code == 0
-    assert out == f"value {edmonds_karp(parse_instance(BRIDGE).inst).stats.value}\n"
+    assert out == f"value {edmonds_karp(parse_instance(BRIDGE)).stats.value}\n"
     code, out, _ = _run(["sparse-cut", "--kappa", "1", "--c-6", "1e308", path], capsys)
     assert code == 0
     assert out == _run(["sparse-cut", "--kappa", "1", path], capsys)[1]
@@ -428,7 +428,7 @@ def test_phi_below_float_range_hits_the_n2_cap(tmp_path, capsys):
     tiny = "1/1" + "0" * 400
     code, out, _ = _run(["solve", "--phi", tiny, path], capsys)
     assert code == 0
-    assert out == f"value {edmonds_karp(parse_instance(BRIDGE).inst).stats.value}\n"
+    assert out == f"value {edmonds_karp(parse_instance(BRIDGE)).stats.value}\n"
     code, out, _ = _run(["sparse-cut", "--kappa", "1", "--phi", "1/1" + "0" * 200, path],
                         capsys)
     assert code == 0
@@ -469,7 +469,7 @@ def test_hierarchy_with_capacities_beyond_float_range(tmp_path, capsys):
     # the summary is the build's own validation of the hierarchy it returns
     assert out.splitlines()[1] == "VALID"
     with open(graph) as fh:
-        g = parse_instance(fh.read()).inst.g
+        g = parse_instance(fh.read()).g
     with open(hier) as fh:
         h = hierarchy_from_text(fh.read(), g)
     assert sorted(h.d.union(*h.levels)) == list(range(3 * n))
@@ -514,7 +514,7 @@ def test_solve_fuzz_exact_value_or_error_line(tmp_path_factory, rng, phi, seed):
         except SystemExit as exc:  # argparse rejects the value itself
             code = exc.code
     try:
-        want = edmonds_karp(parse_instance(text).inst).stats.value
+        want = edmonds_karp(parse_instance(text)).stats.value
     except HierflowError:
         want = None
         assert code == 2  # a fault in the input file
@@ -561,7 +561,7 @@ def _fuzz_hierarchy_text(rng, text):
     """The hierarchy `hierarchy` builds for the text, sometimes with one
     line dropped or one level changed; a stub when the text has a fault."""
     try:
-        inst = parse_instance(text).inst
+        inst = parse_instance(text)
         built = build_hierarchy(inst.g, inst.cap, seed=rng.randrange(4))
     except HierflowError:
         return "0 0\n"
@@ -577,7 +577,7 @@ def _fuzz_hierarchy_text(rng, text):
 
 def _check_fuzz_result(cmd, argv, text, code, out):
     """Check one successful run's output against the instance."""
-    inst = parse_instance(text).inst
+    inst = parse_instance(text)
     g = inst.g
     if cmd == "hierarchy":
         phi = argv[argv.index("--phi") + 1] if "--phi" in argv else None
@@ -642,7 +642,7 @@ def test_other_subcommands_fuzz_checked_result_or_error_line(tmp_path_factory, r
     code, out, err = _fuzz_run(argv + [str(path)])
     assert "Traceback" not in err
     try:
-        g = parse_instance(text).inst.g
+        g = parse_instance(text).g
         if cmd == "validate":
             hierarchy_from_text(hier_text, g)
     except HierflowError:

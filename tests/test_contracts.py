@@ -1,6 +1,7 @@
 """No contract in the library rests on `assert`, which `python -O` strips,
 or on raising Python's recursion limit, no `SolverConfig` field goes
-unread, and no module imports a name it never reads.
+unread, no module or script imports a name it never reads, and every
+name the package exports is read outside the tests.
 
 There is no `assert` exception: the push-relabel debug oracle
 `_assert_invariants` raises `SolverInvariantError` too, so its checks
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import hierflow
 from hierflow.config import SolverConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _raises_assertion_error(node):
@@ -108,3 +111,28 @@ def test_library_imports_only_names_it_reads():
               if path.name != "__init__.py"
               for name, line in _unread_imports(ast.parse(path.read_text(), str(path)))]
     assert unread == []
+
+
+def test_scripts_import_only_names_they_read():
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted((ROOT / "scripts").glob("*.py"))
+              for name, line in _unread_imports(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def _loads(tree):
+    """Names a module reads: loaded names and loaded attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    """Read by a library module other than `__init__.py`, a script or the
+    benchmark; a name only the tests read is no longer the package's."""
+    modules = [path for path in Path(hierflow.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"]
+    modules += list((ROOT / "scripts").glob("*.py")) + list((ROOT / "benchmark").glob("*.py"))
+    read = set()
+    for path in modules:
+        read |= _loads(ast.parse(path.read_text(), str(path)))
+    assert [name for name in hierflow.__all__ if name not in read] == []

@@ -23,12 +23,10 @@ a 1 2 5
 
 
 def test_parse_single_edge_dimacs():
-    f = parse_instance(SINGLE)
-    assert f.inst.n == 2 and f.inst.m == 1
-    assert f.source == 0 and f.sink == 1
-    inst = f.inst
+    inst = parse_instance(SINGLE)
+    assert inst.n == 2 and inst.m == 1
     assert inst.cap == [5]
-    assert inst.delta[0] == 6 and inst.nabla[1] == 6  # sum caps + 1
+    assert inst.delta == [6, 0] and inst.nabla == [0, 6]  # sum caps + 1
 
 
 def test_parse_dimacs_missing_sink():
@@ -60,18 +58,20 @@ def test_dimacs_round_trip_on_generated():
                        m=rng.randint(4, 20), k=rng.randint(2, 4),
                        rows=rng.randint(2, 3), cols=rng.randint(2, 3))
         text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
-        parsed = parse_instance(text, gen.name)
-        text2 = emit_dimacs(parsed.inst.n,
-                            [(parsed.inst.g.tails[e], parsed.inst.g.heads[e],
-                              parsed.inst.cap[e]) for e in range(parsed.inst.m)],
-                            parsed.source, parsed.sink, gen.name)
+        parsed = parse_instance(text)
+        s = next(v for v in range(parsed.n) if parsed.delta[v])
+        t = next(v for v in range(parsed.n) if parsed.nabla[v])
+        text2 = emit_dimacs(parsed.n,
+                            [(parsed.g.tails[e], parsed.g.heads[e],
+                              parsed.cap[e]) for e in range(parsed.m)],
+                            s, t, gen.name)
         assert text == text2
 
 
 def test_parse_diffusion_header_only():
-    f = parse_instance("p diff 3 0\n")
-    assert f.inst.n == 3 and f.inst.m == 0
-    assert sum(f.inst.delta) == 0
+    inst = parse_instance("p diff 3 0\n")
+    assert inst.n == 3 and inst.m == 0
+    assert sum(inst.delta) == 0
 
 
 def test_parse_diffusion_rejects_oversupply():
@@ -88,18 +88,18 @@ def test_parse_diffusion_rejects_negative_capacity():
 
 def test_diffusion_round_trip():
     text = "c x\np diff 3 2\na 1 2 2\na 2 3 1\nsrc 1 2\nsnk 3 2\nsnk 2 1\n"
-    f = parse_instance(text)
-    emitted = emit_diffusion(f.inst, "x")
-    f2 = parse_instance(emitted)
-    assert f2.inst.delta == f.inst.delta
-    assert f2.inst.nabla == f.inst.nabla
-    assert f2.inst.cap == f.inst.cap
-    assert emit_diffusion(f2.inst, "x") == emitted
+    inst = parse_instance(text)
+    emitted = emit_diffusion(inst, "x")
+    inst2 = parse_instance(emitted)
+    assert inst2.delta == inst.delta
+    assert inst2.nabla == inst.nabla
+    assert inst2.cap == inst.cap
+    assert emit_diffusion(inst2, "x") == emitted
 
 
 def test_parse_instance_dispatch():
-    assert parse_instance(SINGLE).source == 0
-    assert parse_instance("p diff 2 0\n").source is None
+    assert parse_instance(SINGLE).delta == [6, 0]
+    assert parse_instance("p diff 2 0\n").delta == [0, 0]
     with pytest.raises(ParseError):
         parse_instance("c nothing\n")
 
@@ -161,7 +161,7 @@ def test_dumbbell_min_cut_is_bridge():
 @given(st.randoms(use_true_random=False))
 def test_parse_instance_fuzz_typed_error_or_exact_value(rng):
     try:
-        inst = parse_instance(random_instance_text(rng)).inst
+        inst = parse_instance(random_instance_text(rng))
     except HierflowError:
         return
     assert max_flow_exact(inst).stats.value == edmonds_karp(inst).stats.value

@@ -1,9 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hierflow.builder import build_hierarchy
+from hierflow.errors import BuildFailedError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,3 +29,25 @@ def test_bad_script_flag_exit_2_with_error_line(script, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert any("error:" in line for line in proc.stderr.splitlines())
+
+
+def test_hierarchy_report_names_a_failed_build_and_exits_1(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("hierarchy_report",
+                                                  ROOT / "scripts" / "hierarchy_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+
+    def fails(g, caps, phi, seed):
+        if seed == 1:
+            raise BuildFailedError("no valid hierarchy after 5 attempts")
+        return build_hierarchy(g, caps, phi, seed=seed)
+
+    monkeypatch.setattr(report, "build_hierarchy", fails)
+    assert report.main(["--n", "4", "--seeds", "2"]) == 1
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors and all(" seed 1: no valid hierarchy" in line for line in errors)
+    assert "error: cycle seed 1:" in errors[0]
+    assert "Traceback" not in err
+    rows = out.splitlines()[1:]
+    assert rows and all(row.split("\t")[3] == "0" for row in rows)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hierflow.config import DEFAULT_CONFIG
+from hierflow.config import DEFAULT_CONFIG, default_phi
 from hierflow.errors import NotStronglyConnectedError
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, residual
 from hierflow.hierarchy import Hierarchy, respecting_topo_order
@@ -67,6 +67,18 @@ def test_sparse_cut_routable_single_edge():
     out = sparse_cut(inst, 1, set(), _trivial_hier_for(g), check_connected=False)
     assert out.cut is None
     assert out.value == 1
+
+
+def test_sparse_cut_phi_defaults_to_default_phi():
+    # on the 2-cycle phi = 1/2 would give height 2, default_phi(2) = 1/16 gives 4
+    g, caps = build_graph(2, [(0, 1, 1), (1, 0, 1)])
+    inst = FlowInstance(g, caps, [1, 0], [0, 1])
+    hier = _all_terminal_hier(g)
+    implicit = sparse_cut(inst, 1, {0, 1}, hier)
+    explicit = sparse_cut(inst, 1, {0, 1}, hier, phi=default_phi(2))
+    assert implicit.h == explicit.h == 4
+    assert (implicit.value, implicit.cut, implicit.flow.values) == (
+        explicit.value, explicit.cut, explicit.flow.values)
 
 
 def _trivial_hier_for(g):
