@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import LevelViolationError, NotAcyclicError, ParseError
@@ -390,6 +390,20 @@ def _draw_tops(rng: random.Random, draws: int) -> bytes:
                     for c in (min(_CHUNK, draws - d) for d in range(0, draws, _CHUNK)))
 
 
+def _by_value(weighted: Iterable[Tuple[Any, int]]) -> List[Tuple[int, List[Any]]]:
+    """The keys of the nonzero weights, grouped by weight: (w, keys) pairs."""
+    groups: Dict[int, List[Any]] = {}
+    for key, w in weighted:
+        if w:
+            groups.setdefault(w, []).append(key)
+    return list(groups.items())
+
+
+def _lane_sum(groups: List[Tuple[int, List[int]]], xs: List[int]) -> int:
+    """sum of w * xs[i] over the groups' keys i, one multiplication per group."""
+    return sum(w * sum(xs[i] for i in keys) for w, keys in groups)
+
+
 def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction,
                  rng: random.Random, budget: int) -> Optional[List[int]]:
     """The first phi-sparse cut of `budget` random cuts, bit-sliced as
@@ -407,7 +421,11 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
         sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
-    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Cut j is sparse
+    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Each sum is taken
+    by weight: sum over distinct weights c of c * (the sum of the X of
+    weight c), so a batch makes one multiplication per distinct weight, not
+    one per edge or vertex; no inner sum leaves its lane, since it is at
+    most the weighted one.  Cut j is sparse
     when c * den < num * vol(S) and c * den < num * vol(S-bar) for c one
     of its two capacities (vol(S) = 0 or vol(S-bar) = 0 fails one test,
     since c >= 0).  Each test x < y is made in every lane at once: the
@@ -427,10 +445,8 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
         incap[v] += c
         key = (u, v) if u < v else (v, u)
         pair_cap[key] = pair_cap.get(key, 0) + c
-    pairs = [(u, v, c) for (u, v), c in pair_cap.items() if c]
-    out_w = [(i, c) for i, c in enumerate(outcap) if c]
-    in_w = [(i, c) for i, c in enumerate(incap) if c]
-    vol_w = [(i, x) for i, x in enumerate(vol) if x]
+    pairs = _by_value(pair_cap.items())
+    out_w, in_w, vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
     total = sum(vol)
     num, den = phi.numerator, phi.denominator
     width = ((max(total, sum(outcap)) * max(num, den)).bit_length() + 8) // 8
@@ -448,10 +464,10 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
             xs.append(int.from_bytes(lanes, "little"))
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
         guard = ones << (lane_bits - 1)
-        cross = sum(c * (xs[u] & xs[v]) for u, v, c in pairs)
-        c_out = (sum(c * xs[i] for i, c in out_w) - cross) * den  # c(S, S-bar) * den
-        c_in = (sum(c * xs[i] for i, c in in_w) - cross) * den  # c(S-bar, S) * den
-        v_s = num * sum(x * xs[i] for i, x in vol_w)  # num * vol(S)
+        cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in pairs)
+        c_out = (_lane_sum(out_w, xs) - cross) * den  # c(S, S-bar) * den
+        c_in = (_lane_sum(in_w, xs) - cross) * den  # c(S-bar, S) * den
+        v_s = num * _lane_sum(vol_w, xs)  # num * vol(S)
         g_s = guard - ones + v_s  # G + num * vol(S) - 1
         g_t = guard - ones + num * total * ones - v_s  # G + num * vol(S-bar) - 1
         hit = ((g_s - c_out) & (g_t - c_out) | (g_s - c_in) & (g_t - c_in)) & guard
