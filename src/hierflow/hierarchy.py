@@ -17,10 +17,12 @@ Small components get an exact answer from `exhaustive_worst_cut`, a
 branch and bound over all 2^(k-1) proper cuts that drops every subtree
 whose boundary and volume bounds already rule out a cut sparser than phi
 (or than the best cut found so far); large ones only get falsification
-by `sampled_sparse_cut`.  Its random cuts are tested 512 at a time: cut
-j of a batch owns byte lane j of one int per vertex, so boundary
-capacities and volumes of the whole batch come from big-int ANDs and
-sums over the edges.  The cuts are drawn in the order a cut-by-cut loop
+by `sampled_sparse_cut`.  Each of its random cuts is one
+`getrandbits(32 * ceil(k / 32))` draw, vertex i in S when bit i is set,
+and the cuts are tested 512 at a time: cut j of a batch owns byte lane j
+of one int per vertex, so boundary capacities and volumes of the whole
+batch come from big-int ANDs and sums, one multiplication per distinct
+capacity or volume.  The cuts are drawn in the order a cut-by-cut loop
 draws them, and on a hit the rng is rewound and replayed up to the
 witness, so the witness and the rng state match that loop exactly.
 """
@@ -322,17 +324,17 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     witness side as ascending vertex indices of g, or None; None proves
     nothing.
 
-    Draw order: random cut j puts vertex i (0 <= i < k) in S when the
-    (j * k + i)-th `rng.random()` of the phase would be below 1/2, and
-    the first phi-sparse cut in j order is the witness.  `_random_cuts`
-    takes a batch of b cuts' draws as the 2 * b * k 32-bit Mersenne
-    Twister words that b * k `random()` calls would use, in `getrandbits`
-    calls of at most 64 KiB, and tests all b cuts at once, cut j in lane j of
-    one int per vertex.  On a hit in lane j the rng is set back to its
-    state at the batch start and the words of (j + 1) * k draws are taken
-    again, so the witness, and the rng state the level-cut phase and later
-    callers see, are those of a loop that calls `random()` once per vertex
-    and tests one cut at a time.
+    Draw order: random cut j of the phase is the j-th call of
+    `rng.getrandbits(32 * W)`, W = ceil(k / 32) 32-bit Mersenne Twister
+    words, and puts vertex i (0 <= i < k) in S when bit i of it is set;
+    the first phi-sparse cut in j order is the witness.  Every cut is
+    uniform over all 2^k subsets.  `_random_cuts` takes a batch of b cuts
+    as the next b * W words, in `getrandbits` calls of at most 64 KiB, and
+    tests all b cuts at once, cut j in lane j of one int per vertex.  On a
+    hit in lane j the rng is set back to its state at the batch start and
+    (j + 1) * W words are taken again, so the witness, and the rng state
+    the level-cut phase and later callers see, are those of a loop that
+    calls `getrandbits(32 * W)` once per cut and tests one cut at a time.
     """
     k = g.n
     if k <= 1:
@@ -372,22 +374,24 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
 # random cuts evaluated together by _random_cuts, one lane each
 _BATCH = 512
 
-# draws per `getrandbits` call: 64 KiB of words, so neither the int nor
+# 32-bit words per `getrandbits` call: 64 KiB, so neither the int nor
 # its bytes reach glibc's 128 KiB mmap threshold and no batch's timing
-# depends on whether such blocks went back to the OS
-_CHUNK = 8192
+# depends on whether such blocks went back to the OS; a batch of _BATCH
+# cuts of W words spans more than one call only when W > 32 (k > 1,024)
+_CHUNK = 16384
 
-# byte -> 1 when its top bit is clear: the high byte of a draw's first
-# 32-bit word, mapped to whether `random() < 0.5` for that draw
-_TOP = bytes(x < 0x80 for x in range(256))
+# _BIT[t] maps a byte to its bit t: byte q of a cut's words, read through
+# _BIT[t], is the flag of vertex 8 * q + t
+_BIT = [bytes(x >> t & 1 for x in range(256)) for t in range(8)]
 
 
-def _draw_tops(rng: random.Random, draws: int) -> bytes:
-    """The high byte of the first word of each of the next `draws`
-    `random()` draws, taken in `getrandbits` calls of at most _CHUNK
-    draws; the rng ends where `draws` calls of `random()` leave it."""
-    return b"".join(rng.getrandbits(64 * c).to_bytes(8 * c, "little")[3::8]
-                    for c in (min(_CHUNK, draws - d) for d in range(0, draws, _CHUNK)))
+def _draw_words(rng: random.Random, words: int) -> bytes:
+    """The next `words` 32-bit words of rng as little-endian bytes, first
+    word first, taken in `getrandbits` calls of at most _CHUNK words; the
+    bytes and the rng's end state are those of one
+    `getrandbits(32 * words).to_bytes(4 * words, "little")`."""
+    return b"".join(rng.getrandbits(32 * c).to_bytes(4 * c, "little")
+                    for c in (min(_CHUNK, words - d) for d in range(0, words, _CHUNK)))
 
 
 def _by_value(weighted: Iterable[Tuple[Any, int]]) -> List[Tuple[int, List[Any]]]:
@@ -409,14 +413,12 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     """The first phi-sparse cut of `budget` random cuts, bit-sliced as
     `sampled_sparse_cut` describes; the witness's vertex indices, or None.
 
-    Draws: `random()` takes two 32-bit words a, b and returns
-    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, which is below 1/2 exactly when
-    the top bit of a is 0.  `getrandbits(64 * n)` takes the same 2n words
-    in the same order and puts the first least significant, so byte
-    8 * d + 3 of its little-endian bytes is the high byte of draw d's
-    word a, and the rng ends where n `random()` calls leave it.
-    Consecutive calls continue the word stream, so `_draw_tops` takes a
-    batch's draws in chunks and joins their high bytes.
+    Draws: `getrandbits(32 * W)` takes W words and puts the first least
+    significant, so bit i of cut j is bit i & 7 of byte i >> 3 of the cut's
+    4 * W little-endian bytes.  Consecutive calls continue the word stream,
+    so the b cuts of a batch are the b * W words `_draw_words` returns, cut
+    j at bytes 4 * W * j onwards; the bytes q, q + 4 * W, ... hold byte q of
+    every cut, and `_BIT[t]` turns them into the flags of vertex 8 * q + t.
 
     Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
@@ -451,17 +453,20 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     num, den = phi.numerator, phi.denominator
     width = ((max(total, sum(outcap)) * max(num, den)).bit_length() + 8) // 8
     lane_bits = 8 * width
+    words = (k + 31) >> 5  # per cut
+    step = 4 * words  # bytes per cut
     done = 0
     while done < budget:
         b = min(_BATCH, budget - done)
         start = rng.getstate()
-        # cut-major: flags[j * k + i] is 1 when cut j puts vertex i in S
-        flags = _draw_tops(rng, b * k).translate(_TOP)
+        stream = _draw_words(rng, b * words)
         lanes = bytearray(b * width)
         xs = []
-        for i in range(k):
-            lanes[::width] = flags[i::k]
-            xs.append(int.from_bytes(lanes, "little"))
+        for q in range((k + 7) >> 3):
+            column = stream[q::step]  # byte q of every cut
+            for bit in _BIT[:k - 8 * q]:
+                lanes[::width] = column.translate(bit)
+                xs.append(int.from_bytes(lanes, "little"))
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
         guard = ones << (lane_bits - 1)
         cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in pairs)
@@ -474,8 +479,9 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
         if hit:
             j = ((hit & -hit).bit_length() - 1) // lane_bits
             rng.setstate(start)
-            _draw_tops(rng, (j + 1) * k)
-            return [i for i in range(k) if flags[j * k + i]]
+            _draw_words(rng, (j + 1) * words)
+            cut = int.from_bytes(stream[step * j:step * (j + 1)], "little")
+            return [i for i in range(k) if cut >> i & 1]
         done += b
     return None
 

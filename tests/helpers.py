@@ -264,6 +264,13 @@ def gray_worst_cut(g, cap, vol) -> Tuple[Optional[Fraction], Optional[List[int]]
     return Fraction(best_num, best_den), [i for i in range(k) if gray >> i & 1]
 
 
+def random_cut_flags(rng: random.Random, k: int) -> List[bool]:
+    """One random cut of k vertices as the sampler draws it: the next
+    `getrandbits(32 * ceil(k / 32))`, vertex i in S when bit i is set."""
+    x = rng.getrandbits(32 * ((k + 31) // 32))
+    return [bool(x >> i & 1) for i in range(k)]
+
+
 def per_cut_sampled_cut(g, cap, vol, phi: Fraction, rng: random.Random,
                         budget: int) -> Optional[List[int]]:
     """Falsification-only search for a phi-sparse cut of (g, cap), one
@@ -280,9 +287,9 @@ def per_cut_sampled_cut(g, cap, vol, phi: Fraction, rng: random.Random,
     k = g.n
     if k <= 1:
         return None
-    # random subsets
+    # random subsets: one draw per cut, vertex i in S when bit i is set
     for _ in range(budget):
-        ev.assign([rng.random() < 0.5 for _ in range(k)])
+        ev.assign(random_cut_flags(rng, k))
         if ev.sparse(phi):  # never for S empty or S = V: one side has no volume
             return ev.side()
     # level cuts of BFS labelings from random sources, both directions;

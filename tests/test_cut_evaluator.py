@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+from hierflow import hierarchy
 from hierflow.graph import DiGraph, scc_subgraph
 from hierflow.hierarchy import _BATCH, _CHUNK, CutEvaluator, sampled_sparse_cut
 
-from helpers import cut_sparsity, local_cut_input, per_cut_sampled_cut, scc_from_closure
+from helpers import (cut_sparsity, local_cut_input, per_cut_sampled_cut, random_cut_flags,
+                     scc_from_closure)
 
 
 def _random_multigraph(rng, k, m):
@@ -103,15 +105,14 @@ def test_sampled_witnesses_are_sparse_by_recount():
 
 
 class _CountingRandom(random.Random):
-    """Counts `random()` calls: the reference's draws before its witness."""
+    """Counts the reference's per-cut draws before its witness: its
+    `getrandbits` calls of 32 bits or more (`randrange(k)` for a BFS
+    source asks for k.bit_length() < 32 bits)."""
 
-    calls = 0
+    draws = 0
 
-    def random(self):
-        self.calls += 1
-        return super().random()
-
-    def getrandbits(self, k):  # keeps randrange on getrandbits, as in Random
+    def getrandbits(self, k):
+        self.draws += k >= 32
         return super().getrandbits(k)
 
 
@@ -121,21 +122,25 @@ _BUDGETS = [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 7]
 
 def _same_as_reference(verts, edges, volw, phi, seed, budget):
     """Run both searches from one seed; assert the same witness and end
-    state, and return the reference's (witness, random() calls)."""
+    state, and return the reference's (witness, per-cut draws)."""
     mine, ref = random.Random(seed), _CountingRandom(seed)
     g, cap, vol, back = local_cut_input(verts, edges, volw)
     side = back(sampled_sparse_cut(g, cap, vol, phi, mine, budget))
     want = back(per_cut_sampled_cut(g, cap, vol, phi, ref, budget))
     assert side == want
     assert mine.getstate() == ref.getstate()
-    return want, ref.calls
+    return want, ref.draws
+
+
+# k at and around the 32-bit word boundaries of a cut's draw
+_WORD_EDGES = [31, 32, 33, 64, 65]
 
 
 def test_sampled_sparse_cut_matches_per_cut_reference():
     rng = random.Random(404)
     lanes = set()
-    for case in range(240):
-        k = rng.randint(2, 30)
+    for case in range(240 + 4 * len(_WORD_EDGES)):
+        k = rng.randint(2, 30) if case < 240 else _WORD_EDGES[case % len(_WORD_EDGES)]
         big = rng.choice([5, 5, 10 ** 6, 10 ** 30])  # lanes of 1 to 13 bytes
         edges = []
         for _ in range(rng.randint(0, 4 * k)):
@@ -151,11 +156,25 @@ def test_sampled_sparse_cut_matches_per_cut_reference():
                     for v in range(k) if rng.random() < 0.9}
         budget = _BUDGETS[case % len(_BUDGETS)]
         phi = _PHIS[case // len(_BUDGETS) % len(_PHIS)]
-        side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+        side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                          rng.getrandbits(32), budget)
-        if side is not None and calls < budget * k:
-            lanes.add((calls // k - 1) % _BATCH)
+        if side is not None and draws < budget:
+            lanes.add((draws - 1) % _BATCH)
     assert 0 in lanes and len(lanes) > 3  # hits in the first lane and beyond it
+
+
+def _planted_seed(k, target):
+    """The first seed whose target-th random cut of k vertices is proper
+    and, up to complement, not among the cuts drawn before it."""
+    seed = 0
+    while True:
+        r = random.Random(seed)
+        cuts = [tuple(random_cut_flags(r, k)) for _ in range(target + 1)]
+        plant = cuts[target]
+        flipped = tuple(not x for x in plant)
+        if 0 < sum(plant) < k and plant not in cuts[:target] and flipped not in cuts[:target]:
+            return seed, plant
+        seed += 1
 
 
 def test_sampled_sparse_cut_planted_hit_in_every_lane_position():
@@ -164,23 +183,15 @@ def test_sampled_sparse_cut_planted_hit_in_every_lane_position():
     k = 18
     heavy = 10 ** 30
     for target in [0, 1, _BATCH // 2, _BATCH - 1, _BATCH, 2 * _BATCH - 1, 3 * _BATCH + 6]:
-        seed = 0
-        while True:
-            r = random.Random(seed)
-            cuts = [tuple(r.random() < 0.5 for _ in range(k)) for _ in range(target + 1)]
-            plant = cuts[target]
-            flipped = tuple(not x for x in plant)
-            if 0 < sum(plant) < k and plant not in cuts[:target] and flipped not in cuts[:target]:
-                break
-            seed += 1
+        seed, plant = _planted_seed(k, target)
         edges = [(u, v, heavy) for u in range(k) for v in range(k)
                  if u != v and (plant[u] == plant[v] or plant[u])]
         volw = {v: 1 for v in range(k)}
         for phi in (Fraction(1, 16), Fraction(9, 10)):
             for budget in (target + 1, 3 * _BATCH + 7):
-                side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                                  seed, budget)
-                assert calls == (target + 1) * k
+                assert draws == target + 1
                 assert side == [v for v in range(k) if plant[v]]
 
 
@@ -198,9 +209,9 @@ def test_sampled_sparse_cut_matches_per_cut_reference_at_wide_phi():
         volw = {v: rng.randint(0, 5) for v in range(k)}
         budget = _BUDGETS[case % len(_BUDGETS)]
         phi = _WIDE_PHIS[case // len(_BUDGETS) % len(_WIDE_PHIS)]
-        side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+        side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                          rng.getrandbits(32), budget)
-        found += side is not None and calls < budget * k
+        found += side is not None and draws < budget
     assert found >= 10
 
 
@@ -216,23 +227,9 @@ def test_sampled_sparse_cut_cut_capacity_filling_its_lane():
     for phi in _WIDE_PHIS:
         for bits in range(72, 104):
             heavy = 2 ** bits * 97 // 100 // phi.denominator - len(light)
-            side, _calls = _same_as_reference(list(range(k)), light + [(0, 1, heavy)],
+            side, _draws = _same_as_reference(list(range(k)), light + [(0, 1, heavy)],
                                               volw, phi, bits, 2 * _BATCH)
             assert side is None
-
-
-def _planted_seed(k, target):
-    """The first seed whose target-th random cut of k vertices is proper
-    and, up to complement, not among the cuts drawn before it."""
-    seed = 0
-    while True:
-        r = random.Random(seed)
-        cuts = [tuple(r.random() < 0.5 for _ in range(k)) for _ in range(target + 1)]
-        plant = cuts[target]
-        flipped = tuple(not x for x in plant)
-        if 0 < sum(plant) < k and plant not in cuts[:target] and flipped not in cuts[:target]:
-            return seed, plant
-        seed += 1
 
 
 def test_sampled_sparse_cut_is_strict_at_ratio_phi():
@@ -253,12 +250,12 @@ def test_sampled_sparse_cut_is_strict_at_ratio_phi():
             for c in (phi.numerator * s, phi.numerator * s - 1):
                 edges = inside + [back + (c,)]
                 for budget in (target + 1, 3 * _BATCH + 7):
-                    side, calls = _same_as_reference(list(range(k)), edges, volw, phi,
+                    side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                                      seed, budget)
                     if c == phi.numerator * s:
                         assert side is None
                     else:
-                        assert calls == (target + 1) * k
+                        assert draws == target + 1
                         assert side == [v for v in range(k) if plant[v]]
 
 
@@ -276,32 +273,79 @@ def _two_heavy_cycles(plant, heavy):
     return edges
 
 
-def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference():
-    """k = 200: a batch's draws span 13 `getrandbits` chunks.  Budgets end
-    inside a chunk, just past one and inside a later batch, and the one
-    sparse cut is planted where its draws straddle chunk boundaries; the
-    witness and the rng state are those of one `random()` per vertex."""
-    k = 200
-    assert _BATCH * k > 12 * _CHUNK and _BATCH * k % _CHUNK and _CHUNK % k
+def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference(monkeypatch):
+    """A batch spans more than one `getrandbits` chunk only above k = 1,024,
+    so here _CHUNK is lowered to 45 words: at k = 200 (7 words per cut) a
+    batch's 3,584 words span 80 chunks, and as 45 is no multiple of 7 some
+    cuts' words straddle two chunks.  Budgets end inside a chunk, just past
+    one and inside a later batch, and the one sparse cut is planted where
+    its words straddle chunk boundaries; the witness and the rng state are
+    those of one `getrandbits(32 * 7)` per cut."""
+    chunk, k, words = 45, 200, 7
+    monkeypatch.setattr(hierarchy, "_CHUNK", chunk)
+    assert _BATCH * words > 12 * chunk and _BATCH * words % chunk and chunk % words
     volw = {v: 1 for v in range(k)}
     phi = Fraction(1, 16)
     # one heavy bidirected cycle through all k: no cut is sparse
     no_cut = [(u, (u + 1) % k, 10 ** 6) for u in range(k)]
     no_cut += [(v, u, c) for u, v, c in no_cut]
-    for budget in (1, _CHUNK // k, _CHUNK // k + 1, _BATCH, _BATCH + 1):
-        side, calls = _same_as_reference(list(range(k)), no_cut, volw, phi, budget, budget)
-        assert side is None and calls == budget * k
-    # cuts whose draws straddle a chunk boundary of their batch, and the
+    for budget in (1, chunk // words, chunk // words + 1, _BATCH, _BATCH + 1):
+        side, draws = _same_as_reference(list(range(k)), no_cut, volw, phi, budget, budget)
+        assert side is None and draws == budget
+    # cuts whose words straddle a chunk boundary of their batch, and the
     # batch's last cut, inside its last, partial chunk
     straddling = [t for t in range(2 * _BATCH)
-                  if t % _BATCH * k // _CHUNK < ((t % _BATCH + 1) * k - 1) // _CHUNK]
+                  if t % _BATCH * words // chunk < ((t % _BATCH + 1) * words - 1) // chunk]
     for target in straddling[:2] + [_BATCH - 1, straddling[-1]]:
         seed, plant = _planted_seed(k, target)
         edges = _two_heavy_cycles(plant, 10 ** 6)
         for budget in (target + 1, target + 2, 2 * _BATCH + 1):
-            side, calls = _same_as_reference(list(range(k)), edges, volw, phi, seed, budget)
-            assert calls == (target + 1) * k
+            side, draws = _same_as_reference(list(range(k)), edges, volw, phi, seed, budget)
+            assert draws == target + 1
             assert side == [v for v in range(k) if plant[v]]
+
+
+def test_sampled_sparse_cut_spans_two_chunks_above_1024_vertices():
+    """k = 1,025 takes 33 words per cut, so a batch's 16,896 words take two
+    `getrandbits` calls at the real _CHUNK, and cut 496's words straddle
+    them; planted there, it is the witness after 497 draws."""
+    k, words = 1025, 33
+    target = _CHUNK // words
+    assert _BATCH * words > _CHUNK and target * words < _CHUNK < (target + 1) * words
+    seed, plant = _planted_seed(k, target)
+    side, draws = _same_as_reference(list(range(k)), _two_heavy_cycles(plant, 10 ** 6),
+                                     {v: 1 for v in range(k)}, Fraction(1, 16), seed,
+                                     _BATCH + 1)
+    assert draws == target + 1
+    assert side == [v for v in range(k) if plant[v]]
+
+
+def test_sampled_sparse_cut_planted_hit_at_word_boundaries():
+    """Cuts of 31 to 65 vertices take one to three words; the planted cut,
+    in the first lane, a later one, the batch's last and the next batch's,
+    is read bit for bit on both sides of each word boundary."""
+    for k in _WORD_EDGES:
+        volw = {v: 1 for v in range(k)}
+        for target in (0, 7, _BATCH - 1, _BATCH + 2):
+            seed, plant = _planted_seed(k, target)
+            side, draws = _same_as_reference(list(range(k)), _two_heavy_cycles(plant, 10 ** 6),
+                                             volw, Fraction(1, 16), seed, 2 * _BATCH + 1)
+            assert draws == target + 1
+            assert side == [v for v in range(k) if plant[v]]
+
+
+def test_sampled_cuts_give_each_vertex_its_own_fair_coin():
+    """Checked without the reference: with no edges and unit volumes every
+    proper cut is sparse, so budget 1 returns the next random cut.  Over
+    3,000 cuts of k = 40 vertices each vertex is in S 40-60 % of the time,
+    and no two vertices get the same flag sequence."""
+    k, cuts = 40, 3000
+    g, cap, vol, _back = local_cut_input(range(k), [], {v: 1 for v in range(k)})
+    rng = random.Random(606)
+    sides = [set(sampled_sparse_cut(g, cap, vol, Fraction(1, 2), rng, 1)) for _ in range(cuts)]
+    flags = [tuple(v in side for side in sides) for v in range(k)]
+    assert all(0.4 * cuts <= sum(f) <= 0.6 * cuts for f in flags)
+    assert len(set(flags)) == k
 
 
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
