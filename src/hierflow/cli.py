@@ -22,8 +22,17 @@ from .maxflow import (capacity_scaled_max_flow, dag_approx_flow, edmonds_karp,
 from .generators import generate
 from .sparse_cut import sparse_cut
 
+
+class _FileFault(Exception):
+    """A path on the command line that cannot be read or written: missing,
+    a directory, not permitted, or not text in the locale's encoding."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+
+
 PARSE_ERRORS = (ParseError, MissingSourceOrSinkError, ArcCountMismatchError,
-                NotDiffusionError, FileNotFoundError)
+                NotDiffusionError, _FileFault)
 ALGOS = ("exact", "ek")
 
 
@@ -52,9 +61,26 @@ def _algos_arg(text: str) -> List[str]:
     return algos
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _FileFault(path, exc.strerror) from None
+    except UnicodeDecodeError as exc:
+        raise _FileFault(path, str(exc)) from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _FileFault(path, exc.strerror) from None
+
+
 def _load(path: str) -> FlowInstance:
-    with open(path) as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read(path))
 
 
 def _config_from(args) -> "SolverConfig":
@@ -72,8 +98,7 @@ def _write_flow(path: str, inst: FlowInstance, flow) -> None:
         x = flow.values[e]
         if x:
             lines.append(f"f {g.tails[e] + 1} {g.heads[e] + 1} {x}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    _write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def cmd_solve(args) -> int:
@@ -142,8 +167,7 @@ def cmd_hierarchy(args) -> int:
     summary = (f"# seed {args.seed} phi {phi} eta {build.hierarchy.eta} "
                f"attempts {build.attempts}\n" + build.report.summary())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(summary)
     else:
         sys.stdout.write(text)
@@ -153,8 +177,7 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = _load(args.graph)
-    with open(args.hierarchy) as fh:
-        hier = hierarchy_from_text(fh.read(), inst.g)
+    hier = hierarchy_from_text(_read(args.hierarchy), inst.g)
     report = validate_hierarchy(inst.g, inst.cap, hier, args.phi, DEFAULT_CONFIG,
                                 random.Random(0))
     print(report.summary())
@@ -173,8 +196,7 @@ def cmd_gen(args) -> int:
     else:
         text = emit_diffusion(gen.instance(), gen.name)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -19,12 +19,15 @@ whose boundary and volume bounds already rule out a cut sparser than phi
 (or than the best cut found so far); large ones only get falsification
 by `sampled_sparse_cut`.  Each of its random cuts is one
 `getrandbits(32 * ceil(k / 32))` draw, vertex i in S when bit i is set,
-and the cuts are tested 512 at a time: cut j of a batch owns byte lane j
-of one int per vertex, so boundary capacities and volumes of the whole
+and the cuts are tested in batches: cut j of a batch owns byte lane j of
+one int per vertex, so boundary capacities and volumes of the whole
 batch come from big-int ANDs and sums, one multiplication per distinct
-capacity or volume.  The cuts are drawn in the order a cut-by-cut loop
-draws them, and on a hit the rng is rewound and replayed up to the
-witness, so the witness and the rng state match that loop exactly.
+capacity or volume.  A batch takes as many cuts as keep one such int
+within 4 KiB and the batch's draw within 64 KiB, and each vertex's int is
+a shift and a mask of one int per byte column of the draw.  The cuts are
+drawn in the order a cut-by-cut loop draws them, and on a hit the rng is
+rewound and replayed up to the witness, at most one batch's draw, so the
+witness and the rng state match that loop exactly.
 """
 from __future__ import annotations
 
@@ -329,10 +332,13 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     words, and puts vertex i (0 <= i < k) in S when bit i of it is set;
     the first phi-sparse cut in j order is the witness.  Every cut is
     uniform over all 2^k subsets.  `_random_cuts` takes a batch of b cuts
-    as the next b * W words, in `getrandbits` calls of at most 64 KiB, and
-    tests all b cuts at once, cut j in lane j of one int per vertex.  On a
-    hit in lane j the rng is set back to its state at the batch start and
-    (j + 1) * W words are taken again, so the witness, and the rng state
+    as the next b * W words and tests all b cuts at once, cut j in lane j
+    of one int per vertex, built by a shift and a mask from one int per
+    byte column of the words.  b is the most cuts that keep one lane int
+    within 4 KiB and the batch's words within one 64 KiB `getrandbits`
+    call, and at least one.  On a hit in lane j the rng is set back to its
+    state at the batch start and (j + 1) * W words are taken again, so a
+    hit costs at most one batch's draw, and the witness, and the rng state
     the level-cut phase and later callers see, are those of a loop that
     calls `getrandbits(32 * W)` once per cut and tests one cut at a time.
     """
@@ -371,18 +377,33 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     return None
 
 
-# random cuts evaluated together by _random_cuts, one lane each
-_BATCH = 512
+# bytes of one lane int: a batch takes the most cuts that keep each of
+# its ~k + m big-int operations within 4 KiB.  Smaller ints leave the
+# interpreter's per-operation cost setting the time (1 KiB ran about a
+# third slower at k = 48); larger ones gain little and add to the cuts a
+# batch tests past a witness
+_LANE_INT_BYTES = 4096
 
 # 32-bit words per `getrandbits` call: 64 KiB, so neither the int nor
 # its bytes reach glibc's 128 KiB mmap threshold and no batch's timing
-# depends on whether such blocks went back to the OS; a batch of _BATCH
-# cuts of W words spans more than one call only when W > 32 (k > 1,024)
+# depends on whether such blocks went back to the OS; a batch's draw
+# stays within one call (`_lane_layout`) unless one cut alone takes more
+# than _CHUNK words (k > 524,288)
 _CHUNK = 16384
 
-# _BIT[t] maps a byte to its bit t: byte q of a cut's words, read through
-# _BIT[t], is the flag of vertex 8 * q + t
-_BIT = [bytes(x >> t & 1 for x in range(256)) for t in range(8)]
+
+def _lane_layout(k: int, cap: Sequence[int], vol: Sequence[int],
+                 phi: Fraction) -> Tuple[int, int]:
+    """(bytes per lane, lanes per batch) of `_random_cuts` on k vertices.
+
+    A lane holds max(vol(V), total capacity) * max(num, den) of phi plus
+    a guard bit, in whole bytes.  A batch takes the most lanes that keep
+    one lane int within _LANE_INT_BYTES and the batch's draw of
+    ceil(k / 32) words per cut within _CHUNK words, and at least one.
+    """
+    width = ((max(sum(vol), sum(cap)) * max(phi.numerator, phi.denominator)).bit_length()
+             + 8) // 8
+    return width, max(1, min(_LANE_INT_BYTES // width, _CHUNK // ((k + 31) >> 5)))
 
 
 def _draw_words(rng: random.Random, words: int) -> bytes:
@@ -413,12 +434,18 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     """The first phi-sparse cut of `budget` random cuts, bit-sliced as
     `sampled_sparse_cut` describes; the witness's vertex indices, or None.
 
+    Batches: `_lane_layout` gives the lane width of L bytes and the b
+    cuts of a batch; the last batch takes what is left of the budget.
+
     Draws: `getrandbits(32 * W)` takes W words and puts the first least
     significant, so bit i of cut j is bit i & 7 of byte i >> 3 of the cut's
     4 * W little-endian bytes.  Consecutive calls continue the word stream,
     so the b cuts of a batch are the b * W words `_draw_words` returns, cut
     j at bytes 4 * W * j onwards; the bytes q, q + 4 * W, ... hold byte q of
-    every cut, and `_BIT[t]` turns them into the flags of vertex 8 * q + t.
+    every cut.  That byte column goes into byte 0 of every lane of a zeroed
+    buffer and is read as one int, col_q, so vertex 8 * q + t's lane int is
+    (col_q >> t) & ones, ones holding bit 0 of every lane: the shift moves
+    bits of lane j + 1 only into the top of lane j, which the mask clears.
 
     Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
@@ -437,6 +464,8 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     max(num, den) plus one bit for the guard, so -G <= y - x - 1 < G, no
     lane leaves [0, 2G), and no carry or borrow crosses a lane.  The first
     sparse cut is the lowest guard bit left after the tests are combined.
+    On a hit the rng is set back to the batch start and redraws the words
+    up to the witness, so a hit costs at most one batch's draw again.
     """
     k = g.n
     outcap = [0] * k
@@ -451,23 +480,22 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     out_w, in_w, vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
     total = sum(vol)
     num, den = phi.numerator, phi.denominator
-    width = ((max(total, sum(outcap)) * max(num, den)).bit_length() + 8) // 8
+    width, lanes = _lane_layout(k, cap, vol, phi)
     lane_bits = 8 * width
     words = (k + 31) >> 5  # per cut
     step = 4 * words  # bytes per cut
     done = 0
     while done < budget:
-        b = min(_BATCH, budget - done)
+        b = min(lanes, budget - done)
         start = rng.getstate()
         stream = _draw_words(rng, b * words)
-        lanes = bytearray(b * width)
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
+        buf = bytearray(b * width)
         xs = []
         for q in range((k + 7) >> 3):
-            column = stream[q::step]  # byte q of every cut
-            for bit in _BIT[:k - 8 * q]:
-                lanes[::width] = column.translate(bit)
-                xs.append(int.from_bytes(lanes, "little"))
-        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
+            buf[::width] = stream[q::step]  # byte q of every cut
+            col = int.from_bytes(buf, "little")
+            xs += [(col >> t) & ones for t in range(min(8, k - 8 * q))]
         guard = ones << (lane_bits - 1)
         cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in pairs)
         c_out = (_lane_sum(out_w, xs) - cross) * den  # c(S, S-bar) * den

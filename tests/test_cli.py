@@ -86,6 +86,30 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{missing}"],
+    ["solve", "{folder}"],
+    ["solve", "--flow", "{folder}", "{graph}"],
+    ["gen", "--model", "random", "--gen-n", "6", "--out", "{folder}"],
+    ["hierarchy", "--out", "{folder}", "{graph}"],
+    ["solve", "{binary}"],
+    ["validate", "--phi", "1/4", "{binary}", "{graph}"],
+], ids=["missing-input", "folder-input", "folder-flow", "folder-gen-out",
+        "folder-hierarchy-out", "binary-input", "binary-hierarchy"])
+def test_file_faults_exit_2_with_one_error_line_naming_the_path(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "absent.dimacs"), "folder": str(tmp_path / "folder"),
+             "graph": _write(tmp_path, "single.dimacs", SINGLE),
+             "binary": str(tmp_path / "binary.txt")}
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")
+    fault = next(paths[key] for key in ("missing", "folder", "binary")
+                 if "{%s}" % key in argv)
+    code, _out, err = _run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {fault}: ")
+
+
 @pytest.mark.parametrize("text, line", [
     ("p max 3 2\nn 1 s\nn 3 t\na 1 2 1\na 2 2 1\n", 5),
     ("p diff 2 1\nsrc 1 1\na 1 1 1\nsnk 2 1\n", 3),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hierflow import hierarchy
 from hierflow.graph import DiGraph, scc_subgraph
-from hierflow.hierarchy import _BATCH, _CHUNK, CutEvaluator, sampled_sparse_cut
+from hierflow.hierarchy import _CHUNK, CutEvaluator, _lane_layout, sampled_sparse_cut
 
 from helpers import (cut_sparsity, local_cut_input, per_cut_sampled_cut, random_cut_flags,
                      scc_from_closure)
@@ -117,7 +117,18 @@ class _CountingRandom(random.Random):
 
 
 _PHIS = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]
-_BUDGETS = [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 7]
+
+
+def _lanes_per_batch(k, edges, volw, phi):
+    """Cuts in a full batch of the sampled search on this input, as
+    `_random_cuts` sizes it."""
+    g, cap, vol, _back = local_cut_input(range(k), edges, volw)
+    return _lane_layout(k, cap, vol, phi)[1]
+
+
+def _budgets(b):
+    """Budgets around the first batch boundaries, for b cuts per batch."""
+    return [0, 1, b - 1, b, b + 1, 3 * b + 7]
 
 
 def _same_as_reference(verts, edges, volw, phi, seed, budget):
@@ -137,11 +148,15 @@ _WORD_EDGES = [31, 32, 33, 64, 65]
 
 
 def test_sampled_sparse_cut_matches_per_cut_reference():
+    """Random inputs with capacities and volumes from 0 to 2^200, so lanes
+    of 1 to 27 bytes and batches of 4,096 down to about 150 cuts; budgets
+    sit around each input's own batch boundaries."""
     rng = random.Random(404)
     lanes = set()
+    batches = set()
     for case in range(240 + 4 * len(_WORD_EDGES)):
         k = rng.randint(2, 30) if case < 240 else _WORD_EDGES[case % len(_WORD_EDGES)]
-        big = rng.choice([5, 5, 10 ** 6, 10 ** 30])  # lanes of 1 to 13 bytes
+        big = rng.choice([5, 5, 10 ** 6, 10 ** 30, 2 ** 200])
         edges = []
         for _ in range(rng.randint(0, 4 * k)):
             u, v = rng.randrange(k), rng.randrange(k)  # self-loops too
@@ -154,13 +169,16 @@ def test_sampled_sparse_cut_matches_per_cut_reference():
         else:  # zero, missing and up-to-`big` volumes
             volw = {v: rng.choice([0, 1, rng.randint(0, big)])
                     for v in range(k) if rng.random() < 0.9}
-        budget = _BUDGETS[case % len(_BUDGETS)]
-        phi = _PHIS[case // len(_BUDGETS) % len(_PHIS)]
+        phi = _PHIS[case // 6 % len(_PHIS)]
+        b = _lanes_per_batch(k, edges, volw, phi)
+        batches.add(b)
+        budget = _budgets(b)[case % 6]
         side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                          rng.getrandbits(32), budget)
         if side is not None and draws < budget:
-            lanes.add((draws - 1) % _BATCH)
+            lanes.add((draws - 1) % b)
     assert 0 in lanes and len(lanes) > 3  # hits in the first lane and beyond it
+    assert {4096, 2048} <= batches and min(batches) < 200  # short batches too
 
 
 def _planted_seed(k, target):
@@ -177,22 +195,41 @@ def _planted_seed(k, target):
         seed += 1
 
 
+def _one_way_cut(plant, heavy):
+    """Arcs of capacity `heavy` both ways inside each side of `plant`, one
+    way (S to S-bar) across it: `plant` is the one sparse cut.  On 18
+    vertices the total capacity is 225 to 289 heavy whatever the plant,
+    so for heavy = 2^96 or 2^200 the lane width, and with it the batch,
+    is the same for every plant."""
+    k = len(plant)
+    return [(u, v, heavy) for u in range(k) for v in range(k)
+            if u != v and (plant[u] == plant[v] or plant[u])]
+
+
+def _batch_of_plants(k, make_edges, volw, phi):
+    """Cuts per batch of the planted inputs `make_edges(plant)` on k
+    vertices, read from the plant of the first cut."""
+    return _lanes_per_batch(k, make_edges(_planted_seed(k, 0)[1]), volw, phi)
+
+
 def test_sampled_sparse_cut_planted_hit_in_every_lane_position():
-    """The target-th random cut is made the one sparse cut: arcs of
-    capacity 10^30 both ways inside each side of it, one way across."""
+    """The target-th random cut is made the one sparse cut, in the first
+    lanes, the middle and the last lane of a batch and the first of the
+    next, at lanes of 14 bytes (292 cuts per batch) and of 27 (151)."""
     k = 18
-    heavy = 10 ** 30
-    for target in [0, 1, _BATCH // 2, _BATCH - 1, _BATCH, 2 * _BATCH - 1, 3 * _BATCH + 6]:
-        seed, plant = _planted_seed(k, target)
-        edges = [(u, v, heavy) for u in range(k) for v in range(k)
-                 if u != v and (plant[u] == plant[v] or plant[u])]
-        volw = {v: 1 for v in range(k)}
+    volw = {v: 1 for v in range(k)}
+    for heavy in (2 ** 96, 2 ** 200):
         for phi in (Fraction(1, 16), Fraction(9, 10)):
-            for budget in (target + 1, 3 * _BATCH + 7):
-                side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
-                                                 seed, budget)
-                assert draws == target + 1
-                assert side == [v for v in range(k) if plant[v]]
+            b = _batch_of_plants(k, lambda p: _one_way_cut(p, heavy), volw, phi)
+            for target in [0, 1, b // 2, b - 1, b, 2 * b - 1, 3 * b + 6]:
+                seed, plant = _planted_seed(k, target)
+                edges = _one_way_cut(plant, heavy)
+                assert _lanes_per_batch(k, edges, volw, phi) == b
+                for budget in (target + 1, 3 * b + 7):
+                    side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
+                                                     seed, budget)
+                    assert draws == target + 1
+                    assert side == [v for v in range(k) if plant[v]]
 
 
 # phi far wider than the capacities: it, not they, sets the lane width
@@ -207,8 +244,8 @@ def test_sampled_sparse_cut_matches_per_cut_reference_at_wide_phi():
         edges = [(rng.randrange(k), rng.randrange(k), rng.randint(0, 5))
                  for _ in range(rng.randint(0, 3 * k))]
         volw = {v: rng.randint(0, 5) for v in range(k)}
-        budget = _BUDGETS[case % len(_BUDGETS)]
-        phi = _WIDE_PHIS[case // len(_BUDGETS) % len(_WIDE_PHIS)]
+        phi = _WIDE_PHIS[case // 6 % len(_WIDE_PHIS)]
+        budget = _budgets(_lanes_per_batch(k, edges, volw, phi))[case % 6]
         side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                          rng.getrandbits(32), budget)
         found += side is not None and draws < budget
@@ -227,8 +264,9 @@ def test_sampled_sparse_cut_cut_capacity_filling_its_lane():
     for phi in _WIDE_PHIS:
         for bits in range(72, 104):
             heavy = 2 ** bits * 97 // 100 // phi.denominator - len(light)
-            side, _draws = _same_as_reference(list(range(k)), light + [(0, 1, heavy)],
-                                              volw, phi, bits, 2 * _BATCH)
+            edges = light + [(0, 1, heavy)]
+            side, _draws = _same_as_reference(list(range(k)), edges, volw, phi, bits,
+                                              2 * _lanes_per_batch(k, edges, volw, phi))
             assert side is None
 
 
@@ -236,20 +274,22 @@ def test_sampled_sparse_cut_is_strict_at_ratio_phi():
     """The target-th random cut S gets c(S-bar, S) / min(vol(S), vol(S-bar))
     equal to phi, every other cut a ratio far above it: no witness, since
     sparse means ratio < phi.  One unit of capacity less makes S the
-    witness, found in its own lane."""
+    witness, found in its own lane: the first, the batch's last, or one
+    of the next batch."""
     k = 18
-    heavy = 10 ** 30
-    for target in [0, _BATCH - 1, _BATCH + 5]:
-        seed, plant = _planted_seed(k, target)
-        s = min(sum(plant), k - sum(plant))
-        inside = [(u, v, heavy) for u in range(k) for v in range(k)
-                  if u != v and (plant[u] == plant[v] or plant[u])]
-        back = (plant.index(False), plant.index(True))  # the one S-bar -> S arc
-        for phi in _WIDE_PHIS + [Fraction(1, 16)]:
-            volw = {v: phi.denominator for v in range(k)}
+    heavy = 2 ** 96
+    for phi in _WIDE_PHIS + [Fraction(1, 16)]:
+        volw = {v: phi.denominator for v in range(k)}
+        b = _batch_of_plants(k, lambda p: _one_way_cut(p, heavy), volw, phi)
+        for target in [0, b - 1, b + 5]:
+            seed, plant = _planted_seed(k, target)
+            s = min(sum(plant), k - sum(plant))
+            inside = _one_way_cut(plant, heavy)
+            back = (plant.index(False), plant.index(True))  # the one S-bar -> S arc
             for c in (phi.numerator * s, phi.numerator * s - 1):
                 edges = inside + [back + (c,)]
-                for budget in (target + 1, 3 * _BATCH + 7):
+                assert _lanes_per_batch(k, edges, volw, phi) == b
+                for budget in (target + 1, 3 * b + 7):
                     side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
                                                      seed, budget)
                     if c == phi.numerator * s:
@@ -274,62 +314,69 @@ def _two_heavy_cycles(plant, heavy):
 
 
 def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference(monkeypatch):
-    """A batch spans more than one `getrandbits` chunk only above k = 1,024,
-    so here _CHUNK is lowered to 45 words: at k = 200 (7 words per cut) a
-    batch's 3,584 words span 80 chunks, and as 45 is no multiple of 7 some
-    cuts' words straddle two chunks.  Budgets end inside a chunk, just past
-    one and inside a later batch, and the one sparse cut is planted where
-    its words straddle chunk boundaries; the witness and the rng state are
-    those of one `getrandbits(32 * 7)` per cut."""
-    chunk, k, words = 45, 200, 7
-    monkeypatch.setattr(hierarchy, "_CHUNK", chunk)
-    assert _BATCH * words > 12 * chunk and _BATCH * words % chunk and chunk % words
+    """_CHUNK is lowered at k = 200 (7 words per cut).  At 45 words it,
+    not the lane-int size, sets the batch at 6 cuts; budgets end inside a
+    batch, on its boundary and past it, and the one sparse cut is planted
+    on both sides of batch boundaries.  At 3 words one cut outgrows a
+    chunk, so each batch is one cut drawn in calls of 3, 3 and 1 words.
+    The witness and the rng state are those of one `getrandbits(32 * 7)`
+    per cut either way."""
+    k, words = 200, 7
     volw = {v: 1 for v in range(k)}
     phi = Fraction(1, 16)
     # one heavy bidirected cycle through all k: no cut is sparse
     no_cut = [(u, (u + 1) % k, 10 ** 6) for u in range(k)]
     no_cut += [(v, u, c) for u, v, c in no_cut]
-    for budget in (1, chunk // words, chunk // words + 1, _BATCH, _BATCH + 1):
-        side, draws = _same_as_reference(list(range(k)), no_cut, volw, phi, budget, budget)
-        assert side is None and draws == budget
-    # cuts whose words straddle a chunk boundary of their batch, and the
-    # batch's last cut, inside its last, partial chunk
-    straddling = [t for t in range(2 * _BATCH)
-                  if t % _BATCH * words // chunk < ((t % _BATCH + 1) * words - 1) // chunk]
-    for target in straddling[:2] + [_BATCH - 1, straddling[-1]]:
-        seed, plant = _planted_seed(k, target)
-        edges = _two_heavy_cycles(plant, 10 ** 6)
-        for budget in (target + 1, target + 2, 2 * _BATCH + 1):
-            side, draws = _same_as_reference(list(range(k)), edges, volw, phi, seed, budget)
-            assert draws == target + 1
-            assert side == [v for v in range(k) if plant[v]]
+    for chunk, b in ((45, 45 // words), (3, 1)):
+        monkeypatch.setattr(hierarchy, "_CHUNK", chunk)
+        assert _lanes_per_batch(k, no_cut, volw, phi) == b
+        for budget in (1, b, b + 1, 2 * b + 1, 3 * b + 7):
+            side, draws = _same_as_reference(list(range(k)), no_cut, volw, phi,
+                                             budget, budget)
+            assert side is None and draws == budget
+        for target in (b - 1, b, 2 * b - 1, 2 * b + 3):
+            seed, plant = _planted_seed(k, target)
+            edges = _two_heavy_cycles(plant, 10 ** 6)
+            assert _lanes_per_batch(k, edges, volw, phi) == b
+            for budget in (target + 1, target + 2, 3 * b + 7):
+                side, draws = _same_as_reference(list(range(k)), edges, volw, phi,
+                                                 seed, budget)
+                assert draws == target + 1
+                assert side == [v for v in range(k) if plant[v]]
 
 
 def test_sampled_sparse_cut_spans_two_chunks_above_1024_vertices():
-    """k = 1,025 takes 33 words per cut, so a batch's 16,896 words take two
-    `getrandbits` calls at the real _CHUNK, and cut 496's words straddle
-    them; planted there, it is the witness after 497 draws."""
+    """k = 1,025 takes 33 words per cut, so at the real _CHUNK its cap,
+    not the lane-int size, sets the batch at 496 cuts, and the first two
+    batches take one `getrandbits` call each; the sparse cut planted as
+    the first batch's last cut or the second's first is the witness."""
     k, words = 1025, 33
-    target = _CHUNK // words
-    assert _BATCH * words > _CHUNK and target * words < _CHUNK < (target + 1) * words
-    seed, plant = _planted_seed(k, target)
-    side, draws = _same_as_reference(list(range(k)), _two_heavy_cycles(plant, 10 ** 6),
-                                     {v: 1 for v in range(k)}, Fraction(1, 16), seed,
-                                     _BATCH + 1)
-    assert draws == target + 1
-    assert side == [v for v in range(k) if plant[v]]
+    b = _CHUNK // words
+    volw = {v: 1 for v in range(k)}
+    for target in (b - 1, b):
+        seed, plant = _planted_seed(k, target)
+        edges = _two_heavy_cycles(plant, 10 ** 6)
+        assert _lanes_per_batch(k, edges, volw, Fraction(1, 16)) == b
+        side, draws = _same_as_reference(list(range(k)), edges, volw, Fraction(1, 16),
+                                         seed, b + 1)
+        assert draws == target + 1
+        assert side == [v for v in range(k) if plant[v]]
 
 
 def test_sampled_sparse_cut_planted_hit_at_word_boundaries():
     """Cuts of 31 to 65 vertices take one to three words; the planted cut,
     in the first lane, a later one, the batch's last and the next batch's,
     is read bit for bit on both sides of each word boundary."""
+    phi = Fraction(1, 16)
     for k in _WORD_EDGES:
         volw = {v: 1 for v in range(k)}
-        for target in (0, 7, _BATCH - 1, _BATCH + 2):
+        b = _batch_of_plants(k, lambda p: _two_heavy_cycles(p, 10 ** 6), volw, phi)
+        for target in (0, 7, b - 1, b + 2):
             seed, plant = _planted_seed(k, target)
-            side, draws = _same_as_reference(list(range(k)), _two_heavy_cycles(plant, 10 ** 6),
-                                             volw, Fraction(1, 16), seed, 2 * _BATCH + 1)
+            edges = _two_heavy_cycles(plant, 10 ** 6)
+            assert _lanes_per_batch(k, edges, volw, phi) == b
+            side, draws = _same_as_reference(list(range(k)), edges, volw, phi, seed,
+                                             2 * b + 1)
             assert draws == target + 1
             assert side == [v for v in range(k) if plant[v]]
 
