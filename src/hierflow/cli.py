@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import random
+import stat
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, check_phi, default_phi
@@ -71,12 +74,34 @@ def _read(path: str) -> str:
         raise _FileFault(path, str(exc)) from None
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[Optional[TextIO]]:
+    """The file at `path` opened for writing, or None without a path.
+    Commands open it before their run, so a path that cannot be written
+    costs no run and puts nothing on stdout.  It is opened for appending,
+    which truncates nothing: `_write` empties it, so a run that fails
+    leaves an existing file as it was."""
+    if not path:
+        yield None
+        return
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fh = open(path, "a")
     except OSError as exc:
         raise _FileFault(path, exc.strerror) from None
+    with fh:
+        yield fh
+
+
+def _write(fh: TextIO, text: str) -> None:
+    """Replace the contents of a file from `_output` with text; a pipe or
+    a device is only written."""
+    try:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise _FileFault(fh.name, exc.strerror) from None
 
 
 def _load(path: str) -> FlowInstance:
@@ -91,41 +116,43 @@ def _config_from(args) -> "SolverConfig":
     return replace(DEFAULT_CONFIG, **kw)
 
 
-def _write_flow(path: str, inst: FlowInstance, flow) -> None:
+def _write_flow(fh: TextIO, inst: FlowInstance, flow) -> None:
     g = inst.g
     lines = []
     for e in range(g.m):
         x = flow.values[e]
         if x:
             lines.append(f"f {g.tails[e] + 1} {g.heads[e] + 1} {x}")
-    _write(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write(fh, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def cmd_solve(args) -> int:
     inst = _load(args.file)
     cfg = _config_from(args)
-    print(f"# seed {args.seed} file {args.file} algo {args.algo}", file=sys.stderr)
-    if args.algo == "ek":
-        res = edmonds_karp(inst)
-    else:
-        n2 = inst.n * inst.n
-        if max(inst.cap, default=0) > n2:
-            res = capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
+    with _output(args.flow) as flow_out:
+        print(f"# seed {args.seed} file {args.file} algo {args.algo}", file=sys.stderr)
+        if args.algo == "ek":
+            res = edmonds_karp(inst)
         else:
-            res = max_flow_exact(inst, args.phi, args.seed, cfg)
-    print(f"value {res.stats.value}")
-    if args.flow:
-        _write_flow(args.flow, inst, res.flow)
+            n2 = inst.n * inst.n
+            if max(inst.cap, default=0) > n2:
+                res = capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
+            else:
+                res = max_flow_exact(inst, args.phi, args.seed, cfg)
+        print(f"value {res.stats.value}")
+        if flow_out is not None:
+            _write_flow(flow_out, inst, res.flow)
     return 0
 
 
 def cmd_approx_dag(args) -> int:
     inst = _load(args.file)
     cfg = _config_from(args)
-    result = dag_approx_flow(inst, cfg)
-    print(f"value {result.value}")
-    if args.flow:
-        _write_flow(args.flow, inst, result.flow)
+    with _output(args.flow) as flow_out:
+        result = dag_approx_flow(inst, cfg)
+        print(f"value {result.value}")
+        if flow_out is not None:
+            _write_flow(flow_out, inst, result.flow)
     return 0
 
 
@@ -161,17 +188,18 @@ def cmd_hierarchy(args) -> int:
     inst = _load(args.file)
     cfg = _config_from(args)
     phi = args.phi if args.phi is not None else default_phi(inst.n)
-    build = build_hierarchy(inst.g, inst.cap, phi, args.seed, cfg)
-    text = hierarchy_to_text(build.hierarchy, inst.m)
-    # build_hierarchy validated the attempt it returns
-    summary = (f"# seed {args.seed} phi {phi} eta {build.hierarchy.eta} "
-               f"attempts {build.attempts}\n" + build.report.summary())
-    if args.out:
-        _write(args.out, text)
-        print(summary)
-    else:
-        sys.stdout.write(text)
-        print(summary, file=sys.stderr)
+    with _output(args.out) as out:
+        build = build_hierarchy(inst.g, inst.cap, phi, args.seed, cfg)
+        text = hierarchy_to_text(build.hierarchy, inst.m)
+        # build_hierarchy validated the attempt it returns
+        summary = (f"# seed {args.seed} phi {phi} eta {build.hierarchy.eta} "
+                   f"attempts {build.attempts}\n" + build.report.summary())
+        if out is not None:
+            _write(out, text)
+            print(summary)
+        else:
+            sys.stdout.write(text)
+            print(summary, file=sys.stderr)
     return 0
 
 
@@ -190,15 +218,16 @@ def cmd_gen(args) -> int:
         val = getattr(args, key if key != "n" else "gen_n", None)
         if val is not None:
             params[key] = val
-    gen = generate(args.model, args.seed, **params)
-    if args.format == "dimacs":
-        text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
-    else:
-        text = emit_diffusion(gen.instance(), gen.name)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        gen = generate(args.model, args.seed, **params)
+        if args.format == "dimacs":
+            text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
+        else:
+            text = emit_diffusion(gen.instance(), gen.name)
+        if out is not None:
+            _write(out, text)
+        else:
+            sys.stdout.write(text)
     return 0
 
 

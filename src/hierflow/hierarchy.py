@@ -27,7 +27,13 @@ within 4 KiB and the batch's draw within 64 KiB, and each vertex's int is
 a shift and a mask of one int per byte column of the draw.  The cuts are
 drawn in the order a cut-by-cut loop draws them, and on a hit the rng is
 rewound and replayed up to the witness, at most one batch's draw, so the
-witness and the rng state match that loop exactly.
+witness and the rng state match that loop exactly.  The level cuts of
+breadth-first labelings from random sources come next: all sources are
+drawn first, each level cut becomes a k-bit mask, and the masks take the
+same lane test, level cut j of labeling r in the lane after those of the
+cuts before it in (try, forward then reverse, layer) order.  On a level
+hit the rng is set back to the phase start and draws the sources again
+up to the witness's try, so the rng state is again that of the loop.
 """
 from __future__ import annotations
 
@@ -341,40 +347,28 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     hit costs at most one batch's draw, and the witness, and the rng state
     the level-cut phase and later callers see, are those of a loop that
     calls `getrandbits(32 * W)` once per cut and tests one cut at a time.
+
+    Level cuts: each of max(2, min(k, 8)) tries draws a source with
+    `rng.randrange(k)` and labels the vertices by breadth-first layers
+    from it, along the edges and then against them; level cut j of a
+    labeling is S = its layers 0..j, for every layer but the last, so S
+    never holds the last layer or an unreached vertex.  `_level_cuts`
+    draws every source first, writes each level cut as a k-bit mask in W
+    words and tests the masks as the random cuts are tested, each cut in
+    the lane after those of the cuts before it in (try, forward then
+    reverse, layer) order, as many per batch as keep one lane int within
+    4 KiB and at least one.  On a hit the rng is set back to the phase
+    start and draws the sources again up to the witness's try, so the
+    witness and the rng state are again those of a loop that tests one
+    level cut at a time.  Both phases share one `_LaneTest`, set up once
+    per call.
     """
     k = g.n
     if k <= 1:
         return None
-    side = _random_cuts(g, cap, vol, phi, rng, budget)
-    if side is not None:
-        return side
-    # level cuts of BFS labelings from random sources, both directions;
-    # each layer joins S by flips
-    ev = CutEvaluator(g, cap, vol)
-    tries = max(2, min(k, 8))
-    for _ in range(tries):
-        src = rng.randrange(k)
-        for edges_at, ends in ((g.out_edges, g.heads), (g.in_edges, g.tails)):
-            ev.assign([False] * k)
-            seen = [False] * k
-            seen[src] = True
-            layer = [src]
-            while True:
-                nxt = []
-                for u in layer:
-                    for e in edges_at[u]:
-                        v = ends[e]
-                        if not seen[v]:
-                            seen[v] = True
-                            nxt.append(v)
-                if not nxt:
-                    break  # the last layer never joins S, so S != V
-                for u in layer:
-                    ev.flip(u)
-                if ev.sparse(phi):
-                    return ev.side()
-                layer = nxt
-    return None
+    test = _LaneTest(g, cap, vol, phi)
+    side = _random_cuts(test, rng, budget)
+    return side if side is not None else _level_cuts(g, test, rng)
 
 
 # bytes of one lane int: a batch takes the most cuts that keep each of
@@ -429,25 +423,20 @@ def _lane_sum(groups: List[Tuple[int, List[int]]], xs: List[int]) -> int:
     return sum(w * sum(xs[i] for i in keys) for w, keys in groups)
 
 
-def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction,
-                 rng: random.Random, budget: int) -> Optional[List[int]]:
-    """The first phi-sparse cut of `budget` random cuts, bit-sliced as
-    `sampled_sparse_cut` describes; the witness's vertex indices, or None.
+class _LaneTest:
+    """Tests a batch of cuts of (g, cap, vol) against phi at once, cut j in
+    lane j of one int per vertex, lanes of `width` bytes (`_lane_layout`).
 
-    Batches: `_lane_layout` gives the lane width of L bytes and the b
-    cuts of a batch; the last batch takes what is left of the budget.
+    A batch of b cuts comes as b * `step` bytes, step = 4 * ceil(k / 32),
+    cut j at bytes step * j onwards as the little-endian bitmask of S: bit
+    i & 7 of its byte i >> 3 is set when vertex i is in S.  The bytes q, q +
+    step, ... hold byte q of every cut.  That byte column goes into byte 0
+    of every lane of a zeroed buffer and is read as one int, col_q, so
+    vertex 8 * q + t's lane int X_i is (col_q >> t) & ones, ones holding
+    bit 0 of every lane: the shift moves bits of lane j + 1 only into the
+    top of lane j, which the mask clears.
 
-    Draws: `getrandbits(32 * W)` takes W words and puts the first least
-    significant, so bit i of cut j is bit i & 7 of byte i >> 3 of the cut's
-    4 * W little-endian bytes.  Consecutive calls continue the word stream,
-    so the b cuts of a batch are the b * W words `_draw_words` returns, cut
-    j at bytes 4 * W * j onwards; the bytes q, q + 4 * W, ... hold byte q of
-    every cut.  That byte column goes into byte 0 of every lane of a zeroed
-    buffer and is read as one int, col_q, so vertex 8 * q + t's lane int is
-    (col_q >> t) & ones, ones holding bit 0 of every lane: the shift moves
-    bits of lane j + 1 only into the top of lane j, which the mask clears.
-
-    Lanes: X_i holds bit 8 * L * j when cut j puts vertex i in S.  With
+    Lanes: X_i holds bit 8 * width * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
         sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
     holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Each sum is taken
@@ -460,35 +449,38 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
     since c >= 0).  Each test x < y is made in every lane at once: the
     lane of G + y - 1 - x, where G is the guard bit (the top bit of every
     lane), is G + (y - x - 1) and keeps its guard bit exactly when
-    x < y.  L is the byte length of max(vol(V), total capacity) *
+    x < y.  The width is the byte length of max(vol(V), total capacity) *
     max(num, den) plus one bit for the guard, so -G <= y - x - 1 < G, no
     lane leaves [0, 2G), and no carry or borrow crosses a lane.  The first
     sparse cut is the lowest guard bit left after the tests are combined.
-    On a hit the rng is set back to the batch start and redraws the words
-    up to the witness, so a hit costs at most one batch's draw again.
     """
-    k = g.n
-    outcap = [0] * k
-    incap = [0] * k
-    pair_cap: Dict[Tuple[int, int], int] = {}  # X_u & X_v is symmetric in u, v
-    for u, v, c in zip(g.tails, g.heads, cap):
-        outcap[u] += c
-        incap[v] += c
-        key = (u, v) if u < v else (v, u)
-        pair_cap[key] = pair_cap.get(key, 0) + c
-    pairs = _by_value(pair_cap.items())
-    out_w, in_w, vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
-    total = sum(vol)
-    num, den = phi.numerator, phi.denominator
-    width, lanes = _lane_layout(k, cap, vol, phi)
-    lane_bits = 8 * width
-    words = (k + 31) >> 5  # per cut
-    step = 4 * words  # bytes per cut
-    done = 0
-    while done < budget:
-        b = min(lanes, budget - done)
-        start = rng.getstate()
-        stream = _draw_words(rng, b * words)
+
+    __slots__ = ("k", "step", "pairs", "out_w", "in_w", "vol_w", "total", "num", "den",
+                 "width", "random_lanes")
+
+    def __init__(self, g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction):
+        k = self.k = g.n
+        self.step = 4 * ((k + 31) >> 5)
+        outcap = [0] * k
+        incap = [0] * k
+        pair_cap: Dict[Tuple[int, int], int] = {}  # X_u & X_v is symmetric in u, v
+        for u, v, c in zip(g.tails, g.heads, cap):
+            outcap[u] += c
+            incap[v] += c
+            key = (u, v) if u < v else (v, u)
+            pair_cap[key] = pair_cap.get(key, 0) + c
+        self.pairs = _by_value(pair_cap.items())
+        self.out_w, self.in_w, self.vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
+        self.total = sum(vol)
+        self.num, self.den = phi.numerator, phi.denominator
+        # random_lanes: the cuts of a `_random_cuts` batch
+        self.width, self.random_lanes = _lane_layout(k, cap, vol, phi)
+
+    def first_sparse(self, stream: bytes, b: int) -> Optional[int]:
+        """The lowest j whose cut, of the b cuts in `stream`, is phi-sparse,
+        or None."""
+        k, width, step = self.k, self.width, self.step
+        lane_bits = 8 * width
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
         buf = bytearray(b * width)
         xs = []
@@ -496,21 +488,104 @@ def _random_cuts(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fracti
             buf[::width] = stream[q::step]  # byte q of every cut
             col = int.from_bytes(buf, "little")
             xs += [(col >> t) & ones for t in range(min(8, k - 8 * q))]
+        num, den = self.num, self.den
         guard = ones << (lane_bits - 1)
-        cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in pairs)
-        c_out = (_lane_sum(out_w, xs) - cross) * den  # c(S, S-bar) * den
-        c_in = (_lane_sum(in_w, xs) - cross) * den  # c(S-bar, S) * den
-        v_s = num * _lane_sum(vol_w, xs)  # num * vol(S)
+        cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in self.pairs)
+        c_out = (_lane_sum(self.out_w, xs) - cross) * den  # c(S, S-bar) * den
+        c_in = (_lane_sum(self.in_w, xs) - cross) * den  # c(S-bar, S) * den
+        v_s = num * _lane_sum(self.vol_w, xs)  # num * vol(S)
         g_s = guard - ones + v_s  # G + num * vol(S) - 1
-        g_t = guard - ones + num * total * ones - v_s  # G + num * vol(S-bar) - 1
+        g_t = guard - ones + num * self.total * ones - v_s  # G + num * vol(S-bar) - 1
         hit = ((g_s - c_out) & (g_t - c_out) | (g_s - c_in) & (g_t - c_in)) & guard
-        if hit:
-            j = ((hit & -hit).bit_length() - 1) // lane_bits
+        return ((hit & -hit).bit_length() - 1) // lane_bits if hit else None
+
+
+def _random_cuts(test: _LaneTest, rng: random.Random, budget: int) -> Optional[List[int]]:
+    """The first phi-sparse cut of `budget` random cuts, bit-sliced as
+    `sampled_sparse_cut` describes; the witness's vertex indices, or None.
+
+    Batches: `_lane_layout` gives the b cuts of a batch; the last batch
+    takes what is left of the budget.  `getrandbits(32 * W)` takes W words
+    and puts the first least significant, so its 4 * W little-endian bytes
+    are the bitmask of the cut, and consecutive calls continue the word
+    stream: the b cuts of a batch are the b * W words `_draw_words`
+    returns, the stream `test` reads.  On a hit the rng is set back to the
+    batch start and redraws the words up to the witness, so a hit costs at
+    most one batch's draw again.
+    """
+    k, step = test.k, test.step
+    words = step >> 2  # per cut
+    done = 0
+    while done < budget:
+        b = min(test.random_lanes, budget - done)
+        start = rng.getstate()
+        stream = _draw_words(rng, b * words)
+        j = test.first_sparse(stream, b)
+        if j is not None:
             rng.setstate(start)
             _draw_words(rng, (j + 1) * words)
             cut = int.from_bytes(stream[step * j:step * (j + 1)], "little")
             return [i for i in range(k) if cut >> i & 1]
         done += b
+    return None
+
+
+def _level_masks(adj: List[List[int]], src: int, bits: List[int]) -> List[int]:
+    """S of each level cut of the breadth-first labeling from src along
+    adj, as a bitmask: the layers up to each layer but the last, which
+    no level cut puts in S.  bits[i] is 1 << i."""
+    seen = [False] * len(adj)
+    seen[src] = True
+    layer = [src]
+    mask = bits[src]
+    masks = []
+    while True:
+        nxt = []
+        for u in layer:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(v)
+        if not nxt:
+            return masks
+        masks.append(mask)
+        mask += sum(map(bits.__getitem__, nxt))
+        layer = nxt
+
+
+def _level_cuts(g: DiGraph, test: _LaneTest, rng: random.Random) -> Optional[List[int]]:
+    """The first phi-sparse level cut of breadth-first labelings from
+    random sources, as `sampled_sparse_cut` describes; the witness's
+    vertex indices, or None.
+
+    The cuts of try t's forward labeling, then of its reverse one, follow
+    those of the tries before it, and a batch is the next b of them as
+    `test` reads them, b the most lanes that keep one lane int within
+    _LANE_INT_BYTES; a batch may cut a labeling in two.  On a hit in try
+    t the rng goes back to the phase start and draws t + 1 sources again.
+    """
+    k, step = test.k, test.step
+    start = rng.getstate()
+    srcs = [rng.randrange(k) for _ in range(max(2, min(k, 8)))]
+    out_adj: List[List[int]] = [[] for _ in range(k)]
+    in_adj: List[List[int]] = [[] for _ in range(k)]
+    for u, v in zip(g.tails, g.heads):
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    bits = [1 << i for i in range(k)]
+    cuts = [(t, mask) for t, src in enumerate(srcs) for adj in (out_adj, in_adj)
+            for mask in _level_masks(adj, src, bits)]
+    per_batch = max(1, _LANE_INT_BYTES // test.width)
+    for first in range(0, len(cuts), per_batch):
+        batch = cuts[first:first + per_batch]
+        j = test.first_sparse(b"".join(mask.to_bytes(step, "little") for _t, mask in batch),
+                              len(batch))
+        if j is not None:
+            t, cut = batch[j]
+            rng.setstate(start)
+            for _ in range(t + 1):
+                rng.randrange(k)
+            return [i for i in range(k) if cut >> i & 1]
     return None
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierflow import cli
 from hierflow.builder import build_hierarchy
 from hierflow.cli import main, make_parser
 from hierflow.config import default_phi
@@ -86,17 +87,27 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+# what each command runs once its files are open
+_RUNS = ("edmonds_karp", "max_flow_exact", "capacity_scaled_max_flow", "dag_approx_flow",
+         "build_hierarchy", "generate", "validate_hierarchy")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{missing}"],
     ["solve", "{folder}"],
     ["solve", "--flow", "{folder}", "{graph}"],
+    ["approx-dag", "--flow", "{folder}", "{graph}"],
     ["gen", "--model", "random", "--gen-n", "6", "--out", "{folder}"],
     ["hierarchy", "--out", "{folder}", "{graph}"],
     ["solve", "{binary}"],
     ["validate", "--phi", "1/4", "{binary}", "{graph}"],
-], ids=["missing-input", "folder-input", "folder-flow", "folder-gen-out",
-        "folder-hierarchy-out", "binary-input", "binary-hierarchy"])
-def test_file_faults_exit_2_with_one_error_line_naming_the_path(tmp_path, capsys, argv):
+], ids=["missing-input", "folder-input", "folder-flow", "folder-approx-dag-flow",
+        "folder-gen-out", "folder-hierarchy-out", "binary-input", "binary-hierarchy"])
+def test_file_faults_exit_2_with_one_error_line_naming_the_path(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    """A path that cannot be read or written is reported before the run:
+    the solvers, builder and generator raise if called, and nothing (no
+    `value` line, no summary) reaches stdout."""
     paths = {"missing": str(tmp_path / "absent.dimacs"), "folder": str(tmp_path / "folder"),
              "graph": _write(tmp_path, "single.dimacs", SINGLE),
              "binary": str(tmp_path / "binary.txt")}
@@ -104,10 +115,35 @@ def test_file_faults_exit_2_with_one_error_line_naming_the_path(tmp_path, capsys
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")
     fault = next(paths[key] for key in ("missing", "folder", "binary")
                  if "{%s}" % key in argv)
-    code, _out, err = _run([arg.format(**paths) for arg in argv], capsys)
+
+    def never(*_args, **_kwargs):
+        raise RuntimeError("ran before its files were checked")
+
+    for name in _RUNS:
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = _run([arg.format(**paths) for arg in argv], capsys)
     assert code == 2
+    assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: {fault}: ")
+
+
+def test_failed_run_leaves_an_existing_output_file_as_it_was(tmp_path, capsys):
+    """Output files are opened before the run but emptied only when the
+    run's text is written: a run that fails keeps the old contents, and
+    one that succeeds replaces them.  A device is written, not emptied."""
+    out = tmp_path / "old.txt"
+    out.write_text("old contents\n")
+    code, _out, err = _run(["gen", "--model", "grid", "--rows", "0", "--cols", "3",
+                            "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert out.read_text() == "old contents\n"
+    graph = _write(tmp_path, "single.dimacs", SINGLE)
+    code, _out, _err = _run(["solve", "--algo", "ek", "--flow", str(out), graph], capsys)
+    assert code == 0 and out.read_text() == "f 1 2 5\n"
+    code, _out, _err = _run(["gen", "--model", "cycle", "--gen-n", "3", "--out", os.devnull],
+                            capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("text, line", [

@@ -395,6 +395,138 @@ def test_sampled_cuts_give_each_vertex_its_own_fair_coin():
     assert len(set(flags)) == k
 
 
+def _two_segments(sizes, p, heavy, mirror=False):
+    """Layers V_0 = {0}, V_1, ... of the given sizes (labels in layer order)
+    split into A = V_0..V_p and B = V_p+1.., plus a vertex u = k - 1 with one
+    heavy arc into V_p+1 and nothing into it.  Inside each segment heavy
+    arcs (each doubled, so parallel) run both ways between consecutive
+    layers, and around B's layer when B has one; from every vertex of V_p
+    to every vertex of V_p+1 run two parallel arcs, of capacity 0 and 1,
+    and nothing runs back.  So vertex 0's breadth-first layers along the
+    arcs are V_0, V_1, ... and A is its level cut p, with no arc into it:
+    with volume on both sides, A is sparse and every cut that splits a
+    segment crosses heavy arcs both ways.  Against the arcs, vertex 0
+    reaches A alone, and u is reached from 0 in neither direction.  With A
+    and B of at most two layers each (and the last of two at least two
+    vertices wide) no other source has A or B, or a set with u that is
+    sparse, among its level cuts.  `mirror` turns every arc around, which
+    moves A to vertex 0's reverse labeling."""
+    layers, k = [], 0
+    for size in sizes:
+        layers.append(list(range(k, k + size)))
+        k += size
+    u = k
+    edges = []
+    for i in range(len(layers) - 1):
+        for a in layers[i]:
+            for b in layers[i + 1]:
+                if i == p:
+                    edges += [(a, b, 0), (a, b, 1)]
+                else:
+                    edges += [(a, b, heavy), (b, a, heavy)] * 2
+    if len(layers) == p + 2 and len(layers[-1]) > 1:  # B is one layer
+        ring = layers[-1]
+        edges += [(a, b, heavy) for a, b in zip(ring, ring[1:] + ring[:1])]
+        edges += [(b, a, heavy) for a, b in zip(ring, ring[1:] + ring[:1])]
+    edges.append((u, layers[p + 1][0], heavy))
+    if mirror:
+        edges = [(b, a, c) for a, b, c in edges]
+    return k + 1, edges, [v for layer in layers[:p + 1] for v in layer]
+
+
+def _source_seed(k, src, t):
+    """The first seed whose first t + 1 draws of `randrange(k)` are src
+    only at draw t: vertex src is first a source at try t."""
+    seed = 0
+    while True:
+        r = random.Random(seed)
+        draws = [r.randrange(k) for _ in range(t + 1)]
+        if draws[t] == src and src not in draws[:t]:
+            return seed
+        seed += 1
+
+
+def _level_witness(k, edges, volw, phi, seed):
+    """Both searches at budget 0 from one seed: assert the same witness
+    and end state; return the witness and how many sources were drawn."""
+    mine, ref = random.Random(seed), random.Random(seed)
+    g, cap, vol, _back = local_cut_input(range(k), edges, volw)
+    side = sampled_sparse_cut(g, cap, vol, phi, mine, 0)
+    assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, 0)
+    assert mine.getstate() == ref.getstate()
+    replay = random.Random(seed)
+    for drawn in range(9):
+        if replay.getstate() == ref.getstate():
+            return side, drawn
+        replay.randrange(k)
+    raise AssertionError("more than 8 sources drawn")
+
+
+def test_level_cuts_planted_in_first_and_last_try_both_directions_and_layers():
+    """Budget 0, so only level cuts are tested.  The one sparse cut A
+    (and its complement) is vertex 0's level cut p: the first tested
+    layer (p = 0), the last (p = 1 of three layers) or a middle one, in
+    its forward or (mirrored) reverse labeling, with vertex 0 first drawn
+    at the first try, the second or the last (of 4 to 8).  Volumes are 0
+    on some vertices and on u, capacity-0 arcs cross A's boundary, and u
+    is never in S."""
+    shapes = [((1, 3, 2), 0), ((1, 2, 3), 1), ((1, 3, 3), 0), ((1, 4, 2, 2), 1), ((1, 2), 0)]
+    for sizes, p in shapes:
+        for mirror in (False, True):
+            k, edges, a_side = _two_segments(sizes, p, 1000, mirror)
+            tries = max(2, min(k, 8))
+            volw = {v: v % 3 for v in range(k - 1)}  # vertex 0 and u without volume
+            volw[0] = 1 if p == 0 else 0
+            for phi in (Fraction(1, 16), Fraction(1, 2)):
+                for t in (0, 1, tries - 1):
+                    side, drawn = _level_witness(k, edges, volw, phi, _source_seed(k, 0, t))
+                    assert side == a_side and drawn == t + 1
+
+
+def _three_blocks():
+    """Heavy cliques A (holding vertex 0), B, C, D and E, each of three
+    vertices, and light arcs 0 -> B, C -> 0, B -> D and E -> C, from and to
+    other vertices than those next to 0.  Vertex 0's level cut 2 is A + B
+    along the arcs and A + C against them, and both are sparse: a source
+    at 0 must give A + B, its forward labeling's."""
+    blocks = [list(range(3 * i, 3 * i + 3)) for i in range(5)]
+    a, b, c, d, e = blocks
+    edges = [(x, y, 1000) for blk in blocks for x in blk for y in blk if x != y]
+    edges += [(0, b[0], 1), (c[0], 0, 1), (b[1], d[0], 1), (e[0], c[1], 1)]
+    return 15, edges, sorted(a + b), sorted(a + c)
+
+
+def test_level_cuts_forward_labeling_before_reverse():
+    k, edges, ab, ac = _three_blocks()
+    volw = {v: 10 for v in range(k)}
+    side, drawn = _level_witness(k, edges, volw, Fraction(1, 16), _source_seed(k, 0, 0))
+    assert side == ab and drawn == 1
+    mirrored = [(y, x, c) for x, y, c in edges]
+    side, drawn = _level_witness(k, mirrored, volw, Fraction(1, 16), _source_seed(k, 0, 0))
+    assert side == ac and drawn == 1
+
+
+def test_level_cuts_of_a_deep_labeling_span_several_batches():
+    """Capacities of 2^3000 make lanes of 377 bytes, so a batch takes 10
+    level cuts, and vertex 0's path-like labeling of 40 layers takes
+    several: the sparse cut planted at the last lane of a batch, the first
+    of the next, or deep inside, forward or reverse, with vertex 0 drawn
+    at the first try, is found there and nowhere earlier."""
+    heavy = 2 ** 3000
+    depth = 40
+    for p in (9, 10, 26):
+        for mirror in (False, True):
+            sizes = [1] + [1 + i % 2 for i in range(1, depth)]
+            k, edges, a_side = _two_segments(sizes, p, heavy, mirror)
+            volw = {v: 1 for v in range(k - 1)}
+            phi = Fraction(1, 16)
+            g, cap, vol, _back = local_cut_input(range(k), edges, volw)
+            per_batch = hierarchy._LANE_INT_BYTES // _lane_layout(k, cap, vol, phi)[0]
+            assert per_batch == 10
+            side, drawn = _level_witness(k, edges, volw, phi, _source_seed(k, 0, 0))
+            assert side == a_side and drawn == 1
+
+
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)
     for _ in range(300):

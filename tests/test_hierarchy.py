@@ -1,11 +1,14 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierflow import hierarchy
+from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import BadParamsError, LevelViolationError, NotAcyclicError, ParseError
 from hierflow.graph import DiGraph, build_graph
 from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_text,
@@ -13,7 +16,7 @@ from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_
                                 respecting_topo_order, validate_hierarchy)
 
 from helpers import (exhaustive_sparsest_cut, gray_worst_cut, local_cut_input,
-                     per_frame_topo_order)
+                     per_cut_sampled_cut, per_frame_topo_order)
 
 
 def _contiguous(vals):
@@ -241,6 +244,74 @@ def test_validate_reports_level_edge_between_components():
     assert rep.errors == ["level-1 edge 4 not inside one component"]
     # both 2-cycles are still checked, and expand
     assert [(c.size, c.ok) for c in rep.components] == [(2, True), (2, True)]
+
+
+class _CountingRandom(random.Random):
+    """Counts the draws of 32 bits or more: one per random cut (a BFS
+    source asks `randrange(k)` for k.bit_length() < 32 bits)."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += k >= 32
+        return super().getrandbits(k)
+
+
+def _cliques_and_a_dumbbell(sizes, halves):
+    """Heavy cliques of the given sizes, and one component of two heavy
+    cliques of `halves` vertices joined by one light arc each way, between
+    other vertices: at phi = 1/32 its two halves are its only sparse cuts,
+    and a random cut is one of them with chance 2^-(2 * halves - 1)."""
+    arcs, blocks, start = [], [], 0
+    for size in sizes[:1] + [halves, halves] + sizes[1:]:
+        block = list(range(start, start + size))
+        arcs += [(u, v, 1000) for u in block for v in block if u != v]
+        blocks.append(block)
+        start += size
+    a, b = blocks[1], blocks[2]
+    arcs += [(a[1], b[1], 1), (b[2], a[2], 1)]
+    return start, arcs, sorted(a), sorted(b)
+
+
+def test_validation_after_a_level_cut_refutation_matches_per_cut_reference(monkeypatch):
+    """Four level-1 components above 16 vertices, and the second in check
+    order is refuted by a level cut: all 300 random cuts are drawn before
+    the witness, one half of the dumbbell, which the seed puts in the
+    first try's reverse labeling (so the rewind redraws one source, not
+    one per labeling before it).  The validator with
+    the real search and with the per-cut reference gives the same report,
+    the same witness and rng state after each component's search, and the
+    same final rng state, so the rng handed on from the level-cut rewind
+    to the next component is the reference's."""
+    n, arcs, a, b = _cliques_and_a_dumbbell([17, 18, 20], 14)
+    g, cap = build_graph(n, arcs)
+    levels = [set(range(g.m))]
+    h = Hierarchy(set(), levels, respecting_topo_order(g, set(), levels))
+    cfg = replace(DEFAULT_CONFIG, validator_falsifier_cuts=300)
+    phi = Fraction(1, 32)
+    cut_draws = []  # the reference's random cuts per search
+
+    def validate(search):
+        calls = []
+
+        def recorded(g, cap, vol, phi, rng, budget):
+            before = rng.draws
+            side = search(g, cap, vol, phi, rng, budget)
+            if search is per_cut_sampled_cut:
+                cut_draws.append(rng.draws - before)
+            calls.append((side, rng.getstate()))
+            return side
+
+        monkeypatch.setattr(hierarchy, "sampled_sparse_cut", recorded)
+        rng = _CountingRandom(32)
+        return validate_hierarchy(g, cap, h, phi, cfg, rng), calls, rng.getstate()
+
+    report, calls, state = validate(hierarchy.sampled_sparse_cut)
+    assert validate(per_cut_sampled_cut) == (report, calls, state)
+    assert [(c.size, c.exact, c.ok) for c in report.components] == [
+        (17, False, True), (28, False, False), (18, False, True), (20, False, True)]
+    assert report.components[1].witness in (a, b)
+    assert cut_draws == [300] * 4
 
 
 @pytest.mark.parametrize("phi", [Fraction(0), Fraction(-1, 4), Fraction(1), Fraction(3, 2)])
