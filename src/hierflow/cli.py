@@ -126,19 +126,22 @@ def _write_flow(fh: TextIO, inst: FlowInstance, flow) -> None:
     _write(fh, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _solve(algo: str, inst: FlowInstance, args, cfg: "SolverConfig") -> "SolveResult":
+    """Edmonds-Karp for `ek`; for `exact`, `max_flow_exact`, behind
+    capacity scaling when a capacity exceeds n^2."""
+    if algo == "ek":
+        return edmonds_karp(inst)
+    if max(inst.cap, default=0) > inst.n * inst.n:
+        return capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
+    return max_flow_exact(inst, args.phi, args.seed, cfg)
+
+
 def cmd_solve(args) -> int:
     inst = _load(args.file)
     cfg = _config_from(args)
     with _output(args.flow) as flow_out:
         print(f"# seed {args.seed} file {args.file} algo {args.algo}", file=sys.stderr)
-        if args.algo == "ek":
-            res = edmonds_karp(inst)
-        else:
-            n2 = inst.n * inst.n
-            if max(inst.cap, default=0) > n2:
-                res = capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
-            else:
-                res = max_flow_exact(inst, args.phi, args.seed, cfg)
+        res = _solve(args.algo, inst, args, cfg)
         print(f"value {res.stats.value}")
         if flow_out is not None:
             _write_flow(flow_out, inst, res.flow)
@@ -239,10 +242,7 @@ def cmd_bench(args) -> int:
         inst = _load(path)
         for algo in args.algo:
             t0 = time.perf_counter()
-            if algo == "ek":
-                res = edmonds_karp(inst)
-            else:
-                res = max_flow_exact(inst, args.phi, args.seed, cfg)
+            res = _solve(algo, inst, args, cfg)
             ms = (time.perf_counter() - t0) * 1000.0
             print(f"{path}\t{algo}\t{res.stats.value}\t{ms:.2f}\t"
                   f"{res.stats.augmentations}\t{res.stats.relabels}")

@@ -17,30 +17,18 @@ Small components get an exact answer from `exhaustive_worst_cut`, a
 branch and bound over all 2^(k-1) proper cuts that drops every subtree
 whose boundary and volume bounds already rule out a cut sparser than phi
 (or than the best cut found so far); large ones only get falsification
-by `sampled_sparse_cut`.  Each of its random cuts is one
-`getrandbits(32 * ceil(k / 32))` draw, vertex i in S when bit i is set,
-and the cuts are tested in batches: cut j of a batch owns byte lane j of
-one int per vertex, so boundary capacities and volumes of the whole
-batch come from big-int ANDs and sums, one multiplication per distinct
-capacity or volume.  A batch takes as many cuts as keep one such int
-within 4 KiB and the batch's draw within 64 KiB, and each vertex's int is
-a shift and a mask of one int per byte column of the draw.  The cuts are
-drawn in the order a cut-by-cut loop draws them, and on a hit the rng is
-rewound and replayed up to the witness, at most one batch's draw, so the
-witness and the rng state match that loop exactly.  The level cuts of
-breadth-first labelings from random sources come next: all sources are
-drawn first, each level cut becomes a k-bit mask, and the masks take the
-same lane test, level cut j of labeling r in the lane after those of the
-cuts before it in (try, forward then reverse, layer) order.  On a level
-hit the rng is set back to the phase start and draws the sources again
-up to the witness's try, so the rng state is again that of the loop.
+by `sampled_sparse_cut`, which tests random cuts and then the level cuts
+of breadth-first labelings in bit-sliced batches.  Its docstring states
+which cuts it draws in what order and how a hit is replayed; `_LaneTest`'s
+states the batch rule and the lane arithmetic.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
 from .errors import LevelViolationError, NotAcyclicError, ParseError
@@ -333,35 +321,26 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     witness side as ascending vertex indices of g, or None; None proves
     nothing.
 
-    Draw order: random cut j of the phase is the j-th call of
-    `rng.getrandbits(32 * W)`, W = ceil(k / 32) 32-bit Mersenne Twister
-    words, and puts vertex i (0 <= i < k) in S when bit i of it is set;
-    the first phi-sparse cut in j order is the witness.  Every cut is
-    uniform over all 2^k subsets.  `_random_cuts` takes a batch of b cuts
-    as the next b * W words and tests all b cuts at once, cut j in lane j
-    of one int per vertex, built by a shift and a mask from one int per
-    byte column of the words.  b is the most cuts that keep one lane int
-    within 4 KiB and the batch's words within one 64 KiB `getrandbits`
-    call, and at least one.  On a hit in lane j the rng is set back to its
-    state at the batch start and (j + 1) * W words are taken again, so a
-    hit costs at most one batch's draw, and the witness, and the rng state
-    the level-cut phase and later callers see, are those of a loop that
-    calls `getrandbits(32 * W)` once per cut and tests one cut at a time.
+    Draw order: random cut j is the j-th call of `rng.getrandbits(32 * W)`,
+    W = ceil(k / 32), and puts vertex i (0 <= i < k) in S when bit i of it
+    is set, so every cut is uniform over all 2^k subsets.  Then each of
+    max(2, min(k, 8)) tries draws a source with `rng.randrange(k)`, and
+    level cut j of its forward, then its reverse, breadth-first labeling
+    is S = layers 0..j, for every layer but the last, so S never holds the
+    last layer or an unreached vertex.  The witness is the first
+    phi-sparse cut in this order.
 
-    Level cuts: each of max(2, min(k, 8)) tries draws a source with
-    `rng.randrange(k)` and labels the vertices by breadth-first layers
-    from it, along the edges and then against them; level cut j of a
-    labeling is S = its layers 0..j, for every layer but the last, so S
-    never holds the last layer or an unreached vertex.  `_level_cuts`
-    draws every source first, writes each level cut as a k-bit mask in W
-    words and tests the masks as the random cuts are tested, each cut in
-    the lane after those of the cuts before it in (try, forward then
-    reverse, layer) order, as many per batch as keep one lane int within
-    4 KiB and at least one.  On a hit the rng is set back to the phase
-    start and draws the sources again up to the witness's try, so the
-    witness and the rng state are again those of a loop that tests one
-    level cut at a time.  Both phases share one `_LaneTest`, set up once
-    per call.
+    Replay: both phases hand `_LaneTest` batches of cuts, each the
+    little-endian bitmask of S in 4 * W bytes.  The b random cuts of a
+    batch are the bytes of one `getrandbits(32 * W * b)` call, which
+    continues the word stream of the per-cut calls.  All sources are drawn
+    before the first level cut, and level cuts are made one layer at a
+    time as the batches take them.  On a hit the rng is set back and drawn
+    again: to the batch start and (j + 1) * W words on for random cut j of
+    a batch, to the phase start and t + 1 sources on for a level cut of
+    try t.  So the witness, and the rng state that the level phase and
+    later callers see, are those of a loop that draws and tests one cut at
+    a time, and a hit costs at most one batch's draw again.
     """
     k = g.n
     if k <= 1:
@@ -378,35 +357,11 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
 # batch tests past a witness
 _LANE_INT_BYTES = 4096
 
-# 32-bit words per `getrandbits` call: 64 KiB, so neither the int nor
-# its bytes reach glibc's 128 KiB mmap threshold and no batch's timing
-# depends on whether such blocks went back to the OS; a batch's draw
-# stays within one call (`_lane_layout`) unless one cut alone takes more
-# than _CHUNK words (k > 524,288)
+# 32-bit words of one batch: 64 KiB, so neither a batch's draw nor its
+# bytes reach glibc's 128 KiB mmap threshold and no batch's timing
+# depends on whether such blocks went back to the OS; only a batch of one
+# cut larger than that (k > 524,288) goes past it
 _CHUNK = 16384
-
-
-def _lane_layout(k: int, cap: Sequence[int], vol: Sequence[int],
-                 phi: Fraction) -> Tuple[int, int]:
-    """(bytes per lane, lanes per batch) of `_random_cuts` on k vertices.
-
-    A lane holds max(vol(V), total capacity) * max(num, den) of phi plus
-    a guard bit, in whole bytes.  A batch takes the most lanes that keep
-    one lane int within _LANE_INT_BYTES and the batch's draw of
-    ceil(k / 32) words per cut within _CHUNK words, and at least one.
-    """
-    width = ((max(sum(vol), sum(cap)) * max(phi.numerator, phi.denominator)).bit_length()
-             + 8) // 8
-    return width, max(1, min(_LANE_INT_BYTES // width, _CHUNK // ((k + 31) >> 5)))
-
-
-def _draw_words(rng: random.Random, words: int) -> bytes:
-    """The next `words` 32-bit words of rng as little-endian bytes, first
-    word first, taken in `getrandbits` calls of at most _CHUNK words; the
-    bytes and the rng's end state are those of one
-    `getrandbits(32 * words).to_bytes(4 * words, "little")`."""
-    return b"".join(rng.getrandbits(32 * c).to_bytes(4 * c, "little")
-                    for c in (min(_CHUNK, words - d) for d in range(0, words, _CHUNK)))
 
 
 def _by_value(weighted: Iterable[Tuple[Any, int]]) -> List[Tuple[int, List[Any]]]:
@@ -425,16 +380,18 @@ def _lane_sum(groups: List[Tuple[int, List[int]]], xs: List[int]) -> int:
 
 class _LaneTest:
     """Tests a batch of cuts of (g, cap, vol) against phi at once, cut j in
-    lane j of one int per vertex, lanes of `width` bytes (`_lane_layout`).
+    lane j of one int per vertex.
 
     A batch of b cuts comes as b * `step` bytes, step = 4 * ceil(k / 32),
     cut j at bytes step * j onwards as the little-endian bitmask of S: bit
-    i & 7 of its byte i >> 3 is set when vertex i is in S.  The bytes q, q +
-    step, ... hold byte q of every cut.  That byte column goes into byte 0
-    of every lane of a zeroed buffer and is read as one int, col_q, so
-    vertex 8 * q + t's lane int X_i is (col_q >> t) & ones, ones holding
-    bit 0 of every lane: the shift moves bits of lane j + 1 only into the
-    top of lane j, which the mask clears.
+    i & 7 of its byte i >> 3 is set when vertex i is in S.  A batch takes
+    at most `batch` cuts: the most that keep one lane int within
+    _LANE_INT_BYTES and the batch within _CHUNK words, and at least one.
+    The bytes q, q + step, ... hold byte q of every cut.  That byte column
+    goes into byte 0 of every lane of a zeroed buffer and is read as one
+    int, col_q, so vertex 8 * q + t's lane int X_i is (col_q >> t) & ones,
+    ones holding bit 0 of every lane: the shift moves bits of lane j + 1
+    only into the top of lane j, which the mask clears.
 
     Lanes: X_i holds bit 8 * width * j when cut j puts vertex i in S.  With
     P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
@@ -456,7 +413,7 @@ class _LaneTest:
     """
 
     __slots__ = ("k", "step", "pairs", "out_w", "in_w", "vol_w", "total", "num", "den",
-                 "width", "random_lanes")
+                 "width", "batch")
 
     def __init__(self, g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction):
         k = self.k = g.n
@@ -473,13 +430,14 @@ class _LaneTest:
         self.out_w, self.in_w, self.vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
         self.total = sum(vol)
         self.num, self.den = phi.numerator, phi.denominator
-        # random_lanes: the cuts of a `_random_cuts` batch
-        self.width, self.random_lanes = _lane_layout(k, cap, vol, phi)
+        self.width = ((max(self.total, sum(cap)) * max(self.num, self.den)).bit_length() + 8) // 8
+        self.batch = max(1, min(_LANE_INT_BYTES // self.width, 4 * _CHUNK // self.step))
 
-    def first_sparse(self, stream: bytes, b: int) -> Optional[int]:
-        """The lowest j whose cut, of the b cuts in `stream`, is phi-sparse,
+    def first_sparse(self, stream: bytes) -> Optional[int]:
+        """The lowest j whose cut, of the cuts in `stream`, is phi-sparse,
         or None."""
         k, width, step = self.k, self.width, self.step
+        b = len(stream) // step
         lane_bits = 8 * width
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
         buf = bytearray(b * width)
@@ -499,93 +457,71 @@ class _LaneTest:
         hit = ((g_s - c_out) & (g_t - c_out) | (g_s - c_in) & (g_t - c_in)) & guard
         return ((hit & -hit).bit_length() - 1) // lane_bits if hit else None
 
+    def side(self, stream: bytes, j: int) -> List[int]:
+        """The vertex indices of cut j of `stream`."""
+        cut = int.from_bytes(stream[self.step * j:self.step * (j + 1)], "little")
+        return [i for i in range(self.k) if cut >> i & 1]
+
 
 def _random_cuts(test: _LaneTest, rng: random.Random, budget: int) -> Optional[List[int]]:
-    """The first phi-sparse cut of `budget` random cuts, bit-sliced as
-    `sampled_sparse_cut` describes; the witness's vertex indices, or None.
-
-    Batches: `_lane_layout` gives the b cuts of a batch; the last batch
-    takes what is left of the budget.  `getrandbits(32 * W)` takes W words
-    and puts the first least significant, so its 4 * W little-endian bytes
-    are the bitmask of the cut, and consecutive calls continue the word
-    stream: the b cuts of a batch are the b * W words `_draw_words`
-    returns, the stream `test` reads.  On a hit the rng is set back to the
-    batch start and redraws the words up to the witness, so a hit costs at
-    most one batch's draw again.
-    """
-    k, step = test.k, test.step
-    words = step >> 2  # per cut
-    done = 0
-    while done < budget:
-        b = min(test.random_lanes, budget - done)
+    """The first phi-sparse cut of `budget` random cuts, drawn and replayed
+    as `sampled_sparse_cut` describes; the witness, or None."""
+    step = test.step
+    for done in range(0, budget, test.batch):
+        size = step * min(test.batch, budget - done)
         start = rng.getstate()
-        stream = _draw_words(rng, b * words)
-        j = test.first_sparse(stream, b)
+        stream = rng.getrandbits(8 * size).to_bytes(size, "little")
+        j = test.first_sparse(stream)
         if j is not None:
             rng.setstate(start)
-            _draw_words(rng, (j + 1) * words)
-            cut = int.from_bytes(stream[step * j:step * (j + 1)], "little")
-            return [i for i in range(k) if cut >> i & 1]
-        done += b
+            rng.getrandbits(8 * step * (j + 1))
+            return test.side(stream, j)
     return None
 
 
-def _level_masks(adj: List[List[int]], src: int, bits: List[int]) -> List[int]:
+def _level_masks(adj: List[List[int]], src: int, step: int) -> Iterator[bytes]:
     """S of each level cut of the breadth-first labeling from src along
-    adj, as a bitmask: the layers up to each layer but the last, which
-    no level cut puts in S.  bits[i] is 1 << i."""
+    adj, as a bitmask of `step` little-endian bytes, yielded as its layer
+    closes: the layers up to each layer but the last, which no level cut
+    puts in S."""
     seen = [False] * len(adj)
     seen[src] = True
     layer = [src]
-    mask = bits[src]
-    masks = []
+    mask = bytearray(step)
     while True:
         nxt = []
         for u in layer:
+            mask[u >> 3] |= 1 << (u & 7)
             for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     nxt.append(v)
         if not nxt:
-            return masks
-        masks.append(mask)
-        mask += sum(map(bits.__getitem__, nxt))
+            return
+        yield bytes(mask)
         layer = nxt
 
 
 def _level_cuts(g: DiGraph, test: _LaneTest, rng: random.Random) -> Optional[List[int]]:
-    """The first phi-sparse level cut of breadth-first labelings from
-    random sources, as `sampled_sparse_cut` describes; the witness's
-    vertex indices, or None.
-
-    The cuts of try t's forward labeling, then of its reverse one, follow
-    those of the tries before it, and a batch is the next b of them as
-    `test` reads them, b the most lanes that keep one lane int within
-    _LANE_INT_BYTES; a batch may cut a labeling in two.  On a hit in try
-    t the rng goes back to the phase start and draws t + 1 sources again.
-    """
-    k, step = test.k, test.step
+    """The first phi-sparse level cut, tested and replayed as
+    `sampled_sparse_cut` describes; the witness, or None.  A batch is the
+    next cuts of the (try, forward then reverse, layer) stream, and may
+    cut a labeling in two."""
+    k = test.k
     start = rng.getstate()
     srcs = [rng.randrange(k) for _ in range(max(2, min(k, 8)))]
-    out_adj: List[List[int]] = [[] for _ in range(k)]
-    in_adj: List[List[int]] = [[] for _ in range(k)]
-    for u, v in zip(g.tails, g.heads):
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-    bits = [1 << i for i in range(k)]
-    cuts = [(t, mask) for t, src in enumerate(srcs) for adj in (out_adj, in_adj)
-            for mask in _level_masks(adj, src, bits)]
-    per_batch = max(1, _LANE_INT_BYTES // test.width)
-    for first in range(0, len(cuts), per_batch):
-        batch = cuts[first:first + per_batch]
-        j = test.first_sparse(b"".join(mask.to_bytes(step, "little") for _t, mask in batch),
-                              len(batch))
+    out_adj = [[g.heads[e] for e in es] for es in g.out_edges]
+    in_adj = [[g.tails[e] for e in es] for es in g.in_edges]
+    cuts = ((t, mask) for t, src in enumerate(srcs) for adj in (out_adj, in_adj)
+            for mask in _level_masks(adj, src, test.step))
+    while batch := list(islice(cuts, test.batch)):
+        stream = b"".join(mask for _t, mask in batch)
+        j = test.first_sparse(stream)
         if j is not None:
-            t, cut = batch[j]
             rng.setstate(start)
-            for _ in range(t + 1):
+            for _ in range(batch[j][0] + 1):
                 rng.randrange(k)
-            return [i for i in range(k) if cut >> i & 1]
+            return test.side(stream, j)
     return None
 
 

@@ -363,6 +363,27 @@ def test_bench_table(tmp_path, capsys):
         assert row[2] == "5"
 
 
+def test_bench_runs_the_solver_that_solve_runs(tmp_path, capsys, monkeypatch):
+    """Capacity 10^6 on two vertices exceeds n^2 = 4, so `solve --algo
+    exact` scales capacities, and `bench` takes the same path and prints
+    the same value."""
+    path = _write(tmp_path, "wide.dimacs", SINGLE.replace("a 1 2 5", "a 1 2 1000000"))
+    scaled = []
+    real = cli.capacity_scaled_max_flow
+
+    def spy(inst, inner):
+        scaled.append(inst.n)
+        return real(inst, inner)
+
+    monkeypatch.setattr(cli, "capacity_scaled_max_flow", spy)
+    code, out, _ = _run(["solve", "--algo", "exact", "--seed", "1", path], capsys)
+    assert code == 0 and out == "value 1000000\n"
+    code, out, _ = _run(["bench", "--algo", "exact", "--seed", "1", path], capsys)
+    assert code == 0
+    assert out.splitlines()[2].split("\t")[:3] == [path, "exact", "1000000"]
+    assert scaled == [2, 2]
+
+
 @pytest.mark.parametrize("algo", ["foo,,ek", "exact,", "EK", ""])
 def test_bench_rejects_unknown_solver_names(tmp_path, capsys, algo):
     path = _write(tmp_path, "single.dimacs", SINGLE)

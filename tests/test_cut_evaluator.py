@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 from hierflow import hierarchy
 from hierflow.graph import DiGraph, scc_subgraph
-from hierflow.hierarchy import _CHUNK, CutEvaluator, _lane_layout, sampled_sparse_cut
+from hierflow.hierarchy import _CHUNK, CutEvaluator, _LaneTest, sampled_sparse_cut
 
 from helpers import (cut_sparsity, local_cut_input, per_cut_sampled_cut, random_cut_flags,
                      scc_from_closure)
@@ -121,9 +122,9 @@ _PHIS = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]
 
 def _lanes_per_batch(k, edges, volw, phi):
     """Cuts in a full batch of the sampled search on this input, as
-    `_random_cuts` sizes it."""
+    `_LaneTest` sizes it for both phases."""
     g, cap, vol, _back = local_cut_input(range(k), edges, volw)
-    return _lane_layout(k, cap, vol, phi)[1]
+    return _LaneTest(g, cap, vol, phi).batch
 
 
 def _budgets(b):
@@ -317,10 +318,9 @@ def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference(monkeypatch):
     """_CHUNK is lowered at k = 200 (7 words per cut).  At 45 words it,
     not the lane-int size, sets the batch at 6 cuts; budgets end inside a
     batch, on its boundary and past it, and the one sparse cut is planted
-    on both sides of batch boundaries.  At 3 words one cut outgrows a
-    chunk, so each batch is one cut drawn in calls of 3, 3 and 1 words.
-    The witness and the rng state are those of one `getrandbits(32 * 7)`
-    per cut either way."""
+    on both sides of batch boundaries.  At 3 words one cut outgrows
+    _CHUNK, so each batch is one cut.  The witness and the rng state are
+    those of one `getrandbits(32 * 7)` per cut either way."""
     k, words = 200, 7
     volw = {v: 1 for v in range(k)}
     phi = Fraction(1, 16)
@@ -520,12 +520,65 @@ def test_level_cuts_of_a_deep_labeling_span_several_batches():
             k, edges, a_side = _two_segments(sizes, p, heavy, mirror)
             volw = {v: 1 for v in range(k - 1)}
             phi = Fraction(1, 16)
-            g, cap, vol, _back = local_cut_input(range(k), edges, volw)
-            per_batch = hierarchy._LANE_INT_BYTES // _lane_layout(k, cap, vol, phi)[0]
-            assert per_batch == 10
+            assert _lanes_per_batch(k, edges, volw, phi) == 10
             side, drawn = _level_witness(k, edges, volw, phi, _source_seed(k, 0, 0))
             assert side == a_side and drawn == 1
 
+
+
+def test_level_cuts_in_batches_bounded_by_chunk(monkeypatch):
+    """_CHUNK is lowered at k = 151 (5 words per cut), so it, not the
+    lane-int size, sets the level cuts' batch as it sets the random
+    cuts': 6 cuts at 33 words, and 1 at 4 words, where one cut outgrows
+    it.  The sparse cut is vertex 0's forward level cut p, the p-th cut
+    tested, planted on both sides of batch boundaries, and every batch
+    tested up to it is full."""
+    depth = 100
+    sizes = [1] + [1 + i % 2 for i in range(1, depth)]
+    phi = Fraction(1, 16)
+    tested = []
+    real = _LaneTest.first_sparse
+
+    def first_sparse(self, stream):
+        tested.append(len(stream) // self.step)
+        return real(self, stream)
+
+    monkeypatch.setattr(_LaneTest, "first_sparse", first_sparse)
+    for chunk, b in ((33, 33 // 5), (4, 1)):
+        monkeypatch.setattr(hierarchy, "_CHUNK", chunk)
+        for p in (b - 1, b, 2 * b - 1, 2 * b + 3):
+            k, edges, a_side = _two_segments(sizes, p, 1000)
+            assert k == 151
+            volw = {v: 1 for v in range(k - 1)}
+            assert _lanes_per_batch(k, edges, volw, phi) == b
+            tested.clear()
+            side, drawn = _level_witness(k, edges, volw, phi, _source_seed(k, 0, 0))
+            assert side == a_side and drawn == 1
+            assert tested == [b] * (p // b + 1)
+
+
+def test_level_cuts_of_a_long_cycle_take_memory_of_one_batch():
+    """A directed cycle of 6,000 vertices at budget 0: every labeling is a
+    path of 6,000 layers, and the witness is level cut 16 of the first.
+    Kept as k-bit ints, all level cuts of all 16 labelings would peak
+    above 80 MB here; the search makes them as the batches take them, so
+    its traced peak (about 2.3 MB) stays within 6 MB, and the witness and
+    rng state are the per-cut reference's."""
+    k = 6000
+    g, cap, vol, _back = local_cut_input(range(k), [(u, (u + 1) % k, 1) for u in range(k)],
+                                         {v: 2 for v in range(k)})
+    phi = Fraction(1, 32)
+    mine, ref = random.Random(1), random.Random(1)
+    tracemalloc.start()
+    try:
+        side = sampled_sparse_cut(g, cap, vol, phi, mine, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, 0)
+    assert mine.getstate() == ref.getstate()
+    assert len(side) == 17
+    assert peak < 6 * 2 ** 20, peak
 
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)
