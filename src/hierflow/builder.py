@@ -26,7 +26,7 @@ from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
 from .cut_matching import cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
 from .graph import DiGraph, scc_subgraph, subgraph
-from .hierarchy import (Hierarchy, ValidationReport, respecting_topo_order,
+from .hierarchy import (Hierarchy, ValidationReport, _respecting_order, respecting_topo_order,
                         validate_hierarchy)
 
 # fresh-seed attempts before build_hierarchy gives up
@@ -105,21 +105,52 @@ def _run(frame):
             value = None
 
 
-def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
-               f_edges: Set[int], below: Parts, phi: Fraction,
-               rng: random.Random, config: SolverConfig, budget: _Budget,
+class _Frame:
+    """A frame graph (vertices, edge_ids) with its SCC split and each
+    piece's local graph, made on first use.  Every level of a build
+    decomposes the same frame graph, so each is made once per frame."""
+
+    def __init__(self, g: DiGraph, vertices: List[int], edge_ids: Set[int]):
+        self.g = g
+        self.vertices = vertices
+        self.edge_ids = edge_ids
+        self._split = None
+        self._pieces = None
+        self._local: Dict[int, tuple] = {}
+
+    def split(self):
+        """`scc_subgraph` of the frame graph, edges in id order."""
+        if self._split is None:
+            self._split = scc_subgraph(self.g, self.vertices, sorted(self.edge_ids))
+        return self._split
+
+    def pieces(self) -> List[tuple]:
+        """(sorted vertices, edge ids) per piece, smallest piece first."""
+        if self._pieces is None:
+            comps, inner, _ = self.split()
+            order = sorted(range(len(comps)), key=lambda i: (len(comps[i]), min(comps[i])))
+            self._pieces = [(sorted(comps[i]), inner[i]) for i in order]
+        return self._pieces
+
+    def local(self, i: int):
+        """Piece i's `subgraph` and the index of each of its edge ids there."""
+        if i not in self._local:
+            piece, edges = self._pieces[i]
+            self._local[i] = (subgraph(self.g, piece, edges),
+                              {e: j for j, e in enumerate(edges)})
+        return self._local[i]
+
+
+def _decompose(g: DiGraph, cap, frame: _Frame, f_edges: Set[int], below: Parts,
+               phi: Fraction, rng: random.Random, config: SolverConfig, budget: _Budget,
                log: List[str], level_no: int):
-    """Carve a separator out of (vertices, edge_ids) so the terminals
-    expand in what remains; returns (removed, partition of the rest).
+    """Carve a separator out of the frame graph so the terminals expand
+    in what remains; returns (removed, partition of the rest).
     A generator frame for `_run`."""
     removed: Set[int] = set()
     parts = Parts()
     # edges between pieces fall through to D at assembly
-    pieces, piece_edges, _ = scc_subgraph(g, vertices, sorted(edge_ids))
-    order = sorted(range(len(pieces)), key=lambda i: (len(pieces[i]), min(pieces[i])))
-    for i in order:
-        piece = sorted(pieces[i])
-        edges_here = piece_edges[i]
+    for i, (piece, edges_here) in enumerate(frame.pieces()):
         f_here = {e for e in edges_here if e in f_edges}
         lower_here = {e for e in edges_here if e not in f_edges}
         below_here = below.restrict(lower_here)
@@ -127,8 +158,7 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
             parts.d |= below_here.d
             _merge_levels(parts, below_here.levels)
             continue
-        sub = subgraph(g, piece, edges_here)
-        local = {e: i for i, e in enumerate(edges_here)}
+        sub, local = frame.local(i)
         seed = rng.getrandbits(64)
         # the piece's order is computed only if the game plays a round
         outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
@@ -168,18 +198,18 @@ def _decompose(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
                 log.append(
                     f"level={level_no} event=rebuild component={len(sub_vertices)} "
                     f"edges={len(sub_lower)}")
-                sub_below = yield _full_build(g, cap, sub_vertices, sub_lower, phi,
-                                              rng, config, budget, log)
+                sub_below = yield _full_build(g, cap, _Frame(g, sub_vertices, sub_lower),
+                                              phi, rng, config, budget, log)
             else:
                 sub_below = below.restrict(sub_lower)
-            rem2, parts2 = yield _decompose(g, cap, sub_vertices, sub_edges, sub_f,
+            rem2, parts2 = yield _decompose(g, cap, _Frame(g, sub_vertices, sub_edges), sub_f,
                                             sub_below, phi, rng, config, budget, log,
                                             level_no)
             removed |= rem2
             parts.d |= parts2.d
             _merge_levels(parts, parts2.levels)
     # everything surviving but unplaced runs between pieces: DAG edges
-    leftover = (edge_ids - removed) - parts.covered()
+    leftover = (frame.edge_ids - removed) - parts.covered()
     parts.d |= leftover
     return removed, parts
 
@@ -192,19 +222,18 @@ def _merge_levels(parts: Parts, levels: Sequence[Set[int]]) -> None:
         parts.levels[i] |= x
 
 
-def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
-                phi: Fraction, rng: random.Random, config: SolverConfig,
-                budget: _Budget, log: List[str]):
-    """Complete hierarchy of (vertices, edge_ids) built from scratch.
+def _full_build(g: DiGraph, cap, frame: _Frame, phi: Fraction, rng: random.Random,
+                config: SolverConfig, budget: _Budget, log: List[str]):
+    """Complete hierarchy of the frame graph built from scratch.
     A generator frame for `_run`."""
-    if not edge_ids:
+    if not frame.edge_ids:
         return Parts()
-    m = max(len(edge_ids), 1)
+    m = max(len(frame.edge_ids), 1)
     # ln(1/phi) from phi's integers, so a phi below the float range works too
     log_inv = math.log(phi.denominator) - math.log(phi.numerator)
     eta_cap = math.ceil(2 * math.log(4 * m) / log_inv)
     eta_cap = max(eta_cap, 1)
-    f_cur = edge_ids
+    f_cur = frame.edge_ids
     parts = Parts()
     level_no = 0
     while f_cur:
@@ -212,7 +241,7 @@ def _full_build(g: DiGraph, cap, vertices: List[int], edge_ids: Set[int],
         if level_no > eta_cap + 1:
             raise IterationCapExceededError(
                 f"level count exceeded cap {eta_cap} while terminals remain")
-        removed, parts = yield _decompose(g, cap, vertices, edge_ids, f_cur, parts, phi, rng,
+        removed, parts = yield _decompose(g, cap, frame, f_cur, parts, phi, rng,
                                           config, budget, log, level_no)
         f_cur = removed
     return parts
@@ -233,6 +262,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     base = random.Random(seed)
     log: List[str] = []
     last_report = None
+    top = _Frame(g, list(range(g.n)), set(range(g.m)))
     for attempt in range(1, BUILD_RETRIES + 1):
         attempt_seed = base.getrandbits(64)
         rng = random.Random(attempt_seed)
@@ -242,12 +272,12 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
         att_cfg = config if attempt == 1 else replace(
             config, builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
         try:
-            parts = _run(_full_build(g, cap, list(range(g.n)), set(range(g.m)),
-                                     phi, rng, att_cfg, budget, log))
+            parts = _run(_full_build(g, cap, top, phi, rng, att_cfg, budget, log))
         except (IterationCapExceededError, CutCheckFailedError) as exc:
             log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
             continue
-        tau = respecting_topo_order(g, parts.d, parts.levels)
+        # parts cover every edge, so the order's top frame is this split
+        tau = _respecting_order(g, parts.d, parts.levels, top.split() if g.m else None)
         hier = Hierarchy(parts.d, parts.levels, tau)
         if not validate:
             return BuildResult(hier, log, attempt)

@@ -16,8 +16,9 @@ A component certifies early when brute force already confirms expansion
 the latter only after at least one round); the full round budget runs
 when that shortcut is disabled.  The game's set-up (the piece's
 hierarchy, kappa and the retry budget) is made only when the first
-round is played; the sketch is drawn up front, since
-the falsifier's draws follow it on the same rng.  The exact check asks
+round is played, and the sketch at the rng's first other use: the
+falsifier's first draw, or else the first bisection, so a component the
+exact check decides draws nothing.  The exact check asks
 `exhaustive_worst_cut` only for a cut sparser than phi, so its branch and
 bound can prune against phi; `union_psi` asks for the value.
 """
@@ -44,7 +45,8 @@ C_KAPPA = 1.0
 
 @dataclass
 class CMGState:
-    """Mutable cut-player state across rounds."""
+    """Mutable cut-player state across rounds.  The sketch is drawn from
+    rng at its first use, by `draw_sketch`."""
 
     nu: List[int]
     rng: random.Random
@@ -56,7 +58,11 @@ class CMGState:
     def rounds_played(self) -> int:
         return len(self.matchings)
 
-    def __post_init__(self):
+    def draw_sketch(self) -> None:
+        """A gauss vector of ceil(ln n) entries per vertex with volume;
+        a no-op once drawn."""
+        if self.sketch:
+            return
         n = len(self.nu)
         k = max(1, math.ceil(math.log(max(n, 2))))
         for v in range(n):
@@ -82,6 +88,7 @@ def cut_player_bisection(state: CMGState) -> Tuple[List[int], List[int]]:
     active = [v for v in range(n) if state.nu[v] > 0]
     if not active:
         return nu_a, nu_b
+    state.draw_sketch()
     k = len(next(iter(state.sketch.values())))
     direction = [state.rng.gauss(0.0, 1.0) for _ in range(k)]
     proj = {v: sum(a * b for a, b in zip(state.sketch[v], direction)) for v in active}
@@ -169,13 +176,15 @@ class CutOrEmbedOutcome:
     state: Optional[CMGState] = None
 
 
-def _brute_force_check(g, cap, vol, phi, rng, config):
+def _brute_force_check(g, cap, vol, phi, state, config):
     """(certified, witness_side): exact on small graphs, falsification
-    above; (None, None) means unknown."""
+    above; (None, None) means unknown.  Only falsification draws from
+    state.rng, after the sketch."""
     if g.n <= EXACT_CUT_THRESHOLD:
         _ratio, side = exhaustive_worst_cut(g, cap, vol, phi)
         return side is None, side
-    side = sampled_sparse_cut(g, cap, vol, phi, rng, config.builder_falsifier_cuts)
+    state.draw_sketch()
+    side = sampled_sparse_cut(g, cap, vol, phi, state.rng, config.builder_falsifier_cuts)
     if side is not None:
         return False, side
     return None, None  # silence: no refutation, no proof
@@ -230,7 +239,7 @@ def cut_or_embed(
     while True:
         if config.cmg_early_exit:
             # falsifier silence proves nothing before the first round
-            verdict, witness = _brute_force_check(g, cap, deg_f, phi, rng, config)
+            verdict, witness = _brute_force_check(g, cap, deg_f, phi, state, config)
             if verdict is True or (verdict is None and state.rounds_played > 0):
                 return finish(early=True)
             if witness is not None:

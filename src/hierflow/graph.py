@@ -316,11 +316,15 @@ def residual(inst: FlowInstance, f: Flow) -> ResidualView:
 def residual_graph(res: ResidualView) -> Tuple[List[int], FlowInstance]:
     """The residual graph materialized: one edge per usable arc, in
     ascending arc-id order, carrying its residual capacity, with the
-    residual supply and sink vectors.  Returns (arc ids, instance)."""
-    arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
-    tail, head = res.g.arc_tail, res.g.arc_head
-    rg = DiGraph(res.g.n, [(tail[a], head[a]) for a in arc_ids])
-    return arc_ids, FlowInstance(rg, [res.arc_cap[a] for a in arc_ids], res.delta_f, res.nabla_f)
+    residual supply and sink vectors.  Returns (arc ids, instance).
+    When the usable arcs are exactly the edges, the graph is `res.g` itself."""
+    cf, g = res.arc_cap, res.g
+    if all(cf[0::2]) and not any(cf[1::2]):
+        return list(range(0, 2 * g.m, 2)), FlowInstance(g, cf[0::2], res.delta_f, res.nabla_f)
+    arc_ids = [a for a, c in enumerate(cf) if c > 0]
+    tail, head = g.arc_tail, g.arc_head
+    rg = DiGraph(g.n, [(tail[a], head[a]) for a in arc_ids])
+    return arc_ids, FlowInstance(rg, [cf[a] for a in arc_ids], res.delta_f, res.nabla_f)
 
 
 def decompose_paths(inst: FlowInstance, f: Flow):

@@ -81,6 +81,14 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     Raises NotAcyclicError if D has a cycle, LevelViolationError if a
     level edge crosses components of its level graph.
     """
+    return _respecting_order(g, d, levels, None)
+
+
+def _respecting_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
+                      top: Optional[tuple]) -> List[int]:
+    """`respecting_topo_order`, with the top frame's split when the caller
+    holds it: `scc_subgraph(g, range(g.n), every edge id in order)`, for a
+    partition of every edge of g."""
     n = g.n
     tau = [0] * n
     eta = len(levels)
@@ -100,7 +108,11 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
                 tau[v] = next_val
                 next_val += 1
             continue
-        comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
+        if top is not None:
+            comps, inner, between = top
+            top = None
+        else:
+            comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
         if k == 0:
             if any(len(c) > 1 for c in comps):
                 bad = next(c for c in comps if len(c) > 1)

@@ -19,8 +19,9 @@ from typing import Callable, List, Optional, Sequence
 
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
-from .errors import BuildFailedError, NotADAGError, SolverInvariantError
-from .graph import DiGraph, Flow, FlowInstance, flow_stats, residual, residual_graph, scc
+from .errors import BuildFailedError, InfeasibleFlowError, NotADAGError, SolverInvariantError
+from .graph import (DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual,
+                    residual_graph, scc)
 from .hierarchy import induced_weights
 from .push_relabel import push_relabel
 
@@ -48,24 +49,17 @@ class SolveResult:
 
 def edmonds_karp(inst: FlowInstance) -> SolveResult:
     """Exact maximum flow by breadth-first shortest augmenting paths."""
-    start = residual(inst, Flow.zero(inst.m))
-    cf, delta_rem, nabla_rem = start.arc_cap, start.delta_f, start.nabla_f
+    res = residual(inst, Flow.zero(inst.m))
     augs = 0
     while True:
-        arcs, s, t = _bfs_path(inst.g, cf, delta_rem, nabla_rem)
+        arcs, s, t = _bfs_path(inst.g, res.arc_cap, res.delta_f, res.nabla_f)
         if arcs is None:
             break
-        amt = min([delta_rem[s], nabla_rem[t]] + [cf[a] for a in arcs])
-        for a in arcs:
-            cf[a] -= amt
-            cf[a ^ 1] += amt
-        delta_rem[s] -= amt
-        nabla_rem[t] -= amt
+        _augment(res, arcs, s, t)
         augs += 1
-    f = Flow(cf[1::2])
-    value = sum(inst.delta) - sum(delta_rem)
+    value = sum(inst.delta) - sum(res.delta_f)
     stats = SolveStats(value=value, iterations=augs, augmentations=augs)
-    return SolveResult(f, stats)
+    return SolveResult(Flow(res.arc_cap[1::2]), stats)
 
 
 # --- DAG approximation --------------------------------------------------------
@@ -125,12 +119,32 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
     return None, -1, -1
 
 
-def _lift(f: Flow, arc_ids: Sequence[int], corr: Flow) -> None:
-    """Add a flow on `residual_graph`'s instance back onto f."""
-    for ridx, a in enumerate(arc_ids):
-        x = corr.values[ridx]
+def _augment(res: ResidualView, arcs: Sequence[int], s: int, t: int) -> None:
+    """Send the most that a `_bfs_path` path allows, in place."""
+    cf = res.arc_cap
+    amt = min([res.delta_f[s], res.nabla_f[t]] + [cf[a] for a in arcs])
+    for a in arcs:
+        cf[a] -= amt
+        cf[a ^ 1] += amt
+    res.delta_f[s] -= amt
+    res.nabla_f[t] -= amt
+
+
+def _lift(cf: List[int], arc_ids: Sequence[int], corr: Flow) -> None:
+    """Add a flow on `residual_graph`'s instance into the residual
+    capacities cf it was made from.  Raises InfeasibleFlowError if an
+    edge's flow leaves [0, cap]."""
+    moved = []
+    for a, x in zip(arc_ids, corr.values):
         if x:
-            f.values[a >> 1] += -x if a & 1 else x
+            cf[a] -= x
+            cf[a ^ 1] += x
+            moved.append(a)
+    for a in moved:
+        if cf[a] < 0 or cf[a ^ 1] < 0:
+            fwd = a & ~1
+            raise InfeasibleFlowError(f"flow {cf[fwd + 1]} outside [0, "
+                                      f"{cf[fwd] + cf[fwd + 1]}] on edge {a >> 1}")
 
 
 def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
@@ -153,10 +167,10 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
     phi = phi if phi is not None else default_phi(n)
     check_phi(phi)
     base = random.Random(seed)
-    f = Flow.zero(m)
+    # one residual for the whole solve; each iteration's flow is lifted into it
+    res = residual(inst, Flow.zero(m))
     stats = SolveStats(value=0)
     while True:
-        res = residual(inst, f)
         arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
         if arcs_path is None:
             break
@@ -176,14 +190,13 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
         if r is None or r.value == 0:
             # safety net: one shortest augmentation keeps progress unconditional
             stats.safety_net_hits += 1
-            amt = min([res.delta_f[src], res.nabla_f[sink]] + [res.arc_cap[a] for a in arcs_path])
-            for a in arcs_path:
-                f.values[a >> 1] += -amt if a & 1 else amt
+            _augment(res, arcs_path, src, sink)
             stats.augmentations += 1
         else:
-            _lift(f, arc_ids, r.flow)
-    stats.value = flow_stats(inst, f).value
-    return SolveResult(f, stats)
+            _lift(res.arc_cap, arc_ids, r.flow)
+            res.delta_f, res.nabla_f = r.delta_residual, r.nabla_residual
+    stats.value = sum(inst.delta) - sum(res.delta_f)
+    return SolveResult(Flow(res.arc_cap[1::2]), stats)
 
 
 # --- capacity scaling ---------------------------------------------------------
@@ -215,7 +228,8 @@ def capacity_scaled_max_flow(inst: FlowInstance,
         inst_b = FlowInstance(g, [c >> shift for c in inst.cap],
                               [d >> shift for d in inst.delta],
                               [s >> shift for s in inst.nabla])
-        arc_ids, rinst = residual_graph(residual(inst_b, f))
+        res = residual(inst_b, f)
+        arc_ids, rinst = residual_graph(res)
         rinst.cap = [min(c, clamp) for c in rinst.cap]
         corr = inner(rinst)
         val = flow_stats(rinst, corr).value
@@ -223,7 +237,8 @@ def capacity_scaled_max_flow(inst: FlowInstance,
             raise SolverInvariantError(
                 f"phase {b} residual flow value {val} exceeds m + n = {m + n}")
         stats.phase_values.append(val)
-        _lift(f, arc_ids, corr)
+        _lift(res.arc_cap, arc_ids, corr)
+        f = Flow(res.arc_cap[1::2])
     stats.value = flow_stats(inst, f).value
     return SolveResult(f, stats)
 
