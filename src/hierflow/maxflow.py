@@ -210,13 +210,13 @@ def capacity_scaled_max_flow(inst: FlowInstance,
     with capacities capped at max(n^2, m + n), and adds the correction.
     The residual value is at most m + n (asserted): doubling adds at most
     one unit to each arc and vertex term of the last phase's minimum cut.
-    That is below n^2 on simple graphs, not always on multigraphs.  Phase
-    count is ceil(log2 U) + 1.
+    That is below n^2 on simple graphs, not always on multigraphs.  With
+    U the largest capacity (at least 1), the first phase's capacities are
+    0 or 1 and there are ceil(log2 U) + 1 phases.
     """
     g = inst.g
     n, m = g.n, g.m
-    u = max([1] + list(inst.cap) + list(inst.delta) + list(inst.nabla))
-    k = (u - 1).bit_length() + 1 if u >= 1 else 1
+    k = (max([1, *inst.cap]) - 1).bit_length() + 1
     clamp = max(n * n, m + n, 1)
     f = Flow.zero(m)
     stats = SolveStats(value=0, phases=k)
