@@ -352,6 +352,55 @@ def per_frame_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) ->
     return tau
 
 
+def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed: int = 0):
+    """`maxflow.max_flow_exact` with every iteration made from the flow so
+    far: a fresh `residual(inst, f)`, a fresh residual `DiGraph` and the
+    lifted flow added onto f.  The reference for its flows and SolveStats.
+    The builder and push-relabel are looked up on `hierflow.maxflow`, so a
+    test that replaces them there replaces them for both."""
+    from hierflow import maxflow
+    from hierflow.config import DEFAULT_CONFIG as config, default_phi
+    from hierflow.errors import BuildFailedError
+    from hierflow.graph import flow_stats, residual
+    from hierflow.hierarchy import induced_weights
+
+    g = inst.g
+    phi = phi if phi is not None else default_phi(g.n)
+    base = random.Random(seed)
+    f = Flow.zero(g.m)
+    stats = maxflow.SolveStats(value=0)
+    while True:
+        res = residual(inst, f)
+        path, src, sink = maxflow._bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
+        if path is None:
+            break
+        stats.iterations += 1
+        arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
+        rg = DiGraph(g.n, [(g.arc_tail[a], g.arc_head[a]) for a in arc_ids])
+        rinst = FlowInstance(rg, [res.arc_cap[a] for a in arc_ids], res.delta_f, res.nabla_f)
+        r = None
+        try:
+            hier = maxflow.build_hierarchy(rg, rinst.cap, phi, base.getrandbits(64),
+                                           config, validate=False).hierarchy
+            h = maxflow.driver_height(g.n, max(hier.eta, 1), phi, config)
+            r = maxflow.push_relabel(rinst, induced_weights(rg, hier.tau), h, config=config)
+            stats.augmentations += r.augment_count
+            stats.relabels += r.relabel_climbs
+        except BuildFailedError:
+            stats.build_failures += 1
+        if r is None or r.value == 0:
+            stats.safety_net_hits += 1
+            amt = min([res.delta_f[src], res.nabla_f[sink]] + [res.arc_cap[a] for a in path])
+            lifted = [(a, amt) for a in path]
+            stats.augmentations += 1
+        else:
+            lifted = zip(arc_ids, r.flow.values)
+        for a, x in lifted:
+            f.values[a >> 1] += -x if a & 1 else x
+    stats.value = flow_stats(inst, f).value
+    return maxflow.SolveResult(f, stats)
+
+
 # instance text: mostly well-formed `p max` and `p diff` files over at most
 # 8 vertices, with out-of-range vertices, negative numbers, self-loops, a
 # wrong arc count, a missing or unknown node line and junk or comment lines

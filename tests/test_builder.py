@@ -216,3 +216,25 @@ def test_builds_are_bit_identical_to_the_recorded_digest():
     assert max(certified_rounds) > 0
     assert h.hexdigest() == (
         "c4878c7526c5a40d19be8607b4b6fc094a78c2967ec640c0eab1df6012532274")
+
+
+def test_each_frame_graph_is_split_once_per_build(monkeypatch):
+    # a 7-clique and a thin sink: level 1 cuts the sink off (its way out has
+    # capacity 1 against 10 in), level 2 certifies the removed edge, and
+    # the respecting order starts from the top frame both levels split
+    from hierflow import builder, hierarchy
+    splits = []
+    for mod in (builder, hierarchy):
+        def counted(g, vertices, edge_ids, real=mod.scc_subgraph):
+            splits.append((tuple(vertices), tuple(edge_ids)))
+            return real(g, vertices, edge_ids)
+        monkeypatch.setattr(mod, "scc_subgraph", counted)
+    arcs = [(u, v, 3) for u in range(7) for v in range(7) if u != v] + [(0, 7, 10), (7, 0, 1)]
+    graphs = [build_graph(8, arcs)]
+    rng = random.Random(23)
+    graphs += [(inst.g, inst.cap) for inst in (random_instance(rng, 12, 40, 5) for _ in range(5))]
+    for g, caps in graphs:
+        splits.clear()
+        build = build_hierarchy(g, caps, Fraction(1, 4), seed=1, validate=False)
+        assert build.hierarchy.eta == 2 and "event=cut" in build.log[0]
+        assert len(splits) == len(set(splits))

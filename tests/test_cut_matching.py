@@ -234,3 +234,15 @@ def test_certificate_soundness_seeded_sample():
             assert vol_s == out.vol_f_side
             assert 2 * vol_s <= sum(volw.values())
     assert certs > 0
+
+
+def test_exhaustive_check_draws_nothing_from_the_rng():
+    # the exact check certifies K8 and cuts the dumbbell before a round,
+    # so the cut player's sketch is never drawn
+    for (g, caps), certified in ((_complete_digraph(8), True), (_dumbbell(4, 1), False)):
+        rng = random.Random(5)
+        before = rng.getstate()
+        out = cut_or_embed(g, caps, set(range(g.m)), Fraction(1, 16),
+                           lambda: _empty_hier(g.n), rng)
+        assert (out.cut is None) == certified
+        assert rng.getstate() == before

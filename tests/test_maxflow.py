@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from hierflow import maxflow
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import NotADAGError
+from hierflow.errors import BuildFailedError, InfeasibleFlowError, NotADAGError
 from hierflow.generators import generate
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, exact_solver,
                               max_flow_exact)
 
-from helpers import max_flow_value_by_cuts, random_instance
+from helpers import max_flow_value_by_cuts, per_iteration_exact, random_instance
 
 
 def test_ek_single_edge():
@@ -222,6 +223,67 @@ def test_exact_progress_guarantee():
     inst = random_instance(rng, 10, 25, 5, st=True)
     res = max_flow_exact(inst, Fraction(1, 16), seed=1)
     assert res.stats.iterations <= edmonds_karp(inst).stats.value + 1
+
+
+def _diffusion_multigraph(rng, n, m, cap):
+    """Several sources and sinks, parallel, antiparallel and zero-capacity
+    edges; one sink takes the whole supply, so every scaling phase is a
+    diffusion instance too."""
+    arcs = [(*rng.sample(range(n), 2), rng.randint(0, cap)) for _ in range(m)]
+    for u, v, _c in arcs[:2]:
+        arcs += [(u, v, rng.randint(0, cap)), (v, u, rng.randint(0, cap))]
+    g, caps = build_graph(n, arcs)
+    delta = [rng.choice([0, 0, rng.randint(1, cap)]) for _ in range(n)]
+    nabla = [rng.choice([0, 0, rng.randint(1, cap)]) for _ in range(n)]
+    nabla[rng.randrange(n)] += sum(delta)
+    return FlowInstance(g, caps, delta, nabla)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_exact_driver_matches_the_per_iteration_reference(monkeypatch, planted):
+    # the driver keeps one residual across iterations; the reference makes
+    # each from the flow so far.  Planted: push-relabel at height 1 and a
+    # builder failing on every fifth seed, for several iterations per solve,
+    # safety nets and build failures
+    if planted:
+        real_pr, real_build = maxflow.push_relabel, maxflow.build_hierarchy
+
+        def flaky(g, cap, phi, seed, *args, **kwargs):
+            if seed % 5 == 0:
+                raise BuildFailedError("planted")
+            return real_build(g, cap, phi, seed, *args, **kwargs)
+        monkeypatch.setattr(maxflow, "push_relabel",
+                            lambda inst, w, h, **kwargs: real_pr(inst, w, 1, **kwargs))
+        monkeypatch.setattr(maxflow, "build_hierarchy", flaky)
+    rng = random.Random(70)
+    totals = [0, 0, 0]
+    for trial in range(30):
+        n = rng.randint(3, 12)
+        inst = _diffusion_multigraph(rng, n, rng.randint(n, 4 * n), rng.choice([3, 12, 1000]))
+        phi = rng.choice([None, Fraction(1, 16)])
+        res = max_flow_exact(inst, phi, seed=trial)
+        ref = per_iteration_exact(inst, phi, seed=trial)
+        assert (res.flow.values, res.stats) == (ref.flow.values, ref.stats), f"trial {trial}"
+        scaled = capacity_scaled_max_flow(inst, exact_solver(phi, seed=trial))
+        want = capacity_scaled_max_flow(inst, lambda i: per_iteration_exact(i, phi, trial).flow)
+        assert scaled.flow.values == want.flow.values, f"trial {trial}"
+        totals[0] += res.stats.iterations > 1
+        totals[1] += res.stats.safety_net_hits
+        totals[2] += res.stats.build_failures
+    assert all(totals) if planted else totals == [0, 0, 0]
+
+
+def test_exact_driver_rejects_a_lifted_flow_outside_the_capacities(monkeypatch):
+    real_pr = maxflow.push_relabel
+
+    def overflowing(inst, w, h, **kwargs):
+        r = real_pr(inst, w, h, **kwargs)
+        r.flow.values[0] += inst.cap[0] + 1
+        return r
+    monkeypatch.setattr(maxflow, "push_relabel", overflowing)
+    g, caps = build_graph(3, [(0, 1, 2), (1, 2, 2)])
+    with pytest.raises(InfeasibleFlowError, match="outside"):
+        max_flow_exact(FlowInstance(g, caps, [2, 0, 0], [0, 0, 2]), seed=0)
 
 
 def _no_validation(*args, **kwargs):
