@@ -1,12 +1,12 @@
 """End-to-end exact maximum flow, the DAG approximation, capacity
 scaling, and the shortest-augmenting-path oracle every test leans on.
 
-The exact driver loops: build a hierarchy of the current residual graph
-(unvalidated: it only supplies weights), run weighted push-relabel with
-the induced weights, apply the flow, and repeat until no augmenting path
-remains.  A single breadth-first augmentation acts as a safety net
-whenever an iteration routes nothing, so exactness never depends on
-hierarchy quality.
+The exact driver keeps one residual per solve and loops: build a
+hierarchy of the residual graph (unvalidated: it only supplies weights),
+run weighted push-relabel with the induced weights, lift the flow into
+the residual in place, and repeat until no augmenting path remains.  A
+single breadth-first augmentation acts as a safety net whenever an
+iteration routes nothing, so exactness never depends on hierarchy quality.
 """
 from __future__ import annotations
 
