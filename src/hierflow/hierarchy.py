@@ -84,8 +84,7 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     return _respecting_order(g, d, levels, None)
 
 
-def _respecting_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
-                      top: Optional[tuple]) -> List[int]:
+def _respecting_order(g, d, levels, top):
     """`respecting_topo_order`, with the top frame's split when the caller
     holds it: `scc_subgraph(g, range(g.n), every edge id in order)`, for a
     partition of every edge of g."""
