@@ -2,8 +2,8 @@
 """Benchmark the exact solver against the shortest-augmenting-path oracle
 across the generator families and print a TSV table.  Exits 1 on the
 first value that differs from the oracle's or flow that is not feasible.
-At sizes up to 100 a random family with capacities up to 10^6 is solved
-through capacity scaling, as `hierflow solve` does.
+Rows are solved by `max_flow`, as `hierflow solve` does; the random family
+with capacities up to 10^6 (sizes up to 100) is scaled, in `-scaled` rows.
 
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
 """
@@ -13,7 +13,7 @@ import time
 
 from hierflow.generators import gen_cycle, gen_dumbbell, gen_grid, generate
 from hierflow.graph import is_feasible
-from hierflow.maxflow import capacity_scaled_max_flow, edmonds_karp, exact_solver, max_flow_exact
+from hierflow.maxflow import edmonds_karp, max_flow
 
 
 def _sizes_arg(text):
@@ -34,30 +34,23 @@ def main(argv=None):
     ap.add_argument("--sizes", type=_sizes_arg, default="8,12,16,24,30,50,80")
     args = ap.parse_args(argv)
 
-    def exact(inst):
-        return max_flow_exact(inst, seed=args.seed)
-
-    def scaled(inst):
-        return capacity_scaled_max_flow(inst, exact_solver(seed=args.seed))
-
     cases = []
     for n in args.sizes:
-        cases.append((generate("random", seed=args.seed, n=n, m=4 * n, cap=12), exact))
-        cases.append((generate("dag", seed=args.seed, n=n, m=3 * n, cap=9), exact))
+        cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=12))
+        cases.append(generate("dag", seed=args.seed, n=n, m=3 * n, cap=9))
         if n <= 100:
-            cases.append((generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 6), scaled))
-    for k in (3, 4, 5):
-        cases.append((gen_dumbbell(k, 2), exact))
-    cases.append((gen_cycle(12, 3), exact))
-    cases.append((gen_grid(4, 5, 6, seed=args.seed), exact))
+            cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 6))
+    cases += [gen_dumbbell(k, 2) for k in (3, 4, 5)]
+    cases.append(gen_cycle(12, 3))
+    cases.append(gen_grid(4, 5, 6, seed=args.seed))
 
     print("instance\tn\tm\tvalue\texact_ms\tek_ms\titers\tsafety_net\tphases")
-    for gen, solve in cases:
-        name = gen.name + ("-scaled" if solve is scaled else "")
+    for gen in cases:
         inst = gen.instance()
         t0 = time.perf_counter()
-        res = solve(inst)
+        res = max_flow(inst, seed=args.seed)
         exact_ms = (time.perf_counter() - t0) * 1e3
+        name = gen.name + ("-scaled" if res.stats.phases else "")
         t0 = time.perf_counter()
         oracle = edmonds_karp(inst)
         ek_ms = (time.perf_counter() - t0) * 1e3

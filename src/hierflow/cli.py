@@ -20,8 +20,7 @@ from .hierarchy import (Hierarchy, hierarchy_from_text, hierarchy_to_text,
                         validate_hierarchy)
 from .graph import FlowInstance
 from .io import emit_dimacs, emit_diffusion, parse_instance
-from .maxflow import (capacity_scaled_max_flow, dag_approx_flow, edmonds_karp,
-                      exact_solver, max_flow_exact)
+from .maxflow import dag_approx_flow, edmonds_karp, max_flow
 from .generators import generate
 from .sparse_cut import sparse_cut
 
@@ -127,13 +126,10 @@ def _write_flow(fh: TextIO, inst: FlowInstance, flow) -> None:
 
 
 def _solve(algo: str, inst: FlowInstance, args, cfg: "SolverConfig") -> "SolveResult":
-    """Edmonds-Karp for `ek`; for `exact`, `max_flow_exact`, behind
-    capacity scaling when a capacity exceeds n^2."""
+    """Edmonds-Karp for `ek`, `max_flow` for `exact`."""
     if algo == "ek":
         return edmonds_karp(inst)
-    if max(inst.cap, default=0) > inst.n * inst.n:
-        return capacity_scaled_max_flow(inst, exact_solver(args.phi, args.seed, cfg))
-    return max_flow_exact(inst, args.phi, args.seed, cfg)
+    return max_flow(inst, args.phi, args.seed, cfg)
 
 
 def cmd_solve(args) -> int:

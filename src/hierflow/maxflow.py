@@ -1,4 +1,4 @@
-"""End-to-end exact maximum flow, the DAG approximation, capacity
+"""Exact maximum flow (`max_flow`), the DAG approximation, capacity
 scaling, and the shortest-augmenting-path oracle every test leans on.
 
 The exact driver keeps one residual per solve and loops: build a
@@ -10,6 +10,7 @@ iteration routes nothing, so exactness never depends on hierarchy quality.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -161,7 +162,10 @@ def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
 
 def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
                    seed: int = 0, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Exact maximum flow via hierarchy-guided augmentation."""
+    """Exact maximum flow via hierarchy-guided augmentation.  Where the
+    supply total exceeds the sink total, as in a scaling phase, push-relabel
+    is offered the supply trimmed to the sink total, in vertex order; the
+    BFS and the safety net see all of it."""
     g = inst.g
     n, m = g.n, g.m
     phi = phi if phi is not None else default_phi(n)
@@ -169,6 +173,8 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
     base = random.Random(seed)
     # one residual for the whole solve; each iteration's flow is lifted into it
     res = residual(inst, Flow.zero(m))
+    # every iteration takes as much supply as sink capacity, so this stays fixed
+    surplus = sum(res.delta_f) - sum(res.nabla_f)
     stats = SolveStats(value=0)
     while True:
         arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
@@ -176,6 +182,8 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
             break
         stats.iterations += 1
         arc_ids, rinst = residual_graph(res)
+        if surplus > 0:
+            rinst.delta = _trim(res.delta_f, sum(res.nabla_f))
         r = None
         try:
             hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
@@ -194,25 +202,38 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
             stats.augmentations += 1
         else:
             _lift(res.arc_cap, arc_ids, r.flow)
-            res.delta_f, res.nabla_f = r.delta_residual, r.nabla_residual
+            # the supply held back from push-relabel, res.delta_f - rinst.delta, stays
+            res.delta_f = [x + d - o for x, d, o in zip(r.delta_residual, res.delta_f,
+                                                         rinst.delta)]
+            res.nabla_f = r.nabla_residual
     stats.value = sum(inst.delta) - sum(res.delta_f)
     return SolveResult(Flow(res.arc_cap[1::2]), stats)
+
+
+def _trim(supply: Sequence[int], total: int) -> List[int]:
+    """supply cut down to `total` units, kept in vertex order."""
+    out = []
+    for d in supply:
+        out.append(min(d, total))
+        total -= out[-1]
+    return out
 
 
 # --- capacity scaling ---------------------------------------------------------
 
 
 def capacity_scaled_max_flow(inst: FlowInstance,
-                             inner: Callable[[FlowInstance], Flow]) -> SolveResult:
+                             inner: Callable[[FlowInstance], SolveResult]) -> SolveResult:
     """Bit-by-bit scaling from the most significant capacity bit.
 
-    Each phase doubles the current flow, solves the residual instance
-    with capacities capped at max(n^2, m + n), and adds the correction.
-    The residual value is at most m + n (asserted): doubling adds at most
-    one unit to each arc and vertex term of the last phase's minimum cut.
-    That is below n^2 on simple graphs, not always on multigraphs.  With
-    U the largest capacity (at least 1), the first phase's capacities are
-    0 or 1 and there are ceil(log2 U) + 1 phases.
+    Each phase doubles the current flow, has `inner` solve the residual
+    instance (capacities capped at max(n^2, m + n)) to its maximum as a
+    SolveResult, also where its supply exceeds its sink capacity, adds the
+    correction and sums the counters.  The residual value is at most m + n
+    (raises `SolverInvariantError`): doubling adds at most one unit to each
+    arc and vertex term of the last phase's minimum cut, below n^2 on simple
+    graphs, not always on multigraphs.  With U the largest capacity (at
+    least 1), there are ceil(log2 U) + 1 phases, the first of capacities 0 or 1.
     """
     g = inst.g
     n, m = g.n, g.m
@@ -231,20 +252,29 @@ def capacity_scaled_max_flow(inst: FlowInstance,
         res = residual(inst_b, f)
         arc_ids, rinst = residual_graph(res)
         rinst.cap = [min(c, clamp) for c in rinst.cap]
-        corr = inner(rinst)
-        val = flow_stats(rinst, corr).value
+        sub = inner(rinst)
+        for key in ("iterations", "augmentations", "relabels", "safety_net_hits",
+                    "build_failures"):
+            setattr(stats, key, getattr(stats, key) + getattr(sub.stats, key))
+        val = flow_stats(rinst, sub.flow).value
         if val > m + n:
             raise SolverInvariantError(
                 f"phase {b} residual flow value {val} exceeds m + n = {m + n}")
         stats.phase_values.append(val)
-        _lift(res.arc_cap, arc_ids, corr)
+        _lift(res.arc_cap, arc_ids, sub.flow)
         f = Flow(res.arc_cap[1::2])
     stats.value = flow_stats(inst, f).value
     return SolveResult(f, stats)
 
 
 def exact_solver(phi: Optional[Fraction] = None, seed: int = 0,
-                 config: SolverConfig = DEFAULT_CONFIG) -> Callable[[FlowInstance], Flow]:
-    def solve(inst: FlowInstance) -> Flow:
-        return max_flow_exact(inst, phi, seed, config).flow
-    return solve
+                 config: SolverConfig = DEFAULT_CONFIG) -> Callable[[FlowInstance], SolveResult]:
+    return functools.partial(max_flow_exact, phi=phi, seed=seed, config=config)
+
+
+def max_flow(inst: FlowInstance, phi: Optional[Fraction] = None, seed: int = 0,
+             config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+    """`max_flow_exact`, behind capacity scaling when a capacity exceeds n^2."""
+    if max(inst.cap, default=0) > inst.n * inst.n:
+        return capacity_scaled_max_flow(inst, exact_solver(phi, seed, config))
+    return max_flow_exact(inst, phi, seed, config)

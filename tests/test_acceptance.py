@@ -442,7 +442,7 @@ def test_criterion_11_capacity_scaling():
     for u in (1, 2, 3, 4, 7, 8, 100, 1023, 1024, 65536, 10 ** 6 - 1, 10 ** 6):
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
-        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
+        res = capacity_scaled_max_flow(inst, edmonds_karp)
         want_phases = 1 if u == 1 else math.ceil(math.log2(u)) + 1
         assert res.stats.phases == want_phases, f"U={u}"
         assert res.stats.value == u
@@ -453,7 +453,7 @@ def test_criterion_11_capacity_scaling():
         inst = random_instance(rng, rng.randint(2, 9), rng.randint(1, 18),
                                rng.choice([3, 10, 100, 5000, 10 ** 6]),
                                st=(i % 2 == 0))
-        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
+        res = capacity_scaled_max_flow(inst, edmonds_karp)
         assert res.stats.value == edmonds_karp(inst).stats.value
         n2 = inst.n * inst.n
         assert all(v <= n2 for v in res.stats.phase_values)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierflow import cli
+from hierflow import cli, maxflow
 from hierflow.builder import build_hierarchy
 from hierflow.cli import main, make_parser
 from hierflow.config import default_phi
@@ -88,7 +88,7 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
 
 
 # what each command runs once its files are open
-_RUNS = ("edmonds_karp", "max_flow_exact", "capacity_scaled_max_flow", "dag_approx_flow",
+_RUNS = ("edmonds_karp", "max_flow", "dag_approx_flow",
          "build_hierarchy", "generate", "validate_hierarchy")
 
 
@@ -369,19 +369,31 @@ def test_bench_runs_the_solver_that_solve_runs(tmp_path, capsys, monkeypatch):
     the same value."""
     path = _write(tmp_path, "wide.dimacs", SINGLE.replace("a 1 2 5", "a 1 2 1000000"))
     scaled = []
-    real = cli.capacity_scaled_max_flow
+    real = maxflow.capacity_scaled_max_flow
 
     def spy(inst, inner):
         scaled.append(inst.n)
         return real(inst, inner)
 
-    monkeypatch.setattr(cli, "capacity_scaled_max_flow", spy)
+    monkeypatch.setattr(maxflow, "capacity_scaled_max_flow", spy)
     code, out, _ = _run(["solve", "--algo", "exact", "--seed", "1", path], capsys)
     assert code == 0 and out == "value 1000000\n"
     code, out, _ = _run(["bench", "--algo", "exact", "--seed", "1", path], capsys)
     assert code == 0
     assert out.splitlines()[2].split("\t")[:3] == [path, "exact", "1000000"]
     assert scaled == [2, 2]
+
+
+def test_solve_scales_a_phase_with_more_supply_than_sink_capacity(tmp_path, capsys):
+    """Capacity 10 exceeds n^2 = 9; shifted by 1, vertex 1's supply of 4
+    becomes 2 and the sink capacities 3 and 1 become 1 and 0."""
+    path = _write(tmp_path, "spread.diff",
+                  "p diff 3 2\na 1 2 10\na 1 3 10\nsrc 1 4\nsnk 2 3\nsnk 3 1\n")
+    code, out, _ = _run(["solve", "--algo", "exact", path], capsys)
+    assert (code, out) == (0, "value 4\n")
+    code, out, _ = _run(["bench", "--algo", "exact", path], capsys)
+    assert code == 0
+    assert out.splitlines()[2].split("\t")[:3] == [path, "exact", "4"]
 
 
 @pytest.mark.parametrize("algo", ["foo,,ek", "exact,", "EK", ""])

@@ -9,9 +9,10 @@ from hierflow import maxflow
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import BuildFailedError, InfeasibleFlowError, NotADAGError
 from hierflow.generators import generate
-from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
+from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats, is_feasible,
+                            st_instance)
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
-                              edmonds_karp, exact_solver,
+                              edmonds_karp, exact_solver, max_flow,
                               max_flow_exact)
 
 from helpers import max_flow_value_by_cuts, per_iteration_exact, random_instance
@@ -159,7 +160,7 @@ def test_exact_matches_oracle_at_bench_sizes(model, n, m):
 def test_scaling_single_edge_large_cap():
     g, caps = build_graph(2, [(0, 1, 10 ** 6)])
     inst = FlowInstance(g, caps, [10 ** 6, 0], [0, 10 ** 6])
-    res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
+    res = capacity_scaled_max_flow(inst, edmonds_karp)
     assert res.stats.value == 10 ** 6
     assert res.stats.phases == 21  # ceil(log2(1e6)) + 1
     assert all(v <= 4 for v in res.stats.phase_values)  # n^2 = 4
@@ -169,7 +170,7 @@ def test_scaling_matches_direct_on_small_caps():
     rng = random.Random(65)
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 8), rng.randint(1, 14), 3, st=False)
-        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
+        res = capacity_scaled_max_flow(inst, edmonds_karp)
         want = edmonds_karp(inst).stats.value
         assert res.stats.value == want
         n2 = inst.n * inst.n
@@ -194,7 +195,7 @@ def test_scaling_on_multigraphs():
         g, caps = build_graph(n, [(u, v, c) for u, v, c in arcs if u != v])
         inst = FlowInstance(g, caps, [sum(caps) + 1] + [0] * (n - 1),
                             [0] * (n - 1) + [sum(caps) + 1])
-        for inner in (lambda i: edmonds_karp(i).flow, exact_solver(Fraction(1, 16), seed=0)):
+        for inner in (edmonds_karp, exact_solver(Fraction(1, 16), seed=0)):
             res = capacity_scaled_max_flow(inst, inner)
             assert res.stats.value == edmonds_karp(inst).stats.value
             assert all(v <= g.m + n for v in res.stats.phase_values)
@@ -204,7 +205,7 @@ def test_scaling_phase_count_formula():
     for u, phases in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (1023, 11), (1024, 11)]:
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
-        res = capacity_scaled_max_flow(inst, lambda i: edmonds_karp(i).flow)
+        res = capacity_scaled_max_flow(inst, edmonds_karp)
         assert res.stats.phases == phases, f"U={u}"
         assert res.stats.value == u
 
@@ -265,13 +266,60 @@ def test_exact_driver_matches_the_per_iteration_reference(monkeypatch, planted):
         ref = per_iteration_exact(inst, phi, seed=trial)
         assert (res.flow.values, res.stats) == (ref.flow.values, ref.stats), f"trial {trial}"
         scaled = capacity_scaled_max_flow(inst, exact_solver(phi, seed=trial))
-        want = capacity_scaled_max_flow(inst, lambda i: per_iteration_exact(i, phi, trial).flow)
+        want = capacity_scaled_max_flow(inst, lambda i: per_iteration_exact(i, phi, trial))
         assert scaled.flow.values == want.flow.values, f"trial {trial}"
         totals[0] += res.stats.iterations > 1
         totals[1] += res.stats.safety_net_hits
         totals[2] += res.stats.build_failures
     if planted:
         assert all(totals)
+
+
+def test_scaled_phase_with_more_supply_than_sink_capacity():
+    # vertex 0 supplies 4 to sinks of capacity 3 and 1: shifted by 1, the
+    # supply is 2 and the sink capacities 1 and 0
+    for cap, solve in ((4, lambda inst: capacity_scaled_max_flow(inst, exact_solver())),
+                       (10, max_flow)):  # 10 > n^2 = 9
+        g, caps = build_graph(3, [(0, 1, cap), (0, 2, cap)])
+        inst = FlowInstance(g, caps, [4, 0, 0], [0, 3, 1])
+        res = solve(inst)
+        assert res.stats.value == 4 and res.stats.phases > 1, f"capacity {cap}"
+        assert is_feasible(inst, res.flow)
+
+
+def test_max_flow_matches_the_oracle_on_diffusion_and_st_multigraphs():
+    # one or two sources and two or three sinks (or an s-t instance),
+    # parallel, antiparallel and zero-capacity edges, capacities below and
+    # above n^2; a scaled phase's shifted sink capacities can then fall
+    # below its supply
+    rng = random.Random(71)
+    scaled = 0
+    for trial in range(60):
+        n = rng.randint(3, 8)
+        cap = rng.choice([3, n * n, 50, 10 ** 6])
+        arcs = [(*rng.sample(range(n), 2), rng.randint(0, cap))
+                for _ in range(rng.randint(n, 3 * n))]
+        for u, v, _c in arcs[:2]:
+            arcs += [(u, v, rng.randint(0, cap)), (v, u, rng.randint(0, cap))]
+        if trial % 3 == 0:
+            inst = st_instance(n, arcs, 0, n - 1)
+        else:
+            g, caps = build_graph(n, arcs)
+            delta = [0] * n
+            for v in rng.sample(range(n), rng.randint(1, 2)):
+                delta[v] = rng.randint(1, cap)
+            # the supply split over two or three sinks, none taking all of it
+            total = sum(delta)
+            cuts = sorted(rng.randint(1, max(total - 1, 1)) for _ in range(rng.randint(1, 2)))
+            nabla = [0] * n
+            for v, lo, hi in zip(rng.sample(range(n), 3), [0] + cuts, cuts + [total]):
+                nabla[v] = hi - lo
+            inst = FlowInstance(g, caps, delta, nabla)
+        res = max_flow(inst, seed=trial)
+        assert res.stats.value == edmonds_karp(inst).stats.value, f"trial {trial}"
+        assert is_feasible(inst, res.flow), f"trial {trial}"
+        scaled += res.stats.phases > 0
+    assert scaled >= 10
 
 
 def test_exact_driver_rejects_a_lifted_flow_outside_the_capacities(monkeypatch):
@@ -336,7 +384,7 @@ def _scaled_results():
 
         def solve(rinst):
             inner.append(max_flow_exact(rinst, seed=s))
-            return inner[-1].flow
+            return inner[-1]
         yield capacity_scaled_max_flow(inst, solve)
         yield from inner
 
@@ -349,8 +397,8 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     assert _digest(_exact_results()) == (
         "e848257bf6c5e857ac67ee77dea0d48123a84e192541aecf10fdd6786a2a489e")
     # capacities up to 10^6: the scaled solve and every inner exact solve.
-    # Re-pinned when U became the largest capacity, not also the supplies:
-    # `phases` fell and `phase_values` lost its leading zeros (with the
-    # inner solves of those phases); the flows hash as before.
+    # Re-pinned when the scaled solve began to sum its phases' iterations,
+    # augmentations, relabels, safety nets and build failures; the flows,
+    # values, phases and phase values hash as before.
     assert _digest(_scaled_results()) == (
-        "ee4a3a90673ef31ef2b950f93d0ac9baef992f09c7579766dcdc8c6ced436590")
+        "47bc4fe66b4722a08d504d69689d94e5e158e3cb66f83b41a96f8a35ce054936")

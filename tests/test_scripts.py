@@ -51,3 +51,13 @@ def test_hierarchy_report_names_a_failed_build_and_exits_1(monkeypatch, capsys):
     assert "Traceback" not in err
     rows = out.splitlines()[1:]
     assert rows and all(row.split("\t")[3] == "0" for row in rows)
+
+
+def test_bench_families_scaled_rows_sum_their_phases_counters():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
+                           "--sizes", "8"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    scaled = [dict(zip(header, row)) for row in rows if row[0].endswith("-scaled")]
+    assert scaled and all(int(row["iters"]) >= 1 for row in scaled)
