@@ -12,28 +12,33 @@ returned flow f satisfies, for height parameter h:
   (iii) |f| is at least one sixth of the best flow of average
         w-length <= h.
 
-Relabeling is processed one vertex at a time until it either gains an
-admissible out-arc or dies.  The fast scheduler collapses such a climb
-into one batch whose final labels and marks coincide with jumping level
-by level; the debug scheduler really does jump level by level (to the
-next multiple of an incident weight) and asserts the level invariants
-after every step.  Both land through one routine, which counts one
-landing per multiple of each distinct incident weight crossed, plus one
-for the landing that kills a vertex: the quantity the 9h/w bound counts.
+Relabeling starts with a global lift (Goldberg and Tarjan's global
+relabel): a Dijkstra from the open sinks over residual in-arcs lands each
+alive vertex once, at the least multiple of an out-arc's weight w at least
+2w above that arc's settled head, where the arc turns admissible; a vertex
+keyed above 9h dies, as does one the search never settles.  Afterwards a
+vertex that loses its last admissible out-arc climbs alone until it gains
+one or dies, and once n climbs have passed since the last lift, the next
+prune is a lift instead (Cherkassky and Goldberg's schedule).  The fast
+scheduler collapses each climb or lift into one landing whose labels and
+marks coincide with jumping level by level; the debug scheduler really
+jumps level by level (to the next multiple of an incident weight) and
+asserts the level invariants after every climbing step and every lift.
+Both land through one routine, which counts one landing per multiple of
+each distinct incident weight crossed, plus one for the landing that kills
+a vertex: the quantity the 9h/w bound counts.
 
-Dead-vertex pruning (Cherkassky and Goldberg's gap heuristic): before
-the first relabel, and after every augmentation that saturates an arc or
-a sink, a reverse search from the unsaturated sinks over residual arcs
-between alive vertices marks who can still reach a sink, and every alive
-vertex it misses dies at once instead of climbing to 9h + 1 in steps of
-about 2w.  This is exact.  The missed set only grows: an augmentation
-adds residual arcs only against its path, whose vertices all reached its
-sink, so whoever reaches a sink afterwards reached one before; and one
-that saturates neither an arc nor a sink removes no arc and closes no
-sink.  A missed vertex would die anyway, because at the end of a run
-every alive vertex has an admissible path to an unsaturated sink.  So
-the final alive set is the one plain climbing reaches; only levels and
-marks of alive vertices can differ where a doomed neighbor held them up.
+Dead-vertex pruning (Cherkassky and Goldberg's gap heuristic): after every
+augmentation that saturates an arc or a sink, a reverse search from the
+unsaturated sinks over residual arcs between alive vertices marks who can
+still reach a sink, and every alive vertex it misses dies at once instead
+of climbing to 9h + 1; a lift kills these too.  This is exact.  The missed
+set only grows: an augmentation adds residual arcs only against its path,
+whose vertices all reached its sink, so whoever reaches a sink afterwards
+reached one before; and one that saturates neither an arc nor a sink
+removes no arc and closes no sink.  A missed vertex would die anyway,
+because at the end of a run every alive vertex has an admissible path to
+an unsaturated sink.
 
 Augmentation walks the current arcs (each vertex's smallest admissible
 out-arc) from a source to an open sink and updates the residual array
@@ -86,7 +91,7 @@ class PushRelabelResult:
     value: int
     edge_saturations: List[int]
     edge_flips: List[int]
-    relabel_climbs: int
+    relabel_climbs: int  # one per climb, and one per vertex a lift moves
     levels_visited: List[int]
     delta_residual: List[int]
     nabla_residual: List[int]
@@ -166,6 +171,7 @@ class _Engine:
         self.edge_sat = [0] * m
         self.edge_flip = [0] * m
         self.relabel_climbs = 0
+        self.lift_climbs = 0  # relabel_climbs when the last lift ended
         self.levels_visited = [0] * n
         self.augments: List[AugmentRecord] = []
         self.relabel_events: List[Tuple[int, int, int]] = []
@@ -317,6 +323,62 @@ class _Engine:
         if doomed and self.cfg.debug_invariants:
             self._assert_invariants()
 
+    def _lift(self) -> None:
+        """Global relabel: land every alive vertex once at its lift level.
+
+        A Dijkstra from the open sinks over residual in-arcs between alive
+        vertices keys x by the least multiple of w(a) at least T(u) + 2w(a)
+        over its live out-arcs a = (x, u) to settled u; x lands at T(x) =
+        max(level, key), where a is admissible.  A vertex keyed above 9h
+        dies landing there.  One never settled dies at once, as in _prune:
+        its every way to an open sink runs through a vertex the lift killed.
+        """
+        alive, cf, lvl, nine_h, n = self.alive, self.cf, self.level, self.nine_h, self.n
+        key = [INF] * n
+        settled = [False] * n
+        heap = [(0, v) for v in range(n) if self.nabla_rem[v] > 0]
+        while heap:
+            t, x = heapq.heappop(heap)
+            if t > nine_h:
+                break
+            if settled[x]:
+                continue
+            settled[x] = True
+            if t > lvl[x]:
+                self._lift_to(x, t)
+            for a, wa, y in self.outs[x]:
+                # a ^ 1 runs y -> x
+                if cf[a ^ 1] > 0 and alive[y] and not settled[y]:
+                    k = (-(-t // wa) + 2) * wa
+                    if k < lvl[y]:
+                        k = lvl[y]
+                    if k < key[y]:
+                        key[y] = k
+                        heapq.heappush(heap, (k, y))
+        for v in range(n):
+            if alive[v] and not settled[v]:
+                if key[v] < INF:
+                    self._lift_to(v, key[v])
+                else:
+                    self._die(v)
+        self.lift_climbs = self.relabel_climbs
+        for v in range(n):
+            self._enqueue(v)
+        # checked once the pass is over: until then a landed vertex can sit
+        # 3w or more above a neighbor not yet lifted
+        if self.cfg.debug_invariants:
+            self._assert_invariants()
+
+    def _lift_to(self, v: int, stop) -> None:
+        """One climb from v's level to `stop`; the debug scheduler takes it
+        one multiple at a time."""
+        self.relabel_climbs += 1
+        if self.cfg.debug_invariants:
+            while self.alive[v] and self.level[v] < stop:
+                self._relabel_once(v)
+        else:
+            self._land(v, self.level[v], stop)
+
     def _drain(self) -> None:
         debug = self.cfg.debug_invariants
         while self.pending:
@@ -409,16 +471,18 @@ class _Engine:
             tuple(self.level) if self.cfg.snapshot_labels else None,
         ))
         if saturated or self.nabla_rem[t] == 0:
-            self._prune()
+            # Cherkassky and Goldberg's schedule: lift again after n climbs
+            if self.relabel_climbs - self.lift_climbs >= self.n:
+                self._lift()
+            else:
+                self._prune()
         if self.cfg.debug_invariants:
             self._assert_invariants()
 
     # main loop ---------------------------------------------------------------
 
     def run(self) -> PushRelabelResult:
-        self._prune()
-        for v in range(self.n):
-            self._enqueue(v)
+        self._lift()
         self._drain()
         excess = [v for v in range(self.n) if self.delta_rem[v] > 0]
         while excess:

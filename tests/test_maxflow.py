@@ -393,12 +393,16 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # SolveStats (augmentations, climbs, phases, ...) and flows of seeded
     # solves, hashed: any change to which flow push-relabel finds, or to
     # how much relabel work it counts, changes a digest.  The digests were
-    # recorded with the link-cut (capacitated) augmentation in the driver.
+    # recorded with the link-cut (capacitated) augmentation in the driver,
+    # and re-pinned when push-relabel's global lift moved the flows, the
+    # augmentation and the relabel counts (values, iterations, safety nets
+    # and phases hash as before).
     assert _digest(_exact_results()) == (
-        "e848257bf6c5e857ac67ee77dea0d48123a84e192541aecf10fdd6786a2a489e")
+        "9d143a39a8b357de1e1688fdd85ac587b440d2f6dd82f668f212c678d8f76f63")
     # capacities up to 10^6: the scaled solve and every inner exact solve.
     # Re-pinned when the scaled solve began to sum its phases' iterations,
     # augmentations, relabels, safety nets and build failures; the flows,
-    # values, phases and phase values hash as before.
+    # values, phases and phase values hash as before; re-pinned again with
+    # the global lift, as above.
     assert _digest(_scaled_results()) == (
-        "47bc4fe66b4722a08d504d69689d94e5e158e3cb66f83b41a96f8a35ce054936")
+        "4ba275c8dbbd98f18b7629469cd079b029a119d1a263caa01142a9b0f3efbbf3")

@@ -10,7 +10,8 @@ from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import (BadInstanceError, BadParamsError, SolverInvariantError,
                              WeightZeroError)
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
-from hierflow.maxflow import edmonds_karp
+from hierflow.generators import gen_cycle
+from hierflow.maxflow import edmonds_karp, max_flow_exact
 from hierflow.push_relabel import _Engine, push_relabel
 
 from helpers import dijkstra_residual, random_instance, reachability_closure
@@ -155,6 +156,84 @@ def test_guarantees_random_capacitated_instances():
         h = rng.randint(2, 15)
         r = push_relabel(inst, w, h, config=DBG)
         _check_theorem_guarantees(inst, w, h, r)
+
+
+def _lift_corpus(rng, count):
+    """Diffusion instances n 2-14: parallel arcs, zero capacities, up to
+    three sources, several sinks, weights up to n and h from 1 to the
+    total weight."""
+    for _ in range(count):
+        n = rng.randint(2, 14)
+        arcs = [tuple(rng.sample(range(n), 2)) + (rng.choice((0, 1, 1, 2, 3)),)
+                for _ in range(rng.randint(1, 4 * n))]
+        g, caps = build_graph(n, arcs)
+        delta, nabla = [0] * n, [0] * n
+        for _ in range(rng.randint(1, 3)):
+            delta[rng.randrange(n)] += rng.randint(1, 3 * n)
+        total = sum(delta) + rng.choice((0, 2))
+        while total > 0:
+            amt = rng.randint(1, total)
+            nabla[rng.randrange(n)] += amt
+            total -= amt
+        w = [rng.randint(1, n) for _ in arcs]
+        yield FlowInstance(g, caps, delta, nabla), w, rng.choice((1, 2, n, sum(w)))
+
+
+def test_guarantees_with_scheduled_lifts(monkeypatch):
+    # the debug scheduler checks I-1 to I-3 after every lift and every
+    # step; where h is at least the total weight every path is h-short,
+    # so (iii) reads 6|f| >= the max flow
+    lifts = []
+    real_lift = _Engine._lift
+
+    def counted(engine):
+        lifts[-1] += 1
+        real_lift(engine)
+
+    monkeypatch.setattr(_Engine, "_lift", counted)
+    for inst, w, h in _lift_corpus(random.Random(5), 200):
+        lifts.append(0)
+        r = push_relabel(inst, w, h, config=DBG)
+        _check_theorem_guarantees(inst, w, h, r)
+        if h >= sum(w):
+            assert 6 * r.value >= edmonds_karp(inst).stats.value
+    assert sum(count > 1 for count in lifts) >= 10
+
+
+def _start_levels(inst, w, h, lift):
+    """Levels and liveness before the first augmentation: after the lift,
+    or after climbing every vertex from level 0 as the drain alone did."""
+    engine = _Engine(inst, w, h, "unit", DBG)
+    if lift:
+        engine._lift()
+    else:
+        engine._prune()
+        for v in range(engine.n):
+            engine._enqueue(v)
+    engine._drain()
+    return engine.level, engine.alive
+
+
+def test_lift_starts_no_vertex_below_the_drain():
+    # Climbing keeps an arc admissible while its gap is between w and 2w,
+    # so a vertex can stop below the lift's level, never above it; the lift
+    # also kills vertices whose every way to an open sink runs above 9h.
+    higher = killed = 0
+    for inst, w, h in _lift_corpus(random.Random(6), 400):
+        (drained, drain_alive), (lifted, lift_alive) = (
+            _start_levels(inst, w, h, lift) for lift in (False, True))
+        assert all(a >= b for a, b in zip(lifted, drained))
+        assert all(b or not a for a, b in zip(lift_alive, drain_alive))
+        higher += lifted != drained
+        killed += lift_alive != drain_alive
+    assert higher >= 30 and killed >= 5
+
+
+def test_lift_climbs_the_cycle_once_per_vertex():
+    # climbing alone, without the lift, ping-pongs about n^2 / 5 times here
+    n = 1000
+    res = max_flow_exact(gen_cycle(n, 3).instance(), seed=1)
+    assert res.stats.value == 3 and res.stats.relabels <= n
 
 
 def test_one_sixth_approximation_on_dags():
@@ -327,8 +406,8 @@ def test_debug_oracle_checks_the_forest_against_the_residuals():
 def test_doomed_vertices_die_without_climbing(edges, delta, nabla):
     # After the first unit is routed no vertex but the open sink reaches an
     # open sink, so the rest die at once instead of climbing to 9h + 1:
-    # the work does not grow with h.  Three climbs of two landings each
-    # (0 to 2, 1 to 2, 0 to 4), then one landing per pruned death.
+    # the work does not grow with h.  The first lift makes two climbs (1 to
+    # 2, 0 to 4) of six landings, then one landing per pruned death.
     g, caps = build_graph(len(delta), edges)
     inst = FlowInstance(g, caps, delta, nabla)
     doomed = len(delta) - 1
@@ -338,7 +417,7 @@ def test_doomed_vertices_die_without_climbing(edges, delta, nabla):
                 r = push_relabel(inst, [1] * len(edges), h, mode=mode, config=config)
                 assert r.value == 1
                 assert r.labels.alive == [False] * doomed + [True]
-                assert (r.relabel_climbs, r.relabel_landings) == (3, 6 + doomed)
+                assert (r.relabel_climbs, r.relabel_landings) == (2, 6 + doomed)
                 if config.debug_invariants:
                     assert r.relabel_events[-doomed:] == [
                         (v, [4, 2, 0][v], 9 * h + 1) for v in range(doomed)]
@@ -481,7 +560,8 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
     # flows, labels, marks, augment records, work counters, residual
     # vectors and (debug) relabel events of seeded runs in both modes and
     # both schedulers, hashed: any change to what push-relabel computes or
-    # counts changes the digest
+    # counts changes the digest.  Re-pinned when the global lift replaced
+    # the first drain and every n-th climb's prune.
     fast = replace(DEFAULT_CONFIG, snapshot_labels=True)
     digest = hashlib.sha256()
     for inst, w, h in _pinned_instances():
@@ -490,4 +570,4 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
                 digest.update(repr(_pin(push_relabel(inst, w, h, mode=mode,
                                                      config=config))).encode())
     assert digest.hexdigest() == (
-        "8b7cff68d1a57876313493b299c1add0f1753a706484304b292f0c1cdaaabcbe")
+        "d53a88eee7be49022a11abff1a2682ab1a6050a878185f7ab467493c17e34667")

@@ -61,3 +61,16 @@ def test_bench_families_scaled_rows_sum_their_phases_counters():
     header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
     scaled = [dict(zip(header, row)) for row in rows if row[0].endswith("-scaled")]
     assert scaled and all(int(row["iters"]) >= 1 for row in scaled)
+
+
+def test_bench_families_counts_cycle_climbs_at_most_n():
+    # gen_cycle ping-pongs about n^2 / 5 climbs without the global lift
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
+                           "--sizes", "8,60"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert "relabels" in header
+    cycles = [dict(zip(header, row)) for row in rows if row[0].startswith("cycle-")]
+    assert [row["n"] for row in cycles] == ["8", "60"]
+    assert all(int(row["relabels"]) <= int(row["n"]) for row in cycles)
