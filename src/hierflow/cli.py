@@ -108,11 +108,7 @@ def _load(path: str) -> FlowInstance:
 
 
 def _config_from(args) -> "SolverConfig":
-    kw = {k: getattr(args, k) for k in ("c_h", "c_6", "max_h")
-          if getattr(args, k, None) is not None}
-    if args.debug_invariants:
-        kw["debug_invariants"] = True
-    return replace(DEFAULT_CONFIG, **kw)
+    return replace(DEFAULT_CONFIG, debug_invariants=args.debug_invariants)
 
 
 def _write_flow(fh: TextIO, inst: FlowInstance, flow) -> None:
@@ -256,13 +252,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--phi", type=_phi_arg, default=None,
                         help="expansion parameter as p/q")
         sp.add_argument("--debug-invariants", action="store_true")
-        sp.add_argument("--c-6", type=float, default=None)
-        sp.add_argument("--max-h", type=int, default=None)
 
     sp = sub.add_parser("solve", help="exact maximum flow")
     sp.add_argument("--algo", choices=ALGOS, default="exact")
     sp.add_argument("--flow", help="write flow lines to this file")
-    sp.add_argument("--c-h", type=float, default=None)
     common(sp)
     sp.add_argument("file")
     sp.set_defaults(fn=cmd_solve)
@@ -310,7 +303,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="table of solver runs")
     sp.add_argument("--algo", type=_algos_arg, default=list(ALGOS),
                     help="comma list: exact,ek")
-    sp.add_argument("--c-h", type=float, default=None)
     common(sp)
     sp.add_argument("files", nargs="+")
     sp.set_defaults(fn=cmd_bench)

@@ -13,8 +13,8 @@ unrouted without yielding a sparse cut fails with CutCheckFailedError.
 
 A component certifies early when brute force already confirms expansion
 (exactly on small components, by failing falsification on large ones,
-the latter only after at least one round); the full round budget runs
-when that shortcut is disabled.  The game's set-up (the piece's
+the latter only after at least one round), and otherwise plays its full
+round budget.  The game's set-up (the piece's
 hierarchy, kappa and the retry budget) is made only when the first
 round is played, and the sketch at the rng's first other use: the
 falsifier's first draw, or else the first bisection, so a component the
@@ -237,15 +237,14 @@ def cut_or_embed(
                                  state=state)
 
     while True:
-        if config.cmg_early_exit:
-            # falsifier silence proves nothing before the first round
-            verdict, witness = _brute_force_check(g, cap, deg_f, phi, state, config)
-            if verdict is True or (verdict is None and state.rounds_played > 0):
-                return finish(early=True)
-            if witness is not None:
-                out = try_cut(witness)
-                if out is not None:
-                    return out
+        # falsifier silence proves nothing before the first round
+        verdict, witness = _brute_force_check(g, cap, deg_f, phi, state, config)
+        if verdict is True or (verdict is None and state.rounds_played > 0):
+            return finish(early=True)
+        if witness is not None:
+            out = try_cut(witness)
+            if out is not None:
+                return out
         if state.rounds_played >= state.t_cmg:
             return finish(early=False)
         if state.rounds_played == 0:  # the game's set-up, for its first round

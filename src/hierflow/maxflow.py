@@ -148,13 +148,17 @@ def _lift(cf: List[int], arc_ids: Sequence[int], corr: Flow) -> None:
                                       f"{cf[fwd] + cf[fwd + 1]}] on edge {a >> 1}")
 
 
-def driver_height(n: int, eta: int, phi: Fraction, config: SolverConfig) -> int:
+# driver height constant: h = ceil(C_H * n * eta^2 * ln n / phi), capped at n^2
+C_H = 8.0
+
+
+def driver_height(n: int, eta: int, phi: Fraction) -> int:
     # capped at n^2: weights never exceed n, so beyond n^2 every simple
     # path already counts as short and a larger height only adds relabels;
     # capping before ceil keeps an overflowed (inf or nan) nominal finite;
     # a phi whose float underflows to 0 puts the nominal above the cap
     try:
-        nominal = config.c_h * n * (eta ** 2) * math.log(max(n, 2)) / float(phi)
+        nominal = C_H * n * (eta ** 2) * math.log(max(n, 2)) / float(phi)
     except ZeroDivisionError:
         nominal = math.inf
     return max(n, math.ceil(min(n * n, nominal)))
@@ -189,7 +193,7 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
             hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
                                    config, validate=False).hierarchy
             w = induced_weights(rinst.g, hier.tau)
-            h = driver_height(n, max(hier.eta, 1), phi, config)
+            h = driver_height(n, max(hier.eta, 1), phi)
             r = push_relabel(rinst, w, h, config=config)
             stats.augmentations += r.augment_count
             stats.relabels += r.relabel_climbs

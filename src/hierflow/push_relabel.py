@@ -80,7 +80,7 @@ class AugmentRecord:
     arcs: Tuple[int, ...]
     amount: int
     w_length: int
-    labels: Optional[Tuple[int, ...]] = None
+    labels: Optional[Tuple[int, ...]] = None  # levels at augment time; debug only
 
 
 @dataclass
@@ -468,7 +468,7 @@ class _Engine:
             self._enqueue(t)
         self.augments.append(AugmentRecord(
             tuple(arcs), amt, sum(self.w[a >> 1] for a in arcs),
-            tuple(self.level) if self.cfg.snapshot_labels else None,
+            tuple(self.level) if self.cfg.debug_invariants else None,
         ))
         if saturated or self.nabla_rem[t] == 0:
             # Cherkassky and Goldberg's schedule: lift again after n climbs

@@ -24,6 +24,10 @@ from .hierarchy import CutEvaluator, Hierarchy, induced_weights, terminal_volume
 from .push_relabel import push_relabel
 
 INF = math.inf
+# sparse-cut height constant: h = ceil(C_6 * eta^4 * ln(n)^7 * kappa * n / phi^2)
+C_6 = 1.0
+# hard clamp on push-relabel heights inside the sparse-cut subroutine
+MAX_H = 1_000_000
 
 
 @dataclass
@@ -48,28 +52,27 @@ class SparseCutOutcome:
     labels: Optional[List[float]] = None
 
 
-def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction,
-                      config: SolverConfig) -> int:
+def sparse_cut_height(n: int, eta: int, kappa: int, phi: Fraction) -> int:
     """Height budget for the inner push-relabel run.
 
-    The nominal formula is ceil(c_6 * eta^4 * ln(n)^7 * kappa * n / phi^2),
+    The nominal formula is ceil(C_6 * eta^4 * ln(n)^7 * kappa * n / phi^2),
     with eta read as at least one (an all-terminal call sees the empty
     hierarchy, which must not collapse the height).  The result is floored
     at n (the level construction needs that) and at 1 (push-relabel's
     least height, which an empty instance needs), capped at n^2 (every edge
     weight is at most n, so every simple path is shorter than n^2 and
     heights beyond that cannot enlarge the set of h-short flows), and
-    clamped at config.max_h.  A kappa too large for a float, or a phi
+    clamped at MAX_H.  A kappa too large for a float, or a phi
     whose square underflows to 0, puts the nominal height above the cap.
     """
     ln = math.log(max(n, 2))
     eta_eff = max(eta, 1)
     try:
-        nominal = config.c_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
+        nominal = C_6 * (eta_eff ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
     except (OverflowError, ZeroDivisionError):
         nominal = math.inf
     h = max(n, 1, math.ceil(min(n * n, nominal)))
-    return min(config.max_h, h)
+    return min(MAX_H, h)
 
 
 def terminal_weights(g: DiGraph, f_edges: Set[int], hier: Hierarchy) -> List[int]:
@@ -177,7 +180,7 @@ def sparse_cut(
         raise InvalidHierarchyError(
             f"hierarchy covers {hier.edge_count()} edges, expected {g.m - len(f_edges)}")
     w_g = terminal_weights(g, f_edges, hier)
-    h = sparse_cut_height(n, hier.eta, kappa, phi, config)
+    h = sparse_cut_height(n, hier.eta, kappa, phi)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)
     result = push_relabel(scaled, w_g, h, config=config)
     f = result.flow

@@ -382,7 +382,7 @@ def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed
         try:
             hier = maxflow.build_hierarchy(rg, rinst.cap, phi, base.getrandbits(64),
                                            config, validate=False).hierarchy
-            h = maxflow.driver_height(g.n, max(hier.eta, 1), phi, config)
+            h = maxflow.driver_height(g.n, max(hier.eta, 1), phi)
             r = maxflow.push_relabel(rinst, induced_weights(rg, hier.tau), h, config=config)
             stats.augmentations += r.augment_count
             stats.relabels += r.relabel_climbs

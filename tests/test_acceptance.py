@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hierflow import cut_matching
 from hierflow.builder import build_hierarchy
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.cut_matching import cut_or_embed
@@ -193,7 +194,7 @@ def test_criterion_4_work_bounds():
 
 def test_criterion_5_near_shortest_replay():
     rng = random.Random(105)
-    cfg = replace(DEFAULT_CONFIG, snapshot_labels=True)
+    cfg = replace(DEFAULT_CONFIG, debug_invariants=True)  # snapshots the labels
     checked = 0
     for i in range(_count(50)):
         inst = random_instance(rng, rng.randint(4, 12), rng.randint(4, 30),
@@ -350,7 +351,7 @@ def test_criterion_8_sparse_cut_contract():
 # --- criterion 9: cut-or-embed soundness ----------------------------------------
 
 
-def test_criterion_9_cut_or_embed_soundness():
+def test_criterion_9_cut_or_embed_soundness(monkeypatch):
     rng = random.Random(109)
     runs = _count(200)
     certs = cuts = 0
@@ -364,11 +365,12 @@ def test_criterion_9_cut_or_embed_soundness():
         g, caps = build_graph(n, arcs)
         f_edges = set(range(g.m))
         phi = Fraction(1, 16)
-        cfg = DEFAULT_CONFIG if trial % 2 == 0 else \
-            replace(DEFAULT_CONFIG, cmg_early_exit=False)
         hier = Hierarchy(set(), [], list(range(1, n + 1)))
-        out = cut_or_embed(g, caps, f_edges, phi, lambda: hier,
-                           random.Random(5000 + trial), cfg)
+        with monkeypatch.context() as mp:
+            if trial % 2:  # the full round budget: brute force never decides
+                mp.setattr(cut_matching, "_brute_force_check", lambda *args: (False, None))
+            out = cut_or_embed(g, caps, f_edges, phi, lambda: hier,
+                               random.Random(5000 + trial))
         edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
         volw = {v: 0 for v in range(n)}
         for u, v, c in edges:

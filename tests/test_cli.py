@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import os
 import random
@@ -415,17 +416,14 @@ def test_sparse_cut_command_on_the_empty_instance(tmp_path, capsys):
 
 # every subcommand's options: each one is read by the command it belongs to
 _OPTIONS = {
-    "solve": {"--algo", "--flow", "--c-h", "--seed", "--phi", "--debug-invariants",
-              "--c-6", "--max-h"},
+    "solve": {"--algo", "--flow", "--seed", "--phi", "--debug-invariants"},
     "approx-dag": {"--flow", "--debug-invariants"},
-    "sparse-cut": {"--kappa", "--terminals", "--seed", "--phi", "--debug-invariants",
-                   "--c-6", "--max-h"},
-    "hierarchy": {"--out", "--seed", "--phi", "--debug-invariants", "--c-6", "--max-h"},
+    "sparse-cut": {"--kappa", "--terminals", "--seed", "--phi", "--debug-invariants"},
+    "hierarchy": {"--out", "--seed", "--phi", "--debug-invariants"},
     "validate": {"--phi"},
     "gen": {"--model", "--seed", "--out", "--format", "--gen-n", "--m", "--cap", "--k",
             "--bridge", "--rows", "--cols"},
-    "bench": {"--algo", "--c-h", "--seed", "--phi", "--debug-invariants", "--c-6",
-              "--max-h"},
+    "bench": {"--algo", "--seed", "--phi", "--debug-invariants"},
 }
 
 
@@ -489,30 +487,18 @@ def test_bad_params_exit_2_with_error_line(tmp_path, capsys, argv):
     assert any("error:" in line for line in err.splitlines())
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--c-h", "nan"],
-    ["solve", "--c-h", "inf"],
-    ["solve", "--c-h", "0"],
-    ["sparse-cut", "--kappa", "1", "--c-6", "nan"],
-    ["hierarchy", "--c-6", "-1"],
-    ["sparse-cut", "--kappa", "1", "--max-h", "0"],
-])
-def test_bad_height_constant_exit_2_with_error_line(tmp_path, capsys, argv):
-    path = _write(tmp_path, "bridge.diff", BRIDGE)
-    code, _, err = _run(argv + [path], capsys)
-    assert code == 2
-    assert any(line.startswith("error:") for line in err.splitlines())
-
-
-def test_huge_height_constant_hits_the_n2_cap(tmp_path, capsys):
+def test_huge_height_constant_hits_the_n2_cap(tmp_path, capsys, monkeypatch):
     # the nominal heights overflow to inf; the n^2 cap still applies
     path = _write(tmp_path, "bridge.diff", BRIDGE)
-    code, out, _ = _run(["solve", "--c-h", "1e308", path], capsys)
+    plain_cut = _run(["sparse-cut", "--kappa", "1", path], capsys)[1]
+    monkeypatch.setattr(maxflow, "C_H", 1e308)
+    monkeypatch.setattr(importlib.import_module("hierflow.sparse_cut"), "C_6", 1e308)
+    code, out, _ = _run(["solve", path], capsys)
     assert code == 0
     assert out == f"value {edmonds_karp(parse_instance(BRIDGE)).stats.value}\n"
-    code, out, _ = _run(["sparse-cut", "--kappa", "1", "--c-6", "1e308", path], capsys)
+    code, out, _ = _run(["sparse-cut", "--kappa", "1", path], capsys)
     assert code == 0
-    assert out == _run(["sparse-cut", "--kappa", "1", path], capsys)[1]
+    assert out == plain_cut
 
 
 def test_phi_below_float_range_hits_the_n2_cap(tmp_path, capsys):
@@ -623,20 +609,18 @@ def test_solve_fuzz_exact_value_or_error_line(tmp_path_factory, rng, phi, seed):
 
 
 # `hierarchy`, `validate`, `sparse-cut` and `approx-dag` over fuzzed
-# instance texts and height constants, height caps, congestions and phis;
+# instance texts, congestions and phis;
 # each value is a usable one (None: the flag is left out) or, one time in
 # ten, a zero, negative or non-finite one.  Each run exits 0 with a result
 # checked here, or 1 or 2 with an `error:` line (`validate` also exits 1
 # on INVALID); a parsed instance with usable values never exits 2
 _FUZZ_VALUES = {
-    "--c-6": ([None, "1", "3", "1e-9", "1e308"], ["0", "-1", "nan", "inf"]),
-    "--max-h": ([None, "1", "50", "1000000"], ["0", "-2", "nan", "inf", "1e308"]),
     "--kappa": (["1", "3", "50"], ["0", "-2", "nan", "inf", "1e308"]),
     "--phi": ([None, "1/16", "1/8", "1/3"], ["0", "3/2", "1/0", "x"]),
 }
-_FUZZ_FLAGS = {"hierarchy": ["--c-6", "--max-h", "--phi"],
+_FUZZ_FLAGS = {"hierarchy": ["--phi"],
                "validate": ["--phi"],
-               "sparse-cut": ["--c-6", "--max-h", "--kappa", "--phi"],
+               "sparse-cut": ["--kappa", "--phi"],
                "approx-dag": []}
 
 

@@ -1,10 +1,9 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hierflow.config import DEFAULT_CONFIG
+from hierflow import cut_matching
 from hierflow.cut_matching import (CMGState, cut_or_embed, cut_player_bisection,
                                    rounds_budget, union_psi)
 from hierflow.errors import NotStronglyConnectedError
@@ -13,7 +12,12 @@ from hierflow.hierarchy import Hierarchy
 
 from helpers import exhaustive_sparsest_cut
 
-NO_EARLY = replace(DEFAULT_CONFIG, cmg_early_exit=False)
+
+
+def no_early_exit(mp):
+    """Make cut_or_embed play its full round budget: the brute-force check
+    never decides, takes the path of a refuted component and draws nothing."""
+    mp.setattr(cut_matching, "_brute_force_check", lambda *args: (False, None))
 
 
 def _complete_digraph(n, cap=1):
@@ -84,11 +88,12 @@ def test_bisection_contract_over_rounds():
         absorb_matching(state, matching)
 
 
-def test_tiny_volume_certifies_without_rounds():
+def test_tiny_volume_certifies_without_rounds(monkeypatch):
+    no_early_exit(monkeypatch)
     g, caps = _complete_digraph(3)
     hier = _empty_hier(3)
     out = cut_or_embed(g, caps, {0}, Fraction(1, 16), lambda: hier,
-                       random.Random(3), NO_EARLY)
+                       random.Random(3))
     assert out.cut is None
     assert out.certificate.rounds == 0
     assert out.certificate.early
@@ -136,15 +141,16 @@ def test_dumbbell_returns_sparse_cut_with_contract():
     assert 2 * out.vol_f_side <= out.vol_f_total
 
 
-def test_dumbbell_pure_game_outcome_is_sound():
+def test_dumbbell_pure_game_outcome_is_sound(monkeypatch):
     # at congestion kappa = ceil(2/phi) the bisections may legitimately
     # route across the bridge, so the pure game can only promise the weak
     # phi*psi^2/2 bound; whatever branch it takes must honor its contract
+    no_early_exit(monkeypatch)
     g, caps = _dumbbell(4, 1)
     f_edges = set(range(g.m))
     phi = Fraction(1, 16)
     out = cut_or_embed(g, caps, f_edges, phi, lambda: _empty_hier(8),
-                       random.Random(11), NO_EARLY)
+                       random.Random(11))
     edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
     volw = {v: 0 for v in range(8)}
     for u, v, c in edges:
@@ -162,35 +168,40 @@ def test_dumbbell_pure_game_outcome_is_sound():
         assert 2 * out.vol_f_side <= out.vol_f_total
 
 
-def test_early_outcomes_never_ask_for_the_hierarchy():
+def test_early_outcomes_never_ask_for_the_hierarchy(monkeypatch):
     # a tiny volume, an exact certificate and an exact cut, all before a round
-    for (g, caps), f_edges, config in (
-            (_complete_digraph(3), {0}, NO_EARLY),
-            (_complete_digraph(8), None, DEFAULT_CONFIG),
-            (_dumbbell(4, 1), None, DEFAULT_CONFIG)):
+    for (g, caps), f_edges, early in (
+            (_complete_digraph(3), {0}, False),
+            (_complete_digraph(8), None, True),
+            (_dumbbell(4, 1), None, True)):
         hier_of, calls = _counted(_empty_hier(g.n))
         f_edges = set(range(g.m)) if f_edges is None else f_edges
-        out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), hier_of, random.Random(5),
-                           config)
+        with monkeypatch.context() as mp:
+            if not early:
+                no_early_exit(mp)
+            out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), hier_of,
+                               random.Random(5))
         assert out.state is None or out.state.rounds_played == 0
         assert calls == []
     assert out.cut is not None  # the dumbbell's bridge cut
 
 
-def test_played_rounds_ask_for_the_hierarchy_once():
+def test_played_rounds_ask_for_the_hierarchy_once(monkeypatch):
+    no_early_exit(monkeypatch)
     g, caps = _complete_digraph(6)
     hier_of, calls = _counted(_empty_hier(6))
     out = cut_or_embed(g, caps, set(range(g.m)), Fraction(1, 16), hier_of,
-                       random.Random(13), NO_EARLY)
+                       random.Random(13))
     assert out.certificate.rounds > 1
     assert len(calls) == 1
 
 
-def test_full_game_union_expands_on_complete_digraph():
+def test_full_game_union_expands_on_complete_digraph(monkeypatch):
+    no_early_exit(monkeypatch)
     g, caps = _complete_digraph(6)
     f_edges = set(range(g.m))
     out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), lambda: _empty_hier(6),
-                       random.Random(13), NO_EARLY)
+                       random.Random(13))
     assert out.cut is None
     cert = out.certificate
     assert not cert.early

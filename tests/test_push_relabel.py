@@ -16,7 +16,7 @@ from hierflow.push_relabel import _Engine, push_relabel
 
 from helpers import dijkstra_residual, random_instance, reachability_closure
 
-DBG = replace(DEFAULT_CONFIG, debug_invariants=True, snapshot_labels=True)
+DBG = replace(DEFAULT_CONFIG, debug_invariants=True)
 
 
 def _single_edge(cap=1, w=1):
@@ -561,13 +561,13 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
     # vectors and (debug) relabel events of seeded runs in both modes and
     # both schedulers, hashed: any change to what push-relabel computes or
     # counts changes the digest.  Re-pinned when the global lift replaced
-    # the first drain and every n-th climb's prune.
-    fast = replace(DEFAULT_CONFIG, snapshot_labels=True)
+    # the first drain and every n-th climb's prune, and when fast runs
+    # stopped snapshotting labels (the old pin with their labels blanked).
     digest = hashlib.sha256()
     for inst, w, h in _pinned_instances():
         for mode in ("unit", "capacitated"):
-            for config in (fast, DBG) if inst.m <= 150 else (fast,):
+            for config in (DEFAULT_CONFIG, DBG) if inst.m <= 150 else (DEFAULT_CONFIG,):
                 digest.update(repr(_pin(push_relabel(inst, w, h, mode=mode,
                                                      config=config))).encode())
     assert digest.hexdigest() == (
-        "d53a88eee7be49022a11abff1a2682ab1a6050a878185f7ab467493c17e34667")
+        "a2979765bf1f8f14399b32763dd4377a9ed208a04959ea66e9524735e559275a")

@@ -1,6 +1,6 @@
+import importlib
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +14,9 @@ from hierflow.sparse_cut import (level_labels, min_level_cut, reduced_arc_weight
                                  sparse_cut, sparse_cut_height, terminal_weights)
 
 from helpers import bellman_ford_arcs, random_instance
+
+# the package exports the function sparse_cut under the module's name
+_sparse_cut_module = importlib.import_module("hierflow.sparse_cut")
 
 INF = math.inf
 
@@ -226,43 +229,44 @@ def test_sparse_cut_minimizer_matches_full_scan_oracle():
     assert cuts_seen >= 25
 
 
-def test_sparse_cut_height_floors_and_clamp():
-    cfg = DEFAULT_CONFIG
+def test_sparse_cut_height_floors_and_clamp(monkeypatch):
     # an all-terminal call (empty hierarchy) reads eta as one, and the
     # nominal value explodes, so the n^2 saturation cap takes over
-    assert sparse_cut_height(10, 0, 4, Fraction(1, 8), cfg) == 100
-    assert sparse_cut_height(10, 2, 16, Fraction(1, 16), cfg) == 100
-    small = replace(DEFAULT_CONFIG, max_h=50)
-    assert sparse_cut_height(10, 2, 16, Fraction(1, 16), small) == 50
+    assert sparse_cut_height(10, 0, 4, Fraction(1, 8)) == 100
+    assert sparse_cut_height(10, 2, 16, Fraction(1, 16)) == 100
+    with monkeypatch.context() as mp:
+        mp.setattr(_sparse_cut_module, "MAX_H", 50)
+        assert sparse_cut_height(10, 2, 16, Fraction(1, 16)) == 50
     # tiny nominal values still respect the floor at n
-    tiny = replace(DEFAULT_CONFIG, c_6=1e-9)
-    assert sparse_cut_height(10, 1, 1, Fraction(1, 2), tiny) == 10
+    monkeypatch.setattr(_sparse_cut_module, "C_6", 1e-9)
+    assert sparse_cut_height(10, 1, 1, Fraction(1, 2)) == 10
 
 
 def test_sparse_cut_on_the_empty_instance_routes_nothing():
     # the floor at n alone would give height 0, which push-relabel rejects
-    assert sparse_cut_height(0, 0, 1, Fraction(1, 2), DEFAULT_CONFIG) == 1
+    assert sparse_cut_height(0, 0, 1, Fraction(1, 2)) == 1
     g, caps = build_graph(0, [])
     out = sparse_cut(FlowInstance(g, caps, [], []), 1, set(), _all_terminal_hier(g))
     assert (out.value, out.cut, out.h) == (0, None, 1)
 
 
-def test_heights_follow_the_float_formula_and_cap_out_of_float_range():
-    from hierflow.maxflow import driver_height
-
+def test_heights_follow_the_float_formula_and_cap_out_of_float_range(monkeypatch):
+    maxflow = importlib.import_module("hierflow.maxflow")
     rng = random.Random(505)
     for _ in range(400):
         n, eta, kappa = rng.randint(1, 400), rng.randint(0, 12), rng.randint(1, 10 ** 4)
         phi = Fraction(rng.randint(1, 50), rng.randint(51, 10 ** 6))
-        cfg = replace(DEFAULT_CONFIG, c_h=rng.choice([8.0, 1e-6, 0.37]),
-                      c_6=rng.choice([1.0, 1e-12, 3e-7]))
+        c_h, c_6 = rng.choice([8.0, 1e-6, 0.37]), rng.choice([1.0, 1e-12, 3e-7])
+        monkeypatch.setattr(maxflow, "C_H", c_h)
+        monkeypatch.setattr(_sparse_cut_module, "C_6", c_6)
         ln = math.log(max(n, 2))
-        h = cfg.c_h * n * (max(eta, 1) ** 2) * ln / float(phi)
-        assert driver_height(n, max(eta, 1), phi, cfg) == max(n, math.ceil(min(n * n, h)))
-        h = cfg.c_6 * (max(eta, 1) ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
-        assert sparse_cut_height(n, eta, kappa, phi, cfg) == min(
-            cfg.max_h, max(n, math.ceil(min(n * n, h))))
+        h = c_h * n * (max(eta, 1) ** 2) * ln / float(phi)
+        assert maxflow.driver_height(n, max(eta, 1), phi) == max(n, math.ceil(min(n * n, h)))
+        h = c_6 * (max(eta, 1) ** 4) * (ln ** 7) * kappa * n / float(phi) ** 2
+        assert sparse_cut_height(n, eta, kappa, phi) == min(
+            _sparse_cut_module.MAX_H, max(n, math.ceil(min(n * n, h))))
+    monkeypatch.undo()
     # float(phi) underflows to 0, phi^2 underflows, kappa overflows a float
-    assert driver_height(30, 2, Fraction(1, 10 ** 400), DEFAULT_CONFIG) == 900
-    assert sparse_cut_height(30, 2, 1, Fraction(1, 10 ** 200), DEFAULT_CONFIG) == 900
-    assert sparse_cut_height(30, 2, 10 ** 400, Fraction(1, 2), DEFAULT_CONFIG) == 900
+    assert maxflow.driver_height(30, 2, Fraction(1, 10 ** 400)) == 900
+    assert sparse_cut_height(30, 2, 1, Fraction(1, 10 ** 200)) == 900
+    assert sparse_cut_height(30, 2, 10 ** 400, Fraction(1, 2)) == 900
