@@ -18,8 +18,8 @@ alive vertex once, at the least multiple of an out-arc's weight w at least
 2w above that arc's settled head, where the arc turns admissible; a vertex
 keyed above 9h dies, as does one the search never settles.  Afterwards a
 vertex that loses its last admissible out-arc climbs alone until it gains
-one or dies, and once n climbs have passed since the last lift, the next
-prune is a lift instead (Cherkassky and Goldberg's schedule).  The fast
+one or dies, and once n climbs have passed since the last lift, the drain
+lifts before it climbs again (Cherkassky and Goldberg's schedule).  The fast
 scheduler collapses each climb or lift into one landing whose labels and
 marks coincide with jumping level by level; the debug scheduler really
 jumps level by level (to the next multiple of an incident weight) and
@@ -385,7 +385,11 @@ class _Engine:
             v = heapq.heappop(self.pending)
             if not self.alive[v] or self.nabla_rem[v] > 0 or self.current_arc[v] != -1:
                 continue
-            if debug:
+            # Cherkassky and Goldberg's schedule: lift again after n climbs;
+            # the lift enqueues v again if v still has to climb
+            if self.relabel_climbs - self.lift_climbs >= self.n:
+                self._lift()
+            elif debug:
                 while self.alive[v] and self.nabla_rem[v] == 0 and self.current_arc[v] == -1:
                     self._relabel_once(v)
                     self._assert_invariants()
@@ -471,11 +475,7 @@ class _Engine:
             tuple(self.level) if self.cfg.debug_invariants else None,
         ))
         if saturated or self.nabla_rem[t] == 0:
-            # Cherkassky and Goldberg's schedule: lift again after n climbs
-            if self.relabel_climbs - self.lift_climbs >= self.n:
-                self._lift()
-            else:
-                self._prune()
+            self._prune()
         if self.cfg.debug_invariants:
             self._assert_invariants()
 

@@ -394,15 +394,16 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # solves, hashed: any change to which flow push-relabel finds, or to
     # how much relabel work it counts, changes a digest.  The digests were
     # recorded with the link-cut (capacitated) augmentation in the driver,
-    # and re-pinned when push-relabel's global lift moved the flows, the
-    # augmentation and the relabel counts (values, iterations, safety nets
-    # and phases hash as before).
+    # and re-pinned when push-relabel's global lift, and again when the
+    # drain's lift schedule, moved the flows, the augmentation and the
+    # relabel counts (values, iterations, safety nets and phases hash as
+    # before).
     assert _digest(_exact_results()) == (
-        "9d143a39a8b357de1e1688fdd85ac587b440d2f6dd82f668f212c678d8f76f63")
+        "9ebf70fe1b649fff68a3ac5e17d0b558d7f845abc2d6c553c1ef4e193f05f81e")
     # capacities up to 10^6: the scaled solve and every inner exact solve.
     # Re-pinned when the scaled solve began to sum its phases' iterations,
     # augmentations, relabels, safety nets and build failures; the flows,
     # values, phases and phase values hash as before; re-pinned again with
-    # the global lift, as above.
+    # the global lift and with the drain's lift schedule, as above.
     assert _digest(_scaled_results()) == (
-        "4ba275c8dbbd98f18b7629469cd079b029a119d1a263caa01142a9b0f3efbbf3")
+        "1ede0c01703b0afd72927e9e4e5d6edb9730d9dd1ea0de7b7f26d600d1cbade4")

@@ -10,7 +10,7 @@ from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import (BadInstanceError, BadParamsError, SolverInvariantError,
                              WeightZeroError)
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
-from hierflow.generators import gen_cycle
+from hierflow.generators import gen_cycle, gen_random
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 from hierflow.push_relabel import _Engine, push_relabel
 
@@ -210,6 +210,7 @@ def _start_levels(inst, w, h, lift):
         engine._prune()
         for v in range(engine.n):
             engine._enqueue(v)
+        engine.lift_climbs = math.inf  # the drain alone: no scheduled lift
     engine._drain()
     return engine.level, engine.alive
 
@@ -227,6 +228,35 @@ def test_lift_starts_no_vertex_below_the_drain():
         higher += lifted != drained
         killed += lift_alive != drain_alive
     assert higher >= 30 and killed >= 5
+
+
+def test_at_most_n_climbs_between_lifts(monkeypatch):
+    # the drain lifts before a climb once n climbs have passed since the
+    # last lift; pruning after augmentations instead let the climbs between
+    # lifts of these solves reach 4.1n
+    runs = []  # per push-relabel run: n, then the climbs after each lift
+    real_run, real_lift, real_climb = _Engine.run, _Engine._lift, _Engine._climb
+
+    def run(engine):
+        runs.append([engine.n])
+        return real_run(engine)
+
+    def lift(engine):
+        runs[-1].append(0)
+        real_lift(engine)
+
+    def climb(engine, v):
+        runs[-1][-1] += 1
+        real_climb(engine, v)
+
+    monkeypatch.setattr(_Engine, "run", run)
+    monkeypatch.setattr(_Engine, "_lift", lift)
+    monkeypatch.setattr(_Engine, "_climb", climb)
+    for seed in (1, 2, 3):
+        inst = gen_random(200, 800, 12, seed).instance()
+        assert max_flow_exact(inst, seed=seed).stats.value == edmonds_karp(inst).stats.value
+    assert sum(len(run) > 2 for run in runs) >= 5  # scheduled lifts happen
+    assert all(max(run[1:]) <= run[0] for run in runs)
 
 
 def test_lift_climbs_the_cycle_once_per_vertex():
@@ -561,8 +591,10 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
     # vectors and (debug) relabel events of seeded runs in both modes and
     # both schedulers, hashed: any change to what push-relabel computes or
     # counts changes the digest.  Re-pinned when the global lift replaced
-    # the first drain and every n-th climb's prune, and when fast runs
-    # stopped snapshotting labels (the old pin with their labels blanked).
+    # the first drain and every n-th climb's prune, when fast runs stopped
+    # snapshotting labels (the old pin with their labels blanked), and when
+    # the drain took over the lift schedule (flows, labels, marks, augment
+    # records and work counters moved).
     digest = hashlib.sha256()
     for inst, w, h in _pinned_instances():
         for mode in ("unit", "capacitated"):
@@ -570,4 +602,4 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
                 digest.update(repr(_pin(push_relabel(inst, w, h, mode=mode,
                                                      config=config))).encode())
     assert digest.hexdigest() == (
-        "a2979765bf1f8f14399b32763dd4377a9ed208a04959ea66e9524735e559275a")
+        "a9e5e5b22d347d6ca350a2309acf1e3fcb829abf4053c9f44b79ccb940e8adcf")
