@@ -686,6 +686,8 @@ def hierarchy_from_text(text: str, g: DiGraph) -> Hierarchy:
             v, t = _int(parts[1], no) - 1, _int(parts[2], no)
             if not (0 <= v < g.n):
                 raise ParseError(no, f"vertex {v + 1} out of range")
+            if v in seen_tau:
+                raise ParseError(no, f"second `t` line for vertex {v + 1}")
             tau[v] = t
             seen_tau.add(v)
         else:
@@ -696,6 +698,8 @@ def hierarchy_from_text(text: str, g: DiGraph) -> Hierarchy:
                 raise ParseError(no, f"edge id {e} out of range")
             if not (0 <= lv <= g.m):
                 raise ParseError(no, f"level {lv} outside 0..{g.m}")
+            if e in level_of:
+                raise ParseError(no, f"second line for edge id {e}")
             level_of[e] = lv
     if len(level_of) != g.m:
         raise ParseError(0, f"expected {g.m} edge lines, saw {len(level_of)}")

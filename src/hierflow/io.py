@@ -8,8 +8,9 @@ arc lines belong to both, `n <v> s|t` lines only to `p max` files and
 source/sink pair becomes the supply and sink capacity of those two
 vertices, one above the total edge capacity, which is effectively
 unbounded.  Counts below 0 or above `graph.MAX_SIZE`,
-self-loops, a line before the problem line or of the other format, and a
-source that is also the sink are rejected as a ParseError on their line.
+self-loops, a line before the problem line or of the other format, a
+second source or sink line, and a source that is also the sink are
+rejected as a ParseError on their line.
 """
 from __future__ import annotations
 
@@ -87,6 +88,8 @@ def parse_instance(text: str) -> FlowInstance:
             v = _int(parts[1], no) - 1
             if not (0 <= v < n):
                 raise ParseError(no, f"vertex {parts[1]} out of range")
+            if (s if parts[2] == "s" else t) is not None:
+                raise ParseError(no, f"second `n <v> {parts[2]}` line")
             if parts[2] == "s":
                 s, s_no = v, no
             else:

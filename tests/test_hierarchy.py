@@ -413,6 +413,18 @@ def test_hierarchy_text_round_trip():
         hierarchy_from_text("0 0\n", g)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0 0\n1 0\n1 1\nt 1 1\nt 2 2\n", 3),
+    ("0 0\n1 0\nt 1 1\nt 2 2\nt 1 2\n", 5),
+], ids=["edge", "vertex"])
+def test_hierarchy_from_text_rejects_a_second_line_for_an_edge_or_vertex(text, line):
+    # the last line used to win: the first text read edge 1 at level 1
+    g, _caps = build_graph(2, [(0, 1, 1), (1, 0, 1)])
+    with pytest.raises(ParseError) as exc:
+        hierarchy_from_text(text, g)
+    assert exc.value.line_no == line
+
+
 # hierarchy text of a fixed 4-vertex graph with planted faults: tokens
 # swapped for junk or out-of-range edge ids, vertices and levels, fields
 # dropped or added, lines dropped or repeated

@@ -50,6 +50,17 @@ def test_parse_dimacs_bad_lines():
         parse_instance("q max 2 1\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p max 3 2\nn 1 s\nn 2 s\nn 3 t\na 1 2 5\na 2 3 4\n", 3),
+    ("p max 3 2\nn 1 s\nn 2 t\nn 3 t\na 1 2 5\na 2 3 4\n", 4),
+], ids=["source", "sink"])
+def test_parse_dimacs_rejects_a_second_source_or_sink_line(text, line):
+    # the last line used to win: the first text solved from vertex 2
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line_no == line
+
+
 def test_dimacs_round_trip_on_generated():
     rng = random.Random(71)
     for trial in range(100):
