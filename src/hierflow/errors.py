@@ -48,7 +48,8 @@ class SolverInvariantError(HierflowError):
 
 # hierarchy
 class NotAcyclicError(HierflowError):
-    pass
+    """A graph that must be acyclic has a cycle: a hierarchy's D, or the
+    instance of the DAG approximation."""
 
 
 class LevelViolationError(HierflowError):
@@ -76,11 +77,6 @@ class BuildFailedError(HierflowError):
 
 class CutCheckFailedError(HierflowError):
     """A matching-player round produced a cut that fails its contract."""
-
-
-# driver
-class NotADAGError(HierflowError):
-    pass
 
 
 # file formats

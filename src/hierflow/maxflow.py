@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
-from .errors import BuildFailedError, InfeasibleFlowError, NotADAGError, SolverInvariantError
+from .errors import BuildFailedError, InfeasibleFlowError, NotAcyclicError, SolverInvariantError
 from .graph import (DiGraph, Flow, FlowInstance, ResidualView, flow_stats, residual,
                     residual_graph, scc)
 from .hierarchy import induced_weights
@@ -71,12 +71,12 @@ def dag_approx_flow(inst: FlowInstance, config: SolverConfig = DEFAULT_CONFIG):
 
     Weights edges by topological-position difference and runs
     push-relabel with height n; the result is at least a sixth of the
-    maximum.
+    maximum.  Raises NotAcyclicError if the graph has a cycle.
     """
     g = inst.g
     comps = scc(g)
     if any(len(c) > 1 for c in comps):
-        raise NotADAGError("instance graph has a cycle")
+        raise NotAcyclicError("instance graph has a cycle")
     tau = [0] * g.n
     for pos, comp in enumerate(reversed(comps), start=1):
         tau[comp[0]] = pos

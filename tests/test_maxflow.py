@@ -7,7 +7,7 @@ import pytest
 
 from hierflow import maxflow
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import BuildFailedError, InfeasibleFlowError, NotADAGError
+from hierflow.errors import BuildFailedError, InfeasibleFlowError, NotAcyclicError
 from hierflow.generators import generate
 from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats, is_feasible,
                             st_instance)
@@ -50,7 +50,7 @@ def test_dag_approx_exact_on_single_edge():
 def test_dag_approx_rejects_cycles():
     g, caps = build_graph(2, [(0, 1, 1), (1, 0, 1)])
     inst = FlowInstance(g, caps, [1, 0], [0, 1])
-    with pytest.raises(NotADAGError):
+    with pytest.raises(NotAcyclicError):
         dag_approx_flow(inst)
 
 
