@@ -4,10 +4,12 @@ import importlib
 import io
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +449,18 @@ def test_each_subcommand_has_exactly_its_options():
     for cmd, parser in sub.choices.items():
         opts = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
         assert opts == _OPTIONS[cmd], cmd
+
+
+def test_readme_documents_exactly_the_parsers_options():
+    # the backticked flags of README's "Flags, by command", shared ones included
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Flags, by command", 1)[1].split("Exit codes:", 1)[0]
+    documented = set(re.findall(r"`(--[a-z0-9-]+)", section))
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for parser in sub.choices.values() for a in parser._actions
+               for o in a.option_strings} - {"-h", "--help"}
+    assert documented == options
 
 
 def test_bench_deterministic_modulo_walltime(tmp_path, capsys):
