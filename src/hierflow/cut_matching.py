@@ -14,13 +14,13 @@ unrouted without yielding a sparse cut fails with CutCheckFailedError.
 A component certifies early when brute force already confirms expansion
 (exactly on small components, by failing falsification on large ones,
 the latter only after at least one round), and otherwise plays its full
-round budget.  The game's set-up (the piece's
-hierarchy, kappa and the retry budget) is made only when the first
-round is played, and the sketch at the rng's first other use: the
-falsifier's first draw, or else the first bisection, so a component the
-exact check decides draws nothing.  The exact check asks
-`exhaustive_worst_cut` only for a cut sparser than phi, so its branch and
-bound can prune against phi; `union_psi` asks for the value.
+round budget.  The game's set-up (the piece's hierarchy, kappa and the
+retry budget) is made only when the first round is played, and the
+sketch at the rng's first other use: the falsifier's first draw, or else
+the first bisection, so a component the exact check decides draws
+nothing.  The exact check asks `exhaustive_worst_cut` only for a cut
+sparser than phi, so its branch and bound can prune against phi;
+`union_psi` asks for the value.
 """
 from __future__ import annotations
 

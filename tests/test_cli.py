@@ -90,19 +90,6 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
-def test_a_repeated_definition_exits_2_naming_its_line(tmp_path, capsys):
-    # the last definition used to win: `solve` printed `value 4` from
-    # vertex 2, and `validate` read edge 1 at level 1
-    path = _write(tmp_path, "two-sources.dimacs",
-                  "p max 3 2\nn 1 s\nn 2 s\nn 3 t\na 1 2 5\na 2 3 4\n")
-    code, out, err = _run(["solve", path], capsys)
-    assert (code, out) == (2, "") and err.startswith("error: line 3:")
-    graph = _write(tmp_path, "two-cycle.dimacs", "p max 2 2\nn 1 s\nn 2 t\na 1 2 1\na 2 1 1\n")
-    hier = _write(tmp_path, "h.txt", "0 0\n1 0\n1 1\nt 1 1\nt 2 2\n")
-    code, out, err = _run(["validate", "--phi", "1/8", hier, graph], capsys)
-    assert (code, out) == (2, "") and err.startswith("error: line 3:")
-
-
 # what each command runs once its files are open
 _RUNS = ("edmonds_karp", "max_flow", "dag_approx_flow",
          "build_hierarchy", "generate", "validate_hierarchy")

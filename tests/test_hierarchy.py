@@ -418,7 +418,6 @@ def test_hierarchy_text_round_trip():
     ("0 0\n1 0\nt 1 1\nt 2 2\nt 1 2\n", 5),
 ], ids=["edge", "vertex"])
 def test_hierarchy_from_text_rejects_a_second_line_for_an_edge_or_vertex(text, line):
-    # the last line used to win: the first text read edge 1 at level 1
     g, _caps = build_graph(2, [(0, 1, 1), (1, 0, 1)])
     with pytest.raises(ParseError) as exc:
         hierarchy_from_text(text, g)

@@ -55,7 +55,6 @@ def test_parse_dimacs_bad_lines():
     ("p max 3 2\nn 1 s\nn 2 t\nn 3 t\na 1 2 5\na 2 3 4\n", 4),
 ], ids=["source", "sink"])
 def test_parse_dimacs_rejects_a_second_source_or_sink_line(text, line):
-    # the last line used to win: the first text solved from vertex 2
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
     assert exc.value.line_no == line

@@ -232,8 +232,7 @@ def test_lift_starts_no_vertex_below_the_drain():
 
 def test_at_most_n_climbs_between_lifts(monkeypatch):
     # the drain lifts before a climb once n climbs have passed since the
-    # last lift; pruning after augmentations instead let the climbs between
-    # lifts of these solves reach 4.1n
+    # last lift
     runs = []  # per push-relabel run: n, then the climbs after each lift
     real_run, real_lift, real_climb = _Engine.run, _Engine._lift, _Engine._climb
 
