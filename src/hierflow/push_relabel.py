@@ -40,20 +40,22 @@ removes no arc and closes no sink.  A missed vertex would die anyway,
 because at the end of a run every alive vertex has an admissible path to
 an unsaturated sink.
 
-Augmentation walks the current arcs (each vertex's smallest admissible
-out-arc) from a source to an open sink and updates the residual array
-cf.  The exact driver and the sparse-cut search run these unit walks at
-any capacities.  The "capacitated" mode is the reference they are tested
-against: it keeps the admissible forest in link-cut trees (Goldberg and
-Tarjan), links a path's unlinked tails as an augmentation first walks
-them, takes the bottleneck and the saturated arcs from the trees, and
-cuts an edge when it saturates or its arc stops being current.  cf is
-exact in both modes.
+Augmentation walks the current arcs from a source to an open sink and
+updates the residual array cf.  A vertex's current arc is the first marked
+arc of its ascending out-arc list, found by a forward scan: no arc before
+it is ever marked.  The exact driver and the sparse-cut search run these
+unit walks at any capacities.  The "capacitated" mode is the reference
+they are tested against: it keeps the admissible forest in link-cut trees
+(Goldberg and Tarjan), links a path's unlinked tails as an augmentation
+first walks them, takes the bottleneck and the saturated arcs from the
+trees, and cuts an edge when it saturates or its arc stops being current.
+cf is exact in both modes.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -154,16 +156,12 @@ class _Engine:
         self.level = [0] * n
         self.alive = [True] * n
         self.adm = [False] * (2 * m)
-        # smallest admissible out-arc (tree parent); -1 exactly when v has
-        # no admissible out-arc
+        # first marked out-arc (tree parent); -1 exactly when v has none
         self.current_arc = [-1] * n
-        self.adm_heap: List[List[int]] = [[] for _ in range(n)]
+        self.out_arcs = g.out_arcs
         head = g.arc_head
-        # per vertex: (arc, weight, head) of each out-arc, and (arc, weight,
-        # other endpoint, is-out) of both arcs of every incident edge, ascending
+        # per vertex: (arc, weight, head) of each out-arc, ascending
         self.outs = [[(a, w[a >> 1], head[a]) for a in outs] for outs in g.out_arcs]
-        self.inc = [[(b, w[a >> 1], head[a], b == a) for a in outs for b in (a & ~1, a | 1)]
-                    for outs in g.out_arcs]
         self.distinct_weights = [sorted({w[a >> 1] for a in outs}) for outs in g.out_arcs]
         self.pending: List[int] = []  # may repeat a vertex; _drain skips stale entries
         self.forest = DynForest(n) if mode == "capacitated" else None
@@ -183,19 +181,18 @@ class _Engine:
         if self.alive[v] and self.nabla_rem[v] == 0 and self.current_arc[v] == -1:
             heapq.heappush(self.pending, v)
 
-    def _select_parent(self, v: int) -> None:
-        """Point current_arc[v] at the smallest valid admissible out-arc.
+    def _select_parent(self, v: int, a: int) -> None:
+        """Point current_arc[v] at the first marked arc of v's out-arc list
+        from arc `a` on (-1 if none), and detach v's tree edge.
 
-        The tree edge is linked later, when an augmentation first walks it.
+        The forward scan is exact: no arc before the current one is marked.
+        The new tree edge is linked when an augmentation first walks it.
         """
-        heap = self.adm_heap[v]
-        while heap and not self.adm[heap[0]]:
-            heapq.heappop(heap)
-        self.current_arc[v] = heap[0] if heap else -1
-
-    def _drop_parent(self, v: int) -> None:
-        """Detach v's tree edge."""
-        self.current_arc[v] = -1
+        arcs, adm = self.out_arcs[v], self.adm
+        i = bisect_left(arcs, a)
+        while i < len(arcs) and not adm[arcs[i]]:
+            i += 1
+        self.current_arc[v] = arcs[i] if i < len(arcs) else -1
         if self.forest is not None and self.forest.rep_par[v] != -1:
             self.forest.cut(v)
 
@@ -205,18 +202,13 @@ class _Engine:
         self.adm[a] = new
         self.edge_flip[a >> 1] += 1
         t = self.arc_tail[a]
-        if new:
-            heapq.heappush(self.adm_heap[t], a)
-            # the parent is always the smallest admissible arc, so the
-            # traced structure is a pure function of the current marks
-            if self.current_arc[t] == -1:
-                self._select_parent(t)
-            elif a < self.current_arc[t]:
-                self._drop_parent(t)
-                self._select_parent(t)
-        elif self.current_arc[t] == a:
-            self._drop_parent(t)
-            self._select_parent(t)
+        cur = self.current_arc[t]
+        # the parent is always the first marked out-arc, so the traced
+        # structure is a pure function of the current marks
+        if new and (cur == -1 or a < cur):
+            self._select_parent(t, a)
+        elif cur == a:
+            self._select_parent(t, a)
             self._enqueue(t)
 
     # relabel ---------------------------------------------------------------
@@ -230,18 +222,18 @@ class _Engine:
         self.alive[v] = False
         # marks on arcs touching a dead vertex are purged: traces can never
         # reach them and the level invariants stay strict
-        for a, _, _, _ in self.inc[v]:
-            if self.adm[a]:
-                self.set_mark(a, False)
+        for a, _, _ in self.outs[v]:
+            self.set_mark(a, False)
+            self.set_mark(a ^ 1, False)
 
     def _land(self, v: int, start: int, stop) -> None:
         """Relabel v from level `start` to `stop`, or kill it when `stop`
         (INF if no out-arc has residual) is above 9h.
 
         Counts one landing per multiple of each distinct incident weight
-        crossed, and examines each incident arc at the last multiple of
-        its weight crossed; arcs whose weight was not crossed keep their
-        marks.
+        crossed, and examines each out-arc a = (v, u) and its twin a ^ 1 =
+        (u, v) at the last multiple of their weight crossed; arcs whose
+        weight was not crossed keep their marks.
         """
         dies = stop > self.nine_h
         top = self.nine_h if dies else stop
@@ -257,17 +249,23 @@ class _Engine:
         lvl, cf, adm = self.level, self.cf, self.adm
         lvl[v] = stop
         to_mark = []
-        for a, wa, u, out in self.inc[v]:
+        for a, wa, u in self.outs[v]:
             mark_level = stop // wa * wa
             if mark_level <= start:
                 continue  # no crossing of wa since the last examination
-            gap = mark_level - lvl[u] if out else lvl[u] - mark_level
-            # set_mark only where the mark changes
+            # set_mark only where the mark changes; the twin's gap is -gap
+            gap = mark_level - lvl[u]
             if gap >= 2 * wa and cf[a] > 0:
                 if not adm[a]:
                     to_mark.append(a)
             elif adm[a]:
                 self.set_mark(a, False)
+            b = a ^ 1
+            if -gap >= 2 * wa and cf[b] > 0:
+                if not adm[b]:
+                    to_mark.append(b)
+            elif adm[b]:
+                self.set_mark(b, False)
         # unmark before mark: a stale opposite arc must release its tree
         # edge before the fresh direction claims one
         for a in to_mark:
