@@ -533,6 +533,8 @@ class _Engine:
                 raise SolverInvariantError(f"I-3: {v} alive {self.alive[v]} at {lvl[v]}")
             if self.nabla_rem[v] > 0 and lvl[v] != 0:
                 raise SolverInvariantError(f"I-3: unsaturated sink {v} at level {lvl[v]}")
+            if self.current_arc[v] != next((a for a in self.out_arcs[v] if self.adm[a]), -1):
+                raise SolverInvariantError(f"current arc of {v} is not its first marked arc")
             if forest is None or forest.rep_par[v] == -1:
                 continue
             a = self.current_arc[v]

@@ -399,6 +399,10 @@ def test_fast_and_debug_schedulers_agree():
     (lambda e: e.adm.__setitem__(0, True), "I-2"),  # admissible arc 0 -> 1 at gap 0
     (lambda e: e.alive.__setitem__(1, False), "I-3"),  # dead at level 0
     (lambda e: e.level.__setitem__(2, 1), "I-3"),  # unsaturated sink above level 0
+    # arc 0 -> 1 admissible at gap 2, but marked behind the scan's back:
+    # vertex 0 keeps no current arc
+    (lambda e: (e.level.__setitem__(0, 2), e.adm.__setitem__(0, True)), "current arc of 0"),
+    (lambda e: e.current_arc.__setitem__(1, 2), "current arc of 1"),  # arc 1 -> 2 unmarked
 ])
 def test_debug_oracle_raises_typed_errors(break_state, which):
     # the oracle raises SolverInvariantError rather than asserting, so the
