@@ -27,8 +27,8 @@ def _check_size(n: int, m: int) -> None:
 
 
 def gen_cycle(n: int, cap: int = 1) -> Generated:
-    if n < 2:
-        raise BadParamsError("cycle needs n >= 2")
+    if n < 2 or cap < 0:
+        raise BadParamsError("cycle needs n >= 2 and cap >= 0")
     _check_size(n, n)
     arcs = [(i, (i + 1) % n, cap) for i in range(n)]
     return Generated(f"cycle-{n}", n, arcs, 0, n // 2)
@@ -36,8 +36,8 @@ def gen_cycle(n: int, cap: int = 1) -> Generated:
 
 def gen_dumbbell(k: int, bridge: int, clique_cap: int = 1) -> Generated:
     """Two complete digraphs on k vertices, one bridge each way."""
-    if k < 2 or bridge < 0:
-        raise BadParamsError("dumbbell needs k >= 2 and bridge >= 0")
+    if k < 2 or bridge < 0 or clique_cap < 0:
+        raise BadParamsError("dumbbell needs k >= 2, bridge >= 0 and cap >= 0")
     _check_size(2 * k, 2 * k * (k - 1) + 2)
     arcs = []
     for a in range(k):
@@ -101,6 +101,8 @@ def gen_random(n: int, m: int, cap: int, seed: int) -> Generated:
 def gen_grid(rows: int, cols: int, cap: int, seed: int = 0) -> Generated:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise BadParamsError("grid needs at least two cells")
+    if cap < 1:
+        raise BadParamsError("grid needs cap >= 1")
     _check_size(rows * cols, 2 * rows * cols)
     rng = random.Random(seed)
     n = rows * cols

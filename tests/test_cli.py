@@ -195,6 +195,21 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,param", [
+    (["--model", "cycle", "--gen-n", "3", "--cap", "-3"], "cap >= 0"),
+    (["--model", "dumbbell", "--k", "2", "--cap", "-1"], "cap >= 0"),
+    (["--model", "grid", "--rows", "2", "--cols", "2", "--cap", "-1"], "cap >= 1"),
+])
+def test_gen_rejects_a_capacity_that_solve_would_reject(capsys, argv, param):
+    # gen writes no instance that solve then refuses, and the grid's
+    # randint(1, cap) never leaks its own message
+    code, out, err = _run(["gen"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert param in err
+
+
 def _limit_address_space():
     # runs in the child between fork and exec, so only the child is limited
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
