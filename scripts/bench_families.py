@@ -5,7 +5,9 @@ first value that differs from the oracle's or flow that is not feasible.
 Rows are solved by `max_flow`, as `hierflow solve` does; the random family
 with capacities up to 10^6 (sizes up to 100) is scaled, in `-scaled` rows.
 The cycle family, where plain climbing ping-pongs about n^2 / 5 times, runs
-at every size; `relabels` counts push-relabel's climbs.
+at every size; `relabels` counts push-relabel's climbs.  A dense random
+family with m = n^2 / 8 arcs, whose value grows with n, runs at sizes from
+33 (where n^2 / 8 first exceeds the sparse rows' 4n) to 400.
 
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
 """
@@ -43,6 +45,8 @@ def main(argv=None):
         if n <= 100:
             cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 6))
         cases.append(gen_cycle(n, 3))
+        if 32 < n <= 400:
+            cases.append(generate("random", seed=args.seed, n=n, m=n * n // 8, cap=12))
     cases += [gen_dumbbell(k, 2) for k in (3, 4, 5)]
     cases.append(gen_grid(4, 5, 6, seed=args.seed))
 

@@ -74,3 +74,16 @@ def test_bench_families_counts_cycle_climbs_at_most_n():
     cycles = [dict(zip(header, row)) for row in rows if row[0].startswith("cycle-")]
     assert [row["n"] for row in cycles] == ["8", "60"]
     assert all(int(row["relabels"]) <= int(row["n"]) for row in cycles)
+
+
+def test_bench_families_runs_the_dense_family_above_n_32():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
+                           "--sizes", "8,40"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    rows = [dict(zip(header, row)) for row in rows]
+    dense = [row for row in rows if row["instance"].startswith("random-")
+             and int(row["m"]) == int(row["n"]) ** 2 // 8]
+    assert [row["n"] for row in dense] == ["40"]
+    assert int(dense[0]["value"]) > 0
