@@ -108,7 +108,10 @@ def _run(frame):
 class _Frame:
     """A frame graph (vertices, edge_ids) with its SCC split and each
     piece's local graph, made on first use.  Every level of a build
-    decomposes the same frame graph, so each is made once per frame."""
+    decomposes the same frame graph, so each is made once per frame.
+    A frame without edges has no pieces, and the local graph of a piece
+    that is all of `g` is `g`.  The split proves each piece strongly
+    connected, so `cut_or_embed` checks that only under `debug_invariants`."""
 
     def __init__(self, g: DiGraph, vertices: List[int], edge_ids: Set[int]):
         self.g = g
@@ -126,6 +129,8 @@ class _Frame:
 
     def pieces(self) -> List[tuple]:
         """(sorted vertices, edge ids) per piece, smallest piece first."""
+        if not self.edge_ids:
+            return []
         if self._pieces is None:
             comps, inner, _ = self.split()
             order = sorted(range(len(comps)), key=lambda i: (len(comps[i]), min(comps[i])))
@@ -135,8 +140,9 @@ class _Frame:
     def local(self, i: int):
         """Piece i's `subgraph` and the index of each of its edge ids there."""
         if i not in self._local:
-            piece, edges = self._pieces[i]
-            self._local[i] = (subgraph(self.g, piece, edges),
+            g, (piece, edges) = self.g, self._pieces[i]
+            whole = len(piece) == g.n and len(edges) == g.m
+            self._local[i] = (g if whole else subgraph(g, piece, edges),
                               {e: j for j, e in enumerate(edges)})
         return self._local[i]
 
@@ -163,7 +169,8 @@ def _decompose(g: DiGraph, cap, frame: _Frame, f_edges: Set[int], below: Parts,
         # the piece's order is computed only if the game plays a round
         outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
                                phi, partial(_sub_hierarchy, sub, local, below_here),
-                               random.Random(seed), config)
+                               random.Random(seed), config,
+                               check_connected=config.debug_invariants)
         if outcome.cut is None:
             cert = outcome.certificate
             log.append(

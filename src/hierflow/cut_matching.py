@@ -198,9 +198,13 @@ def cut_or_embed(
     hier_of: Callable[[], Hierarchy],
     rng: random.Random,
     config: SolverConfig = DEFAULT_CONFIG,
+    check_connected: bool = True,
 ) -> CutOrEmbedOutcome:
     """Certify f_edges as expanding in (g, cap) or return a sparse cut.
 
+    `g` must be strongly connected.  `check_connected` runs Tarjan to
+    raise NotStronglyConnectedError otherwise; the builder, whose SCC
+    split already proves it, runs it only under `debug_invariants`.
     `hier_of()` returns the hierarchy of the non-terminal edges; it is
     called at most once, when the first round is played.  The cut branch
     side S satisfies min-direction sparsity below phi * vol_F(S) and
@@ -208,7 +212,7 @@ def cut_or_embed(
     assumed.
     """
     n = g.n
-    if n > 1 and len(scc(g)) != 1:
+    if check_connected and n > 1 and len(scc(g)) != 1:
         raise NotStronglyConnectedError("cut_or_embed needs a strongly connected graph")
     deg_f = terminal_volume(g, cap, f_edges)
     vol_total = sum(deg_f)

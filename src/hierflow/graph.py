@@ -248,13 +248,10 @@ class FlowStats:
 
 def net_outflow(g: DiGraph, f: Flow) -> List[int]:
     out = [0] * g.n
-    vals = f.values
-    tails, heads = g.tails, g.heads
-    for e in range(g.m):
-        x = vals[e]
+    for u, v, x in zip(g.tails, g.heads, f.values):
         if x:
-            out[tails[e]] += x
-            out[heads[e]] -= x
+            out[u] += x
+            out[v] -= x
     return out
 
 
@@ -265,14 +262,9 @@ def flow_stats(inst: FlowInstance, f: Flow) -> FlowStats:
     value = sum(abs).  For any vertex set S the identity
     delta(S) = abs(S) + net_out(S) + ex(S) holds.
     """
-    out = net_outflow(inst.g, f)
-    absorption = []
-    excess = []
-    for v in range(inst.n):
-        supply = -out[v] + inst.delta[v]
-        a = min(supply, inst.nabla[v])
-        absorption.append(a)
-        excess.append(supply - a)
+    supply = [d - x for d, x in zip(inst.delta, net_outflow(inst.g, f))]
+    absorption = [s if s < c else c for s, c in zip(supply, inst.nabla)]
+    excess = [s - a for s, a in zip(supply, absorption)]
     return FlowStats(sum(absorption), excess, absorption)
 
 
@@ -301,15 +293,16 @@ class ResidualView:
 
 
 def residual(inst: FlowInstance, f: Flow) -> ResidualView:
-    arc_cap = []
-    for e in range(inst.m):
-        x = f.values[e]
-        if x < 0 or x > inst.cap[e]:
-            raise InfeasibleFlowError(f"flow {x} outside [0, {inst.cap[e]}] on edge {e}")
-        arc_cap.append(inst.cap[e] - x)
-        arc_cap.append(x)
+    vals, cap = f.values, inst.cap
+    fwd = [c - x for x, c in zip(vals, cap)]
+    if min(fwd, default=0) < 0 or min(vals, default=0) < 0:
+        e = next(e for e, (x, c) in enumerate(zip(vals, cap)) if x < 0 or x > c)
+        raise InfeasibleFlowError(f"flow {vals[e]} outside [0, {cap[e]}] on edge {e}")
+    # a flow vector of the wrong length fails the slice assignments
+    arc_cap = [0] * (2 * inst.m)
+    arc_cap[0::2], arc_cap[1::2] = fwd, vals
     st = flow_stats(inst, f)
-    nabla_f = [inst.nabla[v] - st.absorption[v] for v in range(inst.n)]
+    nabla_f = [c - a for c, a in zip(inst.nabla, st.absorption)]
     return ResidualView(inst.g, arc_cap, st.excess, nabla_f)
 
 

@@ -248,8 +248,7 @@ def capacity_scaled_max_flow(inst: FlowInstance,
     for b in range(1, k + 1):
         shift = k - b
         if b > 1:
-            for e in range(m):
-                f.values[e] *= 2
+            f = Flow([2 * x for x in f.values])
         inst_b = FlowInstance(g, [c >> shift for c in inst.cap],
                               [d >> shift for d in inst.delta],
                               [s >> shift for s in inst.nabla])

@@ -222,9 +222,12 @@ class _Engine:
         self.alive[v] = False
         # marks on arcs touching a dead vertex are purged: traces can never
         # reach them and the level invariants stay strict
+        adm = self.adm
         for a, _, _ in self.outs[v]:
-            self.set_mark(a, False)
-            self.set_mark(a ^ 1, False)
+            if adm[a]:
+                self.set_mark(a, False)
+            if adm[a ^ 1]:
+                self.set_mark(a ^ 1, False)
 
     def _land(self, v: int, start: int, stop) -> None:
         """Relabel v from level `start` to `stop`, or kill it when `stop`
