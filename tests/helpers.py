@@ -110,6 +110,34 @@ def random_feasible_flow(rng: random.Random, inst: FlowInstance, rounds: int = 3
     return f
 
 
+def per_edge_flow_stats(inst: FlowInstance, f: Flow) -> Tuple[int, List[int], List[int]]:
+    """(value, excess, absorption) of `f`, one edge and one vertex at a time."""
+    g = inst.g
+    supply = list(inst.delta)
+    for e in range(g.m):
+        supply[g.tails[e]] -= f.values[e]
+        supply[g.heads[e]] += f.values[e]
+    absorption = [min(supply[v], inst.nabla[v]) for v in range(g.n)]
+    excess = [supply[v] - absorption[v] for v in range(g.n)]
+    return sum(absorption), excess, absorption
+
+
+def per_edge_residual(inst: FlowInstance, f: Flow) -> Tuple[List[int], List[int], List[int]]:
+    """(arc capacities, residual supply, residual sink capacity) of `f`;
+    raises InfeasibleFlowError naming the first edge whose flow is
+    outside [0, cap]."""
+    from hierflow.errors import InfeasibleFlowError
+
+    arc_cap: List[int] = []
+    for e in range(inst.m):
+        x, c = f.values[e], inst.cap[e]
+        if not 0 <= x <= c:
+            raise InfeasibleFlowError(f"flow {x} outside [0, {c}] on edge {e}")
+        arc_cap += [c - x, x]
+    _value, excess, absorption = per_edge_flow_stats(inst, f)
+    return arc_cap, excess, [inst.nabla[v] - absorption[v] for v in range(inst.n)]
+
+
 def dijkstra_residual(inst: FlowInstance, f: Flow, w: Sequence[int],
                       sources: Sequence[int]) -> List[float]:
     """Textbook Dijkstra over usable residual arcs, weight per base edge."""

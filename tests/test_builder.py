@@ -1,14 +1,15 @@
 import dataclasses
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hierflow.builder import build_hierarchy
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.generators import gen_dumbbell
-from hierflow.graph import build_graph, scc_subgraph
+from hierflow.generators import gen_dag, gen_dumbbell
+from hierflow.graph import build_graph, scc, scc_subgraph
 from hierflow.hierarchy import validate_hierarchy
 
 from helpers import random_instance
@@ -238,3 +239,78 @@ def test_each_frame_graph_is_split_once_per_build(monkeypatch):
         build = build_hierarchy(g, caps, Fraction(1, 4), seed=1, validate=False)
         assert build.hierarchy.eta == 2 and "event=cut" in build.log[0]
         assert len(splits) == len(set(splits))
+
+
+def _not_strongly_connected_graphs():
+    # random 2-out digraphs: one large SCC and a few vertices outside it
+    for n, seed in ((30, 1), (30, 2), (40, 3)):
+        yield _out_digraph(n, seed, 2)
+    # a dumbbell with only its forward bridge
+    gen = gen_dumbbell(6, 2)
+    yield build_graph(gen.n, gen.arcs[:-1])
+    # a DAG joined to cycles, each entered from one DAG vertex and left to another
+    dag = gen_dag(12, 24, 3, 4)
+    n, arcs = dag.n, list(dag.arcs)
+    for length, (u, v) in ((3, (0, 5)), (5, (2, 11)), (4, (7, 1))):
+        cycle = list(range(n, n + length))
+        n += length
+        arcs += [(cycle[i], cycle[(i + 1) % length], 2) for i in range(length)]
+        arcs += [(u, cycle[0], 1), (cycle[-1], v, 1)]
+    yield build_graph(n, arcs)
+
+
+def test_debug_builds_check_that_every_piece_is_strongly_connected(monkeypatch):
+    # The builder's SCC split proves each piece strongly connected, so
+    # cut_or_embed runs its own Tarjan only under debug_invariants: there
+    # it must run once per piece of more than one vertex, and pass.
+    from hierflow import builder, cut_matching
+    pieces, checked = [], []
+
+    def counted_cut_or_embed(g, *args, real=builder.cut_or_embed, **kwargs):
+        pieces.append(g)
+        return real(g, *args, **kwargs)
+
+    def counted_scc(g, real=cut_matching.scc):
+        checked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(builder, "cut_or_embed", counted_cut_or_embed)
+    monkeypatch.setattr(cut_matching, "scc", counted_scc)
+    debug = replace(DEFAULT_CONFIG, debug_invariants=True)
+    for g, caps in _not_strongly_connected_graphs():
+        assert len(scc(g)) > 1
+        pieces.clear()
+        res = build_hierarchy(g, caps, Fraction(1, 8), seed=1, config=debug)
+        assert checked and checked == [p for p in pieces if p.n > 1]
+        checked.clear()
+        plain = build_hierarchy(g, caps, Fraction(1, 8), seed=1)
+        assert not checked
+        assert (res.hierarchy, res.log, res.report.ok) == (plain.hierarchy, plain.log, True)
+
+
+def test_whole_graph_pieces_are_not_copied_and_edgeless_frames_not_split(monkeypatch):
+    # Both graphs are strongly connected, so the top frame's one piece is
+    # the whole graph.  Level one cuts the 7-clique's thin sink off, which
+    # leaves the sink a frame without edges.
+    from hierflow import builder
+    copies, splits = [], []
+
+    def counted_subgraph(g, vertices, edge_ids, real=builder.subgraph):
+        copies.append((len(vertices), len(edge_ids)))
+        return real(g, vertices, edge_ids)
+
+    def counted_split(g, vertices, edge_ids, real=builder.scc_subgraph):
+        splits.append(len(edge_ids))
+        return real(g, vertices, edge_ids)
+
+    monkeypatch.setattr(builder, "subgraph", counted_subgraph)
+    monkeypatch.setattr(builder, "scc_subgraph", counted_split)
+    clique = [(u, v, 3) for u in range(7) for v in range(7) if u != v]
+    graphs = [build_graph(8, clique + [(0, 7, 10), (7, 0, 1)]),
+              build_graph(8, [(i, (i + 1) % 8, 1) for i in range(8)])]
+    for g, caps in graphs:
+        copies.clear()
+        splits.clear()
+        build = build_hierarchy(g, caps, Fraction(1, 4), seed=1, validate=False)
+        assert "event=cut component=8" in build.log[0]
+        assert splits and (g.n, g.m) not in copies and 0 not in splits

@@ -14,7 +14,8 @@ from hierflow.maxflow import max_flow_exact
 from hierflow.push_relabel import push_relabel
 from hierflow.sparse_cut import sparse_cut
 
-from helpers import random_feasible_flow, random_instance, scc_from_closure
+from helpers import (per_edge_flow_stats, per_edge_residual, random_feasible_flow,
+                     random_instance, scc_from_closure)
 
 
 def test_build_single_edge():
@@ -184,6 +185,54 @@ def test_residual_rejects_overflow():
     inst = FlowInstance(g, caps, [3, 0], [0, 3])
     with pytest.raises(InfeasibleFlowError):
         residual(inst, Flow([4]))
+
+
+def test_residual_rejects_negative_flow_naming_the_edge():
+    g, caps = build_graph(3, [(0, 1, 3), (1, 2, 3), (0, 2, 1)])
+    inst = FlowInstance(g, caps, [3, 0, 0], [0, 0, 3])
+    with pytest.raises(InfeasibleFlowError, match=r"^flow -1 outside \[0, 3\] on edge 1$"):
+        residual(inst, Flow([2, -1, 5]))
+
+
+def _diffusion_multigraph(rng):
+    """Random parallel and antiparallel edges with capacities from 0, plus
+    a zero-capacity edge, a parallel pair and an antiparallel pair at
+    vertices 0 and 1; vertex 0 has both supply and sink capacity."""
+    n = rng.randint(2, 9)
+    arcs = [(0, 1, 0), (0, 1, 2), (1, 0, 3)]
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.randint(0, 4)))
+        if rng.random() < 0.4:
+            arcs.append(rng.choice([(u, v), (v, u)]) + (rng.randint(0, 4),))
+    g, caps = build_graph(n, arcs)
+    delta = [rng.randint(0, 5) for _ in range(n)]
+    nabla = [rng.randint(0, 5) for _ in range(n)]
+    delta[0], nabla[0] = rng.randint(1, 5), rng.randint(1, 5)
+    return FlowInstance(g, caps, delta, nabla)
+
+
+def test_residual_and_flow_stats_equal_the_per_edge_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        inst = _diffusion_multigraph(rng)
+        flows = [Flow.zero(inst.m), Flow([rng.randint(0, c) for c in inst.cap]),
+                 random_feasible_flow(rng, inst)]
+        for f in flows:
+            st = flow_stats(inst, f)
+            assert (st.value, st.excess, st.absorption) == per_edge_flow_stats(inst, f)
+            res = residual(inst, f)
+            assert res.g is inst.g
+            assert (res.arc_cap, res.delta_f, res.nabla_f) == per_edge_residual(inst, f)
+        # a flow with one or two edges outside [0, cap]: the first is named
+        bad = list(flows[1].values)
+        for e in rng.sample(range(inst.m), rng.randint(1, 2)):
+            bad[e] = rng.choice([-rng.randint(1, 3), inst.cap[e] + rng.randint(1, 3)])
+        with pytest.raises(InfeasibleFlowError) as got:
+            residual(inst, Flow(bad))
+        with pytest.raises(InfeasibleFlowError) as want:
+            per_edge_residual(inst, Flow(bad))
+        assert str(got.value) == str(want.value)
 
 
 def test_residual_round_trip_augment_then_revert():
