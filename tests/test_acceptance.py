@@ -8,6 +8,7 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -479,10 +480,10 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
     code, _ = run(["gen", "--model", "random", "--gen-n", "12", "--m", "30",
                    "--cap", "9", "--seed", "13", "--out", graph])
     assert code == 0
-    gen_bytes = open(graph).read()
+    gen_bytes = Path(graph).read_text()
     code, _ = run(["gen", "--model", "random", "--gen-n", "12", "--m", "30",
                    "--cap", "9", "--seed", "13", "--out", graph])
-    assert open(graph).read() == gen_bytes
+    assert Path(graph).read_text() == gen_bytes
 
     outs = set()
     for _ in range(2):
@@ -502,7 +503,7 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         code, out = run(["hierarchy", "--phi", "1/8", "--seed", "3",
                          "--out", hier, graph])
         assert code == 0
-        texts.add(open(hier).read() + "||" + out)
+        texts.add(Path(hier).read_text() + "||" + out)
     assert len(texts) == 1
 
     cut_outs = set()

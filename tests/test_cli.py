@@ -80,7 +80,7 @@ def test_solve_writes_flow_file(tmp_path, capsys):
     flow_path = str(tmp_path / "flow.txt")
     code, out, _ = _run(["solve", "--algo", "ek", "--flow", flow_path, path], capsys)
     assert code == 0
-    assert open(flow_path).read() == "f 1 2 5\n"
+    assert Path(flow_path).read_text() == "f 1 2 5\n"
 
 
 def test_solve_parse_error_exit_2(tmp_path, capsys):
@@ -186,7 +186,7 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
         code, _, _ = _run(["gen", "--model", "dumbbell", "--k", "4", "--bridge",
                            "2", "--seed", "9", "--out", out], capsys)
         assert code == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_gen_bad_params_exit_2(tmp_path, capsys):
