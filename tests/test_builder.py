@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -276,7 +275,7 @@ def test_debug_builds_check_that_every_piece_is_strongly_connected(monkeypatch):
 
     monkeypatch.setattr(builder, "cut_or_embed", counted_cut_or_embed)
     monkeypatch.setattr(cut_matching, "scc", counted_scc)
-    debug = replace(DEFAULT_CONFIG, debug_invariants=True)
+    debug = dataclasses.replace(DEFAULT_CONFIG, debug_invariants=True)
     for g, caps in _not_strongly_connected_graphs():
         assert len(scc(g)) > 1
         pieces.clear()
