@@ -3,15 +3,23 @@
 across the generator families and print a TSV table.  Exits 1 on the
 first value that differs from the oracle's or flow that is not feasible.
 Rows are solved by `max_flow`, as `hierflow solve` does; the random family
-with capacities up to 10^6 (sizes up to 100) is scaled, in `-scaled` rows.
+with capacities up to 10^6 runs at sizes up to 400 and is scaled, in
+`-scaled` rows (at n = 1000, 10^6 <= n^2, so that row would not be scaled).
 The cycle family, where plain climbing ping-pongs about n^2 / 5 times, runs
 at every size; `relabels` counts push-relabel's climbs.  A dense random
 family with m = n^2 / 8 arcs, whose value grows with n, runs at sizes from
 33 (where n^2 / 8 first exceeds the sparse rows' 4n) to 400.
 
+With --json FILE, the rows also go to FILE as a JSON object (seed, sizes
+and one object per row: instance, n, m, exact_ms, ek_ms and every
+`SolveStats` field), written once every row has matched the oracle.
+
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
+                                        [--json FILE]
 """
 import argparse
+import dataclasses
+import json
 import sys
 import time
 
@@ -36,13 +44,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sizes", type=_sizes_arg, default="8,12,16,24,30,50,80")
+    ap.add_argument("--json", metavar="FILE")
     args = ap.parse_args(argv)
 
     cases = []
     for n in args.sizes:
         cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=12))
         cases.append(generate("dag", seed=args.seed, n=n, m=3 * n, cap=9))
-        if n <= 100:
+        if n <= 400:
             cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 6))
         cases.append(gen_cycle(n, 3))
         if 32 < n <= 400:
@@ -51,6 +60,7 @@ def main(argv=None):
     cases.append(gen_grid(4, 5, 6, seed=args.seed))
 
     print("instance\tn\tm\tvalue\texact_ms\tek_ms\titers\tsafety_net\tphases\trelabels")
+    rows = []
     for gen in cases:
         inst = gen.instance()
         t0 = time.perf_counter()
@@ -70,6 +80,14 @@ def main(argv=None):
         print(f"{name}\t{gen.n}\t{len(gen.arcs)}\t{res.stats.value}\t"
               f"{exact_ms:.1f}\t{ek_ms:.1f}\t{res.stats.iterations}\t"
               f"{res.stats.safety_net_hits}\t{res.stats.phases}\t{res.stats.relabels}")
+        rows.append(dict(instance=name, n=gen.n, m=len(gen.arcs), exact_ms=round(exact_ms, 1),
+                         ek_ms=round(ek_ms, 1), **dataclasses.asdict(res.stats)))
+    if args.json:
+        # one row per line, so two files diff row by row
+        body = ",\n  ".join(json.dumps(row) for row in rows)
+        with open(args.json, "w") as out:
+            out.write(f'{{"seed": {args.seed}, "sizes": {json.dumps(args.sizes)}, '
+                      f'"rows": [\n  {body}\n]}}\n')
     return 0
 
 

@@ -226,22 +226,30 @@ def _trim(supply: Sequence[int], total: int) -> List[int]:
 # --- capacity scaling ---------------------------------------------------------
 
 
+def scaling_phases(inst: FlowInstance) -> int:
+    """Phases of `capacity_scaled_max_flow`: s + 1 for the fewest right
+    shifts s >= 0 that bring every capacity to at most max(n^2, 1)."""
+    # u >> s <= n2 exactly when u // (n2 + 1) < 2^s
+    u, n2 = max([1, *inst.cap]), max(inst.n * inst.n, 1)
+    return (u // (n2 + 1)).bit_length() + 1
+
+
 def capacity_scaled_max_flow(inst: FlowInstance,
                              inner: Callable[[FlowInstance], SolveResult]) -> SolveResult:
-    """Bit-by-bit scaling from the most significant capacity bit.
+    """Bit scaling in `scaling_phases(inst)` phases.
 
-    Each phase doubles the current flow, has `inner` solve the residual
-    instance (capacities capped at max(n^2, m + n)) to its maximum as a
-    SolveResult, also where its supply exceeds its sink capacity, adds the
-    correction and sums the counters.  The residual value is at most m + n
-    (raises `SolverInvariantError`): doubling adds at most one unit to each
-    arc and vertex term of the last phase's minimum cut, below n^2 on simple
-    graphs, not always on multigraphs.  With U the largest capacity (at
-    least 1), there are ceil(log2 U) + 1 phases, the first of capacities 0 or 1.
+    Phase 1 has `inner` solve the instance shifted right by one bit fewer
+    than there are phases, so every capacity is at most n^2.  Each later
+    phase doubles the current flow, has `inner` solve the residual instance
+    (capacities capped at max(n^2, m + n)) to its maximum as a SolveResult,
+    also where its supply exceeds its sink capacity, adds the correction and
+    sums the counters.  Its residual value is at most m + n (raises
+    `SolverInvariantError`): doubling adds at most one unit to each arc and
+    vertex term of the last phase's minimum cut.
     """
     g = inst.g
     n, m = g.n, g.m
-    k = (max([1, *inst.cap]) - 1).bit_length() + 1
+    k = scaling_phases(inst)
     clamp = max(n * n, m + n, 1)
     f = Flow.zero(m)
     stats = SolveStats(value=0, phases=k)
@@ -260,7 +268,7 @@ def capacity_scaled_max_flow(inst: FlowInstance,
                     "build_failures"):
             setattr(stats, key, getattr(stats, key) + getattr(sub.stats, key))
         val = flow_stats(rinst, sub.flow).value
-        if val > m + n:
+        if b > 1 and val > m + n:
             raise SolverInvariantError(
                 f"phase {b} residual flow value {val} exceeds m + n = {m + n}")
         stats.phase_values.append(val)
@@ -278,6 +286,6 @@ def exact_solver(phi: Optional[Fraction] = None, seed: int = 0,
 def max_flow(inst: FlowInstance, phi: Optional[Fraction] = None, seed: int = 0,
              config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """`max_flow_exact`, behind capacity scaling when a capacity exceeds n^2."""
-    if max(inst.cap, default=0) > inst.n * inst.n:
+    if scaling_phases(inst) > 1:
         return capacity_scaled_max_flow(inst, exact_solver(phi, seed, config))
     return max_flow_exact(inst, phi, seed, config)

@@ -75,6 +75,20 @@ def random_instance(rng: random.Random, n: int, m: int, cap: int,
     return FlowInstance(g, caps, delta, nabla)
 
 
+def scaling_shift(u: int, n: int) -> int:
+    """Fewest right shifts that bring the capacity u to at most n^2."""
+    s = 0
+    while u >> s > n * n:
+        s += 1
+    return s
+
+
+def shifted_instance(inst: FlowInstance, s: int) -> FlowInstance:
+    """inst with every capacity, supply and sink capacity shifted right by s."""
+    return FlowInstance(inst.g, [c >> s for c in inst.cap], [d >> s for d in inst.delta],
+                        [t >> s for t in inst.nabla])
+
+
 def random_feasible_flow(rng: random.Random, inst: FlowInstance, rounds: int = 30) -> Flow:
     """Random augmenting walks; always yields a feasible integral flow."""
     from hierflow.graph import flow_stats

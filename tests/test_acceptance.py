@@ -28,7 +28,7 @@ from hierflow.push_relabel import push_relabel
 from hierflow.sparse_cut import sparse_cut, terminal_weights
 
 from helpers import (dijkstra_residual, exhaustive_sparsest_cut,
-                     random_instance)
+                     random_instance, scaling_shift, shifted_instance)
 from test_forest import NaiveForest
 from test_sparse_cut import _oracle_min_level_cut
 
@@ -440,14 +440,15 @@ def test_criterion_10_forest_oracle_equivalence():
 
 
 def test_criterion_11_capacity_scaling():
+    # phase 1 solves the instance shifted by the fewest bits that bring every
+    # capacity to n^2, exactly; each doubling phase's residual value is at
+    # most n^2
     rng = random.Random(111)
-    # phase-count formula across magnitudes up to 10^6
     for u in (1, 2, 3, 4, 7, 8, 100, 1023, 1024, 65536, 10 ** 6 - 1, 10 ** 6):
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
         res = capacity_scaled_max_flow(inst, edmonds_karp)
-        want_phases = 1 if u == 1 else math.ceil(math.log2(u)) + 1
-        assert res.stats.phases == want_phases, f"U={u}"
+        assert res.stats.phases == scaling_shift(u, 2) + 1, f"U={u}"
         assert res.stats.value == u
         n2 = inst.n * inst.n
         assert all(v <= n2 for v in res.stats.phase_values)
@@ -458,11 +459,19 @@ def test_criterion_11_capacity_scaling():
                                st=(i % 2 == 0))
         res = capacity_scaled_max_flow(inst, edmonds_karp)
         assert res.stats.value == edmonds_karp(inst).stats.value
+        shift = scaling_shift(max(inst.cap, default=1), inst.n)
+        assert res.stats.phases == shift + 1
+        # phase values count flow over edges, not supply absorbed in place
+        first = shifted_instance(inst, shift)
+        in_place = sum(min(d, t) for d, t in zip(first.delta, first.nabla))
+        assert res.stats.phase_values[0] + in_place == edmonds_karp(first).stats.value
         n2 = inst.n * inst.n
-        assert all(v <= n2 for v in res.stats.phase_values)
+        assert all(v <= n2 for v in res.stats.phase_values[1:])
         matches += 1
-    _report(11, f"phase count equals ceil(log2 U)+1 with per-phase residual "
-                f"value at most n^2; {matches} scaled solves match the oracle")
+    _report(11, f"phase count is one more than the fewest shifts bringing U to "
+                f"n^2, phase 1 equals the oracle on the shifted instance, and each "
+                f"doubling phase's residual value is at most n^2; {matches} scaled "
+                f"solves match the oracle")
 
 
 # --- criterion 12: CLI determinism ------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from hierflow import maxflow
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import BuildFailedError, InfeasibleFlowError, NotAcyclicError
+from hierflow.errors import (BuildFailedError, InfeasibleFlowError, NotAcyclicError,
+                             SolverInvariantError)
 from hierflow.generators import generate
 from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats, is_feasible,
                             st_instance)
@@ -15,7 +16,8 @@ from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, exact_solver, max_flow,
                               max_flow_exact)
 
-from helpers import max_flow_value_by_cuts, per_iteration_exact, random_instance
+from helpers import (max_flow_value_by_cuts, per_iteration_exact, random_instance,
+                     scaling_shift)
 
 
 def test_ek_single_edge():
@@ -162,8 +164,8 @@ def test_scaling_single_edge_large_cap():
     inst = FlowInstance(g, caps, [10 ** 6, 0], [0, 10 ** 6])
     res = capacity_scaled_max_flow(inst, edmonds_karp)
     assert res.stats.value == 10 ** 6
-    assert res.stats.phases == 21  # ceil(log2(1e6)) + 1
-    assert all(v <= 4 for v in res.stats.phase_values)  # n^2 = 4
+    assert res.stats.phases == 19  # 10^6 >> 18 = 3 <= n^2 = 4 < 10^6 >> 17
+    assert all(v <= 4 for v in res.stats.phase_values)
 
 
 def test_scaling_matches_direct_on_small_caps():
@@ -178,7 +180,9 @@ def test_scaling_matches_direct_on_small_caps():
 
 
 def test_scaling_on_multigraphs():
-    # parallel arcs can carry more than n^2 per phase; the bound is m + n
+    # parallel arcs can carry more than n^2 in a doubling phase; the bound
+    # is m + n.  Phase 1 is a full solve of capacities at most n^2 and has
+    # no value bound
     arcs = [(0, 1, 11), (0, 1, 10), (1, 0, 11), (0, 1, 11), (1, 0, 7),
             (1, 0, 9), (1, 0, 7), (0, 1, 2), (1, 0, 7), (0, 1, 11)]
     g, caps = build_graph(2, arcs)
@@ -186,8 +190,9 @@ def test_scaling_on_multigraphs():
     inst = FlowInstance(g, caps, [big, 0], [0, big])
     res = capacity_scaled_max_flow(inst, exact_solver(Fraction(2, 3), seed=1))
     assert res.stats.value == edmonds_karp(inst).stats.value == 45
-    assert max(res.stats.phase_values) > 4
+    assert max(res.stats.phase_values[1:]) > 4
     rng = random.Random(68)
+    doubling = 0
     for _ in range(60):
         n = rng.randint(2, 4)
         arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 40))
@@ -198,16 +203,64 @@ def test_scaling_on_multigraphs():
         for inner in (edmonds_karp, exact_solver(Fraction(1, 16), seed=0)):
             res = capacity_scaled_max_flow(inst, inner)
             assert res.stats.value == edmonds_karp(inst).stats.value
-            assert all(v <= g.m + n for v in res.stats.phase_values)
+            assert all(v <= g.m + n for v in res.stats.phase_values[1:])
+        doubling += res.stats.phases > 1
+    assert doubling >= 50
 
 
 def test_scaling_phase_count_formula():
-    for u, phases in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (1023, 11), (1024, 11)]:
+    # the fewest shifts s with U >> s <= n^2 = 4, plus one
+    for u, phases in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (1023, 9), (1024, 9)]:
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
         res = capacity_scaled_max_flow(inst, edmonds_karp)
         assert res.stats.phases == phases, f"U={u}"
         assert res.stats.value == u
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_scaling_starts_at_the_fewest_shifts_to_n_squared(n):
+    n2 = n * n
+    for u in (1, 2, 3, 4, 5, n2, n2 + 1, 2 * n2, 1023, 1024, 10 ** 6 - 1, 10 ** 6):
+        shift = scaling_shift(u, n)
+        g, caps = build_graph(n, [(v, v + 1, u >> v) for v in range(n - 1)])
+        inst = FlowInstance(g, caps, [u] + [0] * (n - 1), [0] * (n - 1) + [u])
+        seen = []
+
+        def solve(rinst):
+            seen.append(rinst)
+            return edmonds_karp(rinst)
+        res = capacity_scaled_max_flow(inst, solve)
+        assert res.stats.phases == shift + 1, f"n={n} U={u}"
+        # the source's supply U is shifted as the capacities are, but not
+        # capped at max(n^2, m + n) as they are
+        assert seen[0].delta[0] == u >> shift <= n2, f"n={n} U={u}"
+        assert max(seen[0].cap, default=0) <= n2
+        if shift:
+            assert u >> (shift - 1) > n2
+        assert res.stats.value == edmonds_karp(inst).stats.value
+        # max_flow scales exactly when there is more than one phase
+        assert max_flow(inst).stats.phases == (shift + 1 if shift else 0)
+
+
+def test_doubling_phase_guard_rejects_an_over_full_residual_flow():
+    # three parallel arcs: phase 1, at capacities 1000 >> 8 = 3, routes
+    # 9 > m + n = 5 and is a full solve with no value bound; a doubling
+    # phase's residual value above m + n is a solver fault
+    g, caps = build_graph(2, [(0, 1, 1000)] * 3)
+    inst = FlowInstance(g, caps, [10 ** 4, 0], [0, 10 ** 4])
+    assert capacity_scaled_max_flow(inst, edmonds_karp).stats.phase_values[0] == 9
+    calls = []
+
+    def over_full(rinst):
+        calls.append(rinst)
+        res = edmonds_karp(rinst)
+        if len(calls) > 1:
+            res.flow.values[0] += g.m + g.n + 1
+        return res
+    with pytest.raises(SolverInvariantError, match="phase 2 "):
+        capacity_scaled_max_flow(inst, over_full)
+    assert len(calls) == 2
 
 
 def test_scaling_with_exact_inner_solver():
@@ -277,14 +330,21 @@ def test_exact_driver_matches_the_per_iteration_reference(monkeypatch, planted):
 
 def test_scaled_phase_with_more_supply_than_sink_capacity():
     # vertex 0 supplies 4 to sinks of capacity 3 and 1: shifted by 1, the
-    # supply is 2 and the sink capacities 1 and 0
-    for cap, solve in ((4, lambda inst: capacity_scaled_max_flow(inst, exact_solver())),
-                       (10, max_flow)):  # 10 > n^2 = 9
+    # supply is 2 and the sink capacities 1 and 0; both capacities exceed
+    # n^2 = 9, so that shift is a doubling phase's
+    solver, over = exact_solver(), []
+
+    def spy(rinst):
+        over.append(sum(rinst.delta) > sum(rinst.nabla))
+        return solver(rinst)
+    for cap, solve in ((40, lambda inst: capacity_scaled_max_flow(inst, spy)),
+                       (10, max_flow)):
         g, caps = build_graph(3, [(0, 1, cap), (0, 2, cap)])
         inst = FlowInstance(g, caps, [4, 0, 0], [0, 3, 1])
         res = solve(inst)
         assert res.stats.value == 4 and res.stats.phases > 1, f"capacity {cap}"
         assert is_feasible(inst, res.flow)
+    assert any(over[1:])
 
 
 def test_max_flow_matches_the_oracle_on_diffusion_and_st_multigraphs():
@@ -404,6 +464,10 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # Re-pinned when the scaled solve began to sum its phases' iterations,
     # augmentations, relabels, safety nets and build failures; the flows,
     # values, phases and phase values hash as before; re-pinned again with
-    # the global lift and with the drain's lift schedule, as above.
+    # the global lift and with the drain's lift schedule, as above; and
+    # when scaling began at the fewest shifts that bring the capacities to
+    # n^2 (14-16 phases, not 21), which moved the phases, phase values,
+    # summed counters and inner solves, and 9 of the 10 flows to other
+    # maximum flows of the same values.
     assert _digest(_scaled_results()) == (
-        "1ede0c01703b0afd72927e9e4e5d6edb9730d9dd1ea0de7b7f26d600d1cbade4")
+        "29920a3533f7fd9785b76f4a21aa7c01ff1e9afece18104ba937b96c92c01c79")

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 from hierflow.builder import build_hierarchy
 from hierflow.errors import BuildFailedError
+from hierflow.maxflow import SolveStats
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,3 +90,24 @@ def test_bench_families_runs_the_dense_family_above_n_32():
              and int(row["m"]) == int(row["n"]) ** 2 // 8]
     assert [row["n"] for row in dense] == ["40"]
     assert int(dense[0]["value"]) > 0
+
+
+def test_bench_families_writes_its_rows_as_json(tmp_path):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
+                           "--sizes", "8,12", "--seed", "3", "--json", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    table = [dict(zip(header, row)) for row in rows]
+    data = json.loads(out.read_text())
+    assert (data["seed"], data["sizes"]) == (3, [8, 12])
+    assert [row["instance"] for row in data["rows"]] == [row["instance"] for row in table]
+    fields = {f.name for f in dataclasses.fields(SolveStats)}
+    for row, line in zip(data["rows"], table):
+        assert fields | {"instance", "n", "m", "exact_ms", "ek_ms"} == set(row)
+        assert [str(row[k]) for k in ("n", "m", "value", "iterations", "phases", "relabels")] \
+            == [line[k] for k in ("n", "m", "value", "iters", "phases", "relabels")]
+        assert len(row["phase_values"]) == row["phases"]
+    assert any(row["phases"] > 1 for row in data["rows"])
