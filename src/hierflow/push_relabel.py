@@ -28,17 +28,9 @@ Both land through one routine, which counts one landing per multiple of
 each distinct incident weight crossed, plus one for the landing that kills
 a vertex: the quantity the 9h/w bound counts.
 
-Dead-vertex pruning (Cherkassky and Goldberg's gap heuristic): after every
-augmentation that saturates an arc or a sink, a reverse search from the
-unsaturated sinks over residual arcs between alive vertices marks who can
-still reach a sink, and every alive vertex it misses dies at once instead
-of climbing to 9h + 1; a lift kills these too.  This is exact.  The missed
-set only grows: an augmentation adds residual arcs only against its path,
-whose vertices all reached its sink, so whoever reaches a sink afterwards
-reached one before; and one that saturates neither an arc nor a sink
-removes no arc and closes no sink.  A missed vertex would die anyway,
-because at the end of a run every alive vertex has an admissible path to
-an unsaturated sink.
+A vertex with no residual way left to an open sink is not searched for:
+it climbs until its own climbing kills it, or until the next lift, at most
+n climbs later, which never settles it and so kills it.
 
 Augmentation walks the current arcs from a source to an open sink and
 updates the residual array cf.  A vertex's current arc is the first marked
@@ -300,30 +292,6 @@ class _Engine:
         self._land(v, start, min(((start // wgt + 1) * wgt for wgt in self.distinct_weights[v]),
                                  default=INF))
 
-    def _prune(self) -> None:
-        """Kill every alive vertex with no residual path to an unsaturated sink."""
-        alive, cf = self.alive, self.cf
-        reached = [False] * self.n
-        stack = [v for v in range(self.n) if self.nabla_rem[v] > 0]
-        for v in stack:
-            reached[v] = True
-        while stack:
-            x = stack.pop()
-            for a, _, y in self.outs[x]:
-                if reached[y] or not alive[y]:
-                    continue
-                # a ^ 1 runs y -> x
-                if cf[a ^ 1] > 0:
-                    reached[y] = True
-                    stack.append(y)
-        doomed = [v for v in range(self.n) if alive[v] and not reached[v]]
-        for v in doomed:
-            self._die(v)
-        # checked once the pass is over: until then a doomed vertex can keep
-        # a residual arc into a doomed vertex that is still alive
-        if doomed and self.cfg.debug_invariants:
-            self._assert_invariants()
-
     def _lift(self) -> None:
         """Global relabel: land every alive vertex once at its lift level.
 
@@ -331,8 +299,8 @@ class _Engine:
         vertices keys x by the least multiple of w(a) at least T(u) + 2w(a)
         over its live out-arcs a = (x, u) to settled u; x lands at T(x) =
         max(level, key), where a is admissible.  A vertex keyed above 9h
-        dies landing there.  One never settled dies at once, as in _prune:
-        its every way to an open sink runs through a vertex the lift killed.
+        dies landing there.  One never settled dies at once: its every way to
+        an open sink runs through a vertex the lift killed.
         """
         alive, cf, lvl, nine_h, n = self.alive, self.cf, self.level, self.nine_h, self.n
         key = [INF] * n
@@ -416,15 +384,13 @@ class _Engine:
         arcs, t = self._walk_path(s)
         amt = min(self.delta_rem[s], self.nabla_rem[t])
         amt = min(amt, min(self.cf[a] for a in arcs))
-        saturated = False
         for a in arcs:
             self.cf[a] -= amt
             self.cf[a ^ 1] += amt
             if self.cf[a] == 0:
-                saturated = True
                 self.edge_sat[a >> 1] += 1
                 self.set_mark(a, False)
-        self._finish_augment(s, t, amt, arcs, saturated)
+        self._finish_augment(s, t, amt, arcs)
 
     def _augment_capacitated(self, s: int) -> None:
         forest = self.forest
@@ -451,20 +417,17 @@ class _Engine:
             cf[a ^ 1] += amt
         # mark newly saturated arcs, climbing from s toward the root
         cur = s
-        saturated = False
         while forest.rep_par[cur] != -1:
             (child, par), val = forest.find_min(cur)
             if val > 0:
                 break
-            saturated = True
             a = self.current_arc[child]
             self.edge_sat[a >> 1] += 1
             self.set_mark(a, False)  # drops the tree edge
             cur = par
-        self._finish_augment(s, t, amt, arcs, saturated)
+        self._finish_augment(s, t, amt, arcs)
 
-    def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int],
-                        saturated: bool) -> None:
+    def _finish_augment(self, s: int, t: int, amt: int, arcs: List[int]) -> None:
         if amt <= 0:
             raise SolverInvariantError(f"augmentation from {s} to {t} routes {amt}")
         self.delta_rem[s] -= amt
@@ -475,8 +438,6 @@ class _Engine:
             tuple(arcs), amt, sum(self.w[a >> 1] for a in arcs),
             tuple(self.level) if self.cfg.debug_invariants else None,
         ))
-        if saturated or self.nabla_rem[t] == 0:
-            self._prune()
         if self.cfg.debug_invariants:
             self._assert_invariants()
 

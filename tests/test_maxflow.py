@@ -457,9 +457,11 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # and re-pinned when push-relabel's global lift, and again when the
     # drain's lift schedule, moved the flows, the augmentation and the
     # relabel counts (values, iterations, safety nets and phases hash as
-    # before).
+    # before); and when the per-augmentation prune was deleted, which moved
+    # the relabel counts of 29 of the 30 solves, the doomed now climbing
+    # before they die (flows and every other field hash as before).
     assert _digest(_exact_results()) == (
-        "9ebf70fe1b649fff68a3ac5e17d0b558d7f845abc2d6c553c1ef4e193f05f81e")
+        "61f86f37a0aa74d39af6313a3f6db8aed695950aae865da576ad2171300c15bc")
     # capacities up to 10^6: the scaled solve and every inner exact solve.
     # Re-pinned when the scaled solve began to sum its phases' iterations,
     # augmentations, relabels, safety nets and build failures; the flows,
@@ -468,6 +470,7 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # when scaling began at the fewest shifts that bring the capacities to
     # n^2 (14-16 phases, not 21), which moved the phases, phase values,
     # summed counters and inner solves, and 9 of the 10 flows to other
-    # maximum flows of the same values.
+    # maximum flows of the same values; and with the prune's deletion, as
+    # above: the relabel counts of 118 of the 157 scaled and inner solves.
     assert _digest(_scaled_results()) == (
-        "29920a3533f7fd9785b76f4a21aa7c01ff1e9afece18104ba937b96c92c01c79")
+        "36aa9d87fed32cc610946547b004fc8645eacc057cd132ab770f28c43c044b31")

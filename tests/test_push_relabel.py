@@ -207,7 +207,6 @@ def _start_levels(inst, w, h, lift):
     if lift:
         engine._lift()
     else:
-        engine._prune()
         for v in range(engine.n):
             engine._enqueue(v)
         engine.lift_climbs = math.inf  # the drain alone: no scheduled lift
@@ -258,11 +257,14 @@ def test_at_most_n_climbs_between_lifts(monkeypatch):
     assert all(max(run[1:]) <= run[0] for run in runs)
 
 
-def test_lift_climbs_the_cycle_once_per_vertex():
-    # climbing alone, without the lift, ping-pongs about n^2 / 5 times here
+def test_lift_keeps_the_cycle_to_2n_minus_2_climbs():
+    # climbing alone, without the lift, ping-pongs about n^2 / 5 times here.
+    # The first lift makes n - 1 climbs.  The one augmentation dooms every
+    # vertex but the sink, and each climbs once more, to its death, before
+    # n climbs would call the next lift
     n = 1000
     res = max_flow_exact(gen_cycle(n, 3).instance(), seed=1)
-    assert res.stats.value == 3 and res.stats.relabels <= n
+    assert res.stats.value == 3 and res.stats.relabels == 2 * n - 2
 
 
 def test_one_sixth_approximation_on_dags():
@@ -429,31 +431,33 @@ def test_debug_oracle_checks_the_forest_against_the_residuals():
         engine._assert_invariants()
 
 
-@pytest.mark.parametrize("edges,delta,nabla", [
+@pytest.mark.parametrize("edges,delta,nabla,work,death_levels", [
     # 0 <-> 1, and the unit arc 1 -> 2 into the sink saturates
-    ([(0, 1, 5), (1, 0, 5), (1, 2, 1)], [5, 0, 0], [0, 0, 5]),
+    ([(0, 1, 5), (1, 0, 5), (1, 2, 1)], [5, 0, 0], [0, 0, 5], (5, 20), [8, 10]),
     # the path 0 -> 1 -> 2 keeps capacity but sink 2 saturates; sink 3
     # stays open and unreachable
-    ([(0, 1, 5), (1, 2, 5)], [5, 0, 0, 0], [0, 0, 1, 4]),
+    ([(0, 1, 5), (1, 2, 5)], [5, 0, 0, 0], [0, 0, 1, 4], (6, 25), [8, 6, 8]),
 ])
-def test_doomed_vertices_die_without_climbing(edges, delta, nabla):
+def test_doomed_vertices_cost_the_same_work_at_any_height(edges, delta, nabla, work,
+                                                          death_levels):
     # After the first unit is routed no vertex but the open sink reaches an
-    # open sink, so the rest die at once instead of climbing to 9h + 1:
-    # the work does not grow with h.  The first lift makes two climbs (1 to
-    # 2, 0 to 4) of six landings, then one landing per pruned death.
+    # open sink.  The first lift makes two climbs (1 to 2, 0 to 4) of six
+    # landings; the doomed then climb, four landings a climb, until n climbs
+    # have passed, and the next lift kills them at the levels they reached,
+    # one landing each: the work does not grow with h.
     g, caps = build_graph(len(delta), edges)
     inst = FlowInstance(g, caps, delta, nabla)
     doomed = len(delta) - 1
     for mode in ("unit", "capacitated"):
         for config in (DEFAULT_CONFIG, DBG):
-            for h in (10, 1000):
+            for h in (10, 1000, 10 ** 6):
                 r = push_relabel(inst, [1] * len(edges), h, mode=mode, config=config)
                 assert r.value == 1
                 assert r.labels.alive == [False] * doomed + [True]
-                assert (r.relabel_climbs, r.relabel_landings) == (2, 6 + doomed)
+                assert (r.relabel_climbs, r.relabel_landings) == work
                 if config.debug_invariants:
                     assert r.relabel_events[-doomed:] == [
-                        (v, [4, 2, 0][v], 9 * h + 1) for v in range(doomed)]
+                        (v, death_levels[v], 9 * h + 1) for v in range(doomed)]
 
 
 def test_unit_and_capacitated_modes_agree_on_unit_caps():
@@ -595,9 +599,14 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
     # both schedulers, hashed: any change to what push-relabel computes or
     # counts changes the digest.  Re-pinned when the global lift replaced
     # the first drain and every n-th climb's prune, when fast runs stopped
-    # snapshotting labels (the old pin with their labels blanked), and when
+    # snapshotting labels (the old pin with their labels blanked), when
     # the drain took over the lift schedule (flows, labels, marks, augment
-    # records and work counters moved).
+    # records and work counters moved), and when the per-augmentation prune
+    # was deleted: doomed vertices climb before they die, which moved the
+    # climbs and landings, the mark flips, the debug relabel events and
+    # augment-time labels, and the final levels of three live vertices on
+    # one instance; flows, values, liveness, augmented paths and residual
+    # vectors hash as before.
     digest = hashlib.sha256()
     for inst, w, h in _pinned_instances():
         for mode in ("unit", "capacitated"):
@@ -605,4 +614,4 @@ def test_push_relabel_is_bit_identical_to_the_recorded_digest():
                 digest.update(repr(_pin(push_relabel(inst, w, h, mode=mode,
                                                      config=config))).encode())
     assert digest.hexdigest() == (
-        "a9e5e5b22d347d6ca350a2309acf1e3fcb829abf4053c9f44b79ccb940e8adcf")
+        "c0e2dd3ced3f32dc7c51c2b5cdaa9f5b1ef60839a2634ae3adf74ed2171953fb")
