@@ -19,15 +19,15 @@ whose boundary and volume bounds already rule out a cut sparser than phi
 (or than the best cut found so far); large ones only get falsification
 by `sampled_sparse_cut`, which tests random cuts and then the level cuts
 of breadth-first labelings in bit-sliced batches.  Its docstring states
-which cuts it draws in what order and how a hit is replayed; `_LaneTest`'s
-states the batch rule and the lane arithmetic.
+which cuts it draws in what order and where it leaves the rng;
+`_LaneTest`'s states the batch rule and the lane arithmetic.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
@@ -219,16 +219,6 @@ class CutEvaluator:
         return min(self.out_cap, self.in_cap) * phi.denominator < phi.numerator * mv
 
 
-def _gray_rank(code: int) -> int:
-    """Position of `code` in the binary-reflected gray sequence i ^ (i >> 1)."""
-    i = code
-    code >>= 1
-    while code:
-        i ^= code
-        code >>= 1
-    return i
-
-
 def exhaustive_worst_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int],
                          below: Optional[Fraction] = None
                          ) -> Tuple[Optional[Fraction], Optional[List[int]]]:
@@ -247,11 +237,11 @@ def exhaustive_worst_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int],
     is built at the end.
 
     Returns (ratio, side) of the minimizing cut, side as ascending vertex
-    indices of g; among equal ratios, the cut a gray-code scan of S over
-    the first k-1 vertices meets first (the smallest i with i ^ (i >> 1)
-    equal to S's bitmask).  Returns (None, None) when no cut has positive
-    volume on both sides.  With `below`, a cut is returned only if its
-    ratio is strictly below it, and (None, None) otherwise.
+    indices of g; among equal ratios, the one whose bitmask of S (bit i
+    set when vertex i is in S) is smallest.  Returns (None, None) when no
+    cut has positive volume on both sides.  With `below`, a cut is
+    returned only if its ratio is strictly below it, and (None, None)
+    otherwise.
     """
     k = g.n
     if k <= 1:
@@ -299,7 +289,7 @@ def exhaustive_worst_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int],
             if diff > 0 or (diff == 0 and best_mask < 0):
                 return
         if p == free:  # lb / mv is this cut's own ratio
-            if best_mask < 0 or diff < 0 or _gray_rank(mask) < _gray_rank(best_mask):
+            if best_mask < 0 or diff < 0 or mask < best_mask:
                 best_num, best_den, best_mask = lb, mv, mask
             return
         v = order[p]
@@ -341,24 +331,24 @@ def sampled_sparse_cut(g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: 
     last layer or an unreached vertex.  The witness is the first
     phi-sparse cut in this order.
 
-    Replay: both phases hand `_LaneTest` batches of cuts, each the
-    little-endian bitmask of S in 4 * W bytes.  The b random cuts of a
-    batch are the bytes of one `getrandbits(32 * W * b)` call, which
-    continues the word stream of the per-cut calls.  All sources are drawn
-    before the first level cut, and level cuts are made one layer at a
-    time as the batches take them.  On a hit the rng is set back and drawn
-    again: to the batch start and (j + 1) * W words on for random cut j of
-    a batch, to the phase start and t + 1 sources on for a level cut of
-    try t.  So the witness, and the rng state that the level phase and
-    later callers see, are those of a loop that draws and tests one cut at
-    a time, and a hit costs at most one batch's draw again.
+    Both phases hand `_LaneTest` batches of cuts, each the little-endian
+    bitmask of S in 4 * W bytes.  The b random cuts of a batch are the
+    bytes of one `getrandbits(32 * W * b)` call, which continues the word
+    stream of the per-cut calls.  All sources are drawn before the first
+    level cut, and level cuts are made one layer at a time as the batches
+    take them.  The search stops at the first batch that holds a sparse
+    cut, so the rng is left after the last batch drawn: after all random
+    cuts and all sources when the witness is a level cut or there is none.
     """
     k = g.n
     if k <= 1:
         return None
     test = _LaneTest(g, cap, vol, phi)
-    side = _random_cuts(test, rng, budget)
-    return side if side is not None else _level_cuts(g, test, rng)
+    for stream in chain(_random_batches(test, rng, budget), _level_batches(g, test, rng)):
+        j = test.first_sparse(stream)
+        if j is not None:
+            return test.side(stream, j)
+    return None
 
 
 # bytes of one lane int: a batch takes the most cuts that keep each of
@@ -474,20 +464,11 @@ class _LaneTest:
         return [i for i in range(self.k) if cut >> i & 1]
 
 
-def _random_cuts(test: _LaneTest, rng: random.Random, budget: int) -> Optional[List[int]]:
-    """The first phi-sparse cut of `budget` random cuts, drawn and replayed
-    as `sampled_sparse_cut` describes; the witness, or None."""
-    step = test.step
+def _random_batches(test: _LaneTest, rng: random.Random, budget: int) -> Iterator[bytes]:
+    """`budget` random cuts in batches, each batch one `getrandbits` call."""
     for done in range(0, budget, test.batch):
-        size = step * min(test.batch, budget - done)
-        start = rng.getstate()
-        stream = rng.getrandbits(8 * size).to_bytes(size, "little")
-        j = test.first_sparse(stream)
-        if j is not None:
-            rng.setstate(start)
-            rng.getrandbits(8 * step * (j + 1))
-            return test.side(stream, j)
-    return None
+        size = test.step * min(test.batch, budget - done)
+        yield rng.getrandbits(8 * size).to_bytes(size, "little")
 
 
 def _level_masks(adj: List[List[int]], src: int, step: int) -> Iterator[bytes]:
@@ -513,27 +494,18 @@ def _level_masks(adj: List[List[int]], src: int, step: int) -> Iterator[bytes]:
         layer = nxt
 
 
-def _level_cuts(g: DiGraph, test: _LaneTest, rng: random.Random) -> Optional[List[int]]:
-    """The first phi-sparse level cut, tested and replayed as
-    `sampled_sparse_cut` describes; the witness, or None.  A batch is the
-    next cuts of the (try, forward then reverse, layer) stream, and may
-    cut a labeling in two."""
+def _level_batches(g: DiGraph, test: _LaneTest, rng: random.Random) -> Iterator[bytes]:
+    """The level cuts of `sampled_sparse_cut`, every source drawn first, in
+    batches of the next cuts of the (source, forward then reverse, layer)
+    stream; a batch may cut a labeling in two."""
     k = test.k
-    start = rng.getstate()
     srcs = [rng.randrange(k) for _ in range(max(2, min(k, 8)))]
     out_adj = [[g.heads[e] for e in es] for es in g.out_edges]
     in_adj = [[g.tails[e] for e in es] for es in g.in_edges]
-    cuts = ((t, mask) for t, src in enumerate(srcs) for adj in (out_adj, in_adj)
+    cuts = (mask for src in srcs for adj in (out_adj, in_adj)
             for mask in _level_masks(adj, src, test.step))
-    while batch := list(islice(cuts, test.batch)):
-        stream = b"".join(mask for _t, mask in batch)
-        j = test.first_sparse(stream)
-        if j is not None:
-            rng.setstate(start)
-            for _ in range(batch[j][0] + 1):
-                rng.randrange(k)
-            return test.side(stream, j)
-    return None
+    while stream := b"".join(islice(cuts, test.batch)):
+        yield stream
 
 
 # --- validation --------------------------------------------------------------
@@ -580,6 +552,9 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
 
     Expansion is exact on components of at most EXACT_CUT_THRESHOLD
     vertices (`exhaustive_worst_cut` against phi), falsification-only above.
+    D and each level graph are split over their edge ids in ascending
+    order, which sets the order of the components and so of the sampled
+    searches that share `rng`.
     Raises BadParamsError for phi outside (0, 1).
     """
     check_phi(phi)
@@ -597,24 +572,21 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
         bad = [e for e in range(m) if seen[e] != 1][:5]
         rep.errors.append(f"partition broken at edges {bad}")
         return rep
+    lv = h.level_of(m)
     # (b) D acyclic
-    comps, _, _ = scc_subgraph(g, range(g.n), h.d)
+    comps, _, _ = scc_subgraph(g, range(g.n), [e for e in range(m) if lv[e] == 0])
     if any(len(c) > 1 for c in comps):
         rep.errors.append("D has a cycle")
     # (c) containment and (d) expansion, level by level
-    active: Set[int] = set(h.d)
     level_comps: List[List[List[int]]] = []
-    # each level is read through a copy: a copy of a set may iterate in
-    # another order, and active's edge order sets the order of the
-    # components, which the sampled cuts are drawn in
-    for i, level in enumerate((set(x) for x in h.levels), 1):
-        active |= level
+    for i in range(1, h.eta + 1):
+        active = [e for e in range(m) if lv[e] <= i]
         comps, inner, between = scc_subgraph(g, range(g.n), active)
         level_comps.append(comps)
         for e in between:
-            if e in level:
+            if lv[e] == i:
                 rep.errors.append(f"level-{i} edge {e} not inside one component")
-        terminals = [[e for e in edges if e in level] for edges in inner]
+        terminals = [[e for e in edges if lv[e] == i] for edges in inner]
         vol = terminal_volume(g, cap, (e for f_here in terminals for e in f_here))
         for comp, edges, f_here in zip(comps, inner, terminals):
             if not f_here:

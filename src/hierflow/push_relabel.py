@@ -243,7 +243,6 @@ class _Engine:
             self.relabel_events.append((v, start, stop))
         lvl, cf, adm = self.level, self.cf, self.adm
         lvl[v] = stop
-        to_mark = []
         for a, wa, u in self.outs[v]:
             mark_level = stop // wa * wa
             if mark_level <= start:
@@ -252,19 +251,15 @@ class _Engine:
             gap = mark_level - lvl[u]
             if gap >= 2 * wa and cf[a] > 0:
                 if not adm[a]:
-                    to_mark.append(a)
+                    self.set_mark(a, True)
             elif adm[a]:
                 self.set_mark(a, False)
             b = a ^ 1
             if -gap >= 2 * wa and cf[b] > 0:
                 if not adm[b]:
-                    to_mark.append(b)
+                    self.set_mark(b, True)
             elif adm[b]:
                 self.set_mark(b, False)
-        # unmark before mark: a stale opposite arc must release its tree
-        # edge before the fresh direction claims one
-        for a in to_mark:
-            self.set_mark(a, True)
 
     def _climb(self, v: int) -> None:
         """Relabel v until it has an admissible out-arc or dies (batched).

@@ -274,13 +274,14 @@ def local_cut_input(vertices, edges, volw):
     return g, [c for _, _, c in kept], [volw.get(v, 0) for v in verts], back
 
 
-def gray_worst_cut(g, cap, vol) -> Tuple[Optional[Fraction], Optional[List[int]]]:
-    """Exact sparsest cut of (g, cap) by enumerating all 2^(k-1) proper
-    cuts: the tie-break reference for `hierarchy.exhaustive_worst_cut`.
+def bitmask_worst_cut(g, cap, vol) -> Tuple[Optional[Fraction], Optional[List[int]]]:
+    """Exact sparsest cut of (g, cap) by scanning all 2^(k-1) proper cuts:
+    the tie-break reference for `hierarchy.exhaustive_worst_cut`.
 
-    Returns (ratio, side) for the minimizing cut; (None, None) when no
-    cut has positive volume on both sides.  Deterministic: gray-code
-    order, strict improvement only.
+    The last vertex stays outside S, and S runs over the bitmasks of the
+    first k-1 vertices (bit i set when vertex i is in S) in ascending
+    order; the first cut of the minimum ratio wins.  Returns (ratio, side);
+    (None, None) when no cut has positive volume on both sides.
     """
     from hierflow.hierarchy import CutEvaluator
 
@@ -289,21 +290,20 @@ def gray_worst_cut(g, cap, vol) -> Tuple[Optional[Fraction], Optional[List[int]]
     if k <= 1:
         return None, None
     total = ev.total_vol
-    best_num, best_den, best_code = 0, 0, 0
-    # last vertex stays outside S; gray code over the first k-1, ratios
-    # compared by cross-multiplication
-    for i in range(1, 1 << (k - 1)):
-        ev.flip((i & -i).bit_length() - 1)
+    best_num, best_den, best_mask = 0, 0, 0
+    for mask in range(1, 1 << (k - 1)):
+        # from mask - 1 to mask, bit i flips for every i up to mask's lowest set bit
+        for i in range((mask ^ (mask - 1)).bit_length()):
+            ev.flip(i)
         mv = min(ev.vol_s, total - ev.vol_s)
         if mv <= 0:
             continue
         b = min(ev.out_cap, ev.in_cap)
-        if best_den == 0 or b * best_den < best_num * mv:
-            best_num, best_den, best_code = b, mv, i
+        if best_den == 0 or b * best_den < best_num * mv:  # cross-multiplied
+            best_num, best_den, best_mask = b, mv, mask
     if best_den == 0:
         return None, None
-    gray = best_code ^ (best_code >> 1)  # S after the winning flip
-    return Fraction(best_num, best_den), [i for i in range(k) if gray >> i & 1]
+    return Fraction(best_num, best_den), [i for i in range(k) if best_mask >> i & 1]
 
 
 def random_cut_flags(rng: random.Random, k: int) -> List[bool]:

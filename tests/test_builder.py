@@ -215,7 +215,7 @@ def test_builds_are_bit_identical_to_the_recorded_digest():
                              for line in res.log if "event=certify" in line]
     assert max(certified_rounds) > 0
     assert h.hexdigest() == (
-        "c4878c7526c5a40d19be8607b4b6fc094a78c2967ec640c0eab1df6012532274")
+        "8ed2ba077fb1777640d0cc330d3e64c30be9bf98b8e6e6f560b2f29b7b987f94")
 
 
 def test_each_frame_graph_is_split_once_per_build(monkeypatch):

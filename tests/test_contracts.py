@@ -1,7 +1,8 @@
-"""No contract in the library rests on `assert`, which `python -O` strips,
-or on raising Python's recursion limit, no `SolverConfig` field goes
-unread, no module or script imports a name it never reads, and every
-name the package exports is read outside the tests.
+"""No contract in the library or in scripts/ rests on `assert`, which
+`python -O` strips, or on raising Python's recursion limit, no
+`SolverConfig` field goes unread, no module or script imports a name it
+never reads, and every name the package exports is read outside the
+tests.
 
 There is no `assert` exception: the push-relabel debug oracle
 `_assert_invariants` raises `SolverInvariantError` too, so its checks
@@ -39,7 +40,9 @@ def test_checker_finds_both_forms_in_any_function():
 
 def test_library_has_no_assert_based_contracts():
     modules = sorted(Path(hierflow.__file__).parent.glob("*.py"))
-    assert modules
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert modules and scripts
+    modules += scripts
     bad = [f"{path.name}:{line}" for path in modules
            for line in _offences(ast.parse(path.read_text(), str(path)))]
     assert bad == []

@@ -133,15 +133,28 @@ def _budgets(b):
 
 
 def _same_as_reference(verts, edges, volw, phi, seed, budget):
-    """Run both searches from one seed; assert the same witness and end
-    state, and return the reference's (witness, per-cut draws)."""
+    """Run both searches from one seed; assert the same witness, and the
+    same end state when there is none; return the reference's (witness,
+    per-cut draws)."""
     mine, ref = random.Random(seed), _CountingRandom(seed)
     g, cap, vol, back = local_cut_input(verts, edges, volw)
     side = back(sampled_sparse_cut(g, cap, vol, phi, mine, budget))
     want = back(per_cut_sampled_cut(g, cap, vol, phi, ref, budget))
     assert side == want
-    assert mine.getstate() == ref.getstate()
+    if side is None:
+        assert mine.getstate() == ref.getstate()
     return want, ref.draws
+
+
+def _drawn(seed, k, cuts, sources):
+    """The state of `Random(seed)` after drawing `cuts` random cuts of k
+    vertices, then `sources` breadth-first sources."""
+    rng = random.Random(seed)
+    for _ in range(cuts):
+        random_cut_flags(rng, k)
+    for _ in range(sources):
+        rng.randrange(k)
+    return rng.getstate()
 
 
 # k at and around the 32-bit word boundaries of a cut's draw
@@ -319,8 +332,9 @@ def test_sampled_sparse_cut_chunked_draws_match_per_cut_reference(monkeypatch):
     not the lane-int size, sets the batch at 6 cuts; budgets end inside a
     batch, on its boundary and past it, and the one sparse cut is planted
     on both sides of batch boundaries.  At 3 words one cut outgrows
-    _CHUNK, so each batch is one cut.  The witness and the rng state are
-    those of one `getrandbits(32 * 7)` per cut either way."""
+    _CHUNK, so each batch is one cut.  The witness is that of one
+    `getrandbits(32 * 7)` per cut either way, and so is the rng state
+    where no cut is sparse."""
     k, words = 200, 7
     volw = {v: 1 for v in range(k)}
     phi = Fraction(1, 16)
@@ -447,18 +461,17 @@ def _source_seed(k, src, t):
 
 
 def _level_witness(k, edges, volw, phi, seed):
-    """Both searches at budget 0 from one seed: assert the same witness
-    and end state; return the witness and how many sources were drawn."""
+    """Both searches at budget 0 from one seed: assert the same witness,
+    and that the search leaves the rng after all its sources; return the
+    witness and how many sources the reference drew up to it."""
     mine, ref = random.Random(seed), random.Random(seed)
     g, cap, vol, _back = local_cut_input(range(k), edges, volw)
     side = sampled_sparse_cut(g, cap, vol, phi, mine, 0)
     assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, 0)
-    assert mine.getstate() == ref.getstate()
-    replay = random.Random(seed)
+    assert mine.getstate() == _drawn(seed, k, 0, max(2, min(k, 8)))
     for drawn in range(9):
-        if replay.getstate() == ref.getstate():
+        if _drawn(seed, k, 0, drawn) == ref.getstate():
             return side, drawn
-        replay.randrange(k)
     raise AssertionError("more than 8 sources drawn")
 
 
@@ -562,8 +575,8 @@ def test_level_cuts_of_a_long_cycle_take_memory_of_one_batch():
     path of 6,000 layers, and the witness is level cut 16 of the first.
     Kept as k-bit ints, all level cuts of all 16 labelings would peak
     above 80 MB here; the search makes them as the batches take them, so
-    its traced peak (about 2.3 MB) stays within 6 MB, and the witness and
-    rng state are the per-cut reference's."""
+    its traced peak (about 2.3 MB) stays within 6 MB, and the witness is
+    the per-cut reference's."""
     k = 6000
     g, cap, vol, _back = local_cut_input(range(k), [(u, (u + 1) % k, 1) for u in range(k)],
                                          {v: 2 for v in range(k)})
@@ -576,9 +589,43 @@ def test_level_cuts_of_a_long_cycle_take_memory_of_one_batch():
     finally:
         tracemalloc.stop()
     assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, 0)
-    assert mine.getstate() == ref.getstate()
+    assert mine.getstate() == _drawn(1, k, 0, 8)
     assert len(side) == 17
     assert peak < 6 * 2 ** 20, peak
+
+
+def test_sampled_sparse_cut_leaves_the_rng_after_the_last_batch_drawn():
+    """A witness ends the search with the batch that holds it.  Planted as
+    a random cut of the second batch, it leaves the rng after both
+    batches (or the budget), not after the witness.  On a 200-vertex
+    cycle the random cuts drawn are not sparse, and the witness is level
+    cut 16 of the first labeling: the rng is left after every random cut
+    and every source, not after the first source."""
+    k, heavy, phi = 18, 2 ** 96, Fraction(1, 16)
+    volw = {v: 1 for v in range(k)}
+    b = _batch_of_plants(k, lambda p: _one_way_cut(p, heavy), volw, phi)
+    for target, budget, cuts in ((b, 3 * b + 7, 2 * b), (b + 5, b + 7, b + 7),
+                                 (2 * b - 1, 2 * b + 1, 2 * b)):
+        seed, plant = _planted_seed(k, target)
+        g, cap, vol, _back = local_cut_input(range(k), _one_way_cut(plant, heavy), volw)
+        assert _LaneTest(g, cap, vol, phi).batch == b
+        rng = random.Random(seed)
+        assert sampled_sparse_cut(g, cap, vol, phi, rng, budget) == [
+            v for v in range(k) if plant[v]]
+        assert rng.getstate() == _drawn(seed, k, cuts, 0)
+    k = 200
+    g, cap, vol, _back = local_cut_input(range(k), [(u, (u + 1) % k, 1) for u in range(k)],
+                                         {v: 2 for v in range(k)})
+    phi = Fraction(1, 32)
+    b = _LaneTest(g, cap, vol, phi).batch
+    for seed in (1, 2):
+        for budget in (0, 1, b + 3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            side = sampled_sparse_cut(g, cap, vol, phi, rng, budget)
+            assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, budget)
+            assert len(side) == 17 and ref.getstate() == _drawn(seed, k, budget, 1)
+            assert rng.getstate() == _drawn(seed, k, budget, 8)
+
 
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)

@@ -15,7 +15,7 @@ from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_
                                 hierarchy_to_text, induced_weights,
                                 respecting_topo_order, validate_hierarchy)
 
-from helpers import (exhaustive_sparsest_cut, gray_worst_cut, local_cut_input,
+from helpers import (bitmask_worst_cut, exhaustive_sparsest_cut, local_cut_input,
                      per_cut_sampled_cut, per_frame_topo_order)
 
 
@@ -276,38 +276,30 @@ def _cliques_and_a_dumbbell(sizes, halves):
 def test_validation_after_a_level_cut_refutation_matches_per_cut_reference(monkeypatch):
     """Four level-1 components above 16 vertices, and the second in check
     order is refuted by a level cut: all 300 random cuts are drawn before
-    the witness, one half of the dumbbell, which the seed puts in the
-    first try's reverse labeling (so the rewind redraws one source, not
-    one per labeling before it).  The validator with
-    the real search and with the per-cut reference gives the same report,
-    the same witness and rng state after each component's search, and the
-    same final rng state, so the rng handed on from the level-cut rewind
-    to the next component is the reference's."""
+    the witness, one half of the dumbbell.  Each search the validator
+    makes is run again by the per-cut reference from the rng state it
+    started from, and finds the same witness, or nothing and leaves the
+    rng where the reference leaves it."""
     n, arcs, a, b = _cliques_and_a_dumbbell([17, 18, 20], 14)
     g, cap = build_graph(n, arcs)
     levels = [set(range(g.m))]
     h = Hierarchy(set(), levels, respecting_topo_order(g, set(), levels))
     cfg = replace(DEFAULT_CONFIG, validator_falsifier_cuts=300)
-    phi = Fraction(1, 32)
     cut_draws = []  # the reference's random cuts per search
+    real = hierarchy.sampled_sparse_cut
 
-    def validate(search):
-        calls = []
+    def checked(g, cap, vol, phi, rng, budget):
+        ref = _CountingRandom()
+        ref.setstate(rng.getstate())
+        side = real(g, cap, vol, phi, rng, budget)
+        assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, budget)
+        if side is None:
+            assert rng.getstate() == ref.getstate()
+        cut_draws.append(ref.draws)
+        return side
 
-        def recorded(g, cap, vol, phi, rng, budget):
-            before = rng.draws
-            side = search(g, cap, vol, phi, rng, budget)
-            if search is per_cut_sampled_cut:
-                cut_draws.append(rng.draws - before)
-            calls.append((side, rng.getstate()))
-            return side
-
-        monkeypatch.setattr(hierarchy, "sampled_sparse_cut", recorded)
-        rng = _CountingRandom(32)
-        return validate_hierarchy(g, cap, h, phi, cfg, rng), calls, rng.getstate()
-
-    report, calls, state = validate(hierarchy.sampled_sparse_cut)
-    assert validate(per_cut_sampled_cut) == (report, calls, state)
+    monkeypatch.setattr(hierarchy, "sampled_sparse_cut", checked)
+    report = validate_hierarchy(g, cap, h, Fraction(1, 32), cfg, random.Random(32))
     assert [(c.size, c.exact, c.ok) for c in report.components] == [
         (17, False, True), (28, False, False), (18, False, True), (20, False, True)]
     assert report.components[1].witness in (a, b)
@@ -331,10 +323,10 @@ def _local(check, verts, edges, volw, *args):
 
 
 def _check_worst_cut(verts, edges, volw, oracle=True):
-    """exhaustive_worst_cut equals the gray-code reference, (ratio, side)
-    identical, under every `below`; at the minimum ratio itself it
+    """exhaustive_worst_cut equals the ascending bitmask scan, (ratio,
+    side) identical, under every `below`; at the minimum ratio itself it
     returns (None, None)."""
-    want = _local(gray_worst_cut, verts, edges, volw)
+    want = _local(bitmask_worst_cut, verts, edges, volw)
     if oracle:
         assert want[0] == exhaustive_sparsest_cut(verts, edges, volw)[0]
     assert _local(exhaustive_worst_cut, verts, edges, volw) == want
@@ -378,7 +370,7 @@ def test_exhaustive_worst_cut_matches_independent_oracle():
 
 
 def test_exhaustive_worst_cut_ties_on_symmetric_shapes():
-    # 16 vertices, where ties are everywhere: the gray-code first among
+    # 16 vertices, where ties are everywhere: the smallest S bitmask among
     # equal ratios must still win
     k = 16
     ring = [(i, (i + 1) % k, 1) for i in range(k)]
