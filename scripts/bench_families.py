@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the exact solver against the shortest-augmenting-path oracle
-across the generator families and print a TSV table.  Exits 1 on the
-first value that differs from the oracle's or flow that is not feasible.
+across the generator families and print a TSV table.  Each row solves its
+instance three times with each solver, alternating, and `exact_ms` and
+`ek_ms` are the medians.  Exits 1 on the first run whose value differs
+from the oracle's first or whose flow is not feasible.
 Rows are solved by `max_flow`, as `hierflow solve` does; the random family
 with capacities up to 10^6 runs at sizes up to 400 and is scaled, in
 `-scaled` rows (at n = 1000, 10^6 <= n^2, so that row would not be scaled).
@@ -20,12 +22,15 @@ Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 import time
 
 from hierflow.generators import gen_cycle, gen_dumbbell, gen_grid, generate
 from hierflow.graph import is_feasible
 from hierflow.maxflow import edmonds_karp, max_flow
+
+RUNS = 3  # solves per solver and row; the row's times are their medians
 
 
 def _sizes_arg(text):
@@ -61,22 +66,27 @@ def main(argv=None):
 
     print("instance\tn\tm\tvalue\texact_ms\tek_ms\titers\tsafety_net\tphases\trelabels")
     rows = []
+    solvers = {"exact": lambda inst: max_flow(inst, seed=args.seed), "ek": edmonds_karp}
     for gen in cases:
         inst = gen.instance()
-        t0 = time.perf_counter()
-        res = max_flow(inst, seed=args.seed)
-        exact_ms = (time.perf_counter() - t0) * 1e3
+        runs = {solver: [] for solver in solvers}  # (result, ms) per run
+        for _ in range(RUNS):
+            for solver, solve in solvers.items():
+                t0 = time.perf_counter()
+                out = solve(inst)
+                runs[solver].append((out, (time.perf_counter() - t0) * 1e3))
+        res, oracle = runs["exact"][0][0], runs["ek"][0][0]
         name = gen.name + ("-scaled" if res.stats.phases else "")
-        t0 = time.perf_counter()
-        oracle = edmonds_karp(inst)
-        ek_ms = (time.perf_counter() - t0) * 1e3
-        if res.stats.value != oracle.stats.value:
-            print(f"MISMATCH on {name}: {res.stats.value} vs "
-                  f"{oracle.stats.value}", file=sys.stderr)
-            return 1
-        if not is_feasible(inst, res.flow):
-            print(f"INFEASIBLE flow on {name}", file=sys.stderr)
-            return 1
+        for solver, done in runs.items():
+            for i, (out, _ms) in enumerate(done, 1):
+                if out.stats.value != oracle.stats.value:
+                    print(f"MISMATCH on {name} ({solver} run {i}): {out.stats.value} vs "
+                          f"{oracle.stats.value}", file=sys.stderr)
+                    return 1
+                if not is_feasible(inst, out.flow):
+                    print(f"INFEASIBLE flow on {name} ({solver} run {i})", file=sys.stderr)
+                    return 1
+        exact_ms, ek_ms = (statistics.median(ms for _out, ms in runs[s]) for s in ("exact", "ek"))
         print(f"{name}\t{gen.n}\t{len(gen.arcs)}\t{res.stats.value}\t"
               f"{exact_ms:.1f}\t{ek_ms:.1f}\t{res.stats.iterations}\t"
               f"{res.stats.safety_net_hits}\t{res.stats.phases}\t{res.stats.relabels}")

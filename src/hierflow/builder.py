@@ -3,9 +3,11 @@
 The builder grows levels from the terminal set downward-up: level one
 decomposes with every edge as a terminal, each later level decomposes
 with the previous separator as its terminal set.  Components are handled
-by the cut-matching game, which gets the hierarchy of the component's
-lower levels as a callable: the respecting order it needs is computed
-only if the game plays a round.  Every returned cut removes the sparser
+by `cut_or_embed`, which gets the hierarchy of the component's lower
+levels as a callable: the respecting order it needs is computed only if
+the game plays a round.  Each certificate's log line says whether it is
+exact (`exact=1`) or only not refuted by the sampled falsifier
+(`exact=0`).  Every returned cut removes the sparser
 direction of its boundary, and when that direction contains non-terminal
 edges (a non-nested cut) the lower hierarchy of both sides is rebuilt
 from scratch.  Unless the caller opts out (`validate=False`: the exact
@@ -175,7 +177,7 @@ def _decompose(g: DiGraph, cap, frame: _Frame, f_edges: Set[int], below: Parts,
             cert = outcome.certificate
             log.append(
                 f"level={level_no} event=certify component={len(piece)} "
-                f"rounds={cert.rounds} early={int(cert.early)}")
+                f"rounds={cert.rounds} early={int(cert.early)} exact={int(cert.exact)}")
             _merge_levels(parts, below_here.levels + [f_here])
             parts.d |= below_here.d
             continue

@@ -11,16 +11,19 @@ phi, retrying on residual demand; `sparse_cut` weighs the edges from
 the piece's hierarchy on each call.  A round that leaves any demand
 unrouted without yielding a sparse cut fails with CutCheckFailedError.
 
-A component certifies early when brute force already confirms expansion
-(exactly on small components, by failing falsification on large ones,
-the latter only after at least one round), and otherwise plays its full
-round budget.  The game's set-up (the piece's hierarchy, kappa and the
-retry budget) is made only when the first round is played, and the
-sketch at the rng's first other use: the falsifier's first draw, or else
-the first bisection, so a component the exact check decides draws
-nothing.  The exact check asks `exhaustive_worst_cut` only for a cut
-sparser than phi, so its branch and bound can prune against phi;
-`union_psi` asks for the value.
+A component certifies early, before any round, unless the brute-force
+check refutes it: on at most EXACT_CUT_THRESHOLD vertices the exhaustive
+search proves expansion (an exact certificate), and above that a
+falsifier that finds no sparse cut certifies it as not refuted, not
+proved (`Certificate.exact` is False).  Only a refutation whose witness
+fails `try_cut`'s check, or a check patched to decide nothing, leads to
+the game's rounds, played up to the round budget.  The game's set-up
+(the piece's hierarchy, kappa and the retry budget) is made only when
+the first round is played, and the sketch at the rng's first other use:
+the falsifier's first draw, or else the first bisection, so a component
+the exact check decides draws nothing.  The exact check asks
+`exhaustive_worst_cut` only for a cut sparser than phi, so its branch
+and bound can prune against phi; `union_psi` asks for the value.
 """
 from __future__ import annotations
 
@@ -163,6 +166,8 @@ class Certificate:
     psi_measured: Optional[Fraction]
     rounds: int
     early: bool
+    # the exhaustive search or the tiny-volume rule decided, not a silent falsifier
+    exact: bool
 
 
 @dataclass
@@ -205,6 +210,9 @@ def cut_or_embed(
     `g` must be strongly connected.  `check_connected` runs Tarjan to
     raise NotStronglyConnectedError otherwise; the builder, whose SCC
     split already proves it, runs it only under `debug_invariants`.
+    A component the brute-force check does not refute certifies at once,
+    with `rounds == 0`; its certificate is `exact` only when the
+    exhaustive search or the tiny-volume rule decided.
     `hier_of()` returns the hierarchy of the non-terminal edges; it is
     called at most once, when the first round is played.  The cut branch
     side S satisfies min-direction sparsity below phi * vol_F(S) and
@@ -220,14 +228,14 @@ def cut_or_embed(
         # every cut of a strongly connected graph has an edge each way, so
         # with positive capacities a tiny total volume expands unconditionally
         return CutOrEmbedOutcome(None, 0, vol_total,
-                                 certificate=Certificate(None, 0, True))
+                                 certificate=Certificate(None, 0, True, True))
     state = CMGState(deg_f, rng, rounds_budget(n, deg_f))
 
-    def finish(early: bool) -> CutOrEmbedOutcome:
+    def finish(early: bool, exact: bool) -> CutOrEmbedOutcome:
         psi = union_psi(state.matchings)
         return CutOrEmbedOutcome(
             None, 0, vol_total,
-            certificate=Certificate(psi, state.rounds_played, early), state=state)
+            certificate=Certificate(psi, state.rounds_played, early, exact), state=state)
 
     def try_cut(side: List[int]) -> Optional[CutOrEmbedOutcome]:
         ev = CutEvaluator(g, cap, deg_f)
@@ -241,16 +249,15 @@ def cut_or_embed(
                                  state=state)
 
     while True:
-        # falsifier silence proves nothing before the first round
         verdict, witness = _brute_force_check(g, cap, deg_f, phi, state, config)
-        if verdict is True or (verdict is None and state.rounds_played > 0):
-            return finish(early=True)
+        if verdict is not False:  # an exact proof, or a silent falsifier
+            return finish(early=True, exact=verdict is True)
         if witness is not None:
             out = try_cut(witness)
             if out is not None:
                 return out
         if state.rounds_played >= state.t_cmg:
-            return finish(early=False)
+            return finish(early=False, exact=False)
         if state.rounds_played == 0:  # the game's set-up, for its first round
             hier = hier_of()
             kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))

@@ -181,9 +181,8 @@ def _out_digraph(n, seed, deg):
 
 def _build_digest_cases():
     # random digraphs with components above the exhaustive limit, so the
-    # cut-matching game and sparse_cut's push-relabel run (certified, cut,
-    # and refuted then retried), and dumbbells, whose game runs only on
-    # some seeds
+    # sampled falsifier decides them (certified, cut, and refuted then
+    # retried), and dumbbells, cut first and then certified exactly
     for n in (40, 44, 48):
         for seed in (1, 2):
             yield _out_digraph(n, seed, 4), None, seed
@@ -198,11 +197,11 @@ def _build_digest_cases():
 
 def test_builds_are_bit_identical_to_the_recorded_digest():
     # Hierarchies, logs and validation reports of seeded builds, hashed:
-    # any change to which cuts sparse_cut's push-relabel finds changes it.
-    # Drawing each sampled cut as one getrandbits(32 * ceil(k / 32)) moved
-    # it; of the 19 builds, those with other results are n = 48 at phi =
-    # 1/2 (seeds 1-3), the 40-vertex 2-out graph at phi = 1/4 (seeds 1-3)
-    # and the k = 9 and k = 12 dumbbells, all with sampled components.
+    # any change to which cuts the builder's checks find changes it.
+    # Certifying on the first silent falsifier, with no game round, moved
+    # it only through the certify lines: `rounds=1` became `rounds=0` on
+    # every sampled certificate, and each line gained `exact=`.  With those
+    # two fields masked, all 19 builds are the same as with the round.
     h = hashlib.sha256()
     certified_rounds = []
     for (g, caps), phi, seed in _build_digest_cases():
@@ -213,9 +212,9 @@ def test_builds_are_bit_identical_to_the_recorded_digest():
                        [dataclasses.astuple(c) for c in res.report.components])).encode())
         certified_rounds += [int(line.split("rounds=")[1].split()[0])
                              for line in res.log if "event=certify" in line]
-    assert max(certified_rounds) > 0
+    assert max(certified_rounds) == 0
     assert h.hexdigest() == (
-        "8ed2ba077fb1777640d0cc330d3e64c30be9bf98b8e6e6f560b2f29b7b987f94")
+        "8204cbd36919758a115e886d390aaa62fec15b65bdd3ae8571da507863c72d31")
 
 
 def test_each_frame_graph_is_split_once_per_build(monkeypatch):

@@ -96,7 +96,7 @@ def test_tiny_volume_certifies_without_rounds(monkeypatch):
                        random.Random(3))
     assert out.cut is None
     assert out.certificate.rounds == 0
-    assert out.certificate.early
+    assert out.certificate.early and out.certificate.exact
 
 
 def test_phi_below_float_range_takes_kappa_from_the_fraction():
@@ -119,7 +119,7 @@ def test_complete_digraph_certifies_and_is_truly_expanding():
     f_edges = set(range(g.m))
     out = cut_or_embed(g, caps, f_edges, Fraction(1, 16), lambda: _empty_hier(8),
                        random.Random(5))
-    assert out.cut is None
+    assert out.cut is None and out.certificate.exact
     # exhaustive confirmation that no 1/16-sparse cut exists
     edges = [(g.tails[e], g.heads[e], caps[e]) for e in range(g.m)]
     volw = {v: 14 for v in range(8)}
@@ -168,6 +168,27 @@ def test_dumbbell_pure_game_outcome_is_sound(monkeypatch):
         assert 2 * out.vol_f_side <= out.vol_f_total
 
 
+def test_silent_falsifier_certifies_a_large_component_without_a_round(monkeypatch):
+    # above 16 vertices the falsifier's silence certifies at once, as not
+    # refuted, and a cut it finds comes back; neither plays a game round
+    def no_round(*args, **kwargs):
+        raise AssertionError("a game round was played")
+
+    monkeypatch.setattr(cut_matching, "sparse_cut", no_round)
+    phi = Fraction(1, 16)
+    g, caps = _complete_digraph(20)
+    out = cut_or_embed(g, caps, set(range(g.m)), phi, no_round, random.Random(5))
+    assert out.cut is None
+    cert = out.certificate
+    assert cert.rounds == 0 and cert.early and not cert.exact
+    g, caps = _dumbbell(10, 1)
+    out = cut_or_embed(g, caps, set(range(g.m)), phi, no_round, random.Random(5))
+    assert set(out.cut) in (set(range(10)), set(range(10, 20)))
+    assert out.certificate is None and out.state.rounds_played == 0
+    assert min(out.boundary_out, out.boundary_in) * phi.denominator \
+        < phi.numerator * out.vol_f_side
+
+
 def test_early_outcomes_never_ask_for_the_hierarchy(monkeypatch):
     # a tiny volume, an exact certificate and an exact cut, all before a round
     for (g, caps), f_edges, early in (
@@ -204,7 +225,7 @@ def test_full_game_union_expands_on_complete_digraph(monkeypatch):
                        random.Random(13))
     assert out.cut is None
     cert = out.certificate
-    assert not cert.early
+    assert not cert.early and not cert.exact
     assert cert.rounds == rounds_budget(6, [10] * 6)
     # the matching union is strongly connected with positive expansion
     assert cert.psi_measured is not None and cert.psi_measured > 0

@@ -56,6 +56,30 @@ def test_hierarchy_report_names_a_failed_build_and_exits_1(monkeypatch, capsys):
     assert rows and all(row.split("\t")[3] == "0" for row in rows)
 
 
+def test_bench_families_checks_every_timed_run(monkeypatch, capsys):
+    # each row solves three times with each solver, and a wrong value on
+    # any run, not only the first, fails the script
+    spec = importlib.util.spec_from_file_location("bench_families",
+                                                  ROOT / "scripts" / "bench_families.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+
+    def off_on_run_2(inst, seed, real=bench.max_flow):
+        res = real(inst, seed=seed)
+        calls.append(res)
+        if len(calls) == 2:
+            res = dataclasses.replace(res, stats=dataclasses.replace(
+                res.stats, value=res.stats.value + 1))
+        return res
+
+    monkeypatch.setattr(bench, "max_flow", off_on_run_2)
+    assert bench.main(["--sizes", "8"]) == 1
+    assert len(calls) == bench.RUNS
+    _out, err = capsys.readouterr()
+    assert "MISMATCH on random-8-32-0 (exact run 2)" in err
+
+
 def test_bench_families_scaled_rows_sum_their_phases_counters():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
