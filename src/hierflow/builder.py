@@ -167,12 +167,10 @@ def _decompose(g: DiGraph, cap, frame: _Frame, f_edges: Set[int], below: Parts,
             _merge_levels(parts, below_here.levels)
             continue
         sub, local = frame.local(i)
-        seed = rng.getrandbits(64)
         # the piece's order is computed only if the game plays a round
         outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
-                               phi, partial(_sub_hierarchy, sub, local, below_here),
-                               random.Random(seed), config,
-                               check_connected=config.debug_invariants)
+                               phi, partial(_sub_hierarchy, sub, local, below_here), rng,
+                               config, check_connected=config.debug_invariants)
         if outcome.cut is None:
             cert = outcome.certificate
             log.append(
@@ -270,7 +268,6 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     check_phi(phi)
     base = random.Random(seed)
     log: List[str] = []
-    last_report = None
     top = _Frame(g, list(range(g.n)), set(range(g.m)))
     for attempt in range(1, BUILD_RETRIES + 1):
         attempt_seed = base.getrandbits(64)
@@ -296,13 +293,5 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
             log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")
         if report.ok:
             return BuildResult(hier, log, attempt, report)
-        last_report = report
         log.append(f"attempt={attempt} event=invalid errors={len(report.errors)}")
-    witness = None
-    if last_report is not None:
-        for c in last_report.components:
-            if not c.ok:
-                witness = c.witness
-                break
-    raise BuildFailedError(
-        f"no valid hierarchy after {BUILD_RETRIES} attempts", witness=witness)
+    raise BuildFailedError(f"no valid hierarchy after {BUILD_RETRIES} attempts")

@@ -14,8 +14,7 @@ from typing import Iterator, List, Optional, TextIO
 
 from .builder import build_hierarchy
 from .config import DEFAULT_CONFIG, check_phi, default_phi
-from .errors import (ArcCountMismatchError, BadParamsError, HierflowError,
-                     MissingSourceOrSinkError, NotDiffusionError, ParseError)
+from .errors import BadParamsError, HierflowError, ParseError
 from .hierarchy import (Hierarchy, hierarchy_from_text, hierarchy_to_text,
                         validate_hierarchy)
 from .graph import FlowInstance
@@ -33,8 +32,7 @@ class _FileFault(Exception):
         super().__init__(f"{path}: {reason}")
 
 
-PARSE_ERRORS = (ParseError, MissingSourceOrSinkError, ArcCountMismatchError,
-                NotDiffusionError, _FileFault)
+PARSE_ERRORS = (ParseError, _FileFault)
 ALGOS = ("exact", "ek")
 
 

@@ -17,11 +17,11 @@ search proves expansion (an exact certificate), and above that a
 falsifier that finds no sparse cut certifies it as not refuted, not
 proved (`Certificate.exact` is False).  Only a refutation whose witness
 fails `try_cut`'s check, or a check patched to decide nothing, leads to
-the game's rounds, played up to the round budget.  The game's set-up
-(the piece's hierarchy, kappa and the retry budget) is made only when
-the first round is played, and the sketch at the rng's first other use:
-the falsifier's first draw, or else the first bisection, so a component
-the exact check decides draws nothing.  The exact check asks
+the game: its set-up (the piece's hierarchy, kappa and the retry
+budget) is made once, and its rounds run until one yields a cut or the
+round budget is spent.  The check runs once per call; the exhaustive
+search draws nothing, the falsifier draws only its own cuts, and the
+sketch is drawn by the first bisection.  The exact check asks
 `exhaustive_worst_cut` only for a cut sparser than phi, so its branch
 and bound can prune against phi; `union_psi` asks for the value.
 """
@@ -49,7 +49,7 @@ C_KAPPA = 1.0
 @dataclass
 class CMGState:
     """Mutable cut-player state across rounds.  The sketch is drawn from
-    rng at its first use, by `draw_sketch`."""
+    rng by the first bisection."""
 
     nu: List[int]
     rng: random.Random
@@ -60,17 +60,6 @@ class CMGState:
     @property
     def rounds_played(self) -> int:
         return len(self.matchings)
-
-    def draw_sketch(self) -> None:
-        """A gauss vector of ceil(ln n) entries per vertex with volume;
-        a no-op once drawn."""
-        if self.sketch:
-            return
-        n = len(self.nu)
-        k = max(1, math.ceil(math.log(max(n, 2))))
-        for v in range(n):
-            if self.nu[v] > 0:
-                self.sketch[v] = [self.rng.gauss(0.0, 1.0) for _ in range(k)]
 
 
 def rounds_budget(n: int, nu: Sequence[int]) -> int:
@@ -91,8 +80,9 @@ def cut_player_bisection(state: CMGState) -> Tuple[List[int], List[int]]:
     active = [v for v in range(n) if state.nu[v] > 0]
     if not active:
         return nu_a, nu_b
-    state.draw_sketch()
-    k = len(next(iter(state.sketch.values())))
+    k = max(1, math.ceil(math.log(max(n, 2))))
+    if not state.sketch:  # a gauss vector of k entries per vertex with volume
+        state.sketch = {v: [state.rng.gauss(0.0, 1.0) for _ in range(k)] for v in active}
     direction = [state.rng.gauss(0.0, 1.0) for _ in range(k)]
     proj = {v: sum(a * b for a, b in zip(state.sketch[v], direction)) for v in active}
     active.sort(key=lambda v: (proj[v], v))
@@ -181,15 +171,15 @@ class CutOrEmbedOutcome:
     state: Optional[CMGState] = None
 
 
-def _brute_force_check(g, cap, vol, phi, state, config):
-    """(certified, witness_side): exact on small graphs, falsification
-    above; (None, None) means unknown.  Only falsification draws from
-    state.rng, after the sketch."""
+def _brute_force_check(g, cap, vol, phi, rng, config):
+    """(certified, witness_side): the exhaustive search on at most
+    EXACT_CUT_THRESHOLD vertices, which draws nothing, and above it the
+    sampled falsifier, which draws its cuts from rng; (None, None) means
+    unknown."""
     if g.n <= EXACT_CUT_THRESHOLD:
         _ratio, side = exhaustive_worst_cut(g, cap, vol, phi)
         return side is None, side
-    state.draw_sketch()
-    side = sampled_sparse_cut(g, cap, vol, phi, state.rng, config.builder_falsifier_cuts)
+    side = sampled_sparse_cut(g, cap, vol, phi, rng, config.builder_falsifier_cuts)
     if side is not None:
         return False, side
     return None, None  # silence: no refutation, no proof
@@ -214,7 +204,7 @@ def cut_or_embed(
     with `rounds == 0`; its certificate is `exact` only when the
     exhaustive search or the tiny-volume rule decided.
     `hier_of()` returns the hierarchy of the non-terminal edges; it is
-    called at most once, when the first round is played.  The cut branch
+    called once, and only if the game plays.  The cut branch
     side S satisfies min-direction sparsity below phi * vol_F(S) and
     1 <= vol_F(S) <= vol_F(V)/2; both are checked before returning, never
     assumed.
@@ -248,20 +238,17 @@ def cut_or_embed(
         return CutOrEmbedOutcome(ev.side(), ev.vol_s, vol_total, ev.out_cap, ev.in_cap,
                                  state=state)
 
-    while True:
-        verdict, witness = _brute_force_check(g, cap, deg_f, phi, state, config)
-        if verdict is not False:  # an exact proof, or a silent falsifier
-            return finish(early=True, exact=verdict is True)
-        if witness is not None:
-            out = try_cut(witness)
-            if out is not None:
-                return out
-        if state.rounds_played >= state.t_cmg:
-            return finish(early=False, exact=False)
-        if state.rounds_played == 0:  # the game's set-up, for its first round
-            hier = hier_of()
-            kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
-            z = retry_budget(n)
+    verdict, witness = _brute_force_check(g, cap, deg_f, phi, rng, config)
+    if verdict is not False:  # an exact proof, or a silent falsifier
+        return finish(early=True, exact=verdict is True)
+    if witness is not None:
+        out = try_cut(witness)
+        if out is not None:
+            return out
+    hier = hier_of()
+    kappa = max(1, math.ceil(2 * Fraction(C_KAPPA) / phi))
+    z = retry_budget(n)
+    while state.rounds_played < state.t_cmg:
         nu_a, nu_b = cut_player_bisection(state)
         delta, nabla = nu_a, nu_b
         demand0 = sum(delta)
@@ -298,3 +285,4 @@ def cut_or_embed(
                 key = (a, b)
                 matching[key] = matching.get(key, 0) + amt
         absorb_matching(state, sorted((a, b, c) for (a, b), c in matching.items()))
+    return finish(early=False, exact=False)

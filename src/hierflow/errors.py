@@ -70,9 +70,7 @@ class IterationCapExceededError(HierflowError):
 
 
 class BuildFailedError(HierflowError):
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
+    pass
 
 
 class CutCheckFailedError(HierflowError):
@@ -85,18 +83,6 @@ class ParseError(HierflowError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
-
-
-class MissingSourceOrSinkError(HierflowError):
-    pass
-
-
-class ArcCountMismatchError(HierflowError):
-    pass
-
-
-class NotDiffusionError(HierflowError):
-    pass
 
 
 class BadParamsError(HierflowError):

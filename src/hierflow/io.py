@@ -10,14 +10,15 @@ vertices, one above the total edge capacity, which is effectively
 unbounded.  Counts below 0 or above `graph.MAX_SIZE`,
 self-loops, a line before the problem line or of the other format, a
 second source or sink line, and a source that is also the sink are
-rejected as a ParseError on their line.
+rejected as a ParseError on their line.  A fault of the whole file (no
+problem line, no source or sink line, an arc count other than the
+declared one, supply above sink capacity) is a ParseError on line 0.
 """
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .errors import (ArcCountMismatchError, MissingSourceOrSinkError,
-                     NotDiffusionError, ParseError)
+from .errors import ParseError
 from .graph import MAX_SIZE, FlowInstance, build_graph, st_instance
 
 
@@ -111,11 +112,11 @@ def parse_instance(text: str) -> FlowInstance:
         raise ParseError(0, "missing problem line")
     if fmt == "max":
         if s is None or t is None:
-            raise MissingSourceOrSinkError("missing `n ... s` or `n ... t` line")
+            raise ParseError(0, "missing `n ... s` or `n ... t` line")
         if s == t:
             raise ParseError(max(s_no, t_no), f"vertex {s + 1} is both source and sink")
     if len(arcs) != m:
-        raise ArcCountMismatchError(f"declared {m} arcs, saw {len(arcs)}")
+        raise ParseError(0, f"declared {m} arcs, saw {len(arcs)}")
     if fmt == "max":
         return st_instance(n, arcs, s, t)
     delta = [0] * n
@@ -125,8 +126,8 @@ def parse_instance(text: str) -> FlowInstance:
     for v, amt in snks:
         nabla[v] += amt
     if sum(delta) > sum(nabla):
-        raise NotDiffusionError(
-            f"total supply {sum(delta)} exceeds total sink capacity {sum(nabla)}")
+        raise ParseError(
+            0, f"total supply {sum(delta)} exceeds total sink capacity {sum(nabla)}")
     g, caps = build_graph(n, arcs)
     return FlowInstance(g, caps, delta, nabla)
 

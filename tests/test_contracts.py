@@ -1,8 +1,8 @@
 """No contract in the library or in scripts/ rests on `assert`, which
 `python -O` strips, or on raising Python's recursion limit, no
 `SolverConfig` field goes unread, no module or script imports a name it
-never reads, and every name the package exports is read outside the
-tests.
+never reads or takes a parameter it never reads, and every name the
+package exports is read outside the tests.
 
 There is no `assert` exception: the push-relabel debug oracle
 `_assert_invariants` raises `SolverInvariantError` too, so its checks
@@ -120,6 +120,44 @@ def test_scripts_import_only_names_they_read():
     unread = [f"{path.name}:{line} {name}"
               for path in sorted((ROOT / "scripts").glob("*.py"))
               for name, line in _unread_imports(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def _unread_params(tree):
+    """(function, parameter, line) of each parameter of a def or lambda
+    that its body never loads.  Names starting with `_` are exempt, and
+    so are `self` and `cls`, which `super()` reads without naming them."""
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        unread += [(name, p.arg, fn.lineno) for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")]
+    return unread
+
+
+def test_parameter_checker_finds_unread_parameters():
+    src = ("def f(a, b=1, *rest, c, _d, **kw):\n"
+           "    def g(x):\n"
+           "        return a + c\n"
+           "    return lambda y, z: z + g\n")
+    assert _unread_params(ast.parse(src)) == [
+        ("f", "b", 1), ("f", "rest", 1), ("f", "kw", 1), ("g", "x", 2), ("<lambda>", "y", 4)]
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is a value every caller computes for nothing."""
+    paths = sorted(Path(hierflow.__file__).parent.glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    unread = [f"{path.name}:{line} {fn}({param})" for path in paths
+              for fn, param, line in _unread_params(ast.parse(path.read_text(), str(path)))]
     assert unread == []
 
 

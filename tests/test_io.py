@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierflow.errors import (ArcCountMismatchError, HierflowError, MissingSourceOrSinkError,
-                             NotDiffusionError, ParseError)
+from hierflow.errors import HierflowError, ParseError
 from hierflow.generators import generate
 from hierflow.io import emit_dimacs, emit_diffusion, parse_instance
 from hierflow.maxflow import edmonds_karp, max_flow_exact
@@ -31,13 +30,13 @@ def test_parse_single_edge_dimacs():
 
 def test_parse_dimacs_missing_sink():
     text = "p max 2 1\nn 1 s\na 1 2 5\n"
-    with pytest.raises(MissingSourceOrSinkError):
+    with pytest.raises(ParseError):
         parse_instance(text)
 
 
 def test_parse_dimacs_arc_count_mismatch():
     text = "p max 2 2\nn 1 s\nn 2 t\na 1 2 5\n"
-    with pytest.raises(ArcCountMismatchError):
+    with pytest.raises(ParseError):
         parse_instance(text)
 
 
@@ -86,7 +85,7 @@ def test_parse_diffusion_header_only():
 
 def test_parse_diffusion_rejects_oversupply():
     text = "p diff 2 1\na 1 2 1\nsrc 1 3\nsnk 2 1\n"
-    with pytest.raises(NotDiffusionError):
+    with pytest.raises(ParseError):
         parse_instance(text)
 
 
