@@ -7,10 +7,11 @@ from the oracle's first or whose flow is not feasible.
 Rows are solved by `max_flow`, as `hierflow solve` does; the random family
 with capacities up to 10^6 runs at sizes up to 400 and is scaled, in
 `-scaled` rows (at n = 1000, 10^6 <= n^2, so that row would not be scaled).
-The cycle family, where plain climbing ping-pongs about n^2 / 5 times, runs
-at every size; `relabels` counts push-relabel's climbs.  A dense random
-family with m = n^2 / 8 arcs, whose value grows with n, runs at sizes from
-33 (where n^2 / 8 first exceeds the sparse rows' 4n) to 400.
+The cycle family, where push-relabel's global lift keeps the climbs to
+2n - 2 (1,998 at n = 1000), runs at every size; `relabels` counts
+push-relabel's climbs.  A dense random family with m = n^2 / 8 arcs, whose
+value grows with n, runs at sizes from 33 (where n^2 / 8 first exceeds the
+sparse rows' 4n) to 400.
 
 With --json FILE, the rows also go to FILE as a JSON object (seed, sizes
 and one object per row: instance, n, m, exact_ms, ek_ms and every

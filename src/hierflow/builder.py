@@ -256,13 +256,16 @@ def _full_build(g: DiGraph, cap, frame: _Frame, phi: Fraction, rng: random.Rando
 
 def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = None,
                     seed: int = 0, config: SolverConfig = DEFAULT_CONFIG,
-                    validate: bool = True) -> BuildResult:
+                    validate: bool = True,
+                    rank: Optional[Sequence[int]] = None) -> BuildResult:
     """Construct a hierarchy of (g, cap) and brute-force validate it.
 
     Retries with fresh seeds when an attempt aborts or validation refutes
     a component; raises BuildFailedError when the retry budget runs out.
     With `validate=False` only aborts are retried, and the first complete
-    build is returned as the cut-matching game certified it.
+    build is returned as the cut-matching game certified it.  A per-vertex
+    `rank` orders the blocks of the returned tau that have no edges left
+    (see `_respecting_order`); the build itself never reads it.
     """
     phi = phi if phi is not None else default_phi(g.n)
     check_phi(phi)
@@ -283,7 +286,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
             log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
             continue
         # parts cover every edge, so the order's top frame is this split
-        tau = _respecting_order(g, parts.d, parts.levels, top.split() if g.m else None)
+        tau = _respecting_order(g, parts.d, parts.levels, top.split() if g.m else None, rank)
         hier = Hierarchy(parts.d, parts.levels, tau)
         if not validate:
             return BuildResult(hier, log, attempt)

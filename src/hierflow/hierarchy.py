@@ -7,6 +7,10 @@ component of the graph with all higher levels removed, and the level-i
 edges expand inside those components.  The respecting order tau makes
 every D edge point forward and keeps each component's tau values
 contiguous at every level; the weight of an edge is |tau_v - tau_u|.
+Inside a part with no edges left any order respects the hierarchy: its
+block goes out in ascending order of a per-vertex rank when the caller
+passes one (the exact driver ranks by residual distance to the open
+sinks), and in reverse vertex order otherwise.
 
 Expansion is checked cut by cut on a local graph: `CutEvaluator`,
 `exhaustive_worst_cut` and `sampled_sparse_cut` take a `DiGraph`, its
@@ -77,17 +81,19 @@ def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -
     components, order them topologically, hand each component a
     contiguous block, then recurse inside with the top level dropped.
     A part with no edges left is not split: its vertices take its block
-    in reverse vertex order, as Tarjan's singleton components would.
+    in reverse vertex order, as Tarjan's singleton components would (the
+    exact driver's builds pass a rank that orders these blocks instead).
     Raises NotAcyclicError if D has a cycle, LevelViolationError if a
     level edge crosses components of its level graph.
     """
     return _respecting_order(g, d, levels, None)
 
 
-def _respecting_order(g, d, levels, top):
+def _respecting_order(g, d, levels, top, rank=None):
     """`respecting_topo_order`, with the top frame's split when the caller
     holds it: `scc_subgraph(g, range(g.n), every edge id in order)`, for a
-    partition of every edge of g."""
+    partition of every edge of g.  With a per-vertex `rank`, the block of
+    each part with no edges left goes out in ascending rank."""
     n = g.n
     tau = [0] * n
     eta = len(levels)
@@ -101,9 +107,12 @@ def _respecting_order(g, d, levels, top):
     while work:
         comp_verts, comp_edges, k = work.pop()
         if not comp_edges:
-            # every vertex is its own component, and Tarjan would list
-            # them in vertex order: their blocks go out in reverse
-            for v in reversed(comp_verts):
+            # every vertex is its own component, so any order respects the
+            # partition: the caller's rank, or the reverse of the vertex
+            # order in which Tarjan would list them
+            free = (reversed(comp_verts) if rank is None
+                    else sorted(comp_verts, key=rank.__getitem__))
+            for v in free:
                 tau[v] = next_val
                 next_val += 1
             continue

@@ -7,6 +7,11 @@ run weighted push-relabel with the induced weights, lift the flow into
 the residual in place, and repeat until no augmenting path remains.  A
 single breadth-first augmentation acts as a safety net whenever an
 iteration routes nothing, so exactness never depends on hierarchy quality.
+Where a part of the hierarchy has no edges left, tau may order its
+vertices freely; the driver orders them by residual breadth-first
+distance to the open sinks, farthest first (`_sink_distance_rank`), so an
+edge's weight follows the distance difference of its ends, as exact
+distance labels would.
 """
 from __future__ import annotations
 
@@ -120,6 +125,28 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
     return None, -1, -1
 
 
+def _sink_distance_rank(rinst: FlowInstance) -> List[int]:
+    """rank[v] = v - n * dist[v], where dist[v] is the breadth-first
+    distance from v to a vertex with sink capacity left over the arcs of
+    the residual instance, and n where none is reachable: ascending rank
+    lists the farthest vertices first, ties by vertex id."""
+    g = rinst.g
+    n = g.n
+    tails = g.tails
+    dist = [n] * n
+    q = deque(v for v in range(n) if rinst.nabla[v] > 0)
+    for v in q:
+        dist[v] = 0
+    while q:
+        v = q.popleft()
+        for e in g.in_edges[v]:
+            u = tails[e]
+            if dist[u] == n:
+                dist[u] = dist[v] + 1
+                q.append(u)
+    return [v - n * d for v, d in enumerate(dist)]
+
+
 def _augment(res: ResidualView, arcs: Sequence[int], s: int, t: int) -> None:
     """Send the most that a `_bfs_path` path allows, in place."""
     cf = res.arc_cap
@@ -190,8 +217,8 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
             rinst.delta = _trim(res.delta_f, sum(res.nabla_f))
         r = None
         try:
-            hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64),
-                                   config, validate=False).hierarchy
+            hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64), config,
+                                   validate=False, rank=_sink_distance_rank(rinst)).hierarchy
             w = induced_weights(rinst.g, hier.tau)
             h = driver_height(n, max(hier.eta, 1), phi)
             r = push_relabel(rinst, w, h, config=config)

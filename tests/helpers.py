@@ -399,7 +399,8 @@ def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed
     far: a fresh `residual(inst, f)`, a fresh residual `DiGraph` and the
     lifted flow added onto f.  The reference for its flows and SolveStats.
     The builder and push-relabel are looked up on `hierflow.maxflow`, so a
-    test that replaces them there replaces them for both."""
+    test that replaces them there replaces them for both, and the rank of
+    tau's edge-less blocks is the driver's own `_sink_distance_rank`."""
     from hierflow import maxflow
     from hierflow.config import DEFAULT_CONFIG as config, default_phi
     from hierflow.errors import BuildFailedError
@@ -422,8 +423,9 @@ def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed
         rinst = FlowInstance(rg, [res.arc_cap[a] for a in arc_ids], res.delta_f, res.nabla_f)
         r = None
         try:
-            hier = maxflow.build_hierarchy(rg, rinst.cap, phi, base.getrandbits(64),
-                                           config, validate=False).hierarchy
+            hier = maxflow.build_hierarchy(rg, rinst.cap, phi, base.getrandbits(64), config,
+                                           validate=False,
+                                           rank=maxflow._sink_distance_rank(rinst)).hierarchy
             h = maxflow.driver_height(g.n, max(hier.eta, 1), phi)
             r = maxflow.push_relabel(rinst, induced_weights(rg, hier.tau), h, config=config)
             stats.augmentations += r.augment_count

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,13 +12,14 @@ from hierflow.errors import (BuildFailedError, InfeasibleFlowError, NotAcyclicEr
                              SolverInvariantError)
 from hierflow.generators import generate
 from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats, is_feasible,
-                            st_instance)
+                            scc_subgraph, st_instance)
+from hierflow.hierarchy import ValidationReport, _check_tau
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, exact_solver, max_flow,
                               max_flow_exact)
 
-from helpers import (max_flow_value_by_cuts, per_iteration_exact, random_instance,
-                     scaling_shift)
+from helpers import (bellman_ford_arcs, max_flow_value_by_cuts, per_iteration_exact,
+                     random_instance, scaling_shift)
 
 
 def test_ek_single_edge():
@@ -328,6 +330,59 @@ def test_exact_driver_matches_the_per_iteration_reference(monkeypatch, planted):
         assert all(totals)
 
 
+def test_sink_distance_rank_lists_the_farthest_first_ties_by_vertex_id():
+    rng = random.Random(36)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        inst = _diffusion_multigraph(rng, n, rng.randint(0, 3 * n), 5)
+        g = inst.g
+        # unit arcs from head to tail: distances from the open sinks backwards
+        back = [(g.heads[e], g.tails[e], 1) for e in range(g.m)]
+        dist = bellman_ford_arcs(n, back, [v for v in range(n) if inst.nabla[v] > 0])
+        dist = [n if d == math.inf else d for d in dist]
+        rank = maxflow._sink_distance_rank(inst)
+        assert rank == [v - n * d for v, d in enumerate(dist)]
+        assert sorted(range(n), key=rank.__getitem__) == sorted(
+            range(n), key=lambda v: (-dist[v], v))
+
+
+def test_driver_tau_respects_its_hierarchy_and_ranks_each_edge_less_block(monkeypatch):
+    # every hierarchy the driver builds gets a tau that passes the
+    # validator's check, and each block of a part with no edges left goes
+    # out in ascending rank; the corpus reaches eta = 2 and several
+    # iterations per solve
+    real_build, built = maxflow.build_hierarchy, []
+
+    def keep(g, cap, phi, seed, config, validate, rank):
+        out = real_build(g, cap, phi, seed, config, validate=validate, rank=rank)
+        built.append((g, out.hierarchy, rank))
+        return out
+    monkeypatch.setattr(maxflow, "build_hierarchy", keep)
+    rng = random.Random(36)
+    for s in range(24):
+        n = rng.randint(8, 60)
+        inst = (generate("random", s, n=n, m=4 * n, cap=12).instance() if s % 2 else
+                _diffusion_multigraph(rng, n, 3 * n, 12))
+        assert max_flow_exact(inst, seed=s).stats.value == edmonds_karp(inst).stats.value
+    multi = 0
+    for g, hier, rank in built:
+        lv = hier.level_of(g.m)
+        split = [scc_subgraph(g, range(g.n), [e for e in range(g.m) if lv[e] <= i])
+                 for i in range(1, hier.eta + 1)]
+        rep = ValidationReport()
+        _check_tau(g, hier, [comps for comps, _, _ in split], rep)
+        assert rep.errors == []
+        # a level-i component none of whose edges lie below level i
+        blocks = [list(range(g.n))] if g.m == 0 else []
+        for i, (comps, inner, _) in enumerate(split, start=1):
+            blocks += [c for c, edges in zip(comps, inner) if all(lv[e] == i for e in edges)]
+        for block in blocks:
+            assert sorted(block, key=hier.tau.__getitem__) == sorted(block, key=rank.__getitem__)
+        multi += sum(len(b) > 1 for b in blocks)
+    assert max(hier.eta for _, hier, _ in built) >= 2
+    assert multi > 0
+
+
 def test_scaled_phase_with_more_supply_than_sink_capacity():
     # vertex 0 supplies 4 to sinks of capacity 3 and 1: shifted by 1, the
     # supply is 2 and the sink capacities 1 and 0; both capacities exceed
@@ -459,9 +514,13 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # relabel counts (values, iterations, safety nets and phases hash as
     # before); and when the per-augmentation prune was deleted, which moved
     # the relabel counts of 29 of the 30 solves, the doomed now climbing
-    # before they die (flows and every other field hash as before).
+    # before they die (flows and every other field hash as before); and
+    # when the driver began to order each edge-less block of tau by
+    # residual distance to the open sinks, which moved the flows of 7, the
+    # augmentation counts of 2 and the relabel counts of 9 of the 30 solves
+    # (values, iterations, phases and safety nets hash as before).
     assert _digest(_exact_results()) == (
-        "61f86f37a0aa74d39af6313a3f6db8aed695950aae865da576ad2171300c15bc")
+        "f778c436d587b6a487f1cb2d9bf34df995e5f23656848ec59427b6ec4db6810b")
     # capacities up to 10^6: the scaled solve and every inner exact solve.
     # Re-pinned when the scaled solve began to sum its phases' iterations,
     # augmentations, relabels, safety nets and build failures; the flows,
@@ -471,6 +530,10 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # n^2 (14-16 phases, not 21), which moved the phases, phase values,
     # summed counters and inner solves, and 9 of the 10 flows to other
     # maximum flows of the same values; and with the prune's deletion, as
-    # above: the relabel counts of 118 of the 157 scaled and inner solves.
+    # above: the relabel counts of 118 of the 157 scaled and inner solves;
+    # and with the distance order of tau's edge-less blocks, as above: the
+    # flows of 152, the augmentation counts of 10 and the relabel counts of
+    # 32 of the 157 solves (values, iterations, phases, phase values and
+    # safety nets hash as before).
     assert _digest(_scaled_results()) == (
-        "36aa9d87fed32cc610946547b004fc8645eacc057cd132ab770f28c43c044b31")
+        "f7d9a0498566fe5f29266fb47ead8bd292a38cab08910124a129d246d73b0ecb")

@@ -137,3 +137,16 @@ def test_bench_families_writes_its_rows_as_json(tmp_path):
             == [line[k] for k in ("n", "m", "value", "iters", "phases", "relabels")]
         assert len(row["phase_values"]) == row["phases"]
     assert any(row["phases"] > 1 for row in data["rows"])
+
+
+def test_committed_bench_pairs_cover_one_corpus_with_equal_values():
+    # each BENCH_pr*_before/after pair measures the same rows at the same
+    # seed and sizes, and a change that claims a speed-up keeps every value
+    pairs = sorted(ROOT.glob("BENCH_pr*_before.json"))
+    assert pairs
+    for before_path in pairs:
+        after_path = before_path.with_name(before_path.name.replace("_before", "_after"))
+        before, after = (json.loads(p.read_text()) for p in (before_path, after_path))
+        assert (before["seed"], before["sizes"]) == (after["seed"], after["sizes"]), after_path
+        assert [r["instance"] for r in before["rows"]] == [r["instance"] for r in after["rows"]]
+        assert [r["value"] for r in before["rows"]] == [r["value"] for r in after["rows"]]
