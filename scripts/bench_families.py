@@ -15,14 +15,20 @@ sparse rows' 4n) to 400.
 
 With --json FILE, the rows also go to FILE as a JSON object (seed, sizes
 and one object per row: instance, n, m, exact_ms, ek_ms and every
-`SolveStats` field), written once every row has matched the oracle.
+`SolveStats` field).  FILE is opened before the first row, so a path that
+cannot be written exits 2 with an `error:` line and runs nothing; it is
+emptied and written only once every row has matched the oracle, so a
+failed run leaves an existing FILE as it was.
 
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
                                         [--json FILE]
 """
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
+import stat
 import statistics
 import sys
 import time
@@ -52,7 +58,29 @@ def main(argv=None):
     ap.add_argument("--sizes", type=_sizes_arg, default="8,12,16,24,30,50,80")
     ap.add_argument("--json", metavar="FILE")
     args = ap.parse_args(argv)
+    try:
+        # append mode truncates nothing; the file is emptied when written
+        out = open(args.json, "a") if args.json else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: {args.json}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        rows = _table(args)
+        if rows is None:
+            return 1
+        if args.json:
+            # one row per line, so two files diff row by row
+            body = ",\n  ".join(json.dumps(row) for row in rows)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
+            out.write(f'{{"seed": {args.seed}, "sizes": {json.dumps(args.sizes)}, '
+                      f'"rows": [\n  {body}\n]}}\n')
+    return 0
 
+
+def _table(args):
+    """Print the table; its rows, or None after the first run that differs
+    from the oracle or is not feasible."""
     cases = []
     for n in args.sizes:
         cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=12))
@@ -83,23 +111,17 @@ def main(argv=None):
                 if out.stats.value != oracle.stats.value:
                     print(f"MISMATCH on {name} ({solver} run {i}): {out.stats.value} vs "
                           f"{oracle.stats.value}", file=sys.stderr)
-                    return 1
+                    return None
                 if not is_feasible(inst, out.flow):
                     print(f"INFEASIBLE flow on {name} ({solver} run {i})", file=sys.stderr)
-                    return 1
+                    return None
         exact_ms, ek_ms = (statistics.median(ms for _out, ms in runs[s]) for s in ("exact", "ek"))
         print(f"{name}\t{gen.n}\t{len(gen.arcs)}\t{res.stats.value}\t"
               f"{exact_ms:.1f}\t{ek_ms:.1f}\t{res.stats.iterations}\t"
               f"{res.stats.safety_net_hits}\t{res.stats.phases}\t{res.stats.relabels}")
         rows.append(dict(instance=name, n=gen.n, m=len(gen.arcs), exact_ms=round(exact_ms, 1),
                          ek_ms=round(ek_ms, 1), **dataclasses.asdict(res.stats)))
-    if args.json:
-        # one row per line, so two files diff row by row
-        body = ",\n  ".join(json.dumps(row) for row in rows)
-        with open(args.json, "w") as out:
-            out.write(f'{{"seed": {args.seed}, "sizes": {json.dumps(args.sizes)}, '
-                      f'"rows": [\n  {body}\n]}}\n')
-    return 0
+    return rows
 
 
 if __name__ == "__main__":

@@ -45,6 +45,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.n < 4:  # the random graphs take 4 to n vertices
         ap.error(f"argument --n: expected an integer >= 4, got {args.n}")
+    if args.seeds < 1:  # an empty table would pass without a single build
+        ap.error(f"argument --seeds: expected an integer >= 1, got {args.seeds}")
     rng = random.Random(7)
     print("graph\tn\tm\tseed\teta\tlevel_caps\tattempts\tsampled\tms")
     failed = 0

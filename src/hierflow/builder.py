@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi, default_phi
-from .cut_matching import cut_or_embed
+from .cut_matching import FALSIFIER_CUTS, cut_or_embed
 from .errors import BuildFailedError, CutCheckFailedError, IterationCapExceededError
 from .graph import DiGraph, scc_subgraph, subgraph
-from .hierarchy import (Hierarchy, ValidationReport, _respecting_order, respecting_topo_order,
-                        validate_hierarchy)
+from .hierarchy import Hierarchy, ValidationReport, respecting_topo_order, validate_hierarchy
 
 # fresh-seed attempts before build_hierarchy gives up
 BUILD_RETRIES = 5
@@ -56,8 +55,9 @@ class Parts:
 
 
 class _Budget:
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, falsifier_cuts: int):
         self.cap = cap
+        self.falsifier_cuts = falsifier_cuts
         self.used = 0
 
     def tick(self) -> None:
@@ -113,7 +113,7 @@ class _Frame:
     decomposes the same frame graph, so each is made once per frame.
     A frame without edges has no pieces, and the local graph of a piece
     that is all of `g` is `g`.  The split proves each piece strongly
-    connected, so `cut_or_embed` checks that only under `debug_invariants`."""
+    connected, so `cut_or_embed` re-checks it only under `debug_invariants`."""
 
     def __init__(self, g: DiGraph, vertices: List[int], edge_ids: Set[int]):
         self.g = g
@@ -170,7 +170,7 @@ def _decompose(g: DiGraph, cap, frame: _Frame, f_edges: Set[int], below: Parts,
         # the piece's order is computed only if the game plays a round
         outcome = cut_or_embed(sub, [cap[e] for e in edges_here], {local[e] for e in f_here},
                                phi, partial(_sub_hierarchy, sub, local, below_here), rng,
-                               config, check_connected=config.debug_invariants)
+                               config, budget.falsifier_cuts)
         if outcome.cut is None:
             cert = outcome.certificate
             log.append(
@@ -265,7 +265,7 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     With `validate=False` only aborts are retried, and the first complete
     build is returned as the cut-matching game certified it.  A per-vertex
     `rank` orders the blocks of the returned tau that have no edges left
-    (see `_respecting_order`); the build itself never reads it.
+    (see `respecting_topo_order`); the build itself never reads it.
     """
     phi = phi if phi is not None else default_phi(g.n)
     check_phi(phi)
@@ -275,22 +275,21 @@ def build_hierarchy(g: DiGraph, cap: Sequence[int], phi: Optional[Fraction] = No
     for attempt in range(1, BUILD_RETRIES + 1):
         attempt_seed = base.getrandbits(64)
         rng = random.Random(attempt_seed)
-        budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))))
         # a refuted attempt was certified too optimistically on some large
         # component; escalate the falsification budget so retries converge
-        att_cfg = config if attempt == 1 else replace(
-            config, builder_falsifier_cuts=config.builder_falsifier_cuts * 4 ** (attempt - 1))
+        budget = _Budget(50 * math.ceil(math.log2(max(g.m, 2))),
+                         FALSIFIER_CUTS * 4 ** (attempt - 1))
         try:
-            parts = _run(_full_build(g, cap, top, phi, rng, att_cfg, budget, log))
+            parts = _run(_full_build(g, cap, top, phi, rng, config, budget, log))
         except (IterationCapExceededError, CutCheckFailedError) as exc:
             log.append(f"attempt={attempt} event=abort reason={type(exc).__name__}")
             continue
         # parts cover every edge, so the order's top frame is this split
-        tau = _respecting_order(g, parts.d, parts.levels, top.split() if g.m else None, rank)
+        tau = respecting_topo_order(g, parts.d, parts.levels, rank, top.split() if g.m else None)
         hier = Hierarchy(parts.d, parts.levels, tau)
         if not validate:
             return BuildResult(hier, log, attempt)
-        report = validate_hierarchy(g, cap, hier, phi, att_cfg,
+        report = validate_hierarchy(g, cap, hier, phi, config,
                                     random.Random(attempt_seed ^ 0xA5A5))
         for i, x in enumerate(hier.levels):
             log.append(f"attempt={attempt} level={i + 1} capacity={sum(cap[e] for e in x)}")

@@ -161,10 +161,9 @@ def cmd_sparse_cut(args) -> int:
         f_edges = set()
         build = build_hierarchy(inst.g, inst.cap, phi, args.seed, cfg)
         hier = build.hierarchy
-    # the front end accepts any digraph; strong connectivity only
-    # matters for the cut-quality analysis, not the mechanics
-    out = sparse_cut(inst, args.kappa, f_edges, hier, cfg, phi=phi,
-                     check_connected=False)
+    # the front end accepts any digraph: strong connectivity only matters
+    # for the cut-quality analysis, and --debug-invariants checks it
+    out = sparse_cut(inst, args.kappa, f_edges, hier, cfg, phi=phi)
     print(f"flow {out.value}")
     if out.cut is None:
         print("routed")

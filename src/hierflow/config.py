@@ -1,16 +1,17 @@
 """Tunable settings for the solver stack.
 
-`SolverConfig` holds the three values a caller varies, each copied with
-`dataclasses.replace`: the CLI's `--debug-invariants` sets
-`debug_invariants`; `build_hierarchy`'s retry escalation raises
-`builder_falsifier_cuts`; `validate_hierarchy` reads
+`SolverConfig` holds the two values a caller varies: the CLI's
+`--debug-invariants` sets `debug_invariants`, the one switch for the
+optional self-checks; `validate_hierarchy` reads
 `validator_falsifier_cuts` (the builder's default check, `hierflow
-validate` and the benchmark pass the default).  Constants no caller
-varies are module constants next to their reader (`maxflow.C_H`,
-`sparse_cut.C_6` and `MAX_H`, `cut_matching.C_T` and `C_KAPPA`,
-`hierarchy.EXACT_CUT_THRESHOLD`, `builder.BUILD_RETRIES`); thresholds
-fixed by the algorithms (the 9h death level, the 2w admissibility
-margin) are never configurable.
+validate` and the benchmark pass the default).  That field stays a
+field, not a constant, because it is the only one the validator reads
+and the benchmark hands the validator its config positionally.
+Constants no caller varies are module constants next to their reader
+(`maxflow.C_H`, `sparse_cut.C_6` and `MAX_H`, `cut_matching.C_T`,
+`C_KAPPA` and `FALSIFIER_CUTS`, `hierarchy.EXACT_CUT_THRESHOLD`,
+`builder.BUILD_RETRIES`); thresholds fixed by the algorithms (the 9h
+death level, the 2w admissibility margin) are never configurable.
 """
 from __future__ import annotations
 
@@ -35,10 +36,9 @@ def check_phi(phi: Fraction) -> None:
 class SolverConfig:
     # scan every residual arc after each relabel/augment and assert the
     # push-relabel level invariants, and snapshot the label vector at each
-    # augmentation (slow; meant for m <= 500)
+    # augmentation (slow; meant for m <= 500); also run Tarjan on every
+    # graph handed to cut_or_embed or sparse_cut
     debug_invariants: bool = False
-    # random cuts tried by the in-builder falsifier on large components
-    builder_falsifier_cuts: int = 300
     # random cuts tried by validate_hierarchy on large components (the
     # builder's default check and `hierflow validate`; not the exact driver)
     validator_falsifier_cuts: int = 10_000

@@ -23,7 +23,8 @@ round budget is spent.  The check runs once per call; the exhaustive
 search draws nothing, the falsifier draws only its own cuts, and the
 sketch is drawn by the first bisection.  The exact check asks
 `exhaustive_worst_cut` only for a cut sparser than phi, so its branch
-and bound can prune against phi; `union_psi` asks for the value.
+and bound can prune against phi; `union_psi` asks for the value.  Only
+`debug_invariants` runs Tarjan to check that `g` is strongly connected.
 """
 from __future__ import annotations
 
@@ -171,15 +172,19 @@ class CutOrEmbedOutcome:
     state: Optional[CMGState] = None
 
 
-def _brute_force_check(g, cap, vol, phi, rng, config):
+# random cuts the falsifier tries on a component above EXACT_CUT_THRESHOLD
+FALSIFIER_CUTS = 300
+
+
+def _brute_force_check(g, cap, vol, phi, rng, falsifier_cuts):
     """(certified, witness_side): the exhaustive search on at most
     EXACT_CUT_THRESHOLD vertices, which draws nothing, and above it the
-    sampled falsifier, which draws its cuts from rng; (None, None) means
-    unknown."""
+    sampled falsifier, which draws `falsifier_cuts` cuts from rng;
+    (None, None) means unknown."""
     if g.n <= EXACT_CUT_THRESHOLD:
         _ratio, side = exhaustive_worst_cut(g, cap, vol, phi)
         return side is None, side
-    side = sampled_sparse_cut(g, cap, vol, phi, rng, config.builder_falsifier_cuts)
+    side = sampled_sparse_cut(g, cap, vol, phi, rng, falsifier_cuts)
     if side is not None:
         return False, side
     return None, None  # silence: no refutation, no proof
@@ -193,24 +198,23 @@ def cut_or_embed(
     hier_of: Callable[[], Hierarchy],
     rng: random.Random,
     config: SolverConfig = DEFAULT_CONFIG,
-    check_connected: bool = True,
+    falsifier_cuts: int = FALSIFIER_CUTS,
 ) -> CutOrEmbedOutcome:
     """Certify f_edges as expanding in (g, cap) or return a sparse cut.
 
-    `g` must be strongly connected.  `check_connected` runs Tarjan to
-    raise NotStronglyConnectedError otherwise; the builder, whose SCC
-    split already proves it, runs it only under `debug_invariants`.
-    A component the brute-force check does not refute certifies at once,
-    with `rounds == 0`; its certificate is `exact` only when the
-    exhaustive search or the tiny-volume rule decided.
-    `hier_of()` returns the hierarchy of the non-terminal edges; it is
-    called once, and only if the game plays.  The cut branch
-    side S satisfies min-direction sparsity below phi * vol_F(S) and
-    1 <= vol_F(S) <= vol_F(V)/2; both are checked before returning, never
-    assumed.
+    `g` must be strongly connected; under `config.debug_invariants`
+    Tarjan checks it and raises NotStronglyConnectedError otherwise.
+    The falsifier tries `falsifier_cuts` random cuts.  A component the
+    brute-force check does not refute certifies at once, with rounds 0;
+    its certificate is `exact` only when the exhaustive search or the
+    tiny-volume rule decided.  `hier_of()` returns the hierarchy of the
+    non-terminal edges; it is called once, and only if the game plays.
+    The cut branch side S satisfies min-direction sparsity below
+    phi * vol_F(S) and 1 <= vol_F(S) <= vol_F(V)/2; both are checked
+    before returning, never assumed.
     """
     n = g.n
-    if check_connected and n > 1 and len(scc(g)) != 1:
+    if config.debug_invariants and n > 1 and len(scc(g)) != 1:
         raise NotStronglyConnectedError("cut_or_embed needs a strongly connected graph")
     deg_f = terminal_volume(g, cap, f_edges)
     vol_total = sum(deg_f)
@@ -238,7 +242,7 @@ def cut_or_embed(
         return CutOrEmbedOutcome(ev.side(), ev.vol_s, vol_total, ev.out_cap, ev.in_cap,
                                  state=state)
 
-    verdict, witness = _brute_force_check(g, cap, deg_f, phi, rng, config)
+    verdict, witness = _brute_force_check(g, cap, deg_f, phi, rng, falsifier_cuts)
     if verdict is not False:  # an exact proof, or a silent falsifier
         return finish(early=True, exact=verdict is True)
     if witness is not None:
@@ -258,8 +262,7 @@ def cut_or_embed(
             if rem == 0:
                 break
             inst = FlowInstance(g, cap, delta, nabla)
-            out = sparse_cut(inst, kappa, f_edges, hier, config, phi=phi,
-                             check_connected=False)
+            out = sparse_cut(inst, kappa, f_edges, hier, config, phi=phi)
             if 2 * out.value < rem:
                 branch = try_cut(out.cut)
                 if branch is not None:

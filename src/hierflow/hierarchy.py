@@ -74,26 +74,22 @@ class Hierarchy:
         return len(self.d) + sum(len(x) for x in self.levels)
 
 
-def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]]) -> List[int]:
+def respecting_topo_order(g: DiGraph, d: Set[int], levels: Sequence[Set[int]],
+                          rank: Optional[Sequence[int]] = None, split=None) -> List[int]:
     """Compute a respecting topological order for the partition.
 
     Works per level from the top: split into strongly connected
     components, order them topologically, hand each component a
     contiguous block, then recurse inside with the top level dropped.
     A part with no edges left is not split: its vertices take its block
-    in reverse vertex order, as Tarjan's singleton components would (the
-    exact driver's builds pass a rank that orders these blocks instead).
+    in ascending `rank`, or without one in reverse vertex order, as
+    Tarjan's singleton components would (the exact driver's builds pass
+    a rank).  A caller that already holds the top frame's split passes
+    it as `split`: `scc_subgraph(g, range(g.n), every edge id in order)`,
+    for a partition of every edge of g.
     Raises NotAcyclicError if D has a cycle, LevelViolationError if a
     level edge crosses components of its level graph.
     """
-    return _respecting_order(g, d, levels, None)
-
-
-def _respecting_order(g, d, levels, top, rank=None):
-    """`respecting_topo_order`, with the top frame's split when the caller
-    holds it: `scc_subgraph(g, range(g.n), every edge id in order)`, for a
-    partition of every edge of g.  With a per-vertex `rank`, the block of
-    each part with no edges left goes out in ascending rank."""
     n = g.n
     tau = [0] * n
     eta = len(levels)
@@ -116,9 +112,9 @@ def _respecting_order(g, d, levels, top, rank=None):
                 tau[v] = next_val
                 next_val += 1
             continue
-        if top is not None:
-            comps, inner, between = top
-            top = None
+        if split is not None:
+            comps, inner, between = split
+            split = None
         else:
             comps, inner, between = scc_subgraph(g, comp_verts, comp_edges)
         if k == 0:

@@ -158,13 +158,14 @@ def sparse_cut(
     hier: Hierarchy,
     config: SolverConfig = DEFAULT_CONFIG,
     phi: Optional[Fraction] = None,
-    check_connected: bool = True,
 ) -> SparseCutOutcome:
     """Route the demand at congestion kappa or return a sparse level cut.
 
     `hier` describes the graph without the terminal edges `f_edges`; the
     edge weights are `terminal_weights` of the two.  `phi` defaults to
     `default_phi(n)`, as in `build_hierarchy` and `max_flow_exact`.
+    The cut's analysis assumes a strongly connected graph; only under
+    `config.debug_invariants` does Tarjan check it (NotStronglyConnectedError).
     """
     g = inst.g
     n = g.n
@@ -172,7 +173,7 @@ def sparse_cut(
     check_phi(phi)
     if kappa < 1:
         raise BadParamsError(f"kappa must be at least 1, got {kappa}")
-    if check_connected and n > 1:
+    if config.debug_invariants and n > 1:
         comps = scc(g)
         if len(comps) != 1:
             raise NotStronglyConnectedError(f"{len(comps)} strongly connected components")

@@ -9,7 +9,7 @@ from hierflow.builder import build_hierarchy
 from hierflow.config import DEFAULT_CONFIG
 from hierflow.generators import gen_dag, gen_dumbbell
 from hierflow.graph import build_graph, scc, scc_subgraph
-from hierflow.hierarchy import validate_hierarchy
+from hierflow.hierarchy import ValidationReport, validate_hierarchy
 
 from helpers import random_instance
 
@@ -338,6 +338,30 @@ def test_debug_builds_check_that_every_piece_is_strongly_connected(monkeypatch):
         plain = build_hierarchy(g, caps, Fraction(1, 8), seed=1)
         assert not checked
         assert (res.hierarchy, res.log, res.report.ok) == (plain.hierarchy, plain.log, True)
+
+
+def test_each_retry_quadruples_the_falsifier_budget(monkeypatch):
+    # K20 is above the exhaustive threshold, so each attempt's one piece
+    # asks the falsifier once; refuting attempts 1 and 2 makes the build
+    # retry, and each retry tries four times as many cuts
+    from hierflow import builder, cut_matching
+    budgets, checks = [], []
+
+    def recorded(g, cap, vol, phi, rng, budget, real=cut_matching.sampled_sparse_cut):
+        budgets.append(budget)
+        return real(g, cap, vol, phi, rng, budget)
+
+    def refute_twice(*args, real=builder.validate_hierarchy):
+        checks.append(args)
+        return ValidationReport(["refuted"]) if len(checks) < 3 else real(*args)
+
+    monkeypatch.setattr(cut_matching, "sampled_sparse_cut", recorded)
+    monkeypatch.setattr(builder, "validate_hierarchy", refute_twice)
+    n = 20
+    g, caps = build_graph(n, [(u, v, 1) for u in range(n) for v in range(n) if u != v])
+    res = build_hierarchy(g, caps, Fraction(1, 16), seed=0)
+    assert budgets == [300, 1200, 4800]
+    assert res.attempts == 3 and res.report.ok
 
 
 def test_whole_graph_pieces_are_not_copied_and_edgeless_frames_not_split(monkeypatch):

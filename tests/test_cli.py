@@ -351,6 +351,18 @@ def test_sparse_cut_command_routable(tmp_path, capsys):
     assert lines[1] == "routed"
 
 
+def test_sparse_cut_checks_strong_connectivity_only_under_debug(tmp_path, capsys):
+    path = _write(tmp_path, "path.diff", "p diff 3 2\na 1 2 1\na 2 3 1\nsrc 1 1\nsnk 3 1\n")
+    code, out, _ = _run(["sparse-cut", "--kappa", "1", path], capsys)
+    assert code == 0
+    assert out.splitlines() == ["flow 1", "routed"]
+    code, out, err = _run(["sparse-cut", "--kappa", "1", "--debug-invariants", path], capsys)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: 3 strongly connected components"]
+    assert "Traceback" not in err
+
+
 def test_sparse_cut_command_cut_branch(tmp_path, capsys):
     # two triangles with one bridge each way; demand exceeds the bridge
     text = ("p diff 6 8\n"

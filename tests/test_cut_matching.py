@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from hierflow import cut_matching
+from hierflow.config import DEFAULT_CONFIG
 from hierflow.cut_matching import (CMGState, cut_or_embed, cut_player_bisection,
                                    rounds_budget, union_psi)
 from hierflow.errors import NotStronglyConnectedError
@@ -12,6 +14,7 @@ from hierflow.hierarchy import Hierarchy
 
 from helpers import exhaustive_sparsest_cut
 
+DEBUG_CONFIG = dataclasses.replace(DEFAULT_CONFIG, debug_invariants=True)
 
 
 def no_early_exit(mp):
@@ -111,7 +114,24 @@ def test_requires_strong_connectivity():
     g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NotStronglyConnectedError):
         cut_or_embed(g, caps, {0, 1}, Fraction(1, 16), lambda: _empty_hier(3),
-                     random.Random(0))
+                     random.Random(0), DEBUG_CONFIG)
+
+
+def test_tarjan_runs_exactly_under_debug_invariants(monkeypatch):
+    calls = []
+
+    def counted_scc(g, real=cut_matching.scc):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cut_matching, "scc", counted_scc)
+    g, caps = _complete_digraph(6)
+    for config, want in ((DEFAULT_CONFIG, 0), (DEBUG_CONFIG, 1)):
+        calls.clear()
+        out = cut_or_embed(g, caps, set(range(g.m)), Fraction(1, 16), lambda: _empty_hier(6),
+                           random.Random(0), config)
+        assert out.cut is None
+        assert len(calls) == want
 
 
 def test_complete_digraph_certifies_and_is_truly_expanding():

@@ -368,8 +368,7 @@ def test_repeated_solves_share_and_keep_the_arc_layout():
         runs = []
         for _ in range(2):
             pr = push_relabel(inst, w, 2 * n, "capacitated", DEFAULT_CONFIG)
-            cut = sparse_cut(inst, 1, set(range(g.m)), hier, DEFAULT_CONFIG,
-                             check_connected=False)
+            cut = sparse_cut(inst, 1, set(range(g.m)), hier, DEFAULT_CONFIG)
             exact = max_flow_exact(inst, seed=5)
             runs.append((_pr_view(pr), cut.flow.values, cut.cut, cut.metrics, cut.labels,
                          exact.flow.values, exact.stats))

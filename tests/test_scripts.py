@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -24,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bench_families.py", ["--sizes", "x"]),
     ("bench_families.py", ["--sizes", "0"]),
     ("bench_families.py", ["--sizes", "8,1"]),
+    ("hierarchy_report.py", ["--seeds", "0"]),
+    ("hierarchy_report.py", ["--seeds", "-2"]),
 ])
 def test_bad_script_flag_exit_2_with_error_line(script, argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -137,6 +140,39 @@ def test_bench_families_writes_its_rows_as_json(tmp_path):
             == [line[k] for k in ("n", "m", "value", "iters", "phases", "relabels")]
         assert len(row["phase_values"]) == row["phases"]
     assert any(row["phases"] > 1 for row in data["rows"])
+
+
+def test_bench_families_json_path_that_cannot_be_written_exits_2_before_any_row(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_families.py"),
+                               "--sizes", "8", "--json", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            f"error: {path}: {os.strerror(errno.EISDIR if path == tmp_path else errno.ENOENT)}"]
+
+
+def test_bench_families_mismatch_leaves_an_existing_json_file_as_it_was(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_families",
+                                                  ROOT / "scripts" / "bench_families.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def off_by_one(inst, seed, real=bench.max_flow):
+        res = real(inst, seed=seed)
+        return dataclasses.replace(res, stats=dataclasses.replace(
+            res.stats, value=res.stats.value + 1))
+
+    out = tmp_path / "bench.json"
+    out.write_text('{"seed": 0}\n')
+    monkeypatch.setattr(bench, "max_flow", off_by_one)
+    assert bench.main(["--sizes", "8", "--json", str(out)]) == 1
+    assert out.read_text() == '{"seed": 0}\n'
+    monkeypatch.undo()
+    assert bench.main(["--sizes", "8", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["sizes"] == [8]
 
 
 def test_committed_bench_pairs_cover_one_corpus_with_equal_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import random
@@ -19,6 +20,7 @@ from helpers import bellman_ford_arcs, random_instance
 _sparse_cut_module = importlib.import_module("hierflow.sparse_cut")
 
 INF = math.inf
+DEBUG_CONFIG = dataclasses.replace(DEFAULT_CONFIG, debug_invariants=True)
 
 
 def _trivial_hier(n):
@@ -67,7 +69,7 @@ def test_level_labels_against_bellman_ford():
 def test_sparse_cut_routable_single_edge():
     g, caps = build_graph(2, [(0, 1, 1)])
     inst = FlowInstance(g, caps, [1, 0], [0, 1])
-    out = sparse_cut(inst, 1, set(), _trivial_hier_for(g), check_connected=False)
+    out = sparse_cut(inst, 1, set(), _trivial_hier_for(g))
     assert out.cut is None
     assert out.value == 1
 
@@ -98,7 +100,24 @@ def test_sparse_cut_requires_strong_connectivity():
     g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     inst = FlowInstance(g, caps, [1, 0, 0], [0, 0, 1])
     with pytest.raises(NotStronglyConnectedError):
-        sparse_cut(inst, 1, set(range(2)), _all_terminal_hier(g))
+        sparse_cut(inst, 1, set(range(2)), _all_terminal_hier(g), DEBUG_CONFIG)
+
+
+def test_sparse_cut_runs_tarjan_exactly_under_debug_invariants(monkeypatch):
+    calls = []
+
+    def counted_scc(g, real=_sparse_cut_module.scc):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(_sparse_cut_module, "scc", counted_scc)
+    g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    inst = FlowInstance(g, caps, [1, 0, 0], [0, 0, 1])
+    for config, want in ((DEFAULT_CONFIG, 0), (DEBUG_CONFIG, 1)):
+        calls.clear()
+        out = sparse_cut(inst, 1, set(range(g.m)), _all_terminal_hier(g), config)
+        assert (out.value, out.cut) == (1, None)
+        assert len(calls) == want
 
 
 def _dumbbell(k=4, bridge=1, cap=1):
