@@ -371,7 +371,8 @@ _CHUNK = 16384
 
 
 def _by_value(weighted: Iterable[Tuple[Any, int]]) -> List[Tuple[int, List[Any]]]:
-    """The keys of the nonzero weights, grouped by weight: (w, keys) pairs."""
+    """The keys of the nonzero weights, grouped by weight: (w, keys) pairs;
+    empty when every weight is 0."""
     groups: Dict[int, List[Any]] = {}
     for key, w in weighted:
         if w:
@@ -379,9 +380,10 @@ def _by_value(weighted: Iterable[Tuple[Any, int]]) -> List[Tuple[int, List[Any]]
     return list(groups.items())
 
 
-def _lane_sum(groups: List[Tuple[int, List[int]]], xs: List[int]) -> int:
-    """sum of w * xs[i] over the groups' keys i, one multiplication per group."""
-    return sum(w * sum(xs[i] for i in keys) for w, keys in groups)
+def _lane_sum(sums: Iterable[Tuple[int, int]]) -> int:
+    """sum of w * s over (w, s), s the lane sum of one weight-w group: one
+    multiplication per group, none for weight 1."""
+    return sum(s if w == 1 else w * s for w, s in sums)
 
 
 class _LaneTest:
@@ -397,15 +399,23 @@ class _LaneTest:
     goes into byte 0 of every lane of a zeroed buffer and is read as one
     int, col_q, so vertex 8 * q + t's lane int X_i is (col_q >> t) & ones,
     ones holding bit 0 of every lane: the shift moves bits of lane j + 1
-    only into the top of lane j, which the mask clears.
+    only into the top of lane j, which the mask clears.  Only byte 0 of a
+    lane is ever written, so the buffer, ones and guard are made once per
+    batch size.
 
     Lanes: X_i holds bit 8 * width * j when cut j puts vertex i in S.  With
-    P = sum over edges (u, v, c) of c * (X_u & X_v), every lane j of
-        sum_i outcap(i) * X_i - P,  sum_i incap(i) * X_i - P,  sum_i vol(i) * X_i
-    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S).  Each sum is taken
-    by weight: sum over distinct weights c of c * (the sum of the X of
-    weight c), so a batch makes one multiplication per distinct weight, not
-    one per edge or vertex; no inner sum leaves its lane, since it is at
+    P = sum over edges (u, v, c) of c * (X_u & X_v), O = sum_i outcap(i) *
+    X_i and I = sum_i incap(i) * X_i, every lane j of O - P, I - P and
+        O + I - sum_i down(i) * X_i + sum_i up(i) * X_i
+    holds cut j's c(S, S-bar), c(S-bar, S) and vol(S), where up and down
+    split rest(i) = vol(i) - outcap(i) - incap(i) by sign; both are empty
+    when vol is the capacity degree.  Lane j of O + I less the down sum is
+    sum over i in S of min(deg(i), vol(i)) >= 0, and no partial value
+    exceeds 2 * c(E) + vol(V) < 2^(8 * width), since the lane holds den *
+    max(vol(V), c(E)) below its guard bit and den >= 2: no borrow or carry
+    crosses a lane.  Each sum is taken by weight: sum over distinct weights
+    c of c * (the sum of the X of weight c), one multiplication per
+    distinct weight above 1; no inner sum leaves its lane, since it is at
     most the weighted one.  Cut j is sparse
     when c * den < num * vol(S) and c * den < num * vol(S-bar) for c one
     of its two capacities (vol(S) = 0 or vol(S-bar) = 0 fails one test,
@@ -418,8 +428,8 @@ class _LaneTest:
     sparse cut is the lowest guard bit left after the tests are combined.
     """
 
-    __slots__ = ("k", "step", "pairs", "out_w", "in_w", "vol_w", "total", "num", "den",
-                 "width", "batch")
+    __slots__ = ("k", "step", "pairs", "out_w", "in_w", "up", "down", "total", "num", "den",
+                 "width", "batch", "sized")
 
     def __init__(self, g: DiGraph, cap: Sequence[int], vol: Sequence[int], phi: Fraction):
         k = self.k = g.n
@@ -433,35 +443,46 @@ class _LaneTest:
             key = (u, v) if u < v else (v, u)
             pair_cap[key] = pair_cap.get(key, 0) + c
         self.pairs = _by_value(pair_cap.items())
-        self.out_w, self.in_w, self.vol_w = (_by_value(enumerate(w)) for w in (outcap, incap, vol))
+        self.out_w, self.in_w = _by_value(enumerate(outcap)), _by_value(enumerate(incap))
+        rest = [x - o - i for x, o, i in zip(vol, outcap, incap)]
+        self.up = _by_value((i, r) for i, r in enumerate(rest) if r > 0)
+        self.down = _by_value((i, -r) for i, r in enumerate(rest) if r < 0)
         self.total = sum(vol)
         self.num, self.den = phi.numerator, phi.denominator
         self.width = ((max(self.total, sum(cap)) * max(self.num, self.den)).bit_length() + 8) // 8
         self.batch = max(1, min(_LANE_INT_BYTES // self.width, 4 * _CHUNK // self.step))
+        # batch size -> (ones, guard, G - ones, G - ones + num * vol(V) * ones, buffer)
+        self.sized: Dict[int, Tuple[int, int, int, int, bytearray]] = {}
 
     def first_sparse(self, stream: bytes) -> Optional[int]:
         """The lowest j whose cut, of the cuts in `stream`, is phi-sparse,
         or None."""
         k, width, step = self.k, self.width, self.step
         b = len(stream) // step
-        lane_bits = 8 * width
-        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
-        buf = bytearray(b * width)
+        sized = self.sized.get(b)
+        if sized is None:
+            ones = int.from_bytes((b"\x01" + bytes(width - 1)) * b, "little")
+            guard = ones << (8 * width - 1)
+            sized = self.sized[b] = (ones, guard, guard - ones,
+                                     guard - ones + self.num * self.total * ones,
+                                     bytearray(b * width))
+        ones, guard, g_0, g_v, buf = sized
         xs = []
         for q in range((k + 7) >> 3):
             buf[::width] = stream[q::step]  # byte q of every cut
             col = int.from_bytes(buf, "little")
             xs += [(col >> t) & ones for t in range(min(8, k - 8 * q))]
         num, den = self.num, self.den
-        guard = ones << (lane_bits - 1)
-        cross = sum(c * sum(xs[u] & xs[v] for u, v in uvs) for c, uvs in self.pairs)
-        c_out = (_lane_sum(self.out_w, xs) - cross) * den  # c(S, S-bar) * den
-        c_in = (_lane_sum(self.in_w, xs) - cross) * den  # c(S-bar, S) * den
-        v_s = num * _lane_sum(self.vol_w, xs)  # num * vol(S)
-        g_s = guard - ones + v_s  # G + num * vol(S) - 1
-        g_t = guard - ones + num * self.total * ones - v_s  # G + num * vol(S-bar) - 1
+        cross = _lane_sum((c, sum(xs[u] & xs[v] for u, v in uvs)) for c, uvs in self.pairs)
+        out_s, in_s, down, up = (_lane_sum((w, sum(xs[i] for i in keys)) for w, keys in groups)
+                                 for groups in (self.out_w, self.in_w, self.down, self.up))
+        c_out = (out_s - cross) * den  # c(S, S-bar) * den
+        c_in = (in_s - cross) * den  # c(S-bar, S) * den
+        v_s = num * (out_s + in_s - down + up)  # num * vol(S)
+        g_s = g_0 + v_s  # G + num * vol(S) - 1
+        g_t = g_v - v_s  # G + num * vol(S-bar) - 1
         hit = ((g_s - c_out) & (g_t - c_out) | (g_s - c_in) & (g_t - c_in)) & guard
-        return ((hit & -hit).bit_length() - 1) // lane_bits if hit else None
+        return ((hit & -hit).bit_length() - 1) // (8 * width) if hit else None
 
     def side(self, stream: bytes, j: int) -> List[int]:
         """The vertex indices of cut j of `stream`."""

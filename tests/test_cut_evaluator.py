@@ -627,6 +627,95 @@ def test_sampled_sparse_cut_leaves_the_rng_after_the_last_batch_drawn():
             assert rng.getstate() == _drawn(seed, k, budget, 8)
 
 
+def _out_regular(rng, k, d, caps):
+    """Every vertex gets d distinct random out-neighbours, each arc a
+    capacity drawn from `caps`: the shape of `hierflow hierarchy`'s random
+    inputs."""
+    return [(u, v, rng.choice(caps)) for u in range(k)
+            for v in rng.sample([x for x in range(k) if x != u], d)]
+
+
+def _degree_volume(terminals, extra):
+    """vol_F of the terminal edges, plus `extra` volume per vertex."""
+    volw = dict(extra)
+    for u, v, c in terminals:
+        volw[u] = volw.get(u, 0) + c
+        volw[v] = volw.get(v, 0) + c
+    return volw
+
+
+def _witness_and_end_state(k, edges, volw, phi, seed, budget):
+    """Both searches from one seed: assert the same witness, and that the
+    rng is left after the batch that holds it, or after every random cut
+    and every source when it is a level cut or there is none; return the
+    witness."""
+    g, cap, vol, _back = local_cut_input(range(k), edges, volw)
+    mine, ref = random.Random(seed), _CountingRandom(seed)
+    side = sampled_sparse_cut(g, cap, vol, phi, mine, budget)
+    assert side == per_cut_sampled_cut(g, cap, vol, phi, ref, budget)
+    b = _LaneTest(g, cap, vol, phi).batch
+    if side is not None and ref.getstate() == _drawn(seed, k, ref.draws, 0):  # a random cut
+        assert mine.getstate() == _drawn(seed, k, min(budget, -(-ref.draws // b) * b), 0)
+    else:
+        assert mine.getstate() == _drawn(seed, k, budget, max(2, min(k, 8)))
+    return side
+
+
+def test_lane_volume_from_capacity_sums_and_signed_rest():
+    """The lane test reads vol(S) off its boundary sums plus the signed
+    rest vol - deg.  A level-1 input as `hierflow hierarchy` checks it (a
+    random 4-out digraph, unit capacities, vol the terminal degree) has no
+    rest; terminals on part of the edges, as at level 2, leave vol below
+    the degree (`down`); volume on top of the degree leaves it above
+    (`up`).  Each kind, with and without a witness, gives the per-cut
+    reference's witness and rng end state."""
+    rng = random.Random(707)
+    k = 48
+    seen = set()
+    for case in range(24):
+        kind = case % 3
+        edges = _out_regular(rng, k, 4, [1, 1, 1, 3] if kind else [1])
+        terminals = [e for e in edges if kind != 1 or rng.random() < 0.6]
+        extra = {v: rng.randint(0, 3) for v in range(k)} if kind == 2 else {}
+        volw = _degree_volume(terminals, extra)
+        phi = _PHIS[case // 3 % 3]
+        g, cap, vol, _back = local_cut_input(range(k), edges, volw)
+        test = _LaneTest(g, cap, vol, phi)
+        assert (bool(test.down), bool(test.up)) == (kind == 1, kind == 2)
+        budget = _budgets(test.batch)[case % 5]
+        side = _witness_and_end_state(k, edges, volw, phi, rng.getrandbits(32), budget)
+        seen.add((kind, side is None))
+    assert len(seen) == 6
+
+
+def test_sampled_sparse_cut_matches_per_cut_reference_at_200_vertices():
+    """Components far wider than the word-boundary tests' 65 vertices:
+    k = 200 (seven words per cut), a random 4-out digraph at unit
+    capacities with vol the degree, and at mixed ones up to 2^40 with vol
+    that of some terminals plus extra, phi 1/16 and 1/2.  The budget of
+    one batch plus one cut ends the random phase in a batch of one cut,
+    which is then planted as the one sparse cut."""
+    k = 200
+    rng = random.Random(808)
+    for caps in ([1], [1, 7, 10 ** 6, 2 ** 40]):
+        edges = _out_regular(rng, k, 4, caps)
+        mixed = len(caps) > 1
+        terminals = [e for e in edges if not mixed or rng.random() < 0.7]
+        extra = {v: rng.choice([0, 2 ** 39]) for v in range(k)} if mixed else {}
+        volw = _degree_volume(terminals, extra)
+        for phi in (Fraction(1, 16), Fraction(1, 2)):
+            budget = _lanes_per_batch(k, edges, volw, phi) + 1
+            _witness_and_end_state(k, edges, volw, phi, rng.getrandbits(32), budget)
+    volw = {v: 1 for v in range(k)}
+    phi = Fraction(1, 16)
+    b = _batch_of_plants(k, lambda p: _two_heavy_cycles(p, 10 ** 6), volw, phi)
+    seed, plant = _planted_seed(k, b)
+    edges = _two_heavy_cycles(plant, 10 ** 6)
+    assert _lanes_per_batch(k, edges, volw, phi) == b
+    side = _witness_and_end_state(k, edges, volw, phi, seed, b + 1)
+    assert side == [v for v in range(k) if plant[v]]
+
+
 def test_scc_subgraph_ignores_arcs_leaving_the_vertex_set():
     rng = random.Random(303)
     for _ in range(300):
