@@ -15,24 +15,23 @@ sparse rows' 4n) to 400.
 
 With --json FILE, the rows also go to FILE as a JSON object (seed, sizes
 and one object per row: instance, n, m, exact_ms, ek_ms and every
-`SolveStats` field).  FILE is opened before the first row, so a path that
-cannot be written exits 2 with an `error:` line and runs nothing; it is
-emptied and written only once every row has matched the oracle, so a
-failed run leaves an existing FILE as it was.
+`SolveStats` field).  FILE is opened and written as `hierflow` writes its
+output files (`cli._output`, `cli._write`): before the first row, so a path
+that cannot be written exits 2 with an `error:` line and runs nothing, and
+emptied and written only once every row has matched the oracle, so a failed
+run leaves an existing FILE as it was.
 
 Usage: python scripts/bench_families.py [--seed N] [--sizes 8,12,16,24,30,50,80]
                                         [--json FILE]
 """
 import argparse
-import contextlib
 import dataclasses
 import json
-import os
-import stat
 import statistics
 import sys
 import time
 
+from hierflow.cli import _FileFault, _output, _write
 from hierflow.generators import gen_cycle, gen_dumbbell, gen_grid, generate
 from hierflow.graph import is_feasible
 from hierflow.maxflow import edmonds_karp, max_flow
@@ -59,22 +58,18 @@ def main(argv=None):
     ap.add_argument("--json", metavar="FILE")
     args = ap.parse_args(argv)
     try:
-        # append mode truncates nothing; the file is emptied when written
-        out = open(args.json, "a") if args.json else contextlib.nullcontext()
-    except OSError as exc:
-        print(f"error: {args.json}: {exc.strerror}", file=sys.stderr)
+        with _output(args.json) as out:
+            rows = _table(args)
+            if rows is None:
+                return 1
+            if out is not None:
+                # one row per line, so two files diff row by row
+                body = ",\n  ".join(json.dumps(row) for row in rows)
+                _write(out, f'{{"seed": {args.seed}, "sizes": {json.dumps(args.sizes)}, '
+                            f'"rows": [\n  {body}\n]}}\n')
+    except _FileFault as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    with out:
-        rows = _table(args)
-        if rows is None:
-            return 1
-        if args.json:
-            # one row per line, so two files diff row by row
-            body = ",\n  ".join(json.dumps(row) for row in rows)
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate(0)
-            out.write(f'{{"seed": {args.seed}, "sizes": {json.dumps(args.sizes)}, '
-                      f'"rows": [\n  {body}\n]}}\n')
     return 0
 
 

@@ -20,7 +20,7 @@ from .hierarchy import (Hierarchy, hierarchy_from_text, hierarchy_to_text,
 from .graph import FlowInstance
 from .io import emit_dimacs, emit_diffusion, parse_instance
 from .maxflow import dag_approx_flow, edmonds_karp, max_flow
-from .generators import generate
+from .generators import MODELS, generate
 from .sparse_cut import sparse_cut
 
 
@@ -34,6 +34,8 @@ class _FileFault(Exception):
 
 PARSE_ERRORS = (ParseError, _FileFault)
 ALGOS = ("exact", "ek")
+# every size some generator model reads, one `gen` flag each
+GEN_SIZES = tuple(dict.fromkeys(key for model in MODELS.values() for key in model.sizes))
 
 
 def _phi_arg(text: str) -> Fraction:
@@ -205,13 +207,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for key in ("n", "m", "cap", "k", "bridge", "rows", "cols"):
-        val = getattr(args, key if key != "n" else "gen_n", None)
-        if val is not None:
-            params[key] = val
+    sizes = {key: getattr(args, key) for key in GEN_SIZES if getattr(args, key) is not None}
     with _output(args.out) as out:
-        gen = generate(args.model, args.seed, **params)
+        gen = generate(args.model, args.seed, **sizes)
         if args.format == "dimacs":
             text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
         else:
@@ -283,18 +281,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("gen", help="generate an instance file")
-    sp.add_argument("--model", choices=["dag", "random", "dumbbell", "cycle", "grid"],
-                    required=True)
+    sp.add_argument("--model", choices=list(MODELS), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["dimacs", "diff"], default="dimacs")
-    sp.add_argument("--gen-n", type=int, default=None, dest="gen_n")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--bridge", type=int, default=None)
-    sp.add_argument("--rows", type=int, default=None)
-    sp.add_argument("--cols", type=int, default=None)
+    for key in GEN_SIZES:
+        sp.add_argument("--gen-n" if key == "n" else f"--{key}", type=int, dest=key)
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("bench", help="table of solver runs")

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .errors import BadParamsError
 from .graph import MAX_SIZE, FlowInstance, st_instance
@@ -117,25 +117,33 @@ def gen_grid(rows: int, cols: int, cap: int, seed: int = 0) -> Generated:
     return Generated(f"grid-{rows}x{cols}-{seed}", n, arcs, 0, n - 1)
 
 
-def generate(model: str, seed: int = 0, **params) -> Generated:
-    """Dispatch by model name; deterministic in (model, params, seed)."""
+class Model(NamedTuple):
+    make: Callable[..., Generated]
+    sizes: Dict[str, int]  # each size the model reads, with its default, in make's order
+    seeded: bool           # make takes the seed after its sizes
+
+
+MODELS = {
+    "dag": Model(gen_dag, {"n": 10, "m": 20, "cap": 5}, True),
+    "random": Model(gen_random, {"n": 10, "m": 20, "cap": 5}, True),
+    "dumbbell": Model(gen_dumbbell, {"k": 5, "bridge": 3, "cap": 1}, False),
+    "cycle": Model(gen_cycle, {"n": 8, "cap": 1}, False),
+    "grid": Model(gen_grid, {"rows": 3, "cols": 3, "cap": 5}, True),
+}
+
+
+def generate(model: str, seed: int = 0, **sizes) -> Generated:
+    """Dispatch by model name; deterministic in (model, sizes, seed).
+    Raises BadParamsError on a size the model does not read."""
+    if model not in MODELS:
+        raise BadParamsError(f"unknown model {model!r}")
+    make, reads, seeded = MODELS[model]
+    unread = [key for key in sizes if key not in reads]
+    if unread:
+        raise BadParamsError(f"{model} reads only {', '.join(reads)}, "
+                             f"not {', '.join(unread)}")
+    args = [sizes.get(key, default) for key, default in reads.items()]
     try:
-        if model == "cycle":
-            return gen_cycle(params.get("n", 8), params.get("cap", 1))
-        if model == "dumbbell":
-            return gen_dumbbell(params.get("k", 5), params.get("bridge", 3),
-                                params.get("cap", 1))
-        if model == "dag":
-            return gen_dag(params.get("n", 10), params.get("m", 20),
-                           params.get("cap", 5), seed)
-        if model == "random":
-            return gen_random(params.get("n", 10), params.get("m", 20),
-                              params.get("cap", 5), seed)
-        if model == "grid":
-            return gen_grid(params.get("rows", 3), params.get("cols", 3),
-                            params.get("cap", 5), seed)
-    except BadParamsError:
-        raise
+        return make(*args, seed) if seeded else make(*args)
     except (TypeError, ValueError) as exc:
         raise BadParamsError(str(exc))
-    raise BadParamsError(f"unknown model {model!r}")

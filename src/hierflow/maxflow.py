@@ -1,17 +1,17 @@
 """Exact maximum flow (`max_flow`), the DAG approximation, capacity
 scaling, and the shortest-augmenting-path oracle every test leans on.
 
-The exact driver keeps one residual per solve and loops: build a
-hierarchy of the residual graph (unvalidated: it only supplies weights),
-run weighted push-relabel with the induced weights, lift the flow into
-the residual in place, and repeat until no augmenting path remains.  A
-single breadth-first augmentation acts as a safety net whenever an
-iteration routes nothing, so exactness never depends on hierarchy quality.
-Where a part of the hierarchy has no edges left, tau may order its
-vertices freely; the driver orders them by residual breadth-first
-distance to the open sinks, farthest first (`_sink_distance_rank`), so an
-edge's weight follows the distance difference of its ends, as exact
-distance labels would.
+The exact driver keeps one residual per solve and loops: one reverse
+breadth-first search from the open sinks (`_sink_distances`) finds each
+vertex's residual distance to them, and the driver stops once no vertex
+with supply left has one.  Else it builds a hierarchy of the residual graph
+(unvalidated: it only supplies weights), runs weighted push-relabel with
+the induced weights and lifts the flow into the residual in place.  Where
+a part of the hierarchy has no edges left, tau may order its vertices
+freely; the driver orders them by that distance, farthest first, as exact
+distance labels would.  Edmonds-Karp and the safety net, one shortest
+augmentation whenever an iteration routes nothing, keep the forward path
+search `_bfs_path`, so exactness never depends on hierarchy quality.
 """
 from __future__ import annotations
 
@@ -125,26 +125,26 @@ def _bfs_path(g: DiGraph, cf: Sequence[int], delta_rem, nabla_rem):
     return None, -1, -1
 
 
-def _sink_distance_rank(rinst: FlowInstance) -> List[int]:
-    """rank[v] = v - n * dist[v], where dist[v] is the breadth-first
-    distance from v to a vertex with sink capacity left over the arcs of
-    the residual instance, and n where none is reachable: ascending rank
-    lists the farthest vertices first, ties by vertex id."""
-    g = rinst.g
+def _sink_distances(res: ResidualView) -> List[int]:
+    """dist[v]: the fewest usable residual arcs on a path from v to a
+    vertex with sink capacity left, and n where there is none, by one
+    reverse breadth-first search from those vertices."""
+    g = res.g
     n = g.n
-    tails = g.tails
+    cf, arc_head = res.arc_cap, g.arc_head
     dist = [n] * n
-    q = deque(v for v in range(n) if rinst.nabla[v] > 0)
+    q = deque(v for v in range(n) if res.nabla_f[v] > 0)
     for v in q:
         dist[v] = 0
     while q:
         v = q.popleft()
-        for e in g.in_edges[v]:
-            u = tails[e]
-            if dist[u] == n:
+        # the twin of an arc out of v is an arc into v
+        for a in g.out_arcs[v]:
+            u = arc_head[a]
+            if dist[u] == n and cf[a ^ 1] > 0:
                 dist[u] = dist[v] + 1
                 q.append(u)
-    return [v - n * d for v, d in enumerate(dist)]
+    return dist
 
 
 def _augment(res: ResidualView, arcs: Sequence[int], s: int, t: int) -> None:
@@ -193,10 +193,10 @@ def driver_height(n: int, eta: int, phi: Fraction) -> int:
 
 def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
                    seed: int = 0, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Exact maximum flow via hierarchy-guided augmentation.  Where the
-    supply total exceeds the sink total, as in a scaling phase, push-relabel
-    is offered the supply trimmed to the sink total, in vertex order; the
-    BFS and the safety net see all of it."""
+    """Exact maximum flow via hierarchy-guided augmentation.  Push-relabel
+    is offered the supply trimmed to the sink total, in vertex order, which
+    is all of it unless the supply exceeds the sinks, as in a scaling
+    phase; the stop test and the safety net see all of it."""
     g = inst.g
     n, m = g.n, g.m
     phi = phi if phi is not None else default_phi(n)
@@ -204,21 +204,19 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
     base = random.Random(seed)
     # one residual for the whole solve; each iteration's flow is lifted into it
     res = residual(inst, Flow.zero(m))
-    # every iteration takes as much supply as sink capacity, so this stays fixed
-    surplus = sum(res.delta_f) - sum(res.nabla_f)
     stats = SolveStats(value=0)
     while True:
-        arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
-        if arcs_path is None:
+        dist = _sink_distances(res)
+        if all(d == n for d, s in zip(dist, res.delta_f) if s > 0):
             break
         stats.iterations += 1
         arc_ids, rinst = residual_graph(res)
-        if surplus > 0:
-            rinst.delta = _trim(res.delta_f, sum(res.nabla_f))
+        rinst.delta = _trim(res.delta_f, sum(res.nabla_f))
         r = None
         try:
             hier = build_hierarchy(rinst.g, rinst.cap, phi, base.getrandbits(64), config,
-                                   validate=False, rank=_sink_distance_rank(rinst)).hierarchy
+                                   validate=False,
+                                   rank=[v - n * d for v, d in enumerate(dist)]).hierarchy
             w = induced_weights(rinst.g, hier.tau)
             h = driver_height(n, max(hier.eta, 1), phi)
             r = push_relabel(rinst, w, h, config=config)
@@ -228,6 +226,9 @@ def max_flow_exact(inst: FlowInstance, phi: Optional[Fraction] = None,
             stats.build_failures += 1
         if r is None or r.value == 0:
             # safety net: one shortest augmentation keeps progress unconditional
+            arcs_path, src, sink = _bfs_path(g, res.arc_cap, res.delta_f, res.nabla_f)
+            if arcs_path is None:
+                raise SolverInvariantError("_bfs_path finds no path where sink distances show one")
             stats.safety_net_hits += 1
             _augment(res, arcs_path, src, sink)
             stats.augmentations += 1

@@ -399,8 +399,10 @@ def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed
     far: a fresh `residual(inst, f)`, a fresh residual `DiGraph` and the
     lifted flow added onto f.  The reference for its flows and SolveStats.
     The builder and push-relabel are looked up on `hierflow.maxflow`, so a
-    test that replaces them there replaces them for both, and the rank of
-    tau's edge-less blocks is the driver's own `_sink_distance_rank`."""
+    test that replaces them there replaces them for both.  It stops on
+    `_bfs_path`, where the driver stops on its sink distances, ranks tau's
+    edge-less blocks by `_sink_distances` of the fresh residual and offers
+    push-relabel the supply the driver's `_trim` leaves."""
     from hierflow import maxflow
     from hierflow.config import DEFAULT_CONFIG as config, default_phi
     from hierflow.errors import BuildFailedError
@@ -420,12 +422,13 @@ def per_iteration_exact(inst: FlowInstance, phi: Optional[Fraction] = None, seed
         stats.iterations += 1
         arc_ids = [a for a, c in enumerate(res.arc_cap) if c > 0]
         rg = DiGraph(g.n, [(g.arc_tail[a], g.arc_head[a]) for a in arc_ids])
-        rinst = FlowInstance(rg, [res.arc_cap[a] for a in arc_ids], res.delta_f, res.nabla_f)
+        rinst = FlowInstance(rg, [res.arc_cap[a] for a in arc_ids],
+                             maxflow._trim(res.delta_f, sum(res.nabla_f)), res.nabla_f)
         r = None
         try:
+            rank = [v - g.n * d for v, d in enumerate(maxflow._sink_distances(res))]
             hier = maxflow.build_hierarchy(rg, rinst.cap, phi, base.getrandbits(64), config,
-                                           validate=False,
-                                           rank=maxflow._sink_distance_rank(rinst)).hierarchy
+                                           validate=False, rank=rank).hierarchy
             h = maxflow.driver_height(g.n, max(hier.eta, 1), phi)
             r = maxflow.push_relabel(rinst, induced_weights(rg, hier.tau), h, config=config)
             stats.augmentations += r.augment_count

@@ -195,6 +195,25 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+# the size flags each model reads, as README's "Flags, by command" lists them
+_GEN_READS = {"dag": {"--gen-n", "--m", "--cap"}, "random": {"--gen-n", "--m", "--cap"},
+              "dumbbell": {"--k", "--bridge", "--cap"}, "cycle": {"--gen-n", "--cap"},
+              "grid": {"--rows", "--cols", "--cap"}}
+
+
+def test_gen_rejects_each_size_its_model_does_not_read(capsys):
+    size_flags = _OPTIONS["gen"] - {"--model", "--seed", "--out", "--format"}
+    assert set(_GEN_READS) == set(cli.MODELS)
+    for model, reads in _GEN_READS.items():
+        argv = ["gen", "--model", model, "--out", os.devnull]
+        code, out, err = _run(argv + [x for flag in sorted(reads) for x in (flag, "3")], capsys)
+        assert (code, out, err) == (0, "", ""), model
+        for flag in sorted(size_flags - reads):
+            code, out, err = _run(argv + [flag, "3"], capsys)
+            assert (code, out) == (2, ""), (model, flag)
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (model, flag)
+
+
 @pytest.mark.parametrize("argv,param", [
     (["--model", "cycle", "--gen-n", "3", "--cap", "-3"], "cap >= 0"),
     (["--model", "dumbbell", "--k", "2", "--cap", "-1"], "cap >= 0"),

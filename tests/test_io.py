@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierflow.errors import HierflowError, ParseError
-from hierflow.generators import generate
+from hierflow.generators import MODELS, generate
 from hierflow.io import emit_dimacs, emit_diffusion, parse_instance
 from hierflow.maxflow import edmonds_karp, max_flow_exact
 
@@ -63,9 +63,10 @@ def test_dimacs_round_trip_on_generated():
     rng = random.Random(71)
     for trial in range(100):
         model = rng.choice(["dag", "random", "dumbbell", "cycle", "grid"])
-        gen = generate(model, seed=trial, n=rng.randint(4, 10),
-                       m=rng.randint(4, 20), k=rng.randint(2, 4),
-                       rows=rng.randint(2, 3), cols=rng.randint(2, 3))
+        sizes = dict(n=rng.randint(4, 10), m=rng.randint(4, 20), k=rng.randint(2, 4),
+                     rows=rng.randint(2, 3), cols=rng.randint(2, 3))
+        gen = generate(model, seed=trial,
+                       **{key: sizes[key] for key in MODELS[model].sizes if key in sizes})
         text = emit_dimacs(gen.n, gen.arcs, gen.source, gen.sink, gen.name)
         parsed = parse_instance(text)
         s = next(v for v in range(parsed.n) if parsed.delta[v])

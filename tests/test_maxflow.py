@@ -12,14 +12,14 @@ from hierflow.errors import (BuildFailedError, InfeasibleFlowError, NotAcyclicEr
                              SolverInvariantError)
 from hierflow.generators import generate
 from hierflow.graph import (Flow, FlowInstance, build_graph, flow_stats, is_feasible,
-                            scc_subgraph, st_instance)
+                            residual, scc_subgraph, st_instance)
 from hierflow.hierarchy import ValidationReport, _check_tau
 from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               edmonds_karp, exact_solver, max_flow,
                               max_flow_exact)
 
 from helpers import (bellman_ford_arcs, max_flow_value_by_cuts, per_iteration_exact,
-                     random_instance, scaling_shift)
+                     random_feasible_flow, random_instance, scaling_shift)
 
 
 def test_ek_single_edge():
@@ -330,20 +330,54 @@ def test_exact_driver_matches_the_per_iteration_reference(monkeypatch, planted):
         assert all(totals)
 
 
-def test_sink_distance_rank_lists_the_farthest_first_ties_by_vertex_id():
+def test_sink_distances_count_usable_residual_arcs_to_the_open_sinks():
+    # on random feasible flows, so reverse arcs count and saturated or
+    # zero-capacity ones do not
     rng = random.Random(36)
     for _ in range(40):
         n = rng.randint(2, 12)
         inst = _diffusion_multigraph(rng, n, rng.randint(0, 3 * n), 5)
+        res = residual(inst, random_feasible_flow(rng, inst))
         g = inst.g
         # unit arcs from head to tail: distances from the open sinks backwards
-        back = [(g.heads[e], g.tails[e], 1) for e in range(g.m)]
-        dist = bellman_ford_arcs(n, back, [v for v in range(n) if inst.nabla[v] > 0])
-        dist = [n if d == math.inf else d for d in dist]
-        rank = maxflow._sink_distance_rank(inst)
-        assert rank == [v - n * d for v, d in enumerate(dist)]
-        assert sorted(range(n), key=rank.__getitem__) == sorted(
-            range(n), key=lambda v: (-dist[v], v))
+        back = [(g.arc_head[a], g.arc_tail[a], 1) for a in range(2 * g.m) if res.arc_cap[a] > 0]
+        dist = bellman_ford_arcs(n, back, [v for v in range(n) if res.nabla_f[v] > 0])
+        assert maxflow._sink_distances(res) == [n if d == math.inf else d for d in dist]
+
+
+def _finds_no_path(*args):
+    return None, -1, -1
+
+
+def test_driver_stops_on_its_own_search_not_on_the_path_search(monkeypatch):
+    # with `_bfs_path` finding nothing, solves that route something and
+    # make no safety net still reach the exhaustive minimum cut, so a path
+    # search that hid a path would not stop the driver and its
+    # Edmonds-Karp oracle at the same wrong value
+    rng = random.Random(40)
+    cases = []
+    for trial in range(60):
+        n = rng.randint(2, 9)
+        inst = _diffusion_multigraph(rng, n, rng.randint(n, 3 * n), rng.choice([3, 12]))
+        stats = max_flow_exact(inst, seed=trial).stats
+        if stats.iterations and not stats.safety_net_hits:
+            cases.append((inst, trial))
+    assert len(cases) >= 20
+    monkeypatch.setattr(maxflow, "_bfs_path", _finds_no_path)
+    for inst, trial in cases:
+        assert max_flow_exact(inst, seed=trial).stats.value == max_flow_value_by_cuts(inst)
+
+
+def test_safety_net_without_a_path_where_the_distances_show_one_raises(monkeypatch):
+    real_pr = maxflow.push_relabel
+
+    def routes_nothing(inst, w, h, **kwargs):
+        return real_pr(FlowInstance(inst.g, inst.cap, [0] * inst.n, inst.nabla), w, h, **kwargs)
+    monkeypatch.setattr(maxflow, "push_relabel", routes_nothing)
+    monkeypatch.setattr(maxflow, "_bfs_path", _finds_no_path)
+    g, caps = build_graph(2, [(0, 1, 5)])
+    with pytest.raises(SolverInvariantError, match="_bfs_path finds no path"):
+        max_flow_exact(FlowInstance(g, caps, [5, 0], [0, 5]))
 
 
 def test_driver_tau_respects_its_hierarchy_and_ranks_each_edge_less_block(monkeypatch):
@@ -399,6 +433,8 @@ def test_scaled_phase_with_more_supply_than_sink_capacity():
         res = solve(inst)
         assert res.stats.value == 4 and res.stats.phases > 1, f"capacity {cap}"
         assert is_feasible(inst, res.flow)
+        ref = capacity_scaled_max_flow(inst, per_iteration_exact)
+        assert ref.flow.values == res.flow.values, f"capacity {cap}"
     assert any(over[1:])
 
 
