@@ -587,13 +587,15 @@ def validate_hierarchy(g: DiGraph, cap: Sequence[int], h: Hierarchy, phi: Fracti
     rng = rng or random.Random(0)
     rep = ValidationReport()
     m = g.m
-    # (a) partition
+    # (a) partition; an id outside 0..m-1 is named before any is counted
+    ids = [e for xs in (h.d, *h.levels) for e in xs]
+    outside = sorted({e for e in ids if not 0 <= e < m})
+    if outside:
+        rep.errors.append(f"partition names edge ids {outside} outside 0..{m - 1}")
+        return rep
     seen = [0] * m
-    for e in h.d:
+    for e in ids:
         seen[e] += 1
-    for xs in h.levels:
-        for e in xs:
-            seen[e] += 1
     if any(c != 1 for c in seen):
         bad = [e for e in range(m) if seen[e] != 1][:5]
         rep.errors.append(f"partition broken at edges {bad}")

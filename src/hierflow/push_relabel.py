@@ -37,11 +37,11 @@ updates the residual array cf.  A vertex's current arc is the first marked
 arc of its ascending out-arc list, found by a forward scan: no arc before
 it is ever marked.  The exact driver and the sparse-cut search run these
 unit walks at any capacities.  The "capacitated" mode is the reference
-they are tested against: it keeps the admissible forest in link-cut trees
-(Goldberg and Tarjan), links a path's unlinked tails as an augmentation
-first walks them, takes the bottleneck and the saturated arcs from the
-trees, and cuts an edge when it saturates or its arc stops being current.
-cf is exact in both modes.
+they are tested against: it keeps the admissible forest in parent
+pointers (`forest.DynForest`), links a path's unlinked tails as an
+augmentation first walks them, takes the bottleneck and the saturated arcs
+from the tree path, and cuts an edge when it saturates or its arc stops
+being current.  cf is exact in both modes.
 """
 from __future__ import annotations
 
@@ -110,10 +110,10 @@ def push_relabel(
     """Run weighted push-relabel on a diffusion instance.
 
     mode: "unit" walks each augmenting path and updates the residuals,
-    at any capacities; "capacitated" augments through a link-cut forest
-    whose edges are linked only when an augmentation first walks them, the
-    reference the unit walks are tested against.  Both modes give the same
-    flows, labels, augmentations and counters.
+    at any capacities; "capacitated" augments through a parent-pointer
+    forest whose edges are linked only when an augmentation first walks
+    them, the reference the unit walks are tested against.  Both modes give
+    the same flows, labels, augmentations and counters.
     """
     if inst.total_source() > inst.total_sink():
         raise BadInstanceError("supply exceeds sink capacity; not a diffusion instance")

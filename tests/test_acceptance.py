@@ -396,7 +396,7 @@ def test_criterion_9_cut_or_embed_soundness(monkeypatch):
                f"enumeration, {cuts} cuts inside the volume window")
 
 
-# --- criterion 10: link-cut forest equivalence -----------------------------------
+# --- criterion 10: forest equivalence --------------------------------------------
 
 
 def test_criterion_10_forest_oracle_equivalence():
@@ -432,7 +432,7 @@ def test_criterion_10_forest_oracle_equivalence():
             forest.add_path(u, x)
             naive.add_path(u, x)
         done += 1
-    _report(10, f"{done} operations on {n} nodes matched the parent-pointer "
+    _report(10, f"{done} forest operations on {n} nodes matched the parent-pointer "
                 f"oracle exactly ({answers} queries compared, ties included)")
 
 

@@ -234,6 +234,15 @@ def test_validate_catches_partition_and_cycle_defects():
     assert not rep.ok  # D cyclic
 
 
+def test_validate_names_edge_ids_outside_the_graph():
+    # ids outside 0..m-1 are named, not counted: -1 must not stand for edge 2
+    g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    rep = validate_hierarchy(g, caps, Hierarchy({0, 1}, [{2, 5}], [1, 2, 3]), Fraction(1, 8))
+    assert rep.errors == ["partition names edge ids [5] outside 0..2"]
+    rep = validate_hierarchy(g, caps, Hierarchy({0, 1, -1}, [{2}], [1, 2, 3]), Fraction(1, 8))
+    assert rep.errors == ["partition names edge ids [-1] outside 0..2"]
+
+
 def test_validate_reports_level_edge_between_components():
     # two 2-cycles joined by edge 4 (1 -> 2): with every edge on level 1,
     # edge 4 runs between the two level-1 components, breaking (c)

@@ -10,8 +10,12 @@ from hierflow.config import DEFAULT_CONFIG
 from hierflow.errors import (BadInstanceError, BadParamsError, SolverInvariantError,
                              WeightZeroError)
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, is_feasible
-from hierflow.generators import gen_cycle, gen_random
-from hierflow.maxflow import edmonds_karp, max_flow_exact
+from hierflow.builder import build_hierarchy
+from hierflow.generators import gen_cycle, gen_dag, gen_random
+from hierflow.hierarchy import Hierarchy
+from hierflow.maxflow import (dag_approx_flow, edmonds_karp, max_flow, max_flow_exact,
+                              scaling_phases)
+from hierflow.sparse_cut import sparse_cut
 from hierflow.push_relabel import _Engine, push_relabel
 
 from helpers import dijkstra_residual, random_instance, reachability_closure
@@ -556,7 +560,52 @@ def test_capacitated_mode_links_only_augmenting_arcs(monkeypatch):
     r = push_relabel(FlowInstance(g, caps, [0] * 5, [0, 0, 0, 0, 9]), [1] * 5, 10,
                      mode="capacitated")
     assert r.augmentations == [] and r.relabel_climbs > 0 and any(r.labels.admissible)
-    assert (forests[-1].links, forests[-1].rotations) == (0, 0)
+    assert forests[-1].links == 0 and forests[-1].rep_par == [-1] * 5
+
+
+def test_no_production_path_builds_a_forest(monkeypatch):
+    # only the capacitated reference mode builds a forest: the exact driver,
+    # scaled or not, the builder and its validation, the sparse-cut search
+    # and the DAG approximation all augment by unit walks
+    pr = importlib.import_module("hierflow.push_relabel")
+
+    class NoForest(pr.DynForest):
+        def __init__(self, n):
+            raise AssertionError("a production path built a forest")
+
+    rng = random.Random(31)
+    plain = random_instance(rng, 12, 40, 6)
+    big = random_instance(rng, 10, 30, 10 ** 6)
+    assert scaling_phases(plain) == 1 and scaling_phases(big) > 1
+    n = 9
+    arcs = [(i, (i + 1) % n, rng.randint(1, 3)) for i in range(n)]
+    arcs += [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(12)]
+    g, caps = build_graph(n, [a for a in arcs if a[0] != a[1]])
+    delta, nabla = [0] * n, [0] * n
+    delta[0], delta[4], nabla[2], nabla[7] = 3, 2, 4, 1
+    cut_inst = FlowInstance(g, caps, delta, nabla)
+    no_levels = Hierarchy(set(), [], list(range(1, n + 1)))
+    dag = gen_dag(12, 30, 5, seed=3).instance()
+
+    def outcomes():
+        a, b = max_flow(plain), max_flow(big)
+        built = build_hierarchy(plain.g, plain.cap, seed=1)
+        cut = sparse_cut(cut_inst, 5, set(range(g.m)), no_levels)
+        approx = dag_approx_flow(dag)
+        return ((a.stats.value, a.flow.values), (b.stats.value, b.flow.values),
+                (built.hierarchy, built.report.ok), (cut.value, cut.cut, cut.flow.values),
+                (approx.value, approx.flow.values))
+
+    before = outcomes()
+    monkeypatch.setattr(pr, "DynForest", NoForest)
+    after = outcomes()
+    assert after == before
+    (a, _), (b, _), (_, ok), (cut_value, cut, _), (approx_value, _) = after
+    assert a == edmonds_karp(plain).stats.value and b == edmonds_karp(big).stats.value
+    assert ok
+    scaled = FlowInstance(g, [5 * c for c in caps], delta, nabla)
+    assert cut is None and cut_value == edmonds_karp(scaled).stats.value == sum(delta)
+    assert approx_value == edmonds_karp(dag).stats.value
 
 
 _PIN_CAPS = (1, 3, 12, 10 ** 6)
