@@ -5,8 +5,11 @@ instance three times with each solver, alternating, and `exact_ms` and
 `ek_ms` are the medians.  Exits 1 on the first run whose value differs
 from the oracle's first or whose flow is not feasible.
 Rows are solved by `max_flow`, as `hierflow solve` does; the random family
-with capacities up to 10^6 runs at sizes up to 400 and is scaled, in
-`-scaled` rows (at n = 1000, 10^6 <= n^2, so that row would not be scaled).
+with capacities up to 10^6, and again up to 10^12 (rows named `-u1e12`),
+runs at sizes up to 400 and is scaled, in `-scaled` rows (at n = 1000,
+10^6 <= n^2, so that row would not be scaled).  At n = 50 to 400, a row
+at 10^6 scales in 2 phases and one at 10^12 in several, each phase after
+the first taking as many bits as the last minimum cut allows.
 The cycle family, where push-relabel's global lift keeps the climbs to
 2n - 2 (1,998 at n = 1000), runs at every size; `relabels` counts
 push-relabel's climbs.  A dense random family with m = n^2 / 8 arcs, whose
@@ -82,6 +85,8 @@ def _table(args):
         cases.append(generate("dag", seed=args.seed, n=n, m=3 * n, cap=9))
         if n <= 400:
             cases.append(generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 6))
+            big = generate("random", seed=args.seed, n=n, m=4 * n, cap=10 ** 12)
+            cases.append(dataclasses.replace(big, name=big.name + "-u1e12"))
         cases.append(gen_cycle(n, 3))
         if 32 < n <= 400:
             cases.append(generate("random", seed=args.seed, n=n, m=n * n // 8, cap=12))

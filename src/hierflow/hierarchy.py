@@ -35,7 +35,7 @@ from itertools import chain, islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .config import DEFAULT_CONFIG, SolverConfig, check_phi
-from .errors import LevelViolationError, NotAcyclicError, ParseError
+from .errors import InvalidHierarchyError, LevelViolationError, NotAcyclicError, ParseError
 from .graph import DiGraph, scc_subgraph, subgraph
 from .io import _int
 
@@ -61,13 +61,19 @@ class Hierarchy:
         return len(self.levels)
 
     def level_of(self, m: int) -> List[int]:
-        """Per-edge level; 0 means D, missing edges get -1."""
+        """Per-edge level; 0 means D, missing edges get -1.  Raises
+        InvalidHierarchyError naming every edge id outside 0..m-1."""
         lv = [-1] * m
-        for e in self.d:
-            lv[e] = 0
-        for i, xs in enumerate(self.levels):
+        outside = set()
+        for i, xs in enumerate((self.d, *self.levels)):
             for e in xs:
-                lv[e] = i + 1
+                if 0 <= e < m:
+                    lv[e] = i
+                else:
+                    outside.add(e)
+        if outside:
+            raise InvalidHierarchyError(
+                f"hierarchy names edge ids {sorted(outside)} outside 0..{m - 1}")
         return lv
 
     def edge_count(self) -> int:

@@ -12,6 +12,12 @@ freely; the driver orders them by that distance, farthest first, as exact
 distance labels would.  Edmonds-Karp and the safety net, one shortest
 augmentation whenever an iteration routes nothing, keep the forward path
 search `_bfs_path`, so exactness never depends on hierarchy quality.
+
+Capacity scaling (`capacity_scaled_max_flow`) wraps any exact solver.  Its
+first phase solves the capacities shifted down to at most n^2; each later
+phase takes s >= 1 more bits, as many as the previous phase's minimum cut
+allows: with |C| that cut's terms, read from the same reverse search, the
+phase routes at most (2^s - 1) * |C| <= max(n^2, m + n).
 """
 from __future__ import annotations
 
@@ -254,37 +260,55 @@ def _trim(supply: Sequence[int], total: int) -> List[int]:
 # --- capacity scaling ---------------------------------------------------------
 
 
-def scaling_phases(inst: FlowInstance) -> int:
-    """Phases of `capacity_scaled_max_flow`: s + 1 for the fewest right
+def scaling_shift(inst: FlowInstance) -> int:
+    """Phase 1's shift in `capacity_scaled_max_flow`: the fewest right
     shifts s >= 0 that bring every capacity to at most max(n^2, 1)."""
     # u >> s <= n2 exactly when u // (n2 + 1) < 2^s
     u, n2 = max([1, *inst.cap]), max(inst.n * inst.n, 1)
-    return (u // (n2 + 1)).bit_length() + 1
+    return (u // (n2 + 1)).bit_length()
+
+
+def _cut_terms(inst: FlowInstance, res: ResidualView) -> int:
+    """|C| of the minimum cut a maximum flow leaves: with T the vertices
+    that reach an open sink in the residual `res` and S the rest, the
+    edges from S to T, the vertices of T with supply and those of S with
+    sink capacity, each counted where `inst` gives it a capacity above 0."""
+    n = res.g.n
+    in_t = [d < n for d in _sink_distances(res)]
+    terms = sum(1 for u, v, c in zip(res.g.tails, res.g.heads, inst.cap)
+                if c > 0 and in_t[v] and not in_t[u])
+    return terms + sum(1 for t, d, s in zip(in_t, inst.delta, inst.nabla)
+                       if (d > 0 if t else s > 0))
 
 
 def capacity_scaled_max_flow(inst: FlowInstance,
                              inner: Callable[[FlowInstance], SolveResult]) -> SolveResult:
-    """Bit scaling in `scaling_phases(inst)` phases.
+    """Capacity scaling that takes as many bits per phase as the last
+    minimum cut allows.
 
-    Phase 1 has `inner` solve the instance shifted right by one bit fewer
-    than there are phases, so every capacity is at most n^2.  Each later
-    phase doubles the current flow, has `inner` solve the residual instance
-    (capacities capped at max(n^2, m + n)) to its maximum as a SolveResult,
-    also where its supply exceeds its sink capacity, adds the correction and
-    sums the counters.  Its residual value is at most m + n (raises
-    `SolverInvariantError`): doubling adds at most one unit to each arc and
-    vertex term of the last phase's minimum cut.
+    Phase 1 has `inner` solve the instance shifted right by
+    `scaling_shift(inst)` bits, so every capacity is at most n^2.  After
+    each phase, |C| counts the terms of the minimum cut its maximum flow
+    leaves (`_cut_terms`), and the next phase takes the s >= 1 bits, at
+    most the shift left, with (2^s - 1) * |C| <= max(n^2, m + n): it
+    multiplies the flow by 2^s, has `inner` solve the residual instance
+    (capacities capped at max(n^2, m + n)) to its maximum as a
+    SolveResult, also where its supply exceeds its sink capacity, adds the
+    correction and sums the counters.  Its residual value is at most
+    (2^s - 1) * |C| (raises `SolverInvariantError`): each cut term is
+    saturated, or carries nothing back, and gains at most 2^s - 1 from the
+    s new bits.  So no solve takes more than `scaling_shift(inst) + 1`
+    phases, the count of bit scaling.
     """
     g = inst.g
     n, m = g.n, g.m
-    k = scaling_phases(inst)
     clamp = max(n * n, m + n, 1)
+    shift = scaling_shift(inst)
     f = Flow.zero(m)
-    stats = SolveStats(value=0, phases=k)
-    for b in range(1, k + 1):
-        shift = k - b
-        if b > 1:
-            f = Flow([2 * x for x in f.values])
+    stats = SolveStats(value=0)
+    bound = None  # phase 1 is a full solve, with no value bound
+    while True:
+        stats.phases += 1
         inst_b = FlowInstance(g, [c >> shift for c in inst.cap],
                               [d >> shift for d in inst.delta],
                               [s >> shift for s in inst.nabla])
@@ -296,12 +320,21 @@ def capacity_scaled_max_flow(inst: FlowInstance,
                     "build_failures"):
             setattr(stats, key, getattr(stats, key) + getattr(sub.stats, key))
         val = flow_stats(rinst, sub.flow).value
-        if b > 1 and val > m + n:
+        if bound is not None and val > bound:
             raise SolverInvariantError(
-                f"phase {b} residual flow value {val} exceeds m + n = {m + n}")
+                f"phase {stats.phases} residual flow value {val} exceeds "
+                f"(2^{step} - 1) * {terms} = {bound}")
         stats.phase_values.append(val)
         _lift(res.arc_cap, arc_ids, sub.flow)
         f = Flow(res.arc_cap[1::2])
+        if shift == 0:
+            break
+        terms = _cut_terms(inst, residual(inst_b, f))
+        # the largest step with (2^step - 1) * terms <= clamp; terms <= m + n
+        step = min(shift, (clamp // terms + 1).bit_length() - 1 if terms else shift)
+        bound = ((1 << step) - 1) * terms
+        shift -= step
+        f = Flow([x << step for x in f.values])
     stats.value = flow_stats(inst, f).value
     return SolveResult(f, stats)
 
@@ -314,6 +347,6 @@ def exact_solver(phi: Optional[Fraction] = None, seed: int = 0,
 def max_flow(inst: FlowInstance, phi: Optional[Fraction] = None, seed: int = 0,
              config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """`max_flow_exact`, behind capacity scaling when a capacity exceeds n^2."""
-    if scaling_phases(inst) > 1:
+    if scaling_shift(inst) > 0:
         return capacity_scaled_max_flow(inst, exact_solver(phi, seed, config))
     return max_flow_exact(inst, phi, seed, config)

@@ -161,9 +161,11 @@ def sparse_cut(
 ) -> SparseCutOutcome:
     """Route the demand at congestion kappa or return a sparse level cut.
 
-    `hier` describes the graph without the terminal edges `f_edges`; the
-    edge weights are `terminal_weights` of the two.  `phi` defaults to
-    `default_phi(n)`, as in `build_hierarchy` and `max_flow_exact`.
+    `hier` describes the graph without the terminal edges `f_edges`: its
+    D and levels partition exactly the other edge ids, else
+    InvalidHierarchyError.  The edge weights are `terminal_weights` of the
+    two.  `phi` defaults to `default_phi(n)`, as in `build_hierarchy` and
+    `max_flow_exact`.
     The cut's analysis assumes a strongly connected graph; only under
     `config.debug_invariants` does Tarjan check it (NotStronglyConnectedError).
     """
@@ -177,9 +179,13 @@ def sparse_cut(
         comps = scc(g)
         if len(comps) != 1:
             raise NotStronglyConnectedError(f"{len(comps)} strongly connected components")
-    if hier.edge_count() != g.m - len(f_edges):
+    named = [e for xs in (hier.d, *hier.levels) for e in xs]
+    want = set(range(g.m)) - f_edges
+    stray, missing = sorted(set(named) - want), sorted(want.difference(named))
+    if stray or missing or len(named) != len(want):
         raise InvalidHierarchyError(
-            f"hierarchy covers {hier.edge_count()} edges, expected {g.m - len(f_edges)}")
+            f"hierarchy names {len(named)} edge ids for {len(want)} non-terminal edges; "
+            f"not among them: {stray}, left out: {missing}")
     w_g = terminal_weights(g, f_edges, hier)
     h = sparse_cut_height(n, hier.eta, kappa, phi)
     scaled = FlowInstance(g, [kappa * c for c in inst.cap], inst.delta, inst.nabla)

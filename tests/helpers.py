@@ -89,6 +89,47 @@ def shifted_instance(inst: FlowInstance, s: int) -> FlowInstance:
                         [t >> s for t in inst.nabla])
 
 
+def scaling_steps(inst: FlowInstance) -> List[Tuple[int, int]]:
+    """(s, |C|) of each phase after the first of capacity scaling, phase by
+    phase, worked out with Edmonds-Karp on each phase's shifted instance.
+
+    |C| counts the minimum cut that the phase's maximum flow leaves: T is
+    every vertex with sink capacity left or a usable residual edge into T
+    (a fixed point), S the rest, and |C| the edges from S to T, vertices of
+    T with supply and vertices of S with sink capacity, each where `inst`
+    gives it a capacity above 0.  T is the same for every maximum flow, so
+    the steps do not depend on the solver.  s is the largest step, at most
+    the shift left, with (2^s - 1) * |C| <= max(n^2, m + n)."""
+    from hierflow.maxflow import edmonds_karp
+
+    g, n, m = inst.g, inst.n, inst.m
+    clamp = max(n * n, m + n, 1)
+    shift = scaling_shift(max(inst.cap, default=1), n)
+    steps = []
+    while shift:
+        phase = shifted_instance(inst, shift)
+        arc_cap, _excess, sink_left = per_edge_residual(phase, edmonds_karp(phase).flow)
+        in_t = [c > 0 for c in sink_left]
+        grew = True
+        while grew:
+            grew = False
+            for e in range(m):
+                u, v = g.tails[e], g.heads[e]
+                if arc_cap[2 * e] > 0 and in_t[v] and not in_t[u]:
+                    in_t[u] = grew = True
+                if arc_cap[2 * e + 1] > 0 and in_t[u] and not in_t[v]:
+                    in_t[v] = grew = True
+        terms = sum(1 for e in range(m)
+                    if inst.cap[e] > 0 and in_t[g.heads[e]] and not in_t[g.tails[e]])
+        terms += sum(1 for v in range(n) if (inst.delta[v] if in_t[v] else inst.nabla[v]) > 0)
+        s = 1
+        while s < shift and (2 ** (s + 1) - 1) * terms <= clamp:
+            s += 1
+        steps.append((s, terms))
+        shift -= s
+    return steps
+
+
 def random_feasible_flow(rng: random.Random, inst: FlowInstance, rounds: int = 30) -> Flow:
     """Random augmenting walks; always yields a feasible integral flow."""
     from hierflow.graph import flow_stats

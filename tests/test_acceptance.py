@@ -28,7 +28,7 @@ from hierflow.push_relabel import push_relabel
 from hierflow.sparse_cut import sparse_cut, terminal_weights
 
 from helpers import (dijkstra_residual, exhaustive_sparsest_cut,
-                     random_instance, scaling_shift, shifted_instance)
+                     random_instance, scaling_shift, scaling_steps, shifted_instance)
 from test_forest import NaiveForest
 from test_sparse_cut import _oracle_min_level_cut
 
@@ -441,17 +441,23 @@ def test_criterion_10_forest_oracle_equivalence():
 
 def test_criterion_11_capacity_scaling():
     # phase 1 solves the instance shifted by the fewest bits that bring every
-    # capacity to n^2, exactly; each doubling phase's residual value is at
-    # most n^2
+    # capacity to n^2, exactly; each later phase takes the s bits with
+    # (2^s - 1) * |C| <= max(n^2, m + n), |C| the terms of the last phase's
+    # minimum cut, and its residual value is at most (2^s - 1) * |C|
     rng = random.Random(111)
     for u in (1, 2, 3, 4, 7, 8, 100, 1023, 1024, 65536, 10 ** 6 - 1, 10 ** 6):
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
         res = capacity_scaled_max_flow(inst, edmonds_karp)
-        assert res.stats.phases == scaling_shift(u, 2) + 1, f"U={u}"
+        shift = scaling_shift(u, 2)
+        steps = scaling_steps(inst)
+        assert res.stats.phases == len(steps) + 1 <= shift + 1, f"U={u}"
+        assert sum(s for s, _terms in steps) == shift, f"U={u}"
         assert res.stats.value == u
         n2 = inst.n * inst.n
         assert all(v <= n2 for v in res.stats.phase_values)
+        assert all(v <= (2 ** s - 1) * terms
+                   for v, (s, terms) in zip(res.stats.phase_values[1:], steps))
     matches = 0
     for i in range(_count(100)):
         inst = random_instance(rng, rng.randint(2, 9), rng.randint(1, 18),
@@ -460,17 +466,20 @@ def test_criterion_11_capacity_scaling():
         res = capacity_scaled_max_flow(inst, edmonds_karp)
         assert res.stats.value == edmonds_karp(inst).stats.value
         shift = scaling_shift(max(inst.cap, default=1), inst.n)
-        assert res.stats.phases == shift + 1
+        steps = scaling_steps(inst)
+        assert res.stats.phases == len(steps) + 1 <= shift + 1
         # phase values count flow over edges, not supply absorbed in place
         first = shifted_instance(inst, shift)
         in_place = sum(min(d, t) for d, t in zip(first.delta, first.nabla))
         assert res.stats.phase_values[0] + in_place == edmonds_karp(first).stats.value
-        n2 = inst.n * inst.n
-        assert all(v <= n2 for v in res.stats.phase_values[1:])
+        clamp = max(inst.n * inst.n, inst.m + inst.n)
+        assert all(v <= (2 ** s - 1) * terms <= clamp
+                   for v, (s, terms) in zip(res.stats.phase_values[1:], steps))
         matches += 1
-    _report(11, f"phase count is one more than the fewest shifts bringing U to "
-                f"n^2, phase 1 equals the oracle on the shifted instance, and each "
-                f"doubling phase's residual value is at most n^2; {matches} scaled "
+    _report(11, f"phase 1 shifts by the fewest bits bringing U to n^2 and equals "
+                f"the oracle on the shifted instance; each later phase takes the "
+                f"s bits of the step rule, at most the shift, and its residual value "
+                f"is at most (2^s - 1) * |C| <= max(n^2, m + n); {matches} scaled "
                 f"solves match the oracle")
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hierflow import hierarchy
 from hierflow.config import DEFAULT_CONFIG
-from hierflow.errors import BadParamsError, LevelViolationError, NotAcyclicError, ParseError
+from hierflow.errors import (BadParamsError, InvalidHierarchyError, LevelViolationError,
+                             NotAcyclicError, ParseError)
 from hierflow.graph import DiGraph, build_graph
 from hierflow.hierarchy import (Hierarchy, exhaustive_worst_cut, hierarchy_from_text,
                                 hierarchy_to_text, induced_weights,
@@ -241,6 +242,18 @@ def test_validate_names_edge_ids_outside_the_graph():
     assert rep.errors == ["partition names edge ids [5] outside 0..2"]
     rep = validate_hierarchy(g, caps, Hierarchy({0, 1, -1}, [{2}], [1, 2, 3]), Fraction(1, 8))
     assert rep.errors == ["partition names edge ids [-1] outside 0..2"]
+
+
+def test_level_of_names_edge_ids_outside_the_graph():
+    # -1 must not stand for edge m - 1 in the per-edge levels or the text
+    h = Hierarchy({0, 1}, [{-1}], [1, 2, 3])
+    with pytest.raises(InvalidHierarchyError, match=r"edge ids \[-1\] outside 0\.\.2"):
+        hierarchy_to_text(h, 3)
+    with pytest.raises(InvalidHierarchyError, match=r"edge ids \[-1, 5\] outside 0\.\.2"):
+        Hierarchy({0, 1, 5}, [{2, -1}], [1, 2, 3]).level_of(3)
+    assert Hierarchy({0}, [{2}], [1, 2, 3]).level_of(3) == [0, -1, 1]
+    assert hierarchy_to_text(Hierarchy({0, 1}, [{2}], [1, 2, 3]), 3).splitlines()[:3] == [
+        "0 0", "1 0", "2 1"]
 
 
 def test_validate_reports_level_edge_between_components():

@@ -19,7 +19,7 @@ from hierflow.maxflow import (capacity_scaled_max_flow, dag_approx_flow,
                               max_flow_exact)
 
 from helpers import (bellman_ford_arcs, max_flow_value_by_cuts, per_iteration_exact,
-                     random_feasible_flow, random_instance, scaling_shift)
+                     random_feasible_flow, random_instance, scaling_shift, scaling_steps)
 
 
 def test_ek_single_edge():
@@ -166,8 +166,13 @@ def test_scaling_single_edge_large_cap():
     inst = FlowInstance(g, caps, [10 ** 6, 0], [0, 10 ** 6])
     res = capacity_scaled_max_flow(inst, edmonds_karp)
     assert res.stats.value == 10 ** 6
-    assert res.stats.phases == 19  # 10^6 >> 18 = 3 <= n^2 = 4 < 10^6 >> 17
-    assert all(v <= 4 for v in res.stats.phase_values)
+    # phase 1 at 10^6 >> 18 = 3 <= n^2 = 4 < 10^6 >> 17, then the sink
+    # alone is the cut, |C| = 1, and each step takes s = 2 bits:
+    # (2^2 - 1) * 1 <= max(n^2, m + n) = 4 < (2^3 - 1) * 1
+    assert scaling_steps(inst) == [(2, 1)] * 9
+    assert res.stats.phases == 10 <= 18 + 1
+    assert res.stats.phase_values[0] == 3
+    assert all(v <= 3 for v in res.stats.phase_values[1:])
 
 
 def test_scaling_matches_direct_on_small_caps():
@@ -211,12 +216,16 @@ def test_scaling_on_multigraphs():
 
 
 def test_scaling_phase_count_formula():
-    # the fewest shifts s with U >> s <= n^2 = 4, plus one
-    for u, phases in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (1023, 9), (1024, 9)]:
+    # phase 1 at the fewest shifts s with U >> s <= n^2 = 4, then steps of
+    # 2 bits (|C| = 1, and (2^2 - 1) * 1 <= max(n^2, m + n) = 4), the last
+    # one cut to the shift left: 1 + ceil(s / 2) phases, at most s + 1
+    for u, shift, phases in [(1, 0, 1), (2, 0, 1), (3, 0, 1), (4, 0, 1), (5, 1, 2),
+                             (1023, 8, 5), (1024, 8, 5), (2047, 9, 6)]:
         g, caps = build_graph(2, [(0, 1, u)])
         inst = FlowInstance(g, caps, [u, 0], [0, u])
         res = capacity_scaled_max_flow(inst, edmonds_karp)
-        assert res.stats.phases == phases, f"U={u}"
+        assert scaling_shift(u, 2) == shift, f"U={u}"
+        assert res.stats.phases == phases == len(scaling_steps(inst)) + 1 <= shift + 1, f"U={u}"
         assert res.stats.value == u
 
 
@@ -233,7 +242,12 @@ def test_scaling_starts_at_the_fewest_shifts_to_n_squared(n):
             seen.append(rinst)
             return edmonds_karp(rinst)
         res = capacity_scaled_max_flow(inst, solve)
-        assert res.stats.phases == shift + 1, f"n={n} U={u}"
+        steps = scaling_steps(inst)
+        assert res.stats.phases == len(steps) + 1 <= shift + 1, f"n={n} U={u}"
+        assert sum(s for s, _terms in steps) == shift
+        clamp = max(n2, g.m + n)
+        for v, (s, terms) in zip(res.stats.phase_values[1:], steps):
+            assert v <= (2 ** s - 1) * terms <= clamp, f"n={n} U={u}"
         # the source's supply U is shifted as the capacities are, but not
         # capped at max(n^2, m + n) as they are
         assert seen[0].delta[0] == u >> shift <= n2, f"n={n} U={u}"
@@ -241,14 +255,16 @@ def test_scaling_starts_at_the_fewest_shifts_to_n_squared(n):
         if shift:
             assert u >> (shift - 1) > n2
         assert res.stats.value == edmonds_karp(inst).stats.value
-        # max_flow scales exactly when there is more than one phase
-        assert max_flow(inst).stats.phases == (shift + 1 if shift else 0)
+        # max_flow scales exactly when phase 1 shifts
+        assert max_flow(inst).stats.phases == (len(steps) + 1 if shift else 0)
 
 
 def test_doubling_phase_guard_rejects_an_over_full_residual_flow():
     # three parallel arcs: phase 1, at capacities 1000 >> 8 = 3, routes
-    # 9 > m + n = 5 and is a full solve with no value bound; a doubling
-    # phase's residual value above m + n is a solver fault
+    # 9 > m + n = 5 and is a full solve with no value bound.  Its cut is
+    # the three arcs, so phase 2 takes s = 1 bit ((2^2 - 1) * 3 > 5) and
+    # routes at most (2^1 - 1) * 3 = 3; a value above a phase's own bound
+    # is a solver fault, also where it is within m + n
     g, caps = build_graph(2, [(0, 1, 1000)] * 3)
     inst = FlowInstance(g, caps, [10 ** 4, 0], [0, 10 ** 4])
     assert capacity_scaled_max_flow(inst, edmonds_karp).stats.phase_values[0] == 9
@@ -258,9 +274,11 @@ def test_doubling_phase_guard_rejects_an_over_full_residual_flow():
         calls.append(rinst)
         res = edmonds_karp(rinst)
         if len(calls) > 1:
-            res.flow.values[0] += g.m + g.n + 1
+            res.flow.values[0] += 1
         return res
-    with pytest.raises(SolverInvariantError, match="phase 2 "):
+    assert scaling_steps(inst)[0] == (1, 3)
+    with pytest.raises(SolverInvariantError,
+                       match=r"phase 2 residual flow value 4 exceeds \(2\^1 - 1\) \* 3 = 3"):
         capacity_scaled_max_flow(inst, over_full)
     assert len(calls) == 2
 
@@ -293,6 +311,42 @@ def _diffusion_multigraph(rng, n, m, cap):
     nabla = [rng.choice([0, 0, rng.randint(1, cap)]) for _ in range(n)]
     nabla[rng.randrange(n)] += sum(delta)
     return FlowInstance(g, caps, delta, nabla)
+
+
+def test_scaling_steps_as_far_as_the_last_minimum_cut_allows(monkeypatch):
+    # capacities up to 10^30: with either inner solver the flow is a
+    # feasible maximum flow, each phase after the first counts the cut
+    # terms an independent count finds and routes at most
+    # (2^s - 1) * |C| <= max(n^2, m + n), and no solve takes more phases
+    # than bit scaling's shift + 1
+    real_terms, counted = maxflow._cut_terms, []
+
+    def count(inst, res):
+        counted.append(real_terms(inst, res))
+        return counted[-1]
+    monkeypatch.setattr(maxflow, "_cut_terms", count)
+    rng = random.Random(72)
+    phases = bits = 0
+    for trial in range(400):
+        n = rng.randint(2, 9)
+        inst = _diffusion_multigraph(rng, n, rng.randint(1, 3 * n),
+                                     rng.choice([10, 1000, 10 ** 6, 10 ** 12, 10 ** 30]))
+        want = edmonds_karp(inst).stats.value
+        steps = scaling_steps(inst)
+        shift = maxflow.scaling_shift(inst)
+        clamp = max(n * n, inst.m + n)
+        for inner in (edmonds_karp, exact_solver(seed=trial)):
+            counted.clear()
+            res = capacity_scaled_max_flow(inst, inner)
+            assert res.stats.value == want, f"trial {trial}"
+            assert is_feasible(inst, res.flow), f"trial {trial}"
+            assert counted == [terms for _s, terms in steps], f"trial {trial}"
+            assert res.stats.phases == len(steps) + 1 <= shift + 1, f"trial {trial}"
+            for v, (s, terms) in zip(res.stats.phase_values[1:], steps):
+                assert v <= (2 ** s - 1) * terms <= clamp, f"trial {trial}"
+            phases += res.stats.phases
+            bits += shift + 1
+    assert 3 * phases < bits
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -570,6 +624,11 @@ def test_exact_solves_are_bit_identical_to_the_recorded_digest():
     # and with the distance order of tau's edge-less blocks, as above: the
     # flows of 152, the augmentation counts of 10 and the relabel counts of
     # 32 of the 157 solves (values, iterations, phases, phase values and
-    # safety nets hash as before).
+    # safety nets hash as before); and when each phase after the first
+    # began to take as many bits as the last minimum cut allows: 3-6
+    # phases, not 14-16, so 43 inner solves, not 147, and the phases, phase
+    # values and summed iterations, augmentations and relabels of all 10
+    # scaled solves moved, and 5 of the 10 flows to other maximum flows of
+    # the same values (values, safety nets and build failures hash as before).
     assert _digest(_scaled_results()) == (
-        "f7d9a0498566fe5f29266fb47ead8bd292a38cab08910124a129d246d73b0ecb")
+        "fd4a2dfaaec060c1b75284a7abb7616f8d3f01919653c0597b78c16242cfbbcc")

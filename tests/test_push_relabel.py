@@ -14,7 +14,7 @@ from hierflow.builder import build_hierarchy
 from hierflow.generators import gen_cycle, gen_dag, gen_random
 from hierflow.hierarchy import Hierarchy
 from hierflow.maxflow import (dag_approx_flow, edmonds_karp, max_flow, max_flow_exact,
-                              scaling_phases)
+                              scaling_shift)
 from hierflow.sparse_cut import sparse_cut
 from hierflow.push_relabel import _Engine, push_relabel
 
@@ -576,7 +576,7 @@ def test_no_production_path_builds_a_forest(monkeypatch):
     rng = random.Random(31)
     plain = random_instance(rng, 12, 40, 6)
     big = random_instance(rng, 10, 30, 10 ** 6)
-    assert scaling_phases(plain) == 1 and scaling_phases(big) > 1
+    assert scaling_shift(plain) == 0 and scaling_shift(big) > 0
     n = 9
     arcs = [(i, (i + 1) % n, rng.randint(1, 3)) for i in range(n)]
     arcs += [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(12)]

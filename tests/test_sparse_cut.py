@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hierflow.config import DEFAULT_CONFIG, default_phi
-from hierflow.errors import NotStronglyConnectedError
+from hierflow.errors import InvalidHierarchyError, NotStronglyConnectedError
 from hierflow.graph import Flow, FlowInstance, build_graph, flow_stats, residual
 from hierflow.hierarchy import Hierarchy, respecting_topo_order
 from hierflow.maxflow import edmonds_karp
@@ -94,6 +94,21 @@ def _trivial_hier_for(g):
 def _all_terminal_hier(g):
     # hierarchy of the empty remainder graph: any permutation works
     return Hierarchy(set(), [], list(range(1, g.n + 1)))
+
+
+def test_sparse_cut_rejects_a_hierarchy_of_other_edges():
+    # with terminals {0, 1}, the hierarchy must partition exactly {2}: an id
+    # outside the graph, a terminal, a repeat or a gap is named, not run
+    g, caps = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    inst = FlowInstance(g, caps, [1, 0, 0], [0, 1, 0])
+    for d, levels, names in [({5}, [], r"not among them: \[5\]"),
+                             ({-1}, [], r"not among them: \[-1\]"),
+                             ({0, 2}, [], r"not among them: \[0\]"),
+                             ({2}, [{2}], "names 2 edge ids for 1 non-terminal"),
+                             (set(), [], r"left out: \[2\]")]:
+        with pytest.raises(InvalidHierarchyError, match=names):
+            sparse_cut(inst, 1, {0, 1}, Hierarchy(d, levels, [2, 3, 1]))
+    assert sparse_cut(inst, 1, {0, 1}, Hierarchy({2}, [], [2, 3, 1])).value == 1
 
 
 def test_sparse_cut_requires_strong_connectivity():
